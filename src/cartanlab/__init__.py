@@ -37,7 +37,6 @@ from .extension import (
     delta,
     extensions_equivalent,
     g_meet,
-    g_multiply,
     g_natural_leq,
     is_trivial_cocycle,
     lausch_alpha,

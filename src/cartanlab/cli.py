@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 
 from . import generators
 from .boolean_monoid import check_axioms
-from .errors import CartanLabError, ClosureError, FormatError, SizeGuardError
+from .errors import CartanLabError, ClosureError, FormatError
 from .extension import (
+    EQUIV_GUARD,
     CocycleTable,
     Extension,
     extensions_equivalent,
@@ -395,7 +396,7 @@ def _cmd_msd(doc, args, triangular=False):
 def _cmd_equiv(doc_a, doc_b, args):
     _, ext_a, _ = build_extension(doc_a, args.k)
     _, ext_b, _ = build_extension(doc_b, args.k)
-    guard = args.guard if args.guard_explicit else 40
+    guard = args.guard if args.guard_explicit else EQUIV_GUARD
     witness = extensions_equivalent(ext_a, ext_b, guard=guard)
     if witness is None:
         return 1, ["equivalent: NO (NotEquivalent)"], {"equivalent": False}
@@ -488,9 +489,6 @@ def main(argv=None) -> int:
                 code, lines, payload = _cmd_msd(doc, args, triangular=False)
             else:
                 code, lines, payload = _cmd_msd(doc, args, triangular=True)
-    except (FormatError, SizeGuardError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     except CartanLabError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -20,6 +20,7 @@ from .semigroup_core import (
     PhasedElement,
     bits,
     compose,
+    conjugate,
     dagger,
     meet,
     natural_leq,
@@ -37,7 +38,6 @@ __all__ = [
     "point_coboundary_table",
     "point_cocycle_table",
     "validate_cocycle",
-    "g_multiply",
     "g_natural_leq",
     "g_meet",
     "order_preserving_section",
@@ -48,11 +48,9 @@ __all__ = [
     "cohomologous",
     "is_trivial_cocycle",
     "extensions_equivalent",
-    "COHOMOLOGY_GUARD",
     "EQUIV_GUARD",
 ]
 
-COHOMOLOGY_GUARD = 10**7
 EQUIV_GUARD = 40
 
 
@@ -250,9 +248,6 @@ class Extension:
     def phased_identities(self) -> list[PhasedElement]:
         return [v for v in self.elements if v.is_phased_identity()]
 
-    def q(self, v: PhasedElement) -> PartialBijection:
-        return v.bij
-
     def multiply(self, v: PhasedElement, w: PhasedElement) -> PhasedElement:
         st = compose(v.bij, w.bij)
         if not st.domain:
@@ -274,15 +269,8 @@ class Extension:
         )
         return PhasedElement(sd, phases)
 
-    def lift(self, s: PartialBijection) -> PhasedElement:
-        return with_zero_phases(s)
-
     def __repr__(self):
         return f"Extension(|S|={len(self.S)}, k={self.k})"
-
-
-def g_multiply(ext: Extension, v: PhasedElement, w: PhasedElement) -> PhasedElement:
-    return ext.multiply(v, w)
 
 
 def g_natural_leq(v: PhasedElement, w: PhasedElement) -> bool:
@@ -325,17 +313,26 @@ def order_preserving_section(ext: Extension) -> Section:
     On a finite atom set the glued supports exhaust dom(t) exactly (density
     is totality here), which is asserted.
 
-    Lifts on B come from a coboundary witness for the table when one exists
-    (for valid tables it always does), which makes the returned section a
-    homomorphism and hence compatible with the inverse operation; zero-phase
-    lifts, which need not be, are the fallback.  For the trivial table the
-    witness is zero and the section is the zero-phase lift of every element.
+    Lifts on B come from a coboundary witness for the table, which makes
+    the returned section a homomorphism and hence compatible with the
+    inverse operation.  On a downward-closed monoid every valid table is a
+    coboundary, so a missing witness means the table is not a cocycle and
+    raises DomainError.  Only when the monoid lacks one-point maps (no
+    witness can be computed) are zero-phase lifts, which need not be
+    homomorphic, the fallback.  For the trivial table the witness is zero
+    and the section is the zero-phase lift of every element.
     """
     S, k = ext.S, ext.k
     try:
         witness = cohomologous(S, k, trivial_cocycle(S, k), ext.cocycle)
     except DomainError:
         witness = None
+    else:
+        if witness is None:
+            raise DomainError(
+                "cocycle table is not a coboundary, so it is not a valid cocycle; "
+                "run 'cartanlab validate' on the document"
+            )
 
     def base_lift(s: PartialBijection) -> PhasedElement:
         if witness is None:
@@ -498,13 +495,7 @@ def _related_points(S: FiniteInverseMonoid):
     return sorted({(x, y) for s in S for x, y in s.pairs()})
 
 
-def cohomologous(
-    S: FiniteInverseMonoid,
-    k: int,
-    c1: CocycleTable,
-    c2: CocycleTable,
-    guard: int = COHOMOLOGY_GUARD,
-):
+def cohomologous(S: FiniteInverseMonoid, k: int, c1: CocycleTable, c2: CocycleTable):
     """Find b with c2(s,t) = c1(s,t) + b(s) o t + b(t) - b(st) (mod k).
 
     Normalization forces any witness to be restriction compatible, hence
@@ -518,10 +509,7 @@ def cohomologous(
     of the candidate fails, no witness exists.
 
     Returns b as a dict s -> phase tuple, or None if not cohomologous.
-    The guard parameter is kept for interface stability; the closed-form
-    solve never enumerates more than |atoms|^2 candidates.
     """
-    del guard  # closed-form solve; nothing to guard
     pts = _related_points(S)
     singles = {}
     for x, y in pts:
@@ -559,16 +547,8 @@ def cohomologous(
     return {s: tuple(b_at(s, y) for y in bits(s.domain)) for s in S}
 
 
-def is_trivial_cocycle(S: FiniteInverseMonoid, k: int, c: CocycleTable, guard: int = COHOMOLOGY_GUARD):
-    return cohomologous(S, k, trivial_cocycle(S, k), c, guard=guard)
-
-
-def _conjugate(s: PartialBijection, perm: tuple[int, ...]) -> PartialBijection:
-    pairs = sorted((perm[y], perm[x]) for x, y in s.pairs())
-    dom = 0
-    for y, _ in pairs:
-        dom |= 1 << y
-    return PartialBijection(s.n, dom, tuple(x for _, x in pairs))
+def is_trivial_cocycle(S: FiniteInverseMonoid, k: int, c: CocycleTable):
+    return cohomologous(S, k, trivial_cocycle(S, k), c)
 
 
 def extensions_equivalent(ext1: Extension, ext2: Extension, guard: int = EQUIV_GUARD):
@@ -594,7 +574,7 @@ def extensions_equivalent(ext1: Extension, ext2: Extension, guard: int = EQUIV_G
     k = ext1.k
     elements2 = set(S2.elements)
     for perm in itertools.permutations(range(n)):
-        theta = {s: _conjugate(s, perm) for s in S1}
+        theta = {s: conjugate(s, perm) for s in S1}
         if set(theta.values()) != elements2:
             continue
         inv = {v: s for s, v in theta.items()}

@@ -270,10 +270,6 @@ class RepSpace:
     def expectation(self, T: np.ndarray) -> np.ndarray:
         return expectation(self.rbasis, T)
 
-    def pi_atoms(self, d: np.ndarray) -> np.ndarray:
-        """A function on atoms as a diagonal matrix on the atom space."""
-        return np.diag(d.astype(complex))
-
 
 def abstract_gram_check(ext: Extension, j: Section, tol: float = DEFAULT_TOL):
     """Consistency oracle for the module picture behind the matrix picture.

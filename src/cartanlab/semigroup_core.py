@@ -25,6 +25,7 @@ __all__ = [
     "identity_map",
     "compose",
     "dagger",
+    "conjugate",
     "natural_leq",
     "meet",
     "leech_idempotent",
@@ -164,6 +165,12 @@ def dagger(s: PartialBijection) -> PartialBijection:
     pairs = sorted((x, y) for x, y in s.pairs())
     dom = mask_of(x for x, _ in pairs)
     return PartialBijection(s.n, dom, tuple(y for _, y in pairs))
+
+
+def conjugate(s: PartialBijection, perm: tuple[int, ...]) -> PartialBijection:
+    """Relabel the atoms of s by perm: the map perm[y] -> perm[s(y)]."""
+    pairs = sorted((perm[y], perm[x]) for x, y in s.pairs())
+    return PartialBijection(s.n, mask_of(y for y, _ in pairs), tuple(x for _, x in pairs))
 
 
 def natural_leq(s: PartialBijection, t: PartialBijection) -> bool:

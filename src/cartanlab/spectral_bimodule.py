@@ -3,29 +3,36 @@ bimodules of the generated algebra, intermediate algebras, and the
 classification of maximal subdiagonal/triangular subalgebras.
 
 A spectral set is modeled as a frozenset of monoid elements containing the
-zero map, downward closed, and closed under orthogonal joins.  Closure in
-the matrix picture is a no-op here (every linear subspace of a finite
-matrix space is closed in all the relevant topologies), which reports note
-explicitly.
+zero map, downward closed, and closed under orthogonal joins.  In the finite
+case it is fixed by the minimal nonzero elements it contains (for the
+canonical realizations these are the one-point maps, i.e. the points of the
+relation R).  Every public call builds one trace index: the minimal
+elements, each element's trace (the bitmask of minimals below it) and the
+dagger permutation on minimals.  The spectral sets are then exactly
+A(X) = {s : trace(s) inside X} for the masks X, so closure, join span,
+enumeration and the msd/mtr conditions are bitmask arithmetic.
+
+Closure in the matrix picture is a no-op here (every linear subspace of a
+finite matrix space is closed in all the relevant topologies), which reports
+note explicitly.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InvariantViolation, SizeGuardError
-from .extension import Extension, Section
 from .kernel_rep import DEFAULT_TOL, RBasis, RepSpace
 from .semigroup_core import (
     FiniteInverseMonoid,
-    PartialBijection,
     are_orthogonal,
+    bits,
     compose,
     dagger,
+    mask_of,
     natural_leq,
     orthogonal_join,
 )
@@ -34,6 +41,7 @@ from .vn_oracle import (
     _nullspace_dimension,
     _pattern_intersection,
     _pattern_positions,
+    _point_accepted,
     contains_matrix,
     subspace_basis,
 )
@@ -77,83 +85,86 @@ def is_spectral_set(S: FiniteInverseMonoid, A) -> bool:
     return True
 
 
+class _TraceIndex:
+    """Spectral sets of S as bitmasks over its minimal nonzero elements.
+
+    ``trace[s]`` has bit i set iff ``minimals[i] <= s``, and ``dag[i]`` is
+    the position of the dagger of ``minimals[i]``.  Construction checks that
+    every element is the join of the minimals below it and that S is closed
+    under binary orthogonal joins.  Then X -> A(X) = {s : trace[s] inside X}
+    is a bijection from masks onto spectral sets that turns union,
+    intersection, inclusion and dagger of masks into join span,
+    intersection, inclusion and dagger of sets.
+    """
+
+    def __init__(self, S: FiniteInverseMonoid):
+        nonzero = [s for s in S if not s.is_zero()]
+        below = {s: [t for t in nonzero if natural_leq(t, s)] for s in nonzero}
+        self.minimals = [s for s in nonzero if below[s] == [s]]
+        pos = {m: i for i, m in enumerate(self.minimals)}
+        self.trace = {s: mask_of(pos[t] for t in below.get(s, ()) if t in pos) for s in S}
+        self.idempotent = mask_of(i for i, m in enumerate(self.minimals) if m.is_idempotent())
+        self.full = (1 << len(self.minimals)) - 1
+        self.dag = [pos.get(dagger(m)) for m in self.minimals]
+        if None in self.dag:
+            raise DomainError("the monoid is not closed under dagger")
+        for s in nonzero:
+            covered = (a for i in bits(self.trace[s]) for a in bits(self.minimals[i].domain))
+            if mask_of(covered) != s.domain:
+                raise DomainError(f"{s} is not the join of the minimal elements below it")
+        traces = set(self.trace.values())
+        shapes = [(self.trace[s], s.domain, s.range_mask) for s in nonzero]
+        for (xs, ds, rs), (xt, dt, rt) in itertools.combinations(shapes, 2):
+            if not (ds & dt or rs & rt) and xs | xt not in traces:
+                raise DomainError("the monoid is not closed under orthogonal joins")
+
+    def members(self, X: int) -> frozenset:
+        """A(X): the elements all of whose minimals lie in X."""
+        return frozenset(s for s, t in self.trace.items() if not t & ~X)
+
+    def trace_of(self, family) -> int:
+        """OR of the traces; A(trace_of(F)) is the least spectral set containing F."""
+        X = 0
+        for s in family:
+            if s not in self.trace:
+                raise DomainError(f"{s} is not an element of the monoid")
+            X |= self.trace[s]
+        return X
+
+    def dagger_of(self, X: int) -> int:
+        return mask_of(self.dag[i] for i in bits(X))
+
+    def masks(self, guard: int):
+        """Every mask, by size and then in itertools.combinations order."""
+        m = len(self.minimals)
+        if m > guard:
+            raise SizeGuardError(2**m, 2**guard, "spectral set enumeration")
+        for r in range(m + 1):
+            for combo in itertools.combinations(range(m), r):
+                yield mask_of(combo)
+
+
 def spectral_closure(S: FiniteInverseMonoid, gen) -> frozenset:
-    """Least spectral set containing the generators."""
-    cur = set(gen) | {S.zero}
-    while True:
-        new = set()
-        for s in cur:
-            for t in S:
-                if natural_leq(t, s) and t not in cur:
-                    new.add(t)
-        for s, t in itertools.combinations(cur, 2):
-            if are_orthogonal(s, t):
-                join = orthogonal_join([s, t])
-                if join not in S:
-                    raise DomainError("orthogonal join escapes the monoid; S is not complete")
-                if join not in cur:
-                    new.add(join)
-        if not new:
-            return frozenset(cur)
-        cur |= new
+    """Least spectral set containing the generators: A(OR of their traces)."""
+    idx = _TraceIndex(S)
+    return idx.members(idx.trace_of(gen))
 
 
 def join_span(S: FiniteInverseMonoid, A1, A2) -> frozenset:
-    """Smallest spectral set containing both operands.
-
-    Computed twice: as the spectral closure of the union, and directly as
-    the orthogonal-split set {s = s1 v s2 : s1 in A1, s2 in A2, s1 _|_ s2}.
-    The two must agree; disagreement raises.
-    """
-    A1, A2 = frozenset(A1), frozenset(A2)
-    closure = spectral_closure(S, A1 | A2)
-    direct = set()
-    for s in S:
-        for s1 in A1:
-            if not natural_leq(s1, s):
-                continue
-            s2 = s.restrict(s.domain & ~s1.domain)
-            if s2 in A2:
-                direct.add(s)
-                break
-    if frozenset(direct) != closure:
-        raise InvariantViolation("join span formula disagrees with spectral closure")
-    return closure
-
-
-def minimal_nonzero_elements(S: FiniteInverseMonoid) -> list[PartialBijection]:
-    out = []
-    for s in S:
-        if s.is_zero():
-            continue
-        if not any(
-            not t.is_zero() and t != s and natural_leq(t, s) for t in S
-        ):
-            out.append(s)
-    return out
+    """Smallest spectral set containing both operands: A(X1 | X2)."""
+    idx = _TraceIndex(S)
+    return idx.members(idx.trace_of(A1) | idx.trace_of(A2))
 
 
 def enumerate_spectral_sets(S: FiniteInverseMonoid, guard: int = SPECTRAL_GUARD) -> list[frozenset]:
-    """All spectral sets, indexed by their trace on the minimal elements.
-
-    A spectral set is determined by which minimal nonzero elements it
-    contains (downward closure recovers the trace, join closure recovers
-    the set), so enumeration walks the 2^m subsets of minimals.  Every
-    candidate is validated before being returned.
+    """All spectral sets, one A(X) per subset X of the minimal nonzero
+    elements, by |X| and then in itertools.combinations order of the
+    minimals (canonical element order), i.e. in ``_TraceIndex.masks`` order,
+    which callers zip against.  Distinct masks give distinct sets because
+    A(X) contains exactly the minimals in X.
     """
-    minimals = minimal_nonzero_elements(S)
-    if len(minimals) > guard:
-        raise SizeGuardError(2 ** len(minimals), 2**guard, "spectral set enumeration")
-    out = []
-    for r in range(len(minimals) + 1):
-        for combo in itertools.combinations(minimals, r):
-            A = spectral_closure(S, combo)
-            if not is_spectral_set(S, A):
-                raise InvariantViolation(f"closure of {combo} is not spectral")
-            out.append(A)
-    if len(set(out)) != len(out):
-        raise InvariantViolation("distinct minimal traces produced equal spectral sets")
-    return out
+    idx = _TraceIndex(S)
+    return [idx.members(X) for X in idx.masks(guard)]
 
 
 @dataclass
@@ -210,47 +221,24 @@ def theta_gn(rs: RepSpace, B: Bimodule, tol: float = DEFAULT_TOL) -> frozenset:
     supported exactly on the transport pattern of s with unimodular entries."""
     rbasis = rs.rbasis
     alg = MatrixAlgebra(B.basis, rbasis)
-    out = set()
-    for s in rs.ext.S:
-        if s.is_zero():
-            out.add(s)
-            continue
-        positions = _pattern_positions(rbasis, s)
-        inter = _pattern_intersection(alg, positions, tol)
-        if len(inter) != s.domain.bit_count():
-            continue
-        ok = True
-        for x, y in s.pairs():
-            grp = [(r, c) for (r, c) in positions if rbasis.pairs[c][0] == y]
-            sub = PartialBijection(rbasis.atom_count, 1 << y, (x,))
-            pg = _pattern_positions(rbasis, sub)
-            gi = _pattern_intersection(alg, pg, tol)
-            if len(gi) != 1:
-                ok = False
-                break
-            vals = np.array([gi[0][r, c] for r, c in pg])
-            mods = np.abs(vals)
-            if mods.min() <= tol or mods.max() - mods.min() > 1e-6 * mods.max():
-                ok = False
-                break
-        if ok:
-            out.add(s)
-    return frozenset(out)
+
+    def implemented(s):
+        inter = _pattern_intersection(alg, _pattern_positions(rbasis, s), tol)
+        return len(inter) == s.domain.bit_count() and all(
+            _point_accepted(alg, x, y, tol) for x, y in s.pairs()
+        )
+
+    return frozenset(s for s in rs.ext.S if s.is_zero() or implemented(s))
 
 
 def full_submonoids(S: FiniteInverseMonoid, guard: int = SPECTRAL_GUARD) -> list[frozenset]:
     """Spectral sets that are dagger-closed submonoids containing all
     idempotents (full Cartan inverse submonoids)."""
-    idem = set(S.idempotents())
+    idx = _TraceIndex(S)
     out = []
-    for A in enumerate_spectral_sets(S, guard):
-        if not idem <= A:
-            continue
-        if any(dagger(s) not in A for s in A):
-            continue
-        if any(compose(s, t) not in A for s in A for t in A):
-            continue
-        out.append(A)
+    for X, A in zip(idx.masks(guard), enumerate_spectral_sets(S, guard)):
+        if idx.dagger_of(X) == X and _is_spectral_monoid(idx, X, A):
+            out.append(A)
     return out
 
 
@@ -325,32 +313,33 @@ def aoi_correspondence(rs: RepSpace, guard: int = SPECTRAL_GUARD, tol: float = D
     return AoiReport(len(monoids), sorted(b.dimension for b in algebras), bijective)
 
 
-def _is_spectral_monoid(S: FiniteInverseMonoid, A) -> bool:
-    idem = set(S.idempotents())
-    if not idem <= A:
+def _is_spectral_monoid(idx: _TraceIndex, X: int, A) -> bool:
+    """A = A(X) contains every idempotent (X holds the idempotent minimals)
+    and is closed under products."""
+    if X & idx.idempotent != idx.idempotent:
         return False
     return all(compose(s, t) in A for s in A for t in A)
 
 
 def msd(S: FiniteInverseMonoid, guard: int = SPECTRAL_GUARD) -> list[frozenset]:
     """Spectral monoids containing all idempotents whose join span with
-    their dagger recovers the whole monoid."""
-    full = frozenset(S.elements)
+    their dagger recovers the whole monoid: X | X^dag is every minimal."""
+    idx = _TraceIndex(S)
     out = []
-    for A in enumerate_spectral_sets(S, guard):
-        if not _is_spectral_monoid(S, A):
-            continue
-        if join_span(S, A, frozenset(dagger(s) for s in A)) == full:
+    for X, A in zip(idx.masks(guard), enumerate_spectral_sets(S, guard)):
+        if X | idx.dagger_of(X) == idx.full and _is_spectral_monoid(idx, X, A):
             out.append(A)
     return out
 
 
 def mtr(S: FiniteInverseMonoid, guard: int = SPECTRAL_GUARD) -> list[frozenset]:
-    """Members of msd whose self-adjoint part is exactly the idempotents."""
-    idem = frozenset(S.idempotents())
+    """Members of msd whose self-adjoint part is exactly the idempotents:
+    X & X^dag is the set of idempotent minimals."""
+    idx = _TraceIndex(S)
     out = []
     for A in msd(S, guard):
-        if A & frozenset(dagger(s) for s in A) == idem:
+        X = idx.trace_of(A)
+        if X & idx.dagger_of(X) == idx.idempotent:
             out.append(A)
     return out
 
@@ -419,9 +408,10 @@ def verify_subdiagonal(rs: RepSpace, A, guard: int = SPECTRAL_GUARD, tol: float 
     against the other enumerated spectral-monoid candidates with the same
     self-adjoint part, which is exactly what the classification licenses.
     """
-    S = rs.ext.S
     A = frozenset(A)
-    if not _is_spectral_monoid(S, A) or not is_spectral_set(S, A):
+    idx = _TraceIndex(rs.ext.S)
+    trace = idx.trace_of(A)
+    if idx.members(trace) != A or not _is_spectral_monoid(idx, trace, A):
         raise DomainError("input is not a spectral monoid containing the idempotents")
     alg = psi(rs, A, tol)
     adj = [b.conj().T for b in alg.basis]
@@ -453,8 +443,11 @@ def verify_subdiagonal(rs: RepSpace, A, guard: int = SPECTRAL_GUARD, tol: float 
 
     maximal = True
     n_dim = len(N)
-    for A2 in enumerate_spectral_sets(S, guard):
-        if A2 == A or not (A < A2) or not _is_spectral_monoid(S, A2):
+    for trace2 in idx.masks(guard):
+        if trace2 == trace or trace2 & trace != trace:
+            continue
+        A2 = idx.members(trace2)
+        if not _is_spectral_monoid(idx, trace2, A2):
             continue
         alg2 = psi(rs, A2, tol)
         adj2 = [b.conj().T for b in alg2.basis]

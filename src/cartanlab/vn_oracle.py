@@ -9,7 +9,8 @@ rather than against the semigroup machinery that produced the matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,8 +20,7 @@ from .kernel_rep import DEFAULT_TOL, RBasis, RepSpace, expectation
 from .semigroup_core import (
     FiniteInverseMonoid,
     PartialBijection,
-    compose,
-    dagger,
+    conjugate,
     mask_of,
 )
 
@@ -340,8 +340,6 @@ def recover_extension(M: MatrixAlgebra, D: MatrixAlgebra, S: FiniteInverseMonoid
         (x, y) for (x, y) in rbasis.pairs if _point_accepted(M, x, y, tol)
     }
 
-    import itertools
-
     accepted = []
     atoms = range(n)
     for d in range(n + 1):
@@ -361,23 +359,11 @@ def recover_extension(M: MatrixAlgebra, D: MatrixAlgebra, S: FiniteInverseMonoid
     if witness is not None:
         raise InvariantViolation(f"recovered set is not closed: {witness}")
 
-    iso = None
+    target = set(S.elements)
     for perm in itertools.permutations(range(n)):
-        mapped = set()
-        ok = True
-        for s in S_prime:
-            pairs = sorted((perm[y], perm[x]) for x, y in s.pairs())
-            dom_mask = mask_of(y for y, _ in pairs)
-            img = tuple(x for _, x in pairs)
-            t = PartialBijection(n, dom_mask, img)
-            if t not in S:
-                ok = False
-                break
-            mapped.add(t)
-        if ok and mapped == set(S.elements):
-            iso = perm
-            break
-    return S_prime, iso
+        if {conjugate(s, perm) for s in S_prime} == target:
+            return S_prime, perm
+    return S_prime, None
 
 
 @dataclass

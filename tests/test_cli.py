@@ -13,6 +13,8 @@ from cartanlab.cli import (
     parse,
 )
 from cartanlab.errors import FormatError, SizeGuardError
+from cartanlab.extension import trivial_cocycle
+from cartanlab.semigroup_core import PartialBijection, singleton
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -48,8 +50,6 @@ def test_round_trip_with_cocycle():
     base = parse(bundled_rook2_text())
     S, _, names = build_extension(base)
     inv = {v: n for n, v in names.items()}
-    from cartanlab.extension import trivial_cocycle
-
     table = trivial_cocycle(S, 2)
     cocycle = [
         (inv[s], inv[t], list(phase)) for (s, t), phase in table.entries.items()
@@ -148,6 +148,24 @@ def test_spectral_and_mtr_commands(tmp_path, capsys):
     assert "mtr_count: 2" in capsys.readouterr().out
     assert main(["msd", str(target)]) == 0
     assert "msd_count: 3" in capsys.readouterr().out
+
+
+def test_non_cocycle_table_exits_two_in_oracle_and_section(tmp_path, capsys):
+    """rook2 with the trivial k=2 table and its (t01, swap) entry bumped."""
+    base = parse(bundled_rook2_text())
+    S, _, names = build_extension(base)
+    inv = {v: n for n, v in names.items()}
+    t01, swap = singleton(2, 0, 1), PartialBijection(2, 0b11, (1, 0))
+    entries = dict(trivial_cocycle(S, 2).entries)
+    entries[(t01, swap)] = tuple((p + 1) % 2 for p in entries[(t01, swap)])
+    cocycle = [(inv[s], inv[t], list(phase)) for (s, t), phase in entries.items()]
+    target = tmp_path / "tampered.json"
+    target.write_text(emit(ExtensionDocument(2, 2, base.elements, cocycle, {})))
+    assert main(["validate", str(target)]) == 1
+    assert "cocycle_identity: FAIL" in capsys.readouterr().out
+    for command in ("oracle", "section"):
+        assert main([command, str(target)]) == 2
+        assert "cartanlab validate" in capsys.readouterr().err
 
 
 def test_section_command(tmp_path, capsys):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cartanlab.errors import FormatError
+from cartanlab.errors import DomainError, FormatError
 from cartanlab.extension import (
     CocycleTable,
     Extension,
@@ -138,6 +138,18 @@ def test_section_mutation_breaks_condition_b(i2, named2):
     rep = validate_section(ext, Section(mutated))
     assert not rep.cond_b
     assert "b" in rep.witnesses
+
+
+def test_section_rejects_non_cocycle_table(i2, named2):
+    """A table that fails the cocycle identity on a downward-closed monoid
+    has no coboundary witness, so no section is built from it."""
+    entries = dict(trivial_cocycle(i2, 2).entries)
+    key = (named2["t01"], named2["swap"])
+    entries[key] = tuple((p + 1) % 2 for p in entries[key])
+    ext = Extension(i2, 2, CocycleTable(2, entries))
+    assert not validate_cocycle(i2, 2, ext.cocycle).identity_holds
+    with pytest.raises(DomainError, match="cartanlab validate"):
+        order_preserving_section(ext)
 
 
 def test_tri_equivalence_on_random_mutations(i2):

@@ -1,15 +1,19 @@
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 
+from cartanlab.errors import DomainError
 from cartanlab.extension import Extension
-from cartanlab.generators import rook_monoid
+from cartanlab.generators import eqrel_monoid, rook_monoid
 from cartanlab.kernel_rep import RepSpace
 from cartanlab.semigroup_core import (
     FiniteInverseMonoid,
+    are_orthogonal,
     dagger,
+    orthogonal_join,
     partial_identity,
     singleton,
 )
@@ -208,3 +212,86 @@ def test_msd_count_rook3(i3):
     # 13 on three points (6 orders, 6 single-tie, 1 all-tied)
     assert len(msd(i3)) == 13
     assert len(mtr(i3)) == 6
+
+
+def _idempotent_monoid(n):
+    return FiniteInverseMonoid(n, [partial_identity(n, m) for m in range(1 << n)])
+
+
+@pytest.mark.parametrize(
+    "S",
+    [rook_monoid(2), eqrel_monoid([(0, 1), (2,)]), _idempotent_monoid(3)],
+    ids=["rook2", "eqrel 0,1|2", "idempotents3"],
+)
+def test_enumeration_matches_brute_force(S):
+    """The trace-index enumeration against filtering every subset with the
+    element-level definition."""
+    rest = [s for s in S if not s.is_zero()]
+    brute = set()
+    for r in range(len(rest) + 1):
+        for combo in itertools.combinations(rest, r):
+            A = frozenset(combo) | {S.zero}
+            if is_spectral_set(S, A):
+                brute.add(A)
+    sets = enumerate_spectral_sets(S)
+    assert len(sets) == len(set(sets))
+    assert set(sets) == brute
+
+
+def test_rook3_sets_are_spectral_and_closed(i3):
+    sets3 = enumerate_spectral_sets(i3)
+    assert len(set(sets3)) == len(sets3) == 512
+    for A in sets3:
+        assert is_spectral_set(i3, A)
+        assert spectral_closure(i3, A) == A
+
+
+def test_join_span_is_the_orthogonal_split_set(i3):
+    sets3 = enumerate_spectral_sets(i3)
+    rng = random.Random(11)
+    for _ in range(40):
+        A1, A2 = rng.sample(sets3, 2)
+        split = {
+            orthogonal_join([s1, s2]) for s1 in A1 for s2 in A2 if are_orthogonal(s1, s2)
+        }
+        assert join_span(i3, A1, A2) == frozenset(split)
+
+
+def _set_partitions(atoms):
+    if not atoms:
+        yield []
+        return
+    first, rest = atoms[0], atoms[1:]
+    for part in _set_partitions(rest):
+        yield [(first,)] + part
+        for i, block in enumerate(part):
+            yield part[:i] + [tuple(sorted((first,) + block))] + part[i + 1 :]
+
+
+FUBINI = {1: 1, 2: 3, 3: 13, 4: 75}
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [p for n in range(1, 5) for p in _set_partitions(tuple(range(n)))],
+    ids=lambda p: "|".join(",".join(map(str, b)) for b in p),
+)
+def test_eqrel_counts(blocks):
+    """2^|R| spectral sets, prod Fubini(b) msd members, prod b! mtr members."""
+    S = eqrel_monoid(blocks)
+    sizes = [len(b) for b in blocks]
+    assert len(enumerate_spectral_sets(S)) == 2 ** sum(b * b for b in sizes)
+    assert len(msd(S)) == math.prod(FUBINI[b] for b in sizes)
+    assert len(mtr(S)) == math.prod(math.factorial(b) for b in sizes)
+
+
+def test_non_atomistic_monoid_is_rejected():
+    """{0, id{0}, 1} on two atoms: 1 is not the join of the minimal elements
+    below it, so masks over minimals cannot describe its spectral sets."""
+    S = FiniteInverseMonoid(2, [partial_identity(2, 0b01)])
+    assert len(S) == 3
+    for call in (enumerate_spectral_sets, msd, mtr, full_submonoids):
+        with pytest.raises(DomainError):
+            call(S)
+    with pytest.raises(DomainError):
+        spectral_closure(S, [S.one])
