@@ -272,7 +272,7 @@ def beta(S: FiniteInverseMonoid, s: PartialBijection) -> PartialBijection:
 
     Characters of E(S) are evaluations at atoms; the induced map sends the
     character at x to the character at s(x), so in the canonical realization
-    beta(s) = s, which is asserted.
+    beta(s) = s, which is checked.
     """
     idem = S.idempotents()
     if len(idem) != 1 << S.atom_count:
@@ -297,7 +297,8 @@ def beta(S: FiniteInverseMonoid, s: PartialBijection) -> PartialBijection:
         dom |= 1 << x
         image.append(atom_chars[moved])
     result = PartialBijection(S.atom_count, dom, tuple(image))
-    assert result == s, "character action must reproduce the element itself"
+    if result != s:
+        raise InvariantViolation(f"character action gives {result}, not the element {s}")
     return result
 
 

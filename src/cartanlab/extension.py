@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import DomainError, FormatError, SizeGuardError
+from .errors import DomainError, FormatError, InvariantViolation, SizeGuardError
 from .semigroup_core import (
     FiniteInverseMonoid,
     PartialBijection,
@@ -86,13 +86,61 @@ class CocycleTable:
         return self.entry(s, t)[_rank(st.domain, atom)]
 
 
+def _dense(n: int, mask: int, values) -> list[int]:
+    """Values aligned with the atoms of ``mask``, spread over all n atoms."""
+    out = [0] * n
+    for y, v in zip(bits(mask), values):
+        out[y] = v
+    return out
+
+
+def _images(S: FiniteInverseMonoid) -> list[list[int]]:
+    """images[i][y] = e_i(y) for y in dom(e_i)."""
+    return [_dense(S.atom_count, s.domain, s.image) for s in S]
+
+
+def _phase_rows(S: FiniteInverseMonoid, c: CocycleTable) -> list[list[list[int]]]:
+    """rows[i][j][y] = c(e_i, e_j) at atom y, dense over atoms.
+
+    Entries with an empty product are zero; a missing entry, or one with
+    fewer phases than dom(e_i e_j) has atoms, raises FormatError.  All-zero
+    entries (every entry of a trivial table, and by normalization every
+    entry with an idempotent factor) share one read-only zero row.
+    """
+    n = S.atom_count
+    zero = [0] * n
+    els, mul = S.elements, S.mul
+    rows = []
+    for s, mrow in zip(els, mul):
+        row = []
+        for t, st in zip(els, mrow):
+            dom = els[st].domain
+            if not dom:
+                row.append(zero)
+                continue
+            arr = c.entries.get((s, t))
+            if arr is None:
+                raise FormatError(f"missing cocycle entry for ({s}, {t})")
+            if len(arr) < dom.bit_count():
+                raise FormatError(f"cocycle entry for ({s}, {t}) has too few phases")
+            row.append(_dense(n, dom, arr) if any(arr) else zero)
+        rows.append(row)
+    return rows
+
+
 def trivial_cocycle(S: FiniteInverseMonoid, k: int) -> CocycleTable:
+    """Zero arrays on every pair with a nonempty product.
+
+    |dom(st)| = |dom(s) & range(t)|, so no product is formed and S need not
+    be closed.
+    """
+    ranges = [t.range_mask for t in S]
     entries = {}
     for s in S:
-        for t in S:
-            st = compose(s, t)
-            if st.domain:
-                entries[(s, t)] = (0,) * st.domain.bit_count()
+        for t, rng in zip(S, ranges):
+            width = (s.domain & rng).bit_count()
+            if width:
+                entries[(s, t)] = (0,) * width
     return CocycleTable(k, entries)
 
 
@@ -102,22 +150,21 @@ def coboundary_table(S: FiniteInverseMonoid, k: int, base: CocycleTable, b: dict
     b[s] is aligned with the domain atoms of s; idempotents must carry zero
     arrays.  The new entry is base(s,t) + b(s) o t + b(t) - b(st).
     """
-
-    def b_at(s, atom):
-        return b[s][_rank(s.domain, atom)]
-
+    n, els, mul = S.atom_count, S.elements, S.mul
+    rows = _phase_rows(S, base)
+    img = _images(S)
+    bd = [_dense(n, s.domain, b[s]) for s in els]
     entries = {}
-    for s in S:
-        for t in S:
-            st = compose(s, t)
-            if not st.domain:
+    for i, s in enumerate(els):
+        for j, t in enumerate(els):
+            st = mul[i][j]
+            dom = els[st].domain
+            if not dom:
                 continue
-            arr = []
-            for y in bits(st.domain):
-                val = base.entry_at(s, t, y)
-                val += b_at(s, t.apply(y)) + b_at(t, y) - b_at(st, y)
-                arr.append(val % k)
-            entries[(s, t)] = tuple(arr)
+            c, bs, bt, bst, tj = rows[i][j], bd[i], bd[j], bd[st], img[j]
+            entries[(s, t)] = tuple(
+                (c[y] + bs[tj[y]] + bt[y] - bst[y]) % k for y in bits(dom)
+            )
     return CocycleTable(k, entries)
 
 
@@ -137,14 +184,17 @@ def point_coboundary_table(S: FiniteInverseMonoid, k: int, b_points: dict) -> Co
 def point_cocycle_table(S: FiniteInverseMonoid, k: int, c_points) -> CocycleTable:
     """Table induced by a normalized 2-cocycle on composable atom triples:
     c(s,t)(y) = c_points(s(t(y)), t(y), y)."""
+    els, mul = S.elements, S.mul
+    img = _images(S)
     entries = {}
-    for s in S:
-        for t in S:
-            st = compose(s, t)
-            if not st.domain:
+    for i, s in enumerate(els):
+        for j, t in enumerate(els):
+            st = mul[i][j]
+            if not els[st].domain:
                 continue
+            sty, ty = img[st], img[j]
             entries[(s, t)] = tuple(
-                c_points(st.apply(y), t.apply(y), y) % k for y in bits(st.domain)
+                c_points(sty[y], ty[y], y) % k for y in bits(els[st].domain)
             )
     return CocycleTable(k, entries)
 
@@ -176,46 +226,55 @@ def validate_cocycle(S: FiniteInverseMonoid, k: int, c: CocycleTable) -> Cocycle
 
     The identity, pointwise on dom(stu):
         c(t,u)(y) + c(s,tu)(y) = c(s,t)(u(y)) + c(st,u)(y)  (mod k)
-    A missing entry raises FormatError; everything else lands in the report.
+    The loops run over element ids: products come from the Cayley table
+    S.mul and phases from the table's rows, dense over atoms.  Violations
+    are listed in (s, t) or (s, t, u) element order.  A missing entry
+    raises FormatError; everything else lands in the report.
     """
     if c.k != k:
         raise FormatError(f"cocycle table has k={c.k}, expected {k}")
+    els, mul = S.elements, S.mul
     violations = []
     supported = True
-    for s in S:
-        for t in S:
-            st = compose(s, t)
-            if not st.domain:
-                if (s, t) in c.entries and c.entries[(s, t)]:
+    for i, s in enumerate(els):
+        for j, t in enumerate(els):
+            width = els[mul[i][j]].domain.bit_count()
+            arr = c.entries.get((s, t))
+            if not width:
+                if arr:
                     supported = False
                     violations.append(("support", s, t))
                 continue
-            arr = c.entry(s, t)
-            if len(arr) != st.domain.bit_count() or any(not 0 <= p < k for p in arr):
+            if arr is None:
+                raise FormatError(f"missing cocycle entry for ({s}, {t})")
+            if len(arr) != width or any(not 0 <= p < k for p in arr):
                 supported = False
                 violations.append(("support", s, t))
 
     normalized = True
-    for s in S:
-        for t in S:
+    for i, s in enumerate(els):
+        for j, t in enumerate(els):
             if not (s.is_idempotent() or t.is_idempotent()):
                 continue
-            st = compose(s, t)
-            if st.domain and any(c.entry(s, t)):
+            if els[mul[i][j]].domain and any(c.entries[(s, t)]):
                 normalized = False
                 violations.append(("normalization", s, t))
 
+    rows = _phase_rows(S, c)
+    img = _images(S)
+    atoms = [tuple(bits(s.domain)) for s in els]
     identity_holds = True
-    for s in S:
-        for t in S:
-            for u in S:
-                stu = compose(compose(s, t), u)
-                if not stu.domain:
-                    continue
-                for y in bits(stu.domain):
-                    lhs = c.entry_at(t, u, y) + c.entry_at(s, compose(t, u), y)
-                    rhs = c.entry_at(s, t, u.apply(y)) + c.entry_at(compose(s, t), u, y)
-                    if (lhs - rhs) % k:
+    for i, s in enumerate(els):
+        row_s = rows[i]
+        for j, t in enumerate(els):
+            st = mul[i][j]
+            if not atoms[st]:
+                continue
+            c_st, row_t, row_st, mul_st, mul_t = row_s[j], rows[j], rows[st], mul[st], mul[j]
+            for l, u in enumerate(els):
+                c_tu, c_s_tu, c_st_u, u_img = row_t[l], row_s[mul_t[l]], row_st[l], img[l]
+                for y in atoms[mul_st[l]]:
+                    if (c_tu[y] + c_s_tu[y] - c_st[u_img[y]] - c_st_u[y]) % k:
                         identity_holds = False
                         violations.append(("identity", s, t, u))
                         break
@@ -311,7 +370,7 @@ def order_preserving_section(ext: Extension) -> Section:
     extend below B by j(se) = j(s) j(e); lift each remaining t by perturbing
     the zero lift with the phased identity glued from h_s = w^dag j(t ^ s).
     On a finite atom set the glued supports exhaust dom(t) exactly (density
-    is totality here), which is asserted.
+    is totality here), which is checked (InvariantViolation otherwise).
 
     Lifts on B come from a coboundary witness for the table, which makes
     the returned section a homomorphism and hence compatible with the
@@ -373,9 +432,11 @@ def order_preserving_section(ext: Extension) -> Section:
                 continue
             h_s = ext.multiply(w_dag, j[m])
             for y in bits(h_s.bij.domain):
-                assert y not in phase_by_atom
+                if y in phase_by_atom:
+                    raise InvariantViolation(f"glued supports overlap at atom {y} for {t}")
                 phase_by_atom[y] = h_s.phase_at(y)
-        assert set(phase_by_atom) == set(bits(t.domain)), "glued supports must cover dom(t)"
+        if set(phase_by_atom) != set(bits(t.domain)):
+            raise InvariantViolation(f"glued supports do not cover dom({t})")
         h = PhasedElement(
             partial_identity(S.atom_count, t.domain),
             tuple(phase_by_atom[y] % k for y in bits(t.domain)),
@@ -438,12 +499,15 @@ def validate_section(ext: Extension, j: Section) -> SectionReport:
 
     cond_b = True
     idem = S.idempotents()
+    els, mul = S.elements, S.mul
     for e in idem:
+        mul_e = mul[S.index[e]]
+        left = [ext.multiply(j[e], j[s]) for s in els]  # j(e) j(s), reused for every f
         for f in idem:
-            for s in S:
-                esf = compose(compose(e, s), f)
-                lhs = j[esf]
-                rhs = ext.multiply(ext.multiply(j[e], j[s]), j[f])
+            i_f = S.index[f]
+            for i, s in enumerate(els):
+                lhs = j[els[mul[mul_e[i]][i_f]]]
+                rhs = ext.multiply(left[i], j[f])
                 if lhs != rhs:
                     cond_b = False
                     witnesses["b"] = (e, s, f)
@@ -467,11 +531,16 @@ def validate_section(ext: Extension, j: Section) -> SectionReport:
     return SectionReport(True, cond_a, cond_b, cond_c, witnesses)
 
 
+def _check_in_P(out: PhasedElement, name: str, args: tuple):
+    if not out.is_phased_identity():
+        raise InvariantViolation(f"{name}{args} = {out} is not a phased identity")
+
+
 def lausch_alpha(ext: Extension, j: Section, s: PartialBijection, t: PartialBijection) -> PhasedElement:
     """alpha(s,t) = j(st)^dag j(s) j(t); the section cocycle, valued in P."""
     st = compose(s, t)
     out = ext.multiply(ext.dagger(j[st]), ext.multiply(j[s], j[t]))
-    assert out.is_phased_identity()
+    _check_in_P(out, "alpha", (s, t))
     return out
 
 
@@ -479,7 +548,7 @@ def sigma(ext: Extension, j: Section, v: PhasedElement, s: PartialBijection) -> 
     """sigma(v,s) = j(q(v)s)^dag v j(s); the phase correction, valued in P."""
     qvs = compose(v.bij, s)
     out = ext.multiply(ext.dagger(j[qvs]), ext.multiply(v, j[s]))
-    assert out.is_phased_identity()
+    _check_in_P(out, "sigma", (v, s))
     return out
 
 
@@ -487,7 +556,7 @@ def delta(ext: Extension, j: Section, v: PhasedElement) -> PhasedElement:
     """Delta(v) = v j(q(v) ^ 1); the diagonal part of v, valued in P."""
     fix = meet(v.bij, ext.S.one)
     out = ext.multiply(v, j[fix])
-    assert out.is_phased_identity()
+    _check_in_P(out, "Delta", (v,))
     return out
 
 
@@ -508,6 +577,9 @@ def cohomologous(S: FiniteInverseMonoid, k: int, c1: CocycleTable, c2: CocycleTa
     change the coboundary, so the construction is complete: if verification
     of the candidate fails, no witness exists.
 
+    The check of the candidate runs over element ids, reading products
+    from the Cayley table S.mul and phases from both tables' dense rows.
+
     Returns b as a dict s -> phase tuple, or None if not cohomologous.
     """
     pts = _related_points(S)
@@ -516,12 +588,13 @@ def cohomologous(S: FiniteInverseMonoid, k: int, c1: CocycleTable, c2: CocycleTa
         m = singleton(S.atom_count, y, x)
         if m not in S:
             raise DomainError("cohomologous needs a downward-closed monoid (singletons present)")
-        singles[(x, y)] = m
+        singles[(x, y)] = S.index[m]
+    rows1, rows2 = _phase_rows(S, c1), _phase_rows(S, c2)
 
     def diff(x, z, y):
         # difference entry on the composable singleton pair, at atom y
-        sa, sb = singles[(x, z)], singles[(z, y)]
-        return (c2.entry_at(sa, sb, y) - c1.entry_at(sa, sb, y)) % k
+        a, b = singles[(x, z)], singles[(z, y)]
+        return (rows2[a][b][y] - rows1[a][b][y]) % k
 
     root = {}
     for x, y in pts:
@@ -531,20 +604,20 @@ def cohomologous(S: FiniteInverseMonoid, k: int, c1: CocycleTable, c2: CocycleTa
         r = root[z]
         b_pts[(x, z)] = diff(x, z, r)
 
-    def b_at(s, atom):
-        return b_pts[(s.apply(atom), atom)]
-
-    for s in S:
-        for t in S:
-            st = compose(s, t)
-            for y in bits(st.domain):
-                want = (c2.entry_at(s, t, y) - c1.entry_at(s, t, y)) % k
-                got = (b_at(s, t.apply(y)) + b_at(t, y) - b_at(st, y)) % k
-                if want != got:
+    els, mul = S.elements, S.mul
+    img = _images(S)
+    atoms = [tuple(bits(s.domain)) for s in els]
+    bd = [_dense(S.atom_count, s.domain, (b_pts[p] for p in s.pairs())) for s in els]
+    for i in range(len(els)):
+        r1, r2, b_s = rows1[i], rows2[i], bd[i]
+        for j, st in enumerate(mul[i]):
+            c1_st, c2_st, b_t, b_st, t_img = r1[j], r2[j], bd[j], bd[st], img[j]
+            for y in atoms[st]:
+                if (c2_st[y] - c1_st[y] - b_s[t_img[y]] - b_t[y] + b_st[y]) % k:
                     return None
     if any(b_pts[(x, y)] for x, y in pts if x == y):
         return None
-    return {s: tuple(b_at(s, y) for y in bits(s.domain)) for s in S}
+    return {s: tuple(b[y] for y in ys) for s, b, ys in zip(els, bd, atoms)}
 
 
 def is_trivial_cocycle(S: FiniteInverseMonoid, k: int, c: CocycleTable):
@@ -573,22 +646,25 @@ def extensions_equivalent(ext1: Extension, ext2: Extension, guard: int = EQUIV_G
     n = S1.atom_count
     k = ext1.k
     elements2 = set(S2.elements)
+    els2, mul2 = S2.elements, S2.mul
+    rows1 = _phase_rows(S1, ext1.cocycle)
     for perm in itertools.permutations(range(n)):
         theta = {s: conjugate(s, perm) for s in S1}
         if set(theta.values()) != elements2:
             continue
-        inv = {v: s for s, v in theta.items()}
         inv_perm = tuple(perm.index(i) for i in range(n))
+        # pre[j] is the S1 id of theta^-1(els2[j])
+        pre = [0] * len(els2)
+        for i1, s1 in enumerate(S1.elements):
+            pre[S2.index[theta[s1]]] = i1
         transported_entries = {}
-        for s2 in S2:
-            for t2 in S2:
-                st2 = compose(s2, t2)
-                if not st2.domain:
-                    continue
-                s1, t1 = inv[s2], inv[t2]
-                transported_entries[(s2, t2)] = tuple(
-                    ext1.cocycle.entry_at(s1, t1, inv_perm[y]) for y in bits(st2.domain)
-                )
+        for i, s2 in enumerate(els2):
+            row1 = rows1[pre[i]]
+            for j, t2 in enumerate(els2):
+                dom = els2[mul2[i][j]].domain
+                if dom:
+                    c = row1[pre[j]]
+                    transported_entries[(s2, t2)] = tuple(c[inv_perm[y]] for y in bits(dom))
         c1_theta = CocycleTable(k, transported_entries)
         beta = cohomologous(S2, k, ext2.cocycle, c1_theta)
         if beta is None:

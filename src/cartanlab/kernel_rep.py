@@ -69,7 +69,7 @@ class RBasis:
 def kernel(j: Section, t: PartialBijection, s: PartialBijection) -> PartialBijection:
     """K(t,s): the idempotent part of j(s^dag t ^ 1).
 
-    Equals the source idempotent of j(s ^ t), which is asserted.
+    Equals the source idempotent of j(s ^ t), which is checked.
     """
     n = s.n
     fix = meet(compose(dagger(s), t), PartialBijection(n, (1 << n) - 1, tuple(range(n))))
@@ -135,7 +135,7 @@ def kernel_psd_check(j: Section, s_list, atom_count: int | None = None, tol: flo
 def kernel_matrix(j: Section, S: FiniteInverseMonoid) -> dict:
     """The full idempotent-valued kernel, keyed by element pairs.
 
-    Symmetry and the diagonal identity K(s,s) = s^dag s are asserted.
+    Symmetry and the diagonal identity K(s,s) = s^dag s are checked.
     """
     out = {}
     for t in S:

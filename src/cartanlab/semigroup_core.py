@@ -5,12 +5,19 @@ natural partial order is restriction, the meet of two elements is their
 restriction to the agreement set, and orthogonal families (disjoint domains
 and disjoint ranges) have a join given by the union map.  Everything here is
 exact integer/bitset arithmetic; no floats.
+
+A FiniteInverseMonoid numbers its elements by their position in
+``elements`` (the element id) and builds, on first use, the Cayley table
+``mul`` (``mul[i][j]`` is the id of e_i e_j) and the inverse table ``inv``.
+Loops over all pairs or triples of elements read these tables; ``compose``
+and ``dagger`` stay the element-level operations.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ClosureError, DomainError, OrthogonalityError, StructuralError
 
@@ -64,12 +71,13 @@ class PartialBijection:
     ``domain`` is a bitmask over atoms and ``image`` lists the image of each
     domain atom, domain atoms taken in increasing order.  The field order
     makes dataclass ordering the canonical element order: by domain bitmask,
-    then image tuple.
+    then image tuple.  The hash is computed once, at construction.
     """
 
     n: int
     domain: int
     image: tuple[int, ...]
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -82,6 +90,10 @@ class PartialBijection:
             raise StructuralError("image atom out of range")
         if len(set(self.image)) != len(self.image):
             raise StructuralError("map is not injective")
+        object.__setattr__(self, "_hash", hash((self.n, self.domain, self.image)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def range_mask(self) -> int:
@@ -198,16 +210,11 @@ def leech_idempotent(s: PartialBijection, t: PartialBijection) -> PartialBijecti
 def meet(s: PartialBijection, t: PartialBijection) -> PartialBijection:
     """Greatest lower bound: restriction to the agreement set of s and t.
 
-    The defining identities s^t = s.f = t.f and (s^t)^dag (s^t) = f for
-    f = leech_idempotent(s, t) are asserted on every call; they are cheap
-    at desk scale and catch representation bugs early.
+    With f = leech_idempotent(s, t) this is s.f = t.f, and
+    (s^t)^dag (s^t) = f.
     """
     _check_same_atoms(s, t)
-    f = leech_idempotent(s, t)
-    m = s.restrict(f.domain)
-    assert m == compose(s, f) == compose(t, f)
-    assert compose(dagger(m), m) == f
-    return m
+    return s.restrict(_agreement_mask(s, t))
 
 
 def are_orthogonal(s: PartialBijection, t: PartialBijection) -> bool:
@@ -259,9 +266,16 @@ class FiniteInverseMonoid:
     """A finite set of partial bijections on a common atom set.
 
     The element list is deduplicated and canonically sorted (domain bitmask,
-    then image tuple).  0 and 1 are always materialized; ``added`` records
-    any that were missing from the input.  Closure is *not* enforced at
-    construction: use closure_witness()/classify() to check it.
+    then image tuple); an element's id is its position in ``elements``.
+    0 and 1 are always materialized; ``added`` records any that were
+    missing from the input.  Closure is *not* enforced at construction: use
+    closure_witness()/classify() to check it.
+
+    ``mul[i][j]`` is the id of compose(e_i, e_j) and ``inv[i]`` the id of
+    dagger(e_i).  Each table is built on first access (|S|^2 compose calls
+    for ``mul``, |S| dagger calls for ``inv``) and then kept; building it
+    raises ClosureError with the first missing product (s, t, st), or
+    (s, "dagger", s^dag), in element order.
     """
 
     def __init__(self, atom_count: int, elements):
@@ -308,16 +322,38 @@ class FiniteInverseMonoid:
     def idempotents(self) -> list[PartialBijection]:
         return [e for e in self.elements if e.is_idempotent()]
 
-    def closure_witness(self):
-        """None if closed under compose and dagger, else a witness triple."""
+    @cached_property
+    def inv(self) -> list[int]:
+        out = []
         for s in self.elements:
-            if dagger(s) not in self.index:
-                return (s, "dagger", dagger(s))
+            sd = dagger(s)
+            if sd not in self.index:
+                raise ClosureError((s, "dagger", sd))
+            out.append(self.index[sd])
+        return out
+
+    @cached_property
+    def mul(self) -> list[list[int]]:
+        index = self.index
+        out = []
         for s in self.elements:
+            row = []
             for t in self.elements:
                 st = compose(s, t)
-                if st not in self.index:
-                    return (s, t, st)
+                if st not in index:
+                    raise ClosureError((s, t, st))
+                row.append(index[st])
+            out.append(row)
+        return out
+
+    def closure_witness(self):
+        """None if closed under dagger and compose, else the first witness:
+        (s, "dagger", s^dag) or (s, t, st)."""
+        try:
+            self.inv
+            self.mul
+        except ClosureError as exc:
+            return exc.witness
         return None
 
     def __repr__(self):
@@ -402,20 +438,19 @@ def classify(S: FiniteInverseMonoid) -> ClassificationReport:
     witness = S.closure_witness()
     if witness is not None:
         raise ClosureError(witness)
+    mul, inv = S.mul, S.inv
     idem = S.idempotents()
-
-    def action(s):
-        return tuple(compose(compose(s, e), dagger(s)) for e in idem)
+    idem_ids = [S.index[e] for e in idem]
 
     actions = {}
     fundamental = True
-    for s in S:
-        act = action(s)
-        if act in actions and actions[act] != s:
+    for i, row in enumerate(mul):
+        act = tuple(mul[row[e]][inv[i]] for e in idem_ids)
+        if act in actions and actions[act] != i:
             fundamental = False
             break
-        actions[act] = s
-    clifford = all(compose(dagger(s), s) == compose(s, dagger(s)) for s in S)
+        actions[act] = i
+    clifford = all(mul[inv[i]][i] == mul[i][inv[i]] for i in range(len(mul)))
     return ClassificationReport(
         inverse_monoid=True,
         idempotents=idem,

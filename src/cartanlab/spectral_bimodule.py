@@ -30,7 +30,6 @@ from .semigroup_core import (
     FiniteInverseMonoid,
     are_orthogonal,
     bits,
-    compose,
     dagger,
     mask_of,
     natural_leq,
@@ -98,6 +97,7 @@ class _TraceIndex:
     """
 
     def __init__(self, S: FiniteInverseMonoid):
+        self.S = S
         nonzero = [s for s in S if not s.is_zero()]
         below = {s: [t for t in nonzero if natural_leq(t, s)] for s in nonzero}
         self.minimals = [s for s in nonzero if below[s] == [s]]
@@ -315,10 +315,12 @@ def aoi_correspondence(rs: RepSpace, guard: int = SPECTRAL_GUARD, tol: float = D
 
 def _is_spectral_monoid(idx: _TraceIndex, X: int, A) -> bool:
     """A = A(X) contains every idempotent (X holds the idempotent minimals)
-    and is closed under products."""
+    and is closed under products, read from the Cayley table of S."""
     if X & idx.idempotent != idx.idempotent:
         return False
-    return all(compose(s, t) in A for s in A for t in A)
+    mul = idx.S.mul
+    ids = {idx.S.index[s] for s in A}
+    return all(ids.issuperset([mul[i][j] for j in ids]) for i in ids)
 
 
 def msd(S: FiniteInverseMonoid, guard: int = SPECTRAL_GUARD) -> list[frozenset]:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cartanlab.errors import ClosureError, OrthogonalityError, StructuralError
 from cartanlab.extension import Extension
-from cartanlab.generators import rook_monoid
+from cartanlab.generators import eqrel_monoid, rook_monoid
 from cartanlab.semigroup_core import (
     FiniteInverseMonoid,
     PartialBijection,
@@ -255,3 +255,33 @@ def test_rook_sizes(i2, i3):
                     mask |= 1 << a
                 brute.add(PartialBijection(3, mask, img))
     assert brute == set(rook_monoid(3).elements)
+
+
+def test_hash_is_cached_and_value_semantics_unchanged(i3):
+    for s in i3:
+        twin = PartialBijection(s.n, s.domain, tuple(s.image))
+        assert twin is not s and twin == s and hash(twin) == hash(s)
+        assert hash(s) == hash((s.n, s.domain, s.image))
+        assert not (twin < s) and not (s < twin)
+        assert repr(twin) == repr(s)
+    assert {PartialBijection(3, 0b011, (1, 0))} == {PartialBijection(3, 0b011, (1, 0))}
+
+
+def test_rook3_element_order_unchanged(i3):
+    els = i3.elements
+    assert len(els) == 34
+    assert els == sorted(els) == sorted(els, key=lambda s: (s.domain, s.image))
+    assert FiniteInverseMonoid(3, reversed(els)).elements == els
+    assert [repr(s) for s in els[:5]] == [
+        "<0 on 3>", "<0>0 on 3>", "<0>1 on 3>", "<0>2 on 3>", "<1>0 on 3>"
+    ]
+
+
+def test_meet_identities(i3):
+    for S in (i3, eqrel_monoid([(0, 1), (2, 3)])):
+        for s in S:
+            for t in S:
+                m = meet(s, t)
+                f = leech_idempotent(s, t)
+                assert m == compose(s, f) == compose(t, f)
+                assert compose(dagger(m), m) == f
