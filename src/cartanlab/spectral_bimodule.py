@@ -37,10 +37,11 @@ from .semigroup_core import (
 )
 from .vn_oracle import (
     MatrixAlgebra,
+    _accepted_points,
+    _hs_projection,
     _nullspace_dimension,
     _pattern_intersection,
     _pattern_positions,
-    _point_accepted,
     contains_matrix,
     subspace_basis,
 )
@@ -160,8 +161,8 @@ def enumerate_spectral_sets(S: FiniteInverseMonoid, guard: int = SPECTRAL_GUARD)
     """All spectral sets, one A(X) per subset X of the minimal nonzero
     elements, by |X| and then in itertools.combinations order of the
     minimals (canonical element order), i.e. in ``_TraceIndex.masks`` order,
-    which callers zip against.  Distinct masks give distinct sets because
-    A(X) contains exactly the minimals in X.
+    the order msd, mtr and full_submonoids keep.  Distinct masks give
+    distinct sets because A(X) contains exactly the minimals in X.
     """
     idx = _TraceIndex(S)
     return [idx.members(X) for X in idx.masks(guard)]
@@ -218,28 +219,29 @@ def theta(rs: RepSpace, B: Bimodule, tol: float = DEFAULT_TOL, check_gn: bool = 
 
 def theta_gn(rs: RepSpace, B: Bimodule, tol: float = DEFAULT_TOL) -> frozenset:
     """Normalizer-based reading: s is included iff B contains an element
-    supported exactly on the transport pattern of s with unimodular entries."""
+    supported exactly on the transport pattern of s with unimodular entries.
+
+    The points of the relation are tested once; the pattern solve runs only
+    for elements whose graph points are all accepted.
+    """
     rbasis = rs.rbasis
     alg = MatrixAlgebra(B.basis, rbasis)
+    accepted = _accepted_points(alg, tol)
 
     def implemented(s):
+        if not accepted.issuperset(s.pairs()):
+            return False
         inter = _pattern_intersection(alg, _pattern_positions(rbasis, s), tol)
-        return len(inter) == s.domain.bit_count() and all(
-            _point_accepted(alg, x, y, tol) for x, y in s.pairs()
-        )
+        return len(inter) == s.domain.bit_count()
 
     return frozenset(s for s in rs.ext.S if s.is_zero() or implemented(s))
 
 
 def full_submonoids(S: FiniteInverseMonoid, guard: int = SPECTRAL_GUARD) -> list[frozenset]:
     """Spectral sets that are dagger-closed submonoids containing all
-    idempotents (full Cartan inverse submonoids)."""
+    idempotents (full Cartan inverse submonoids): X^dag is X."""
     idx = _TraceIndex(S)
-    out = []
-    for X, A in zip(idx.masks(guard), enumerate_spectral_sets(S, guard)):
-        if idx.dagger_of(X) == X and _is_spectral_monoid(idx, X, A):
-            out.append(A)
-    return out
+    return _spectral_monoids(idx, guard, lambda X, X_dag: X_dag == X)
 
 
 @dataclass
@@ -313,6 +315,20 @@ def aoi_correspondence(rs: RepSpace, guard: int = SPECTRAL_GUARD, tol: float = D
     return AoiReport(len(monoids), sorted(b.dimension for b in algebras), bijective)
 
 
+def _spectral_monoids(idx: _TraceIndex, guard: int, keep) -> list[frozenset]:
+    """A(X) for the masks X, in ``masks`` order, that hold the idempotent
+    minimals, satisfy keep(X, X^dag) and span a set closed under products.
+    A(X) is built only for masks that pass the two bitmask tests."""
+    out = []
+    for X in idx.masks(guard):
+        if X & idx.idempotent != idx.idempotent or not keep(X, idx.dagger_of(X)):
+            continue
+        A = idx.members(X)
+        if _is_spectral_monoid(idx, X, A):
+            out.append(A)
+    return out
+
+
 def _is_spectral_monoid(idx: _TraceIndex, X: int, A) -> bool:
     """A = A(X) contains every idempotent (X holds the idempotent minimals)
     and is closed under products, read from the Cayley table of S."""
@@ -327,11 +343,7 @@ def msd(S: FiniteInverseMonoid, guard: int = SPECTRAL_GUARD) -> list[frozenset]:
     """Spectral monoids containing all idempotents whose join span with
     their dagger recovers the whole monoid: X | X^dag is every minimal."""
     idx = _TraceIndex(S)
-    out = []
-    for X, A in zip(idx.masks(guard), enumerate_spectral_sets(S, guard)):
-        if X | idx.dagger_of(X) == idx.full and _is_spectral_monoid(idx, X, A):
-            out.append(A)
-    return out
+    return _spectral_monoids(idx, guard, lambda X, X_dag: X | X_dag == idx.full)
 
 
 def mtr(S: FiniteInverseMonoid, guard: int = SPECTRAL_GUARD) -> list[frozenset]:
@@ -394,11 +406,14 @@ def _subspace_intersection(basis_a, basis_b, tol: float):
     return subspace_basis(out, tol)
 
 
-def _hs_projection(basis, M):
-    out = np.zeros_like(M)
-    for b in basis:
-        out += np.vdot(b, M) * b
-    return out
+def _multiplicativity_defect(Q, gens, proj) -> float:
+    """Largest entry of E(XY) - E(X) E(Y) over pairs of generators, where E
+    projects onto the stacked basis Q and proj[i] is E(gens[i])."""
+    return max(
+        float(np.abs(_hs_projection(Q, X @ Y) - PX @ PY).max())
+        for X, PX in zip(gens, proj)
+        for Y, PY in zip(gens, proj)
+    )
 
 
 def verify_subdiagonal(rs: RepSpace, A, guard: int = SPECTRAL_GUARD, tol: float = DEFAULT_TOL) -> SubdiagonalReport:
@@ -419,25 +434,22 @@ def verify_subdiagonal(rs: RepSpace, A, guard: int = SPECTRAL_GUARD, tol: float 
     adj = [b.conj().T for b in alg.basis]
     N = _subspace_intersection(alg.basis, adj, tol)
 
+    Q = np.asarray(N)  # stacked once for every projection onto N below
     dim = len(rs.rbasis)
     eye = np.eye(dim, dtype=complex)
-    unital = bool(np.abs(_hs_projection(N, eye) - eye).max() <= tol)
+    unital = bool(np.abs(_hs_projection(Q, eye) - eye).max() <= tol)
 
     gens = [rs.lam_of(s) for s in sorted(A, key=lambda s: (s.domain, s.image))]
-    dev = 0.0
-    for X in gens:
-        for Y in gens:
-            lhs = _hs_projection(N, X @ Y)
-            rhs = _hs_projection(N, X) @ _hs_projection(N, Y)
-            dev = max(dev, float(np.abs(lhs - rhs).max()))
+    proj = [_hs_projection(Q, X) for X in gens]
+    dev = _multiplicativity_defect(Q, gens, proj)
     multiplicative = dev <= tol
 
     bimodular = True
     for n1 in N:
-        for X in gens:
-            if np.abs(_hs_projection(N, n1 @ X) - n1 @ _hs_projection(N, X)).max() > tol:
+        for X, PX in zip(gens, proj):
+            if np.abs(_hs_projection(Q, n1 @ X) - n1 @ PX).max() > tol:
                 bimodular = False
-            if np.abs(_hs_projection(N, X @ n1) - _hs_projection(N, X) @ n1).max() > tol:
+            if np.abs(_hs_projection(Q, X @ n1) - PX @ n1).max() > tol:
                 bimodular = False
 
     M_dim = len(subspace_basis([rs.lam(v) for v in rs.ext.elements], tol))
@@ -459,11 +471,8 @@ def verify_subdiagonal(rs: RepSpace, A, guard: int = SPECTRAL_GUARD, tol: float 
         if all(contains_matrix(N, m, tol) for m in N2):
             # same self-adjoint part but strictly larger subdiagonal candidate
             gens2 = [rs.lam_of(s) for s in A2]
-            dev2 = max(
-                float(np.abs(_hs_projection(N2, X @ Y) - _hs_projection(N2, X) @ _hs_projection(N2, Y)).max())
-                for X in gens2
-                for Y in gens2
-            )
+            Q2 = np.asarray(N2)
+            dev2 = _multiplicativity_defect(Q2, gens2, [_hs_projection(Q2, X) for X in gens2])
             dense2 = len(subspace_basis(alg2.basis + adj2, tol)) == M_dim
             if dev2 <= tol and dense2:
                 maximal = False

@@ -2,9 +2,17 @@
 
 Everything here treats matrices on the relation space as opaque numerical
 objects: spans via Gram-Schmidt in the Hilbert-Schmidt inner product,
-commutants via nullspace solves, expectations via entry compression.  The
-point is to confirm the structural theorems against plain linear algebra
+membership via one Hilbert-Schmidt projection onto the stacked orthonormal
+basis, commutants via nullspace solves, expectations via entry compression.
+The point is to confirm the structural theorems against plain linear algebra
 rather than against the semigroup machinery that produced the matrices.
+
+Every nullspace comes from one SVD, thin whenever the system has at least as
+many rows as columns (its right factor is then already square), so no solve
+materializes the rows-by-rows left factor.  The commutant of a family is the
+nullspace of the Kronecker system stacking B (x) 1 - 1 (x) B^T over the family.
+``cartan_report`` builds the lambda matrices once, in one ``RepSpace`` that
+the expectation checks share.
 """
 
 from __future__ import annotations
@@ -61,11 +69,22 @@ def subspace_basis(matrices, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     return basis
 
 
+def _hs_projection(basis, M: np.ndarray) -> np.ndarray:
+    """Hilbert-Schmidt orthogonal projection of M onto the span of an
+    orthonormal basis (a list of matrices, or their stack, which callers
+    projecting many matrices build once): one product against the stacked
+    basis for the coefficients, one for their combination."""
+    if not len(basis):
+        return np.zeros(M.shape, dtype=complex)
+    Q = np.asarray(basis).reshape(len(basis), -1)
+    return (Q.conj() @ M.ravel() @ Q).reshape(M.shape)
+
+
 def contains_matrix(basis, M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    v = M.astype(complex).copy()
-    for b in basis:
-        v -= hs_inner(b, v) * b
-    return bool(np.sqrt(abs(hs_inner(v, v))) <= tol)
+    """Whether M lies in the span: its residual off the projection has
+    Hilbert-Schmidt norm at most tol."""
+    r = M - _hs_projection(basis, M)
+    return bool(np.sqrt(abs(hs_inner(r, r))) <= tol)
 
 
 @dataclass
@@ -107,13 +126,19 @@ def span_basis(matrices, rbasis: RBasis, tol: float = DEFAULT_TOL) -> MatrixAlge
 
 
 def _nullspace_dimension(A: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
-    """(dimension, orthonormal nullspace basis as rows) via SVD."""
+    """(dimension, orthonormal nullspace basis as rows) via SVD.
+
+    With at least as many rows as columns the thin SVD already returns the
+    square right factor, so the rows-by-rows left factor is never built.
+    Only a wide A needs the full SVD: its thin right factor lacks the
+    nullspace rows.
+    """
+    rows, cols = A.shape
     if A.size == 0:
-        n = A.shape[1]
-        return n, np.eye(n, dtype=complex)
-    _, svals, vh = np.linalg.svd(A)
+        return cols, np.eye(cols, dtype=complex)
+    _, svals, vh = np.linalg.svd(A, full_matrices=rows < cols)
     rank = int(np.sum(svals > tol))
-    return A.shape[1] - rank, vh[rank:].conj()
+    return cols - rank, vh[rank:].conj()
 
 
 def relative_commutant(M: MatrixAlgebra, D: MatrixAlgebra, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
@@ -132,16 +157,20 @@ def relative_commutant(M: MatrixAlgebra, D: MatrixAlgebra, tol: float = DEFAULT_
     return subspace_basis(out, tol)
 
 
-def commutant_dimension(basis, ambient_dim: int, tol: float = DEFAULT_TOL) -> tuple[int, list[np.ndarray]]:
-    """Commutant of a matrix family inside the full matrix algebra."""
+def _commutant_system(basis, ambient_dim: int) -> np.ndarray:
+    """The linear system of X B = B X over the family, X row-major.
+
+    Row-major vec(B X) = (B (x) 1) vec(X) and vec(X B) = (1 (x) B^T) vec(X),
+    so the system stacks one Kronecker block per family member.
+    """
     eye = np.eye(ambient_dim, dtype=complex)
-    # unknown X (dim^2 coords): constraints B X - X B = 0 for each basis B
-    cols = []
-    for a in range(ambient_dim):
-        for b in range(ambient_dim):
-            E = np.outer(eye[:, a], eye[b, :])
-            cols.append(np.concatenate([(B @ E - E @ B).ravel() for B in basis]))
-    A = np.stack(cols, axis=1)
+    return np.vstack([np.kron(B, eye) - np.kron(eye, B.T) for B in basis])
+
+
+def commutant_dimension(basis, ambient_dim: int, tol: float = DEFAULT_TOL) -> tuple[int, list[np.ndarray]]:
+    """Commutant of a matrix family inside the full matrix algebra: the
+    nullspace of the stacked Kronecker system (thin SVD, as it is tall)."""
+    A = _commutant_system(basis, ambient_dim)
     dim, null = _nullspace_dimension(A, tol)
     mats = [coeffs.reshape(ambient_dim, ambient_dim) for coeffs in null]
     return dim, subspace_basis(mats, tol)
@@ -215,15 +244,18 @@ class ExpectationReport:
         ]
 
 
-def expectation_properties(ext: Extension, j: Section | None = None, tol: float = DEFAULT_TOL, samples: int = 100) -> ExpectationReport:
+def expectation_properties(rs: RepSpace, samples: int = 100) -> ExpectationReport:
     """Verify the compression expectation on the generated algebra.
 
     (i) it sends each represented element to its represented diagonal part;
     (ii) idempotent, unital, positive on sampled x*x; (iii) faithful, via
     injectivity (rank) of x -> columns of x at the diagonal pairs on the
     span; (iv) bimodular over the diagonal subalgebra on a spanning set.
+    The lambda matrices come from the caller's ``RepSpace`` (its cache,
+    section and ``tol``), so a report that already built them builds none.
     """
-    rs = RepSpace(ext, j, tol)
+    ext = rs.ext
+    tol = rs.tol
     rbasis = rs.rbasis
     G = ext.elements
     lams = {v: rs.lam(v) for v in G}
@@ -315,6 +347,12 @@ def _point_accepted(M: MatrixAlgebra, x: int, y: int, tol: float) -> bool:
     return bool(mods.min() > tol and mods.max() - mods.min() <= 1e-6 * mods.max())
 
 
+def _accepted_points(M: MatrixAlgebra, tol: float) -> set:
+    """The relation points (x, y) whose one-point map y -> x is implemented
+    by a normalizer in M: one ``_point_accepted`` solve per point."""
+    return {(x, y) for (x, y) in M.rbasis.pairs if _point_accepted(M, x, y, tol)}
+
+
 def recover_extension(M: MatrixAlgebra, D: MatrixAlgebra, S: FiniteInverseMonoid, tol: float = DEFAULT_TOL, guard: int = RECOVER_GUARD):
     """Recover the base monoid from the generated pair and match it to S.
 
@@ -336,9 +374,7 @@ def recover_extension(M: MatrixAlgebra, D: MatrixAlgebra, S: FiniteInverseMonoid
         if not M.contains(d, tol):
             raise DomainError("D is not contained in M")
 
-    accepted_points = {
-        (x, y) for (x, y) in rbasis.pairs if _point_accepted(M, x, y, tol)
-    }
+    accepted_points = _accepted_points(M, tol)
 
     accepted = []
     atoms = range(n)
@@ -418,7 +454,7 @@ def cartan_report(ext: Extension, j: Section | None = None, tol: float = DEFAULT
     D = span_basis(rs.diagonal_lambdas(), rbasis, tol)
 
     masa = masa_check(M, D, tol)
-    exp_rep = expectation_properties(ext, rs.j, tol)
+    exp_rep = expectation_properties(rs)
 
     # von Neumann check: the span must equal its double commutant
     dim = len(rbasis)

@@ -78,7 +78,7 @@ def test_double_commutant_equals_span(i2):
 def test_expectation_properties_exhaustive(i2, i3):
     for S, k, seed in ((i2, 2, 1), (i3, 1, 2)):
         table = perturbed(S, k, seed) if k > 1 else None
-        rep = expectation_properties(Extension(S, k, table))
+        rep = expectation_properties(RepSpace(Extension(S, k, table)))
         assert rep.passed, rep.to_lines()
 
 
