@@ -92,6 +92,7 @@ from .spectral_bimodule import (
     psi,
     spectral_closure,
     theta,
+    verify_members,
     verify_subdiagonal,
 )
 from .vn_oracle import (

@@ -37,7 +37,7 @@ from .spectral_bimodule import (
     mtr,
     psi,
     theta,
-    verify_subdiagonal,
+    verify_members,
 )
 from .vn_oracle import cartan_report
 
@@ -382,8 +382,7 @@ def _cmd_msd(doc, args, triangular=False):
     lines = [f"{'mtr' if triangular else 'msd'}_count: {len(members)}"]
     all_ok = True
     payload_members = []
-    for A in members:
-        rep = verify_subdiagonal(rs, A, guard=args.guard, tol=args.tol)
+    for A, rep in zip(members, verify_members(rs, members, guard=args.guard, tol=args.tol)):
         all_ok &= rep.passed
         labels = sorted(inv.get(s, repr(s)) for s in A)
         lines.append(f"member ({len(A)} elements): {'pass' if rep.passed else 'FAIL'}")

@@ -21,10 +21,9 @@ from .semigroup_core import (
     bits,
     compose,
     conjugate,
-    dagger,
+    mask_of,
     meet,
     natural_leq,
-    partial_identity,
     singleton,
     with_zero_phases,
 )
@@ -284,7 +283,14 @@ def validate_cocycle(S: FiniteInverseMonoid, k: int, c: CocycleTable) -> Cocycle
 class Extension:
     """An extension of S by mu_k-phased partial identities, presented by a
     normalized cocycle table.  Elements are Lausch pairs (bijection, phases)
-    with the twisted product."""
+    with the twisted product.
+
+    The product and inverse are computed on element ids: a phased element
+    is an id of S plus a phase row dense over atoms (zero off the domain),
+    products come from the Cayley table S.mul and cocycle phases from the
+    table's rows, both built on first use.  ``multiply`` and ``dagger`` are
+    the element-level forms of ``_product`` and ``_dagger``.
+    """
 
     def __init__(self, S: FiniteInverseMonoid, k: int, cocycle: CocycleTable | None = None):
         if k < 1:
@@ -307,26 +313,50 @@ class Extension:
     def phased_identities(self) -> list[PhasedElement]:
         return [v for v in self.elements if v.is_phased_identity()]
 
+    @cached_property
+    def _rows(self) -> list[list[list[int]]]:
+        return _phase_rows(self.S, self.cocycle)
+
+    @cached_property
+    def _img(self) -> list[list[int]]:
+        return _images(self.S)
+
+    @cached_property
+    def _atoms(self) -> list[tuple[int, ...]]:
+        return [tuple(bits(s.domain)) for s in self.S]
+
+    def _product(self, i: int, a: list[int], j: int, b: list[int]) -> tuple[int, list[int]]:
+        """(e_i, a)(e_j, b) = (e_i e_j, p), p(y) = a(e_j(y)) + b(y) + c(e_i, e_j)(y)."""
+        st = self.S.mul[i][j]
+        c, tj, k = self._rows[i][j], self._img[j], self.k
+        p = [0] * self.S.atom_count
+        for y in self._atoms[st]:
+            p[y] = (a[tj[y]] + b[y] + c[y]) % k
+        return st, p
+
+    def _dagger(self, i: int, a: list[int]) -> tuple[int, list[int]]:
+        """(e_i, a)^dag = (e_i^dag, p), p(z) = -a(e_i^dag(z)) - c(e_i, e_i^dag)(z)."""
+        sd = self.S.inv[i]
+        c, back, k = self._rows[i][sd], self._img[sd], self.k
+        p = [0] * self.S.atom_count
+        for z in self._atoms[sd]:
+            p[z] = (-a[back[z]] - c[z]) % k
+        return sd, p
+
+    def _id_row(self, v: PhasedElement) -> tuple[int, list[int]]:
+        i = self.S.index.get(v.bij)
+        if i is None:
+            raise DomainError(f"{v.bij} is not an element of the monoid")
+        return i, _dense(self.S.atom_count, v.bij.domain, v.phases)
+
+    def _phased(self, i: int, p: list[int]) -> PhasedElement:
+        return PhasedElement(self.S.elements[i], tuple(p[y] for y in self._atoms[i]))
+
     def multiply(self, v: PhasedElement, w: PhasedElement) -> PhasedElement:
-        st = compose(v.bij, w.bij)
-        if not st.domain:
-            return PhasedElement(st, ())
-        c_arr = self.cocycle.entry(v.bij, w.bij)
-        phases = tuple(
-            (v.phase_at(w.bij.apply(y)) + w.phase_at(y) + c) % self.k
-            for y, c in zip(bits(st.domain), c_arr)
-        )
-        return PhasedElement(st, phases)
+        return self._phased(*self._product(*self._id_row(v), *self._id_row(w)))
 
     def dagger(self, v: PhasedElement) -> PhasedElement:
-        s = v.bij
-        sd = dagger(s)
-        c_ssd = self.cocycle.entry(s, sd)  # over dom(s s^dag) = range(s)
-        phases = tuple(
-            (-v.phase_at(s.inverse_apply(z)) - c_ssd[_rank(s.range_mask, z)]) % self.k
-            for z in bits(sd.domain)
-        )
-        return PhasedElement(sd, phases)
+        return self._phased(*self._dagger(*self._id_row(v)))
 
     def __repr__(self):
         return f"Extension(|S|={len(self.S)}, k={self.k})"
@@ -379,28 +409,30 @@ def order_preserving_section(ext: Extension) -> Section:
     raises DomainError.  Only when the monoid lacks one-point maps (no
     witness can be computed) are zero-phase lifts, which need not be
     homomorphic, the fallback.  For the trivial table the witness is zero
-    and the section is the zero-phase lift of every element.
+    and the section is the zero-phase lift of every element; a table whose
+    entries are all zero takes that witness without the search.
+
+    Lifts are built as dense phase rows on element ids with the extension's
+    id-level product.
     """
-    S, k = ext.S, ext.k
-    try:
-        witness = cohomologous(S, k, trivial_cocycle(S, k), ext.cocycle)
-    except DomainError:
-        witness = None
-    else:
-        if witness is None:
-            raise DomainError(
-                "cocycle table is not a coboundary, so it is not a valid cocycle; "
-                "run 'cartanlab validate' on the document"
-            )
+    S, k, n = ext.S, ext.k, ext.S.atom_count
+    els, index = S.elements, S.index
+    witness = None  # zero lifts: the all-zero table's witness, and the fallback
+    if any(any(arr) for arr in ext.cocycle.entries.values()):
+        try:
+            witness = cohomologous(S, k, trivial_cocycle(S, k), ext.cocycle)
+        except DomainError:
+            pass
+        else:
+            if witness is None:
+                raise DomainError(
+                    "cocycle table is not a coboundary, so it is not a valid cocycle; "
+                    "run 'cartanlab validate' on the document"
+                )
 
-    def base_lift(s: PartialBijection) -> PhasedElement:
-        if witness is None:
-            return with_zero_phases(s)
-        return PhasedElement(s, tuple((-p) % k for p in witness[s]))
-
-    j: dict[PartialBijection, PhasedElement] = {}
-    for e in S.idempotents():
-        j[e] = with_zero_phases(e)
+    zero_row = [0] * n  # read-only, shared
+    idem = [i for i, e in enumerate(els) if e.is_idempotent()]
+    j: dict[int, list[int]] = {e: zero_row for e in idem}  # id -> dense phase row
 
     B = [S.one]
     for s in S:
@@ -410,40 +442,39 @@ def order_preserving_section(ext: Extension) -> Section:
             B.append(s)
 
     for s in B:
-        src = compose(dagger(s), s)
-        lift = base_lift(s)
-        for e in S.idempotents():
-            if natural_leq(e, src):
-                se = compose(s, e)
-                val = ext.multiply(lift, j[e])
+        i = index[s]
+        lift = zero_row if witness is None else _dense(n, s.domain, ((-p) % k for p in witness[s]))
+        for e in idem:
+            if not els[e].domain & ~s.domain:  # e <= s^dag s
+                se, val = ext._product(i, lift, e, j[e])
                 if se in j and j[se] != val:
-                    raise DomainError(f"inconsistent section assignment at {se}")
+                    raise DomainError(f"inconsistent section assignment at {els[se]}")
                 j[se] = val
 
-    for t in S:
-        if t in j:
+    for t_id, t in enumerate(els):
+        if t_id in j:
             continue
-        w = with_zero_phases(t)
-        w_dag = ext.dagger(w)
-        phase_by_atom = {}
+        td, w_dag = ext._dagger(t_id, zero_row)
+        h, covered = [0] * n, 0
         for s in B:
             m = meet(t, s)
             if m.is_zero():
                 continue
-            h_s = ext.multiply(w_dag, j[m])
-            for y in bits(h_s.bij.domain):
-                if y in phase_by_atom:
-                    raise InvariantViolation(f"glued supports overlap at atom {y} for {t}")
-                phase_by_atom[y] = h_s.phase_at(y)
-        if set(phase_by_atom) != set(bits(t.domain)):
+            if m not in index:
+                raise DomainError(f"the meet of {t} and {s} is not an element of the monoid")
+            hs, h_s = ext._product(td, w_dag, index[m], j[index[m]])
+            dom = els[hs].domain
+            if covered & dom:
+                y = next(bits(covered & dom))
+                raise InvariantViolation(f"glued supports overlap at atom {y} for {t}")
+            covered |= dom
+            for y in bits(dom):
+                h[y] = h_s[y]
+        if covered != t.domain:
             raise InvariantViolation(f"glued supports do not cover dom({t})")
-        h = PhasedElement(
-            partial_identity(S.atom_count, t.domain),
-            tuple(phase_by_atom[y] % k for y in bits(t.domain)),
-        )
-        j[t] = ext.multiply(w, h)
+        _, j[t_id] = ext._product(t_id, zero_row, S.mul[td][t_id], h)
 
-    return Section(j)
+    return Section({s: ext._phased(i, j[i]) for i, s in enumerate(els)})
 
 
 @dataclass
@@ -477,57 +508,62 @@ def validate_section(ext: Extension, j: Section) -> SectionReport:
     (b) j(esf) = j(e) j(s) j(f) for idempotents e, f;
     (c) j(s ^ t) = j(s) ^ j(t) and j(1) = 1.
     They must agree for any section; disagreement indicates a bug.
+
+    All three are walks over element ids on the lifts' dense phase rows.
+    With A(s,t) the atoms where s and t agree, s <= t iff A(s,t) = dom(s),
+    and s ^ t is s restricted to A(s,t).  So (a) compares the rows of s and
+    t on dom(s) when s <= t, and (c) holds at (s, t) iff the rows of s, t
+    and s ^ t agree on A(s,t).  (b) uses the id-level twisted product.
+    Witnesses are the first failing pair or triple in element order.
     """
-    S = ext.S
+    S, n = ext.S, ext.S.atom_count
     for s in S:
         if s not in j.values or j[s].bij != s:
             raise DomainError(f"not a section at {s}")
 
-    witnesses = {}
-    unit_ok = j[S.one] == ext.unit
-
-    cond_a = unit_ok
-    if cond_a:
-        for s in S:
-            for t in S:
-                if natural_leq(s, t) and not g_natural_leq(j[s], j[t]):
-                    cond_a = False
-                    witnesses["a"] = (s, t)
-                    break
-            if not cond_a:
-                break
-
-    cond_b = True
-    idem = S.idempotents()
     els, mul = S.elements, S.mul
+    img = ext._img
+    rows = [_dense(n, s.domain, j[s].phases) for s in els]
+    idem = [i for i, e in enumerate(els) if e.is_idempotent()]
+    idem_of = {els[e].domain: e for e in idem}
+    unit_ok = not any(rows[S.index[S.one]])
+
+    cond_a = cond_c = unit_ok
+    wit_a = wit_c = None
+    for i, s in enumerate(els):
+        if not (cond_a or cond_c):
+            break
+        r_s, img_s = rows[i], img[i]
+        for t_id, t in enumerate(els):
+            r_t, img_t = rows[t_id], img[t_id]
+            agree = [y for y in bits(s.domain & t.domain) if img_s[y] == img_t[y]]
+            if cond_a and len(agree) == s.domain.bit_count():  # s <= t
+                if any(r_s[y] != r_t[y] for y in agree):
+                    cond_a, wit_a = False, (s, t)
+            if cond_c:
+                e = idem_of.get(mask_of(agree))
+                if e is None:
+                    raise DomainError(f"the meet of {s} and {t} is not an element of the monoid")
+                r_m = rows[mul[i][e]]  # j(s ^ t)
+                if any(r_s[y] != r_t[y] or r_m[y] != r_s[y] for y in agree):
+                    cond_c, wit_c = False, (s, t)
+
+    cond_b, wit_b = True, None
     for e in idem:
-        mul_e = mul[S.index[e]]
-        left = [ext.multiply(j[e], j[s]) for s in els]  # j(e) j(s), reused for every f
+        left = [ext._product(e, rows[e], i, r) for i, r in enumerate(rows)]  # j(e) j(s)
         for f in idem:
-            i_f = S.index[f]
             for i, s in enumerate(els):
-                lhs = j[els[mul[mul_e[i]][i_f]]]
-                rhs = ext.multiply(left[i], j[f])
-                if lhs != rhs:
-                    cond_b = False
-                    witnesses["b"] = (e, s, f)
+                esf, rhs = ext._product(*left[i], f, rows[f])
+                if rows[esf] != rhs:
+                    cond_b, wit_b = False, (els[e], s, els[f])
                     break
             if not cond_b:
                 break
         if not cond_b:
             break
 
-    cond_c = unit_ok
-    if cond_c:
-        for s in S:
-            for t in S:
-                if j[meet(s, t)] != g_meet(j[s], j[t]):
-                    cond_c = False
-                    witnesses["c"] = (s, t)
-                    break
-            if not cond_c:
-                break
-
+    found = {"a": wit_a, "b": wit_b, "c": wit_c}
+    witnesses = {key: w for key, w in found.items() if w is not None}
     return SectionReport(True, cond_a, cond_b, cond_c, witnesses)
 
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._lazy import np
 from .boolean_monoid import groupoid_relation
 from .errors import DomainError, InvariantViolation
 from .extension import Extension, Section, delta, sigma

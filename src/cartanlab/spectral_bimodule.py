@@ -22,8 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .errors import DomainError, InvariantViolation, SizeGuardError
 from .kernel_rep import DEFAULT_TOL, RBasis, RepSpace
 from .semigroup_core import (
@@ -62,6 +61,7 @@ __all__ = [
     "msd",
     "mtr",
     "verify_subdiagonal",
+    "verify_members",
 ]
 
 SPECTRAL_GUARD = 25
@@ -416,7 +416,9 @@ def _multiplicativity_defect(Q, gens, proj) -> float:
     )
 
 
-def verify_subdiagonal(rs: RepSpace, A, guard: int = SPECTRAL_GUARD, tol: float = DEFAULT_TOL) -> SubdiagonalReport:
+def verify_subdiagonal(
+    rs: RepSpace, A, guard: int = SPECTRAL_GUARD, tol: float = DEFAULT_TOL, index: _TraceIndex | None = None
+) -> SubdiagonalReport:
     """Verify that a spectral monoid spans a maximal subdiagonal algebra.
 
     The expectation onto the self-adjoint part N is realized as the
@@ -424,9 +426,11 @@ def verify_subdiagonal(rs: RepSpace, A, guard: int = SPECTRAL_GUARD, tol: float 
     N-bimodularity are verified rather than assumed.  Maximality is checked
     against the other enumerated spectral-monoid candidates with the same
     self-adjoint part, which is exactly what the classification licenses.
+    ``index`` is the trace index of rs.ext.S, built here when not given
+    (``verify_members`` builds one for all its members).
     """
     A = frozenset(A)
-    idx = _TraceIndex(rs.ext.S)
+    idx = index if index is not None else _TraceIndex(rs.ext.S)
     trace = idx.trace_of(A)
     if idx.members(trace) != A or not _is_spectral_monoid(idx, trace, A):
         raise DomainError("input is not a spectral monoid containing the idempotents")
@@ -486,3 +490,11 @@ def verify_subdiagonal(rs: RepSpace, A, guard: int = SPECTRAL_GUARD, tol: float 
         maximal=maximal,
         max_deviation=dev,
     )
+
+
+def verify_members(
+    rs: RepSpace, members, guard: int = SPECTRAL_GUARD, tol: float = DEFAULT_TOL
+) -> list[SubdiagonalReport]:
+    """verify_subdiagonal on each member, in order, with one trace index."""
+    index = _TraceIndex(rs.ext.S)
+    return [verify_subdiagonal(rs, A, guard, tol, index=index) for A in members]

@@ -20,8 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .errors import DomainError, InvariantViolation, SizeGuardError
 from .extension import Extension, Section, delta
 from .kernel_rep import DEFAULT_TOL, RBasis, RepSpace, expectation

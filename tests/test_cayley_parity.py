@@ -1,33 +1,50 @@
 """The id-indexed cocycle loops against element-level reference versions.
 
-``ref_validate_cocycle``, ``ref_cohomologous`` and ``ref_closure_witness``
-are the compose-based implementations that the Cayley-table versions
-replaced, kept here verbatim as oracles.  Reports must be equal, including
-the order of ``violations``, and witnesses must be equal dicts.
+``ref_validate_cocycle``, ``ref_cohomologous``, ``ref_closure_witness``,
+``ref_multiply``, ``ref_dagger``, ``ref_order_preserving_section`` and
+``ref_validate_section`` are the compose-based implementations that the
+Cayley-table versions replaced, kept here as oracles (the section
+references call ``ref_multiply``/``ref_dagger`` where the originals called
+the extension's methods).  Reports must be equal, including the order of
+``violations``, and witnesses must be equal dicts.
 """
 
 import random
 
 import pytest
 
-from cartanlab.errors import ClosureError, DomainError, FormatError
+import cartanlab.extension as extension_module
+from cartanlab.errors import ClosureError, DomainError, FormatError, InvariantViolation
 from cartanlab.extension import (
     CocycleReport,
     CocycleTable,
+    Extension,
+    Section,
+    SectionReport,
+    _rank,
     _related_points,
     cohomologous,
+    g_meet,
+    g_natural_leq,
+    order_preserving_section,
     point_coboundary_table,
     trivial_cocycle,
     validate_cocycle,
+    validate_section,
 )
 from cartanlab.generators import eqrel_monoid, product_monoid, rook_monoid
 from cartanlab.semigroup_core import (
     FiniteInverseMonoid,
     PartialBijection,
+    PhasedElement,
     bits,
     compose,
     dagger,
+    meet,
+    natural_leq,
+    partial_identity,
     singleton,
+    with_zero_phases,
 )
 
 
@@ -123,6 +140,146 @@ def ref_cohomologous(S, k, c1, c2):
     if any(b_pts[(x, y)] for x, y in pts if x == y):
         return None
     return {s: tuple(b_at(s, y) for y in bits(s.domain)) for s in S}
+
+
+def ref_multiply(ext, v, w):
+    st = compose(v.bij, w.bij)
+    if not st.domain:
+        return PhasedElement(st, ())
+    c_arr = ext.cocycle.entry(v.bij, w.bij)
+    phases = tuple(
+        (v.phase_at(w.bij.apply(y)) + w.phase_at(y) + c) % ext.k
+        for y, c in zip(bits(st.domain), c_arr)
+    )
+    return PhasedElement(st, phases)
+
+
+def ref_dagger(ext, v):
+    s = v.bij
+    sd = dagger(s)
+    c_ssd = ext.cocycle.entry(s, sd)  # over dom(s s^dag) = range(s)
+    phases = tuple(
+        (-v.phase_at(s.inverse_apply(z)) - c_ssd[_rank(s.range_mask, z)]) % ext.k
+        for z in bits(sd.domain)
+    )
+    return PhasedElement(sd, phases)
+
+
+def ref_order_preserving_section(ext):
+    S, k = ext.S, ext.k
+    try:
+        witness = ref_cohomologous(S, k, trivial_cocycle(S, k), ext.cocycle)
+    except DomainError:
+        witness = None
+    else:
+        if witness is None:
+            raise DomainError("cocycle table is not a coboundary")
+
+    def base_lift(s):
+        if witness is None:
+            return with_zero_phases(s)
+        return PhasedElement(s, tuple((-p) % k for p in witness[s]))
+
+    j = {}
+    for e in S.idempotents():
+        j[e] = with_zero_phases(e)
+
+    B = [S.one]
+    for s in S:
+        if s.is_zero() or s == S.one:
+            continue
+        if all(meet(s, b).is_zero() for b in B):
+            B.append(s)
+
+    for s in B:
+        src = compose(dagger(s), s)
+        lift = base_lift(s)
+        for e in S.idempotents():
+            if natural_leq(e, src):
+                se = compose(s, e)
+                val = ref_multiply(ext, lift, j[e])
+                if se in j and j[se] != val:
+                    raise DomainError(f"inconsistent section assignment at {se}")
+                j[se] = val
+
+    for t in S:
+        if t in j:
+            continue
+        w = with_zero_phases(t)
+        w_dag = ref_dagger(ext, w)
+        phase_by_atom = {}
+        for s in B:
+            m = meet(t, s)
+            if m.is_zero():
+                continue
+            h_s = ref_multiply(ext, w_dag, j[m])
+            for y in bits(h_s.bij.domain):
+                if y in phase_by_atom:
+                    raise InvariantViolation(f"glued supports overlap at atom {y} for {t}")
+                phase_by_atom[y] = h_s.phase_at(y)
+        if set(phase_by_atom) != set(bits(t.domain)):
+            raise InvariantViolation(f"glued supports do not cover dom({t})")
+        h = PhasedElement(
+            partial_identity(S.atom_count, t.domain),
+            tuple(phase_by_atom[y] % k for y in bits(t.domain)),
+        )
+        j[t] = ref_multiply(ext, w, h)
+
+    return Section(j)
+
+
+def ref_validate_section(ext, j):
+    S = ext.S
+    for s in S:
+        if s not in j.values or j[s].bij != s:
+            raise DomainError(f"not a section at {s}")
+
+    witnesses = {}
+    unit_ok = j[S.one] == ext.unit
+
+    cond_a = unit_ok
+    if cond_a:
+        for s in S:
+            for t in S:
+                if natural_leq(s, t) and not g_natural_leq(j[s], j[t]):
+                    cond_a = False
+                    witnesses["a"] = (s, t)
+                    break
+            if not cond_a:
+                break
+
+    cond_b = True
+    idem = S.idempotents()
+    els, mul = S.elements, S.mul
+    for e in idem:
+        mul_e = mul[S.index[e]]
+        left = [ref_multiply(ext, j[e], j[s]) for s in els]  # j(e) j(s), reused for every f
+        for f in idem:
+            i_f = S.index[f]
+            for i, s in enumerate(els):
+                lhs = j[els[mul[mul_e[i]][i_f]]]
+                rhs = ref_multiply(ext, left[i], j[f])
+                if lhs != rhs:
+                    cond_b = False
+                    witnesses["b"] = (e, s, f)
+                    break
+            if not cond_b:
+                break
+        if not cond_b:
+            break
+
+    cond_c = unit_ok
+    if cond_c:
+        for s in S:
+            for t in S:
+                if j[meet(s, t)] != g_meet(j[s], j[t]):
+                    cond_c = False
+                    witnesses["c"] = (s, t)
+                    break
+            if not cond_c:
+                break
+
+    return SectionReport(True, cond_a, cond_b, cond_c, witnesses)
 
 
 MONOIDS = {
@@ -299,3 +456,117 @@ def test_mul_on_non_closed_monoid_raises_with_reference_witness():
     with pytest.raises(ClosureError) as exc:
         S.mul
     assert exc.value.witness == ref_closure_witness(S) == S.closure_witness()
+
+
+def section_cases(monoids):
+    """(label, extension): rook2 k=2, twisted rook3 k=3, eqrel 0,1|2,3 k=2
+    and product(rook2, rook2), each once trivial and once twisted."""
+    rng = random.Random(1982)
+    out = []
+    for name, k in (("rook2", 2), ("rook3", 3), ("eqrel 0,1|2,3", 2), ("product rook2 rook2", 2)):
+        S = monoids[name]
+        out.append((f"{name} trivial", Extension(S, k)))
+        out.append((f"{name} twisted", Extension(S, k, random_coboundary(S, k, rng))))
+    return out
+
+
+def test_section_parity(monoids):
+    for label, ext in section_cases(monoids):
+        j = order_preserving_section(ext)
+        assert j == ref_order_preserving_section(ext), label
+        rep = validate_section(ext, j)
+        assert rep == ref_validate_section(ext, j), label
+        assert rep.passed, label
+
+
+def test_section_parity_bumped_lifts(monoids):
+    """Bumping the first phase of one non-idempotent lift breaks all three
+    conditions, with the reference's witnesses."""
+    S = monoids["rook3"]
+    ext = Extension(S, 3, random_coboundary(S, 3, random.Random(3)))
+    j = order_preserving_section(ext)
+    bumped = 0
+    for s in S:
+        if s.is_idempotent():
+            continue
+        values = dict(j.values)
+        v = values[s]
+        values[s] = PhasedElement(s, ((v.phases[0] + 1) % 3,) + v.phases[1:])
+        mutated = Section(values)
+        rep = validate_section(ext, mutated)
+        assert rep == ref_validate_section(ext, mutated), s
+        assert not (rep.cond_a or rep.cond_b or rep.cond_c), s
+        assert set(rep.witnesses) == {"a", "b", "c"}
+        bumped += 1
+    assert bumped == len(S) - len(S.idempotents())
+
+
+def test_section_parity_unit_and_wrong_bijection(monoids):
+    S = monoids["rook2"]
+    ext = Extension(S, 2)
+    j = order_preserving_section(ext)
+    values = dict(j.values)
+    values[S.one] = PhasedElement(S.one, (1, 0))
+    rep = validate_section(ext, Section(values))
+    assert rep == ref_validate_section(ext, Section(values))
+    assert not rep.cond_a and not rep.cond_c
+
+    swap = PartialBijection(2, 0b11, (1, 0))
+    values = dict(j.values)
+    values[swap] = with_zero_phases(S.one)  # a lift with the wrong bijection
+    for check in (validate_section, ref_validate_section):
+        with pytest.raises(DomainError, match="not a section"):
+            check(ext, Section(values))
+
+
+def test_section_check_needs_meets_in_the_monoid():
+    """{0, 1, (0 1)} on three atoms is closed but lacks the meet of (0 1)
+    and 1 (the identity on atom 2): building or checking a section raises
+    DomainError, where the references fail with a KeyError."""
+    swap = PartialBijection(3, 0b111, (1, 0, 2))
+    S = FiniteInverseMonoid(3, [swap])
+    ext = Extension(S, 2)
+    j = Section({s: with_zero_phases(s) for s in S})
+    with pytest.raises(DomainError, match="meet"):
+        validate_section(ext, j)
+    with pytest.raises(KeyError):
+        ref_validate_section(ext, j)
+    with pytest.raises(DomainError, match="meet"):
+        order_preserving_section(ext)
+    with pytest.raises(KeyError):
+        ref_order_preserving_section(ext)
+
+
+@pytest.mark.parametrize("name", ["rook2", "rook3"])
+def test_products_and_daggers_match_reference(monoids, name):
+    S = monoids[name]
+    for ext in (Extension(S, 2), Extension(S, 2, random_coboundary(S, 2, random.Random(name)))):
+        G = ext.elements
+        for v in G:
+            assert ext.dagger(v) == ref_dagger(ext, v)
+            for w in G:
+                assert ext.multiply(v, w) == ref_multiply(ext, v, w)
+
+
+def test_zero_table_section_skips_search_and_keeps_closure_error(monkeypatch):
+    """All-zero tables take the zero witness without the coboundary search;
+    a monoid that is not closed still raises ClosureError with the first
+    missing product."""
+    S = rook_monoid(3)
+    ext = Extension(S, 3)
+    expected = ref_order_preserving_section(ext)
+
+    def no_search(*args):
+        raise AssertionError("cohomologous called on an all-zero table")
+
+    monkeypatch.setattr(extension_module, "cohomologous", no_search)
+    assert order_preserving_section(ext) == expected
+    assert all(not any(v.phases) for _, v in expected.items())
+
+    dropped = PartialBijection(3, 0b111, (1, 0, 2))
+    T = FiniteInverseMonoid(3, [s for s in S if s != dropped])
+    assert ref_closure_witness(T)[2] == dropped
+    ext = Extension(T, 2)
+    with pytest.raises(ClosureError) as exc:
+        order_preserving_section(ext)
+    assert exc.value.witness == ref_closure_witness(T)

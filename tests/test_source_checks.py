@@ -1,7 +1,12 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import cartanlab
 
@@ -17,3 +22,77 @@ def test_no_assert_statements_in_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert SRC.name == "cartanlab" and len(list(SRC.rglob("*.py"))) >= 10
     assert found == []
+
+
+def _imports_numpy(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.level == 0 and (node.module or "").split(".")[0] == "numpy"
+    return False
+
+
+def test_numpy_is_imported_only_through_the_lazy_helper():
+    """Module bodies get numpy as ``from ._lazy import np``; only
+    ``_lazy.py`` names the module, and it does so without an import statement."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in tree.body if _imports_numpy(node)]
+    assert found == []
+    lazy = [path.stem for path in SRC.glob("*.py") if "from ._lazy import np" in path.read_text(encoding="utf-8")]
+    assert sorted(lazy) == ["kernel_rep", "spectral_bimodule", "vn_oracle"]
+
+
+def _python(code: str, *args: str, cwd=None) -> str:
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+# Runs ``python -m cartanlab <args>`` in this interpreter and reports, last,
+# the exit code and whether numpy's linear algebra was loaded.
+RUN_CLI = """
+import runpy, sys
+sys.argv = ["cartanlab", *sys.argv[1:]]
+try:
+    runpy.run_module("cartanlab", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(code, "numpy.linalg" in sys.modules)
+"""
+
+ROOK2 = str(SRC / "data" / "rook2.json")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "rook", "2", "--out", "gen.json"],
+        ["validate", ROOK2],
+        ["section", ROOK2],
+        ["equiv", ROOK2, ROOK2],
+    ],
+    ids=["gen", "validate", "section", "equiv"],
+)
+def test_exact_commands_never_load_numpy(tmp_path, argv):
+    assert _python(RUN_CLI, *argv, cwd=tmp_path) == "0 False"
+
+
+def test_oracle_loads_numpy(tmp_path):
+    assert _python(RUN_CLI, "oracle", ROOK2, cwd=tmp_path) == "0 True"
+
+
+def test_import_cli_loads_every_submodule():
+    """Code that wraps the package from outside reads each submodule from
+    ``sys.modules`` right after ``import cartanlab.cli``."""
+    code = (
+        "import sys, pkgutil, cartanlab.cli\n"
+        "names = [m.name for m in pkgutil.iter_modules(cartanlab.__path__) if m.name != '__main__']\n"
+        "print(sorted(n for n in names if 'cartanlab.' + n not in sys.modules), len(names))"
+    )
+    missing, count = _python(code).rsplit(" ", 1)
+    assert missing == "[]" and int(count) >= 10

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+import cartanlab.spectral_bimodule as spectral_module
 from cartanlab.errors import DomainError
 from cartanlab.extension import Extension
 from cartanlab.generators import eqrel_monoid, rook_monoid
@@ -30,6 +31,7 @@ from cartanlab.spectral_bimodule import (
     psi,
     spectral_closure,
     theta,
+    verify_members,
     verify_subdiagonal,
 )
 from cartanlab.vn_oracle import contains_matrix, subspace_basis
@@ -192,6 +194,25 @@ def test_verify_subdiagonal_rook2(i2):
     # the full monoid corresponds to the whole algebra with identity map
     full_rep = verify_subdiagonal(rs, frozenset(i2.elements))
     assert full_rep.dim_algebra == full_rep.dim_selfadjoint_part == 4
+
+
+def test_verify_members_builds_one_index(monkeypatch):
+    """The same reports, in member order, as one verify_subdiagonal call
+    per member, from one trace index instead of one per member."""
+    S = eqrel_monoid([(0, 1), (2,), (3,)])
+    rs = RepSpace(Extension(S, 1))
+    members = msd(S)
+    expected = [verify_subdiagonal(rs, A) for A in members]
+    builds = []
+    original = spectral_module._TraceIndex.__init__
+
+    def counted(self, S):
+        builds.append(S)
+        original(self, S)
+
+    monkeypatch.setattr(spectral_module._TraceIndex, "__init__", counted)
+    assert verify_members(rs, members) == expected
+    assert len(members) == 3 and len(builds) == 1
 
 
 def test_psi_product_closure_matches_monoid_closure(i2):
