@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -32,6 +33,7 @@ from .extension import (
 from .kernel_rep import RepSpace, dump_matrix
 from .semigroup_core import FiniteInverseMonoid, PartialBijection, bits, classify, mask_of
 from .spectral_bimodule import (
+    SPECTRAL_GUARD,
     enumerate_spectral_sets,
     msd,
     mtr,
@@ -42,8 +44,6 @@ from .spectral_bimodule import (
 from .vn_oracle import cartan_report
 
 __all__ = ["ExtensionDocument", "parse", "emit", "generate", "main", "build_extension"]
-
-DEFAULT_GUARD = 25
 
 
 @dataclass
@@ -58,6 +58,13 @@ class ExtensionDocument:
 
     def element_map(self):
         return dict(self.elements)
+
+
+def _int_param(text, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise FormatError(f"{what} '{text}' is not an integer") from None
 
 
 def _line_of(text: str, token: str) -> str | None:
@@ -92,9 +99,9 @@ def parse(text: str) -> ExtensionDocument:
             raise FormatError(f"missing required key '{key}'", "line 1")
     atoms = raw["atoms"]
     k = raw["k"]
-    if not isinstance(atoms, int) or atoms < 1:
+    if type(atoms) is not int or atoms < 1:  # a JSON true is a bool, an int subclass
         raise FormatError("'atoms' must be a positive integer", _line_of(text, '"atoms"'))
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise FormatError("'k' must be a positive integer", _line_of(text, '"k"'))
     if not isinstance(raw["elements"], list) or not raw["elements"]:
         raise FormatError("'elements' must be a nonempty list", _line_of(text, '"elements"'))
@@ -119,7 +126,7 @@ def parse(text: str) -> ExtensionDocument:
                 src = int(src_s)
             except (TypeError, ValueError):
                 raise FormatError(f"map key '{src_s}' is not an atom index", where) from None
-            if not isinstance(dst, int):
+            if type(dst) is not int:
                 raise FormatError(f"map value '{dst}' is not an atom index", where)
             if src in mapping:
                 raise FormatError(f"duplicate map key {src}", where)
@@ -142,7 +149,7 @@ def parse(text: str) -> ExtensionDocument:
                 if ref not in names:
                     raise FormatError(f"cocycle references unknown element '{ref}'", where)
             if not isinstance(entry["phase"], list) or not all(
-                isinstance(p, int) for p in entry["phase"]
+                type(p) is int for p in entry["phase"]
             ):
                 raise FormatError("'phase' must be a list of integer exponents", where)
             key = (entry["s"], entry["t"])
@@ -248,11 +255,11 @@ def build_extension(doc: ExtensionDocument, k_override: int | None = None):
 def generate(kind: str, params, guard: int = generators.ROOK_GUARD) -> ExtensionDocument:
     """Built-in documents: rook(n), eqrel(blocks), product(doc, doc)."""
     if kind == "rook":
-        n = int(params)
+        n = _int_param(params, "rook size")
         S = generators.rook_monoid(n, guard)
         meta = {"kind": f"rook({n})"}
     elif kind == "eqrel":
-        blocks = [tuple(int(a) for a in blk.split(",")) for blk in str(params).split("|")]
+        blocks = [tuple(_int_param(a, "block atom") for a in blk.split(",")) for blk in str(params).split("|")]
         S = generators.eqrel_monoid(blocks)
         meta = {"kind": f"eqrel({params})"}
     elif kind == "product":
@@ -410,18 +417,15 @@ def _cmd_equiv(doc_a, doc_b, args):
 
 def _cmd_gen(args):
     if args.kind == "product":
-        with open(args.params[0], encoding="utf-8") as fh:
-            doc_a = parse(fh.read())
-        with open(args.params[1], encoding="utf-8") as fh:
-            doc_b = parse(fh.read())
-        doc = generate("product", (doc_a, doc_b))
+        if len(args.params) != 2:
+            raise FormatError("gen product needs two documents")
+        doc = generate("product", (_load(args.params[0]), _load(args.params[1])))
     else:
         guard = args.guard if args.guard_explicit else generators.ROOK_GUARD
         doc = generate(args.kind, args.params[0], guard=guard)
     text = emit(doc)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
         return 0, [f"wrote {args.out}"], {"written": args.out}
     return 0, [text.rstrip("\n")], {"document": json.loads(text)}
 
@@ -432,6 +436,14 @@ def _load(path: str) -> ExtensionDocument:
             return parse(fh.read())
     except OSError as exc:
         raise FormatError(f"cannot read '{path}': {exc.strerror}") from None
+
+
+def _write(path: str, text: str):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise FormatError(f"cannot write '{path}': {exc.strerror}") from None
 
 
 def main(argv=None) -> int:
@@ -459,16 +471,18 @@ def main(argv=None) -> int:
     p.add_argument("params", nargs="+")
 
     args = parser.parse_args(argv)
-    args.guard_explicit = args.guard is not None
-    if args.guard is None:
-        env = os.environ.get("CARTANLAB_GUARD")
-        if env:
-            args.guard = int(env)
-            args.guard_explicit = True
-        else:
-            args.guard = DEFAULT_GUARD
-
     try:
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise FormatError(f"--tol must be a finite positive number, got {args.tol}")
+        args.guard_explicit = args.guard is not None
+        if args.guard is None:
+            env = os.environ.get("CARTANLAB_GUARD")
+            if env:
+                args.guard = _int_param(env, "CARTANLAB_GUARD")
+                args.guard_explicit = True
+            else:
+                args.guard = SPECTRAL_GUARD
+
         if args.command == "gen":
             code, lines, payload = _cmd_gen(args)
         elif args.command == "equiv":
@@ -488,19 +502,17 @@ def main(argv=None) -> int:
                 code, lines, payload = _cmd_msd(doc, args, triangular=False)
             else:
                 code, lines, payload = _cmd_msd(doc, args, triangular=True)
+
+        for line in lines:
+            print(line)
+        if args.out and args.command != "gen":  # gen already wrote the document there
+            if args.format == "json":
+                _write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            else:
+                _write(args.out, "\n".join(lines) + "\n")
     except CartanLabError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-
-    for line in lines:
-        print(line)
-    if args.out and args.command != "gen":  # gen already wrote the document there
-        with open(args.out, "w", encoding="utf-8") as fh:
-            if args.format == "json":
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            else:
-                fh.write("\n".join(lines) + "\n")
     return code
 
 

@@ -20,10 +20,10 @@ from .semigroup_core import (
     PhasedElement,
     bits,
     compose,
-    conjugate,
     mask_of,
     meet,
     natural_leq,
+    relabelings,
     singleton,
     with_zero_phases,
 )
@@ -681,13 +681,9 @@ def extensions_equivalent(ext1: Extension, ext2: Extension, guard: int = EQUIV_G
 
     n = S1.atom_count
     k = ext1.k
-    elements2 = set(S2.elements)
     els2, mul2 = S2.elements, S2.mul
     rows1 = _phase_rows(S1, ext1.cocycle)
-    for perm in itertools.permutations(range(n)):
-        theta = {s: conjugate(s, perm) for s in S1}
-        if set(theta.values()) != elements2:
-            continue
+    for perm, theta in relabelings(S1, S2):
         inv_perm = tuple(perm.index(i) for i in range(n))
         # pre[j] is the S1 id of theta^-1(els2[j])
         pre = [0] * len(els2)

@@ -22,6 +22,7 @@ from .semigroup_core import (
     bits,
     compose,
     dagger,
+    identity_map,
     meet,
     singleton,
 )
@@ -70,8 +71,7 @@ def kernel(j: Section, t: PartialBijection, s: PartialBijection) -> PartialBijec
 
     Equals the source idempotent of j(s ^ t), which is checked.
     """
-    n = s.n
-    fix = meet(compose(dagger(s), t), PartialBijection(n, (1 << n) - 1, tuple(range(n))))
+    fix = meet(compose(dagger(s), t), identity_map(s.n))
     lifted = j[fix]
     m = j[meet(s, t)]
     source = compose(dagger(m.bij), m.bij)

@@ -33,6 +33,7 @@ __all__ = [
     "compose",
     "dagger",
     "conjugate",
+    "relabelings",
     "natural_leq",
     "meet",
     "leech_idempotent",
@@ -44,7 +45,6 @@ __all__ = [
     "munn_quotient",
     "bits",
     "mask_of",
-    "zero_phased",
     "with_zero_phases",
 ]
 
@@ -183,6 +183,17 @@ def conjugate(s: PartialBijection, perm: tuple[int, ...]) -> PartialBijection:
     """Relabel the atoms of s by perm: the map perm[y] -> perm[s(y)]."""
     pairs = sorted((perm[y], perm[x]) for x, y in s.pairs())
     return PartialBijection(s.n, mask_of(y for y, _ in pairs), tuple(x for _, x in pairs))
+
+
+def relabelings(S1: FiniteInverseMonoid, S2: FiniteInverseMonoid):
+    """Yield (perm, theta), in itertools.permutations order, for each atom
+    permutation perm that carries S1 onto S2 (both on the same atoms);
+    theta maps each element s of S1 to conjugate(s, perm)."""
+    target = set(S2.elements)
+    for perm in itertools.permutations(range(S1.atom_count)):
+        theta = {s: conjugate(s, perm) for s in S1}
+        if set(theta.values()) == target:
+            yield perm, theta
 
 
 def natural_leq(s: PartialBijection, t: PartialBijection) -> bool:
@@ -399,10 +410,6 @@ class PhasedElement:
             f"{y}>{x}@{p}" for (x, y), p in zip(self.bij.pairs(), self.phases)
         )
         return f"<<{body}>>"
-
-
-def zero_phased(n: int) -> PhasedElement:
-    return PhasedElement(zero_map(n), ())
 
 
 def with_zero_phases(s: PartialBijection) -> PhasedElement:

@@ -37,8 +37,9 @@ from .semigroup_core import (
 from .vn_oracle import (
     MatrixAlgebra,
     _accepted_points,
+    _algebra_checks,
     _hs_projection,
-    _nullspace_dimension,
+    _null_combinations,
     _pattern_intersection,
     _pattern_positions,
     contains_matrix,
@@ -192,7 +193,7 @@ def psi(rs: RepSpace, A, tol: float = DEFAULT_TOL) -> Bimodule:
     The result is automatically invariant under both diagonal actions;
     invariance is verified, not assumed.
     """
-    mats = [rs.lam_of(s) for s in sorted(A, key=lambda s: (s.domain, s.image))]
+    mats = [rs.lam_of(s) for s in sorted(A)]
     basis = subspace_basis(mats, tol)
     d_basis = [rs.lam(p) for p in rs.ext.phased_identities]
     left = all(contains_matrix(basis, d @ b, tol) for d in d_basis for b in basis)
@@ -264,16 +265,10 @@ def intermediate_algebra_check(rs: RepSpace, T, tol: float = DEFAULT_TOL) -> Bim
     """Check that the span of one full submonoid is an intermediate algebra:
     unital, self-adjoint, product closed, containing the diagonal."""
     B = psi(rs, T, tol)
-    dim = len(rs.rbasis)
-    if not B.contains(np.eye(dim, dtype=complex), tol):
-        raise InvariantViolation("intermediate span is not unital")
-    for b in B.basis:
-        if not B.contains(b.conj().T, tol):
-            raise InvariantViolation("intermediate span is not self-adjoint")
-    for a in B.basis:
-        for b in B.basis:
-            if not B.contains(a @ b, tol):
-                raise InvariantViolation("intermediate span is not product closed")
+    checks = _algebra_checks(B.basis, len(rs.rbasis), tol)
+    for ok, what in zip(checks, ("unital", "self-adjoint", "product closed")):
+        if not ok:
+            raise InvariantViolation(f"intermediate span is not {what}")
     for p in rs.ext.phased_identities:
         if not B.contains(rs.lam(p), tol):
             raise InvariantViolation("intermediate span does not contain the diagonal")
@@ -297,16 +292,10 @@ def aoi_correspondence(rs: RepSpace, guard: int = SPECTRAL_GUARD, tol: float = D
             raise InvariantViolation("theta does not invert psi on a full submonoid")
         algebras.append(B)
 
-    dim = len(rs.rbasis)
-    eye = np.eye(dim, dtype=complex)
     algebra_like = 0
     for A in enumerate_spectral_sets(S, guard):
         B = psi(rs, A, tol)
-        if not B.contains(eye, tol):
-            continue
-        if any(not B.contains(b.conj().T, tol) for b in B.basis):
-            continue
-        if any(not B.contains(a @ b, tol) for a in B.basis for b in B.basis):
+        if not all(_algebra_checks(B.basis, len(rs.rbasis), tol)):
             continue
         if any(not B.contains(rs.lam(p), tol) for p in rs.ext.phased_identities):
             continue
@@ -350,12 +339,9 @@ def mtr(S: FiniteInverseMonoid, guard: int = SPECTRAL_GUARD) -> list[frozenset]:
     """Members of msd whose self-adjoint part is exactly the idempotents:
     X & X^dag is the set of idempotent minimals."""
     idx = _TraceIndex(S)
-    out = []
-    for A in msd(S, guard):
-        X = idx.trace_of(A)
-        if X & idx.dagger_of(X) == idx.idempotent:
-            out.append(A)
-    return out
+    return _spectral_monoids(
+        idx, guard, lambda X, X_dag: X | X_dag == idx.full and X & X_dag == idx.idempotent
+    )
 
 
 @dataclass
@@ -400,10 +386,7 @@ def _subspace_intersection(basis_a, basis_b, tol: float):
         return []
     A = np.stack([m.ravel() for m in basis_a], axis=1)
     B = np.stack([m.ravel() for m in basis_b], axis=1)
-    _, null = _nullspace_dimension(np.hstack([A, -B]), tol)
-    shape = basis_a[0].shape
-    out = [(A @ coeffs[: A.shape[1]]).reshape(shape) for coeffs in null]
-    return subspace_basis(out, tol)
+    return _null_combinations(np.hstack([A, -B]), basis_a, tol)
 
 
 def _multiplicativity_defect(Q, gens, proj) -> float:
@@ -414,6 +397,13 @@ def _multiplicativity_defect(Q, gens, proj) -> float:
         for X, PX in zip(gens, proj)
         for Y, PY in zip(gens, proj)
     )
+
+
+def _selfadjoint_part(rs: RepSpace, A, tol: float):
+    """psi(A), the adjoints of its basis, and its self-adjoint part N."""
+    alg = psi(rs, A, tol)
+    adj = [b.conj().T for b in alg.basis]
+    return alg, adj, _subspace_intersection(alg.basis, adj, tol)
 
 
 def verify_subdiagonal(
@@ -434,16 +424,14 @@ def verify_subdiagonal(
     trace = idx.trace_of(A)
     if idx.members(trace) != A or not _is_spectral_monoid(idx, trace, A):
         raise DomainError("input is not a spectral monoid containing the idempotents")
-    alg = psi(rs, A, tol)
-    adj = [b.conj().T for b in alg.basis]
-    N = _subspace_intersection(alg.basis, adj, tol)
+    alg, adj, N = _selfadjoint_part(rs, A, tol)
 
     Q = np.asarray(N)  # stacked once for every projection onto N below
     dim = len(rs.rbasis)
     eye = np.eye(dim, dtype=complex)
     unital = bool(np.abs(_hs_projection(Q, eye) - eye).max() <= tol)
 
-    gens = [rs.lam_of(s) for s in sorted(A, key=lambda s: (s.domain, s.image))]
+    gens = [rs.lam_of(s) for s in sorted(A)]
     proj = [_hs_projection(Q, X) for X in gens]
     dev = _multiplicativity_defect(Q, gens, proj)
     multiplicative = dev <= tol
@@ -467,9 +455,7 @@ def verify_subdiagonal(
         A2 = idx.members(trace2)
         if not _is_spectral_monoid(idx, trace2, A2):
             continue
-        alg2 = psi(rs, A2, tol)
-        adj2 = [b.conj().T for b in alg2.basis]
-        N2 = _subspace_intersection(alg2.basis, adj2, tol)
+        alg2, adj2, N2 = _selfadjoint_part(rs, A2, tol)
         if len(N2) != n_dim:
             continue
         if all(contains_matrix(N, m, tol) for m in N2):

@@ -17,19 +17,14 @@ the expectation checks share.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from ._lazy import np
 from .errors import DomainError, InvariantViolation, SizeGuardError
 from .extension import Extension, Section, delta
 from .kernel_rep import DEFAULT_TOL, RBasis, RepSpace, expectation
-from .semigroup_core import (
-    FiniteInverseMonoid,
-    PartialBijection,
-    conjugate,
-    mask_of,
-)
+from .generators import _partial_injections
+from .semigroup_core import FiniteInverseMonoid, PartialBijection, relabelings, singleton
 
 __all__ = [
     "MatrixAlgebra",
@@ -115,13 +110,17 @@ def span_basis(matrices, rbasis: RBasis, tol: float = DEFAULT_TOL) -> MatrixAlge
     if not mats:
         raise DomainError("span_basis needs a nonempty matrix list")
     basis = subspace_basis(mats, tol)
-    dim = mats[0].shape[0]
-    product_closed = all(
-        contains_matrix(basis, a @ b, tol) for a in basis for b in basis
-    )
-    adjoint_closed = all(contains_matrix(basis, a.conj().T, tol) for a in basis)
-    has_identity = contains_matrix(basis, np.eye(dim, dtype=complex), tol)
+    has_identity, adjoint_closed, product_closed = _algebra_checks(basis, mats[0].shape[0], tol)
     return MatrixAlgebra(basis, rbasis, product_closed, adjoint_closed, has_identity)
+
+
+def _algebra_checks(basis, dim: int, tol: float):
+    """Lazily, in this order: whether the span of the orthonormal basis of
+    dim x dim matrices holds the identity, is closed under adjoints, and is
+    closed under products."""
+    yield contains_matrix(basis, np.eye(dim, dtype=complex), tol)
+    yield all(contains_matrix(basis, a.conj().T, tol) for a in basis)
+    yield all(contains_matrix(basis, a @ b, tol) for a in basis for b in basis)
 
 
 def _nullspace_dimension(A: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
@@ -140,6 +139,16 @@ def _nullspace_dimension(A: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
     return cols - rank, vh[rank:].conj()
 
 
+def _null_combinations(A: np.ndarray, basis, tol: float) -> list[np.ndarray]:
+    """Orthonormal basis of the combinations of the matrices in ``basis``
+    whose coefficient vectors make up the nullspace of A.  Columns of A
+    past the first len(basis) take part in the solve only."""
+    _, null = _nullspace_dimension(A, tol)
+    cols = np.stack([b.ravel() for b in basis], axis=1)
+    shape = basis[0].shape
+    return subspace_basis([(cols @ c[: len(basis)]).reshape(shape) for c in null], tol)
+
+
 def relative_commutant(M: MatrixAlgebra, D: MatrixAlgebra, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     """Basis of {x in span(M) : xd = dx for all d in basis(D)}."""
     m = M.dimension
@@ -148,12 +157,7 @@ def relative_commutant(M: MatrixAlgebra, D: MatrixAlgebra, tol: float = DEFAULT_
         block = np.stack([(b @ d - d @ b).ravel() for b in M.basis], axis=1)
         rows.append(block)
     A = np.vstack(rows) if rows else np.zeros((0, m))
-    _, null = _nullspace_dimension(A, tol)
-    out = []
-    for coeffs in null:
-        X = sum(c * b for c, b in zip(coeffs, M.basis))
-        out.append(X)
-    return subspace_basis(out, tol)
+    return _null_combinations(A, M.basis, tol)
 
 
 def _commutant_system(basis, ambient_dim: int) -> np.ndarray:
@@ -284,7 +288,7 @@ def expectation_properties(rs: RepSpace, samples: int = 100) -> ExpectationRepor
 
     diag_cols = rbasis.diagonal_indices()
     F = np.stack([b[:, diag_cols].ravel() for b in M_basis], axis=1)
-    faithful = int(np.linalg.matrix_rank(F, tol=tol)) == len(M_basis)
+    faithful = _nullspace_dimension(F, tol)[0] == 0
 
     bimodular = True
     d_basis = [rs.lam(p) for p in ext.phased_identities]
@@ -319,12 +323,7 @@ def _pattern_intersection(M: MatrixAlgebra, positions, tol: float):
         mask[r, c] = True
     outside = ~mask
     rows = np.stack([b[outside].ravel() for b in M.basis], axis=1)
-    _, null = _nullspace_dimension(rows, tol)
-    out = []
-    for coeffs in null:
-        X = sum(cf * b for cf, b in zip(coeffs, M.basis))
-        out.append(X)
-    return subspace_basis(out, tol)
+    return _null_combinations(rows, M.basis, tol)
 
 
 def _point_accepted(M: MatrixAlgebra, x: int, y: int, tol: float) -> bool:
@@ -336,8 +335,7 @@ def _point_accepted(M: MatrixAlgebra, x: int, y: int, tol: float) -> bool:
     unimodular rephasing of the 0/1 transport matrix).
     """
     rbasis = M.rbasis
-    g = PartialBijection(rbasis.atom_count, 1 << y, (x,))
-    positions = _pattern_positions(rbasis, g)
+    positions = _pattern_positions(rbasis, singleton(rbasis.atom_count, y, x))
     inter = _pattern_intersection(M, positions, tol)
     if len(inter) != 1:
         return False
@@ -355,8 +353,8 @@ def _accepted_points(M: MatrixAlgebra, tol: float) -> set:
 def recover_extension(M: MatrixAlgebra, D: MatrixAlgebra, S: FiniteInverseMonoid, tol: float = DEFAULT_TOL, guard: int = RECOVER_GUARD):
     """Recover the base monoid from the generated pair and match it to S.
 
-    Candidates are partial bijections of atoms with graph inside the
-    relation; a candidate g survives iff span(M) contains an element
+    Candidates are the partial bijections of atoms whose graph points are
+    all accepted; a candidate g survives iff span(M) contains an element
     supported exactly on the transport pattern of g with unimodular entries
     (a groupoid normalizer implementing g).  Acceptance splits over graph
     points because the pattern's column groups are separated by right
@@ -373,32 +371,20 @@ def recover_extension(M: MatrixAlgebra, D: MatrixAlgebra, S: FiniteInverseMonoid
         if not M.contains(d, tol):
             raise DomainError("D is not contained in M")
 
-    accepted_points = _accepted_points(M, tol)
-
+    points = _accepted_points(M, tol)
+    allowed = [[x for x in range(n) if (x, y) in points] for y in range(n)]
     accepted = []
-    atoms = range(n)
-    for d in range(n + 1):
-        for dom in itertools.combinations(atoms, d):
-            for image in itertools.permutations(atoms, d):
-                if any((x, y) not in accepted_points for x, y in zip(image, dom)):
-                    continue
-                g = PartialBijection(n, mask_of(dom), tuple(image))
-                if not g.is_zero():
-                    inter = _pattern_intersection(M, _pattern_positions(rbasis, g), tol)
-                    if len(inter) != g.domain.bit_count():
-                        continue
-                accepted.append(g)
-
+    for g in _partial_injections(n, allowed):
+        if g.is_zero() or len(_pattern_intersection(M, _pattern_positions(rbasis, g), tol)) == g.domain.bit_count():
+            accepted.append(g)
     S_prime = FiniteInverseMonoid(n, accepted)
-    witness = S_prime.closure_witness()
-    if witness is not None:
-        raise InvariantViolation(f"recovered set is not closed: {witness}")
-
-    target = set(S.elements)
-    for perm in itertools.permutations(range(n)):
-        if {conjugate(s, perm) for s in S_prime} == target:
-            return S_prime, perm
-    return S_prime, None
+    perm = next((p for p, _ in relabelings(S_prime, S)), None)
+    # S' relabels onto S, so it is closed iff S is, whose table the section built.
+    if perm is None or S.closure_witness() is not None:
+        witness = S_prime.closure_witness()
+        if witness is not None:
+            raise InvariantViolation(f"recovered set is not closed: {witness}")
+    return S_prime, perm
 
 
 @dataclass

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
@@ -186,3 +189,64 @@ def test_k_override_with_cocycle_rejected(tmp_path, capsys):
     target = tmp_path / "doc.json"
     target.write_text(emit(doc))
     assert main(["oracle", str(target), "--k", "4"]) == 2
+
+
+def _rook2_edited(tmp_path, name, edit=None):
+    raw = json.loads(bundled_rook2_text())
+    if edit:
+        edit(raw)
+    path = tmp_path / name
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["validate", "{rook2}"], {"CARTANLAB_GUARD": "abc"}),
+        (["gen", "rook", "x"], {}),
+        (["gen", "eqrel", "0,a"], {}),
+        (["gen", "product", "{rook2}"], {}),
+        (["gen", "product", "{missing}", "{rook2}"], {}),
+        (["validate", "{rook2}", "--out", "{missing}/r.txt"], {}),
+        (["gen", "rook", "2", "--out", "{missing}/r.json"], {}),
+        (["oracle", "{rook2}", "--tol", "nan"], {}),
+        (["oracle", "{rook2}", "--tol", "inf"], {}),
+        (["oracle", "{rook2}", "--tol", "-1"], {}),
+        (["validate", "{k_true}"], {}),
+        (["validate", "{map_true}"], {}),
+    ],
+    ids=[
+        "guard-env-not-int",
+        "rook-size-not-int",
+        "eqrel-atom-not-int",
+        "product-one-document",
+        "product-missing-document",
+        "report-out-missing-dir",
+        "gen-out-missing-dir",
+        "tol-nan",
+        "tol-inf",
+        "tol-negative",
+        "k-boolean",
+        "map-value-boolean",
+    ],
+)
+def test_malformed_invocations_exit_two_without_traceback(tmp_path, argv, env):
+    paths = {
+        "rook2": _rook2_edited(tmp_path, "rook2.json"),
+        "missing": str(tmp_path / "missing"),
+        # JSON true is a Python bool, an int: k = 1 and the map 0 -> 1
+        "k_true": _rook2_edited(tmp_path, "k_true.json", lambda raw: raw.update(k=True)),
+        "map_true": _rook2_edited(tmp_path, "map_true.json", lambda raw: raw["elements"][2].update(map={"0": True})),
+    }
+    argv = [a.format(**paths) for a in argv]
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    run_env = {k: v for k, v in os.environ.items() if k != "CARTANLAB_GUARD"}
+    run_env.update(env, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cartanlab", *argv],
+        cwd=tmp_path, env=run_env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, (proc.stdout, proc.stderr)
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert "input error" in proc.stderr

@@ -3,33 +3,48 @@
 The references kept here are the earlier bodies: the full-SVD nullspace,
 the loop-built commutant system, the per-element point checks of theta_gn,
 the sequential Hilbert-Schmidt subtraction (also behind the deviation of
-verify_subdiagonal) and the msd/mtr filters over every enumerated spectral
-set.
+verify_subdiagonal), the msd/mtr filters over every enumerated spectral
+set, the recovery loop over combinations and permutations with its own
+closure check, mtr as a filter of msd, the spelled-out subspace
+intersection and the spelled-out algebra checks of the AOI correspondence.
 """
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 
+from cartanlab.errors import InvariantViolation
 from cartanlab.extension import Extension, point_coboundary_table
-from cartanlab.generators import eqrel_monoid, rook_monoid
+from cartanlab.generators import eqrel_monoid, product_monoid, rook_monoid
 from cartanlab.kernel_rep import RepSpace
+from cartanlab.semigroup_core import (
+    FiniteInverseMonoid,
+    PartialBijection,
+    conjugate,
+    mask_of,
+    singleton,
+)
 from cartanlab.spectral_bimodule import (
     SPECTRAL_GUARD,
+    AoiReport,
     _is_spectral_monoid,
     _subspace_intersection,
     _TraceIndex,
+    aoi_correspondence,
     enumerate_spectral_sets,
     full_submonoids,
     msd,
     mtr,
     psi,
+    theta,
     theta_gn,
     verify_subdiagonal,
 )
 from cartanlab.vn_oracle import (
     MatrixAlgebra,
+    _accepted_points,
     _commutant_system,
     _hs_projection,
     _nullspace_dimension,
@@ -39,7 +54,9 @@ from cartanlab.vn_oracle import (
     cartan_report,
     contains_matrix,
     hs_inner,
+    recover_extension,
     span_basis,
+    subspace_basis,
 )
 
 TOL = 1e-9
@@ -107,6 +124,104 @@ def brute_force_filter(S, keep):
         for X, A in zip(idx.masks(SPECTRAL_GUARD), enumerate_spectral_sets(S))
         if keep(idx, X) and _is_spectral_monoid(idx, X, A)
     ]
+
+
+def reference_recover_extension(M, D, S, tol):
+    rbasis = M.rbasis
+    n = rbasis.atom_count
+    accepted_points = _accepted_points(M, tol)
+
+    accepted = []
+    atoms = range(n)
+    for d in range(n + 1):
+        for dom in itertools.combinations(atoms, d):
+            for image in itertools.permutations(atoms, d):
+                if any((x, y) not in accepted_points for x, y in zip(image, dom)):
+                    continue
+                g = PartialBijection(n, mask_of(dom), tuple(image))
+                if not g.is_zero():
+                    inter = _pattern_intersection(M, _pattern_positions(rbasis, g), tol)
+                    if len(inter) != g.domain.bit_count():
+                        continue
+                accepted.append(g)
+
+    S_prime = FiniteInverseMonoid(n, accepted)
+    witness = S_prime.closure_witness()
+    if witness is not None:
+        raise InvariantViolation(f"recovered set is not closed: {witness}")
+
+    target = set(S.elements)
+    for perm in itertools.permutations(range(n)):
+        if {conjugate(s, perm) for s in S_prime} == target:
+            return S_prime, perm
+    return S_prime, None
+
+
+def reference_mtr(S):
+    idx = _TraceIndex(S)
+    out = []
+    for A in msd(S):
+        X = idx.trace_of(A)
+        if X & idx.dagger_of(X) == idx.idempotent:
+            out.append(A)
+    return out
+
+
+def reference_subspace_intersection(basis_a, basis_b, tol):
+    if not basis_a or not basis_b:
+        return []
+    A = np.stack([m.ravel() for m in basis_a], axis=1)
+    B = np.stack([m.ravel() for m in basis_b], axis=1)
+    _, null = _nullspace_dimension(np.hstack([A, -B]), tol)
+    shape = basis_a[0].shape
+    out = [(A @ coeffs[: A.shape[1]]).reshape(shape) for coeffs in null]
+    return subspace_basis(out, tol)
+
+
+def reference_intermediate_algebra_check(rs, T, tol):
+    B = psi(rs, T, tol)
+    dim = len(rs.rbasis)
+    if not B.contains(np.eye(dim, dtype=complex), tol):
+        raise InvariantViolation("intermediate span is not unital")
+    for b in B.basis:
+        if not B.contains(b.conj().T, tol):
+            raise InvariantViolation("intermediate span is not self-adjoint")
+    for a in B.basis:
+        for b in B.basis:
+            if not B.contains(a @ b, tol):
+                raise InvariantViolation("intermediate span is not product closed")
+    for p in rs.ext.phased_identities:
+        if not B.contains(rs.lam(p), tol):
+            raise InvariantViolation("intermediate span does not contain the diagonal")
+    return B
+
+
+def reference_aoi_correspondence(rs, tol):
+    S = rs.ext.S
+    monoids = full_submonoids(S)
+    algebras = []
+    for T in monoids:
+        B = reference_intermediate_algebra_check(rs, T, tol)
+        if theta(rs, B, tol) != T:
+            raise InvariantViolation("theta does not invert psi on a full submonoid")
+        algebras.append(B)
+
+    dim = len(rs.rbasis)
+    eye = np.eye(dim, dtype=complex)
+    algebra_like = 0
+    for A in enumerate_spectral_sets(S):
+        B = psi(rs, A, tol)
+        if not B.contains(eye, tol):
+            continue
+        if any(not B.contains(b.conj().T, tol) for b in B.basis):
+            continue
+        if any(not B.contains(a @ b, tol) for a in B.basis for b in B.basis):
+            continue
+        if any(not B.contains(rs.lam(p), tol) for p in rs.ext.phased_identities):
+            continue
+        algebra_like += 1
+    bijective = algebra_like == len(monoids)
+    return AoiReport(len(monoids), sorted(b.dimension for b in algebras), bijective)
 
 
 # -- nullspaces ------------------------------------------------------------
@@ -289,3 +404,83 @@ def test_subdiagonal_deviation_matches_loop_reference(i3):
             for Y in gens
         )
         assert rep.max_deviation == pytest.approx(dev, abs=1e-12)
+
+
+# -- recovery through the generator and the relabeling search --------------------
+
+
+def _pair(S, k, seed):
+    rs = RepSpace(Extension(S, k, perturbed(S, k, seed) if k > 1 else None))
+    return rs, span_basis(rs.all_lambdas(), rs.rbasis), span_basis(rs.diagonal_lambdas(), rs.rbasis)
+
+
+@pytest.mark.parametrize(
+    "S, k",
+    [
+        (rook_monoid(2), 1),
+        (rook_monoid(3), 1),
+        (rook_monoid(3), 3),
+        (eqrel_monoid([(0, 1), (2, 3)]), 1),
+        (eqrel_monoid([(0, 1, 2), (3,), (4,)]), 1),
+        (product_monoid(rook_monoid(2), rook_monoid(2)), 1),
+    ],
+    ids=["rook2", "rook3", "rook3_k3", "eqrel_01_23", "eqrel_012_3_4", "product_rook2_rook2"],
+)
+def test_recover_extension_matches_reference(S, k):
+    _, M, D = _pair(S, k, 4)
+    S_prime, perm = recover_extension(M, D, S, TOL)
+    ref_S_prime, ref_perm = reference_recover_extension(M, D, S, TOL)
+    assert S_prime == ref_S_prime and len(S_prime) == len(S)
+    assert perm == ref_perm is not None
+
+
+def test_recovered_set_not_closed_raises_with_its_witness(i3):
+    """Span of the diagonal and the transports 0 -> 1 and 1 -> 2 only: the
+    recovered set lacks their daggers and their product 0 -> 2."""
+    rs, _, D = _pair(i3, 1, 0)
+    transports = [rs.lam_of(singleton(3, 0, 1)), rs.lam_of(singleton(3, 1, 2))]
+    M = MatrixAlgebra(subspace_basis(rs.diagonal_lambdas() + transports), rs.rbasis)
+    with pytest.raises(InvariantViolation) as ref:
+        reference_recover_extension(M, D, i3, TOL)
+    with pytest.raises(InvariantViolation) as got:
+        recover_extension(M, D, i3, TOL)
+    assert str(got.value) == str(ref.value)
+    assert "recovered set is not closed" in str(got.value)
+
+
+# -- mtr on masks, the subspace intersection and the AOI correspondence --------
+
+
+@pytest.mark.parametrize(
+    "S",
+    [rook_monoid(3), eqrel_monoid([(0, 1), (2, 3)]), eqrel_monoid([(0, 1, 2), (3,), (4,)])],
+    ids=["rook3", "eqrel_01_23", "eqrel_012_3_4"],
+)
+def test_mtr_matches_msd_filter_reference(S):
+    got = mtr(S)
+    assert got == reference_mtr(S)
+    assert got
+
+
+def test_subspace_intersection_matches_reference(i3):
+    rs = RepSpace(Extension(i3, 2, perturbed(i3, 2, 6)))
+    for A in mtr(i3):
+        basis = psi(rs, A).basis
+        adj = [b.conj().T for b in basis]
+        got = _subspace_intersection(basis, adj, TOL)
+        ref = reference_subspace_intersection(basis, adj, TOL)
+        assert len(got) == len(ref) == 3
+        P, P_ref = (np.asarray(N).reshape(len(N), -1) for N in (got, ref))
+        assert np.allclose(P.T @ P.conj(), P_ref.T @ P_ref.conj(), atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "S, k",
+    [(rook_monoid(2), 2), (eqrel_monoid([(0, 1), (2,)]), 1)],
+    ids=["rook2_k2", "eqrel_01_2"],
+)
+def test_aoi_correspondence_matches_reference(S, k):
+    rs = RepSpace(Extension(S, k, perturbed(S, k, 2) if k > 1 else None))
+    got = aoi_correspondence(rs)
+    assert got == reference_aoi_correspondence(rs, TOL)
+    assert got.bijective

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -96,3 +97,27 @@ def test_import_cli_loads_every_submodule():
     )
     missing, count = _python(code).rsplit(" ", 1)
     assert missing == "[]" and int(count) >= 10
+
+
+def _resolves(module: str, attr: str) -> bool:
+    """Whether ``attr`` ("name" or "Class.method") is defined on the module."""
+    owner = sys.modules.get(module)
+    *classes, name = attr.split(".")
+    for cls_name in classes:
+        owner = getattr(owner, cls_name, None)
+    return owner is not None and name in vars(owner)
+
+
+def test_traced_names_resolve():
+    """The benchmark's tracer wraps these functions by name; a rename would
+    silently drop them from its ``--trace 1`` pass."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    import cartanlab.cli  # noqa: F401  (loads every submodule)
+
+    pairs = tracer.SPANNED + tracer.COUNTED
+    assert len(pairs) > 20
+    assert [f"{m}:{a}" for m, a in pairs if not _resolves(m, a)] == []
+    assert not _resolves("cartanlab.extension", "Extension.no_such_method")
