@@ -421,6 +421,8 @@ def _cmd_gen(args):
             raise FormatError("gen product needs two documents")
         doc = generate("product", (_load(args.params[0]), _load(args.params[1])))
     else:
+        if len(args.params) != 1:
+            raise FormatError(f"gen {args.kind} needs exactly one parameter, got {len(args.params)}")
         guard = args.guard if args.guard_explicit else generators.ROOK_GUARD
         doc = generate(args.kind, args.params[0], guard=guard)
     text = emit(doc)
@@ -480,8 +482,12 @@ def main(argv=None) -> int:
             if env:
                 args.guard = _int_param(env, "CARTANLAB_GUARD")
                 args.guard_explicit = True
+                if args.guard <= 0:
+                    raise FormatError(f"CARTANLAB_GUARD must be a positive integer, got {args.guard}")
             else:
                 args.guard = SPECTRAL_GUARD
+        elif args.guard <= 0:
+            raise FormatError(f"--guard must be a positive integer, got {args.guard}")
 
         if args.command == "gen":
             code, lines, payload = _cmd_gen(args)

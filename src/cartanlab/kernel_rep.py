@@ -10,6 +10,7 @@ or eigenvalue decision uses the module-wide default tolerance 1e-9.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ._lazy import np
 from .boolean_monoid import groupoid_relation
@@ -262,6 +263,22 @@ class RepSpace:
 
     def diagonal_lambdas(self):
         return [self.lam(v) for v in self.ext.phased_identities]
+
+    @cached_property
+    def diagonal_basis(self) -> list:
+        """Orthonormal basis of the diagonal (the span of the phased
+        identities' lambdas), built once at the space's tol."""
+        from .vn_oracle import subspace_basis
+
+        return subspace_basis(self.diagonal_lambdas(), self.tol)
+
+    @cached_property
+    def algebra_dimension(self) -> int:
+        """Dimension of the span of every lambda, built once at the
+        space's tol."""
+        from .vn_oracle import subspace_basis
+
+        return len(subspace_basis(self.all_lambdas(), self.tol))
 
     def projection_and_isometry(self):
         return projection_P_and_V(self.ext, self.j, self.rbasis, self.tol)

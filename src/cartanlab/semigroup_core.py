@@ -283,9 +283,10 @@ class FiniteInverseMonoid:
     closure_witness()/classify() to check it.
 
     ``mul[i][j]`` is the id of compose(e_i, e_j) and ``inv[i]`` the id of
-    dagger(e_i).  Each table is built on first access (|S|^2 compose calls
-    for ``mul``, |S| dagger calls for ``inv``) and then kept; building it
-    raises ClosureError with the first missing product (s, t, st), or
+    dagger(e_i).  Each table is built on first access and then kept: ``mul``
+    composes dense image rows and looks each product up by its (domain,
+    image) key, ``inv`` makes |S| dagger calls.  Building a table raises
+    ClosureError with the first missing product (s, t, st), or
     (s, "dagger", s^dag), in element order.
     """
 
@@ -345,15 +346,29 @@ class FiniteInverseMonoid:
 
     @cached_property
     def mul(self) -> list[list[int]]:
-        index = self.index
+        # s t maps y to s(t(y)) where both are defined: compose s's dense
+        # image row with t's graph points and look the (domain, image) key
+        # up, so no PartialBijection is built except for the witness.
+        ids = {_canonical_key(s): i for i, s in enumerate(self.elements)}
+        graphs = [[(1 << y, x) for x, y in t.pairs()] for t in self.elements]
         out = []
         for s in self.elements:
+            image_of = [-1] * self.atom_count
+            for x, y in s.pairs():
+                image_of[y] = x
             row = []
-            for t in self.elements:
-                st = compose(s, t)
-                if st not in index:
-                    raise ClosureError((s, t, st))
-                row.append(index[st])
+            for t, graph in zip(self.elements, graphs):
+                domain = 0
+                image = []
+                for bit, x in graph:
+                    z = image_of[x]
+                    if z >= 0:
+                        domain |= bit
+                        image.append(z)
+                st = ids.get((domain, tuple(image)))
+                if st is None:
+                    raise ClosureError((s, t, compose(s, t)))
+                row.append(st)
             out.append(row)
         return out
 

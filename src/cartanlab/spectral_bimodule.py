@@ -12,6 +12,16 @@ dagger permutation on minimals.  The spectral sets are then exactly
 A(X) = {s : trace(s) inside X} for the masks X, so closure, join span,
 enumeration and the msd/mtr conditions are bitmask arithmetic.
 
+The numeric conditions are linear or bilinear in the matrices they test:
+diagonal invariance of psi(A), multiplicativity of the expectation E onto
+the self-adjoint part N and its N-bimodularity.  So each is checked on a
+spanning set only, the orthonormal bases of the diagonal, of psi(A) and of
+N, with one stacked Hilbert-Schmidt residual or projection per condition
+(``vn_oracle._residual_norms`` and ``_hs_projections``) instead of one
+projection per pair of matrices.  theta tests all |S| lambdas in one
+stacked residual.  ``verify_members`` lists the spectral-monoid masks of
+the maximality scan once, and computes psi and N once per mask.
+
 Closure in the matrix picture is a no-op here (every linear subspace of a
 finite matrix space is closed in all the relevant topologies), which reports
 note explicitly.
@@ -39,9 +49,11 @@ from .vn_oracle import (
     _accepted_points,
     _algebra_checks,
     _hs_projection,
+    _hs_projections,
     _null_combinations,
     _pattern_intersection,
     _pattern_positions,
+    _residual_norms,
     contains_matrix,
     subspace_basis,
 )
@@ -95,7 +107,9 @@ class _TraceIndex:
     under binary orthogonal joins.  Then X -> A(X) = {s : trace[s] inside X}
     is a bijection from masks onto spectral sets that turns union,
     intersection, inclusion and dagger of masks into join span,
-    intersection, inclusion and dagger of sets.
+    intersection, inclusion and dagger of sets.  An index also keeps what
+    the members of one ``verify_members`` call share: the spectral-monoid
+    masks and each mask's numeric parts.
     """
 
     def __init__(self, S: FiniteInverseMonoid):
@@ -119,6 +133,8 @@ class _TraceIndex:
         for (xs, ds, rs), (xt, dt, rt) in itertools.combinations(shapes, 2):
             if not (ds & dt or rs & rt) and xs | xt not in traces:
                 raise DomainError("the monoid is not closed under orthogonal joins")
+        self._monoid_masks: dict[int, list[int]] = {}
+        self.parts: dict = {}  # filled by _selfadjoint_part
 
     def members(self, X: int) -> frozenset:
         """A(X): the elements all of whose minimals lie in X."""
@@ -144,6 +160,17 @@ class _TraceIndex:
         for r in range(m + 1):
             for combo in itertools.combinations(range(m), r):
                 yield mask_of(combo)
+
+    def monoid_masks(self, guard: int) -> list[int]:
+        """The masks, in ``masks`` order, of the spectral monoids holding the
+        idempotents; listed once per index and guard, then kept."""
+        if guard not in self._monoid_masks:
+            self._monoid_masks[guard] = [
+                X
+                for X in self.masks(guard)
+                if X & self.idempotent == self.idempotent and _is_spectral_monoid(self, X, self.members(X))
+            ]
+        return self._monoid_masks[guard]
 
 
 def spectral_closure(S: FiniteInverseMonoid, gen) -> frozenset:
@@ -191,26 +218,32 @@ def psi(rs: RepSpace, A, tol: float = DEFAULT_TOL) -> Bimodule:
     """Linear span of the represented section over a spectral set.
 
     The result is automatically invariant under both diagonal actions;
-    invariance is verified, not assumed.
+    invariance is verified, not assumed, against the orthonormal basis of
+    the diagonal: one stacked residual of every product d b per side.
     """
     mats = [rs.lam_of(s) for s in sorted(A)]
     basis = subspace_basis(mats, tol)
-    d_basis = [rs.lam(p) for p in rs.ext.phased_identities]
-    left = all(contains_matrix(basis, d @ b, tol) for d in d_basis for b in basis)
-    right = all(contains_matrix(basis, b @ d, tol) for d in d_basis for b in basis)
+    dim = len(rs.rbasis)
+    B = np.reshape(basis, (len(basis), dim, dim))
+    D = np.asarray(rs.diagonal_basis)[:, None]
+    left = bool((_residual_norms(basis, D @ B) <= tol).all())
+    right = bool((_residual_norms(basis, B @ D) <= tol).all())
     if not (left and right):
         raise InvariantViolation("span of a spectral set is not diagonal-invariant")
     return Bimodule(basis, rs.rbasis, CLOSURE_NOTE, left, right)
 
 
 def theta(rs: RepSpace, B: Bimodule, tol: float = DEFAULT_TOL, check_gn: bool = True) -> frozenset:
-    """Elements of S whose represented section lies in the bimodule.
+    """Elements of S whose represented section lies in the bimodule, read
+    from one stacked residual of all their lambdas.
 
     Phase absorption makes this independent of the section; when check_gn
     is set, the normalizer-based reading (graphs implemented by unimodular
     elements of B) is computed as well and must agree.
     """
-    members = frozenset(s for s in rs.ext.S if B.contains(rs.lam_of(s), tol))
+    S = rs.ext.S
+    inside = _residual_norms(B.basis, np.asarray([rs.lam_of(s) for s in S])) <= tol
+    members = frozenset(s for s, ok in zip(S, inside) if ok)
     if check_gn:
         gn = theta_gn(rs, B, tol)
         if gn != members:
@@ -389,21 +422,35 @@ def _subspace_intersection(basis_a, basis_b, tol: float):
     return _null_combinations(np.hstack([A, -B]), basis_a, tol)
 
 
-def _multiplicativity_defect(Q, gens, proj) -> float:
+def _multiplicativity_defect(Q: np.ndarray, gens: np.ndarray, proj: np.ndarray) -> float:
     """Largest entry of E(XY) - E(X) E(Y) over pairs of generators, where E
-    projects onto the stacked basis Q and proj[i] is E(gens[i])."""
-    return max(
-        float(np.abs(_hs_projection(Q, X @ Y) - PX @ PY).max())
-        for X, PX in zip(gens, proj)
-        for Y, PY in zip(gens, proj)
-    )
+    projects onto the stacked orthonormal basis Q and proj is E of the stack
+    gens: one stacked product of all pairs and one stacked projection."""
+    XY = gens[:, None] @ gens[None]
+    return float(np.abs(_hs_projections(Q, XY) - proj[:, None] @ proj[None]).max())
 
 
-def _selfadjoint_part(rs: RepSpace, A, tol: float):
-    """psi(A), the adjoints of its basis, and its self-adjoint part N."""
-    alg = psi(rs, A, tol)
-    adj = [b.conj().T for b in alg.basis]
-    return alg, adj, _subspace_intersection(alg.basis, adj, tol)
+def _bimodularity_defect(Q: np.ndarray, gens: np.ndarray, proj: np.ndarray) -> float:
+    """Largest entry of E(nX) - n E(X) and E(Xn) - E(X) n over n in the
+    stacked orthonormal basis Q and the generators, proj being E of gens."""
+    N = Q[:, None]
+    left = _hs_projections(Q, N @ gens) - N @ proj
+    right = _hs_projections(Q, gens @ N) - proj @ N
+    return float(max(np.abs(left).max(), np.abs(right).max()))
+
+
+def _selfadjoint_part(rs: RepSpace, idx: _TraceIndex, X: int, tol: float):
+    """psi(A(X)), the stack of its basis, the adjoints of its basis, and the
+    stack of the orthonormal basis of its self-adjoint part N, for a
+    spectral monoid A(X) (so neither stack is empty).  Computed once per
+    space, tol and mask, and kept in ``idx.parts``."""
+    key = (rs, tol, X)
+    if key not in idx.parts:
+        alg = psi(rs, idx.members(X), tol)
+        adj = [b.conj().T for b in alg.basis]
+        N = _subspace_intersection(alg.basis, adj, tol)
+        idx.parts[key] = alg, np.asarray(alg.basis), adj, np.asarray(N)
+    return idx.parts[key]
 
 
 def verify_subdiagonal(
@@ -413,56 +460,51 @@ def verify_subdiagonal(
 
     The expectation onto the self-adjoint part N is realized as the
     orthogonal (Hilbert-Schmidt) projection; its unitality and
-    N-bimodularity are verified rather than assumed.  Maximality is checked
-    against the other enumerated spectral-monoid candidates with the same
-    self-adjoint part, which is exactly what the classification licenses.
-    ``index`` is the trace index of rs.ext.S, built here when not given
-    (``verify_members`` builds one for all its members).
+    N-bimodularity are verified rather than assumed.  Multiplicativity and
+    bimodularity are bilinear, so they are checked on the orthonormal basis
+    of psi(A), which spans it: ``max_deviation`` is the largest entry of
+    E(XY) - E(X) E(Y) over pairs of basis elements X, Y, and the verdict is
+    the one every pair of elements of psi(A) would give.  Maximality is
+    checked against the other enumerated spectral-monoid candidates with
+    the same self-adjoint part, which is exactly what the classification
+    licenses; every strict superset among the spectral-monoid masks gets
+    the N-dimension, containment, defect and density checks.  ``index`` is
+    the trace index of rs.ext.S, built here when not given
+    (``verify_members`` builds one for all its members, so the masks are
+    listed, and each mask's psi and N computed, once for all of them).
+    The dimension of the whole algebra is the RepSpace's, computed once at
+    its tol.
     """
     A = frozenset(A)
     idx = index if index is not None else _TraceIndex(rs.ext.S)
     trace = idx.trace_of(A)
     if idx.members(trace) != A or not _is_spectral_monoid(idx, trace, A):
         raise DomainError("input is not a spectral monoid containing the idempotents")
-    alg, adj, N = _selfadjoint_part(rs, A, tol)
+    alg, gens, adj, N = _selfadjoint_part(rs, idx, trace, tol)
 
-    Q = np.asarray(N)  # stacked once for every projection onto N below
     dim = len(rs.rbasis)
     eye = np.eye(dim, dtype=complex)
-    unital = bool(np.abs(_hs_projection(Q, eye) - eye).max() <= tol)
+    unital = bool(np.abs(_hs_projection(N, eye) - eye).max() <= tol)
 
-    gens = [rs.lam_of(s) for s in sorted(A)]
-    proj = [_hs_projection(Q, X) for X in gens]
-    dev = _multiplicativity_defect(Q, gens, proj)
+    proj = _hs_projections(N, gens)
+    dev = _multiplicativity_defect(N, gens, proj)
     multiplicative = dev <= tol
+    bimodular = _bimodularity_defect(N, gens, proj) <= tol
 
-    bimodular = True
-    for n1 in N:
-        for X, PX in zip(gens, proj):
-            if np.abs(_hs_projection(Q, n1 @ X) - n1 @ PX).max() > tol:
-                bimodular = False
-            if np.abs(_hs_projection(Q, X @ n1) - PX @ n1).max() > tol:
-                bimodular = False
-
-    M_dim = len(subspace_basis([rs.lam(v) for v in rs.ext.elements], tol))
+    M_dim = rs.algebra_dimension
     dense = len(subspace_basis(alg.basis + adj, tol)) == M_dim
 
     maximal = True
     n_dim = len(N)
-    for trace2 in idx.masks(guard):
+    for trace2 in idx.monoid_masks(guard):
         if trace2 == trace or trace2 & trace != trace:
             continue
-        A2 = idx.members(trace2)
-        if not _is_spectral_monoid(idx, trace2, A2):
-            continue
-        alg2, adj2, N2 = _selfadjoint_part(rs, A2, tol)
+        alg2, gens2, adj2, N2 = _selfadjoint_part(rs, idx, trace2, tol)
         if len(N2) != n_dim:
             continue
-        if all(contains_matrix(N, m, tol) for m in N2):
+        if (_residual_norms(N, N2) <= tol).all():
             # same self-adjoint part but strictly larger subdiagonal candidate
-            gens2 = [rs.lam_of(s) for s in A2]
-            Q2 = np.asarray(N2)
-            dev2 = _multiplicativity_defect(Q2, gens2, [_hs_projection(Q2, X) for X in gens2])
+            dev2 = _multiplicativity_defect(N2, gens2, _hs_projections(N2, gens2))
             dense2 = len(subspace_basis(alg2.basis + adj2, tol)) == M_dim
             if dev2 <= tol and dense2:
                 maximal = False

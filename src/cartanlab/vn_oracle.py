@@ -3,8 +3,8 @@
 Everything here treats matrices on the relation space as opaque numerical
 objects: spans via Gram-Schmidt in the Hilbert-Schmidt inner product,
 membership via one Hilbert-Schmidt projection onto the stacked orthonormal
-basis, commutants via nullspace solves, expectations via entry compression.
-The point is to confirm the structural theorems against plain linear algebra
+basis (for a whole stack of matrices, one product each way), commutants
+via nullspace solves, expectations via entry compression.  The point is to confirm the structural theorems against plain linear algebra
 rather than against the semigroup machinery that produced the matrices.
 
 Every nullspace comes from one SVD, thin whenever the system has at least as
@@ -79,6 +79,25 @@ def contains_matrix(basis, M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     Hilbert-Schmidt norm at most tol."""
     r = M - _hs_projection(basis, M)
     return bool(np.sqrt(abs(hs_inner(r, r))) <= tol)
+
+
+def _hs_projections(basis, mats: np.ndarray) -> np.ndarray:
+    """``_hs_projection`` of every matrix in the stack ``mats`` (shape
+    (..., d, d)), as a stack of that shape: the flattened stack P goes to
+    (P Q^H) Q, one product each way against the stacked basis Q."""
+    if not len(basis):
+        return np.zeros(mats.shape, dtype=complex)
+    Q = np.asarray(basis).reshape(len(basis), -1)
+    P = mats.reshape(-1, Q.shape[1])
+    return ((P @ Q.conj().T) @ Q).reshape(mats.shape)
+
+
+def _residual_norms(basis, mats: np.ndarray) -> np.ndarray:
+    """Hilbert-Schmidt norm of each matrix in the stack ``mats`` (shape
+    (..., d, d)) off the span of the orthonormal basis, one per matrix in
+    flattened order.  ``norms <= tol`` is ``contains_matrix`` per matrix."""
+    P = mats.reshape(-1, mats.shape[-2] * mats.shape[-1])
+    return np.linalg.norm(P - _hs_projections(basis, P), axis=1)
 
 
 @dataclass

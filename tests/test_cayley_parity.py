@@ -1,7 +1,7 @@
 """The id-indexed cocycle loops against element-level reference versions.
 
 ``ref_validate_cocycle``, ``ref_cohomologous``, ``ref_closure_witness``,
-``ref_multiply``, ``ref_dagger``, ``ref_order_preserving_section`` and
+``ref_multiply``, ``ref_dagger``, ``ref_mul``, ``ref_order_preserving_section`` and
 ``ref_validate_section`` are the compose-based implementations that the
 Cayley-table versions replaced, kept here as oracles (the section
 references call ``ref_multiply``/``ref_dagger`` where the originals called
@@ -46,6 +46,21 @@ from cartanlab.semigroup_core import (
     singleton,
     with_zero_phases,
 )
+
+
+def ref_mul(S):
+    """The Cayley table built through compose, raising the first missing
+    product (s, t, st) in element order."""
+    out = []
+    for s in S.elements:
+        row = []
+        for t in S.elements:
+            st = compose(s, t)
+            if st not in S.index:
+                raise ClosureError((s, t, st))
+            row.append(S.index[st])
+        out.append(row)
+    return out
 
 
 def ref_closure_witness(S):
@@ -437,6 +452,34 @@ def test_cayley_table_matches_compose(monoids):
             for j, t in enumerate(els):
                 assert els[S.mul[i][j]] == compose(s, t)
         assert ref_closure_witness(S) is None and S.closure_witness() is None
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: rook_monoid(2),
+        lambda: rook_monoid(3),
+        lambda: rook_monoid(4),
+        lambda: eqrel_monoid([(0, 1), (2, 3)]),
+        lambda: eqrel_monoid([(0, 1, 2), (3,), (4,)]),
+        lambda: product_monoid(rook_monoid(2), rook_monoid(2)),
+        # the test_classify_closure_error monoid, then a dagger-closed one
+        # that is not product closed
+        lambda: FiniteInverseMonoid(2, [PartialBijection(2, 0b11, (1, 0)), singleton(2, 0, 1)]),
+        lambda: FiniteInverseMonoid(3, [singleton(3, 0, 1), singleton(3, 1, 0), singleton(3, 1, 2), singleton(3, 2, 1)]),
+    ],
+    ids=["rook2", "rook3", "rook4", "eqrel_01_23", "eqrel_012_3_4", "product_rook2_rook2", "not_closed", "not_closed_3"],
+)
+def test_mul_matches_compose_built_reference(build):
+    S = build()
+    try:
+        ref = ref_mul(S)
+    except ClosureError as exc:
+        with pytest.raises(ClosureError) as got:
+            S.mul
+        assert got.value.witness == exc.witness
+    else:
+        assert S.mul == ref
 
 
 def test_mul_on_non_closed_monoid_raises_with_reference_witness():

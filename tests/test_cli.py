@@ -215,6 +215,10 @@ def _rook2_edited(tmp_path, name, edit=None):
         (["oracle", "{rook2}", "--tol", "-1"], {}),
         (["validate", "{k_true}"], {}),
         (["validate", "{map_true}"], {}),
+        (["validate", "{rook2}", "--guard", "-1"], {}),
+        (["validate", "{rook2}"], {"CARTANLAB_GUARD": "0"}),
+        (["gen", "rook", "2", "3"], {}),
+        (["gen", "eqrel", "0,1", "2"], {}),
     ],
     ids=[
         "guard-env-not-int",
@@ -229,6 +233,10 @@ def _rook2_edited(tmp_path, name, edit=None):
         "tol-negative",
         "k-boolean",
         "map-value-boolean",
+        "guard-negative",
+        "guard-env-zero",
+        "rook-extra-parameter",
+        "eqrel-extra-parameter",
     ],
 )
 def test_malformed_invocations_exit_two_without_traceback(tmp_path, argv, env):
@@ -250,3 +258,23 @@ def test_malformed_invocations_exit_two_without_traceback(tmp_path, argv, env):
     assert proc.returncode == 2, (proc.stdout, proc.stderr)
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert "input error" in proc.stderr
+
+
+def test_nonpositive_guard_and_extra_gen_parameters_name_the_fault(tmp_path, capsys, monkeypatch):
+    """Rejected before the command runs, so validate (which reads no guard)
+    and spectral (whose guard check would fire later) report the same fault."""
+    target = tmp_path / "rook2.json"
+    target.write_text(bundled_rook2_text())
+    monkeypatch.delenv("CARTANLAB_GUARD", raising=False)
+    for argv in (["validate", str(target), "--guard", "0"], ["spectral", str(target), "--guard", "-1"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--guard must be a positive integer, got {argv[-1]}" in captured.err
+    monkeypatch.setenv("CARTANLAB_GUARD", "-2")
+    assert main(["spectral", str(target)]) == 2
+    assert "CARTANLAB_GUARD must be a positive integer, got -2" in capsys.readouterr().err
+    monkeypatch.delenv("CARTANLAB_GUARD")
+    assert main(["gen", "rook", "2", "3"]) == 2
+    assert "gen rook needs exactly one parameter, got 2" in capsys.readouterr().err
+    assert main(["gen", "rook", "2"]) == 0

@@ -6,7 +6,9 @@ the sequential Hilbert-Schmidt subtraction (also behind the deviation of
 verify_subdiagonal), the msd/mtr filters over every enumerated spectral
 set, the recovery loop over combinations and permutations with its own
 closure check, mtr as a filter of msd, the spelled-out subspace
-intersection and the spelled-out algebra checks of the AOI correspondence.
+intersection, the spelled-out algebra checks of the AOI correspondence,
+and the pair-by-pair psi, theta and verify_subdiagonal that one stacked
+residual or projection per condition replaced.
 """
 
 import itertools
@@ -27,8 +29,11 @@ from cartanlab.semigroup_core import (
     singleton,
 )
 from cartanlab.spectral_bimodule import (
+    CLOSURE_NOTE,
     SPECTRAL_GUARD,
     AoiReport,
+    Bimodule,
+    SubdiagonalReport,
     _is_spectral_monoid,
     _subspace_intersection,
     _TraceIndex,
@@ -40,6 +45,7 @@ from cartanlab.spectral_bimodule import (
     psi,
     theta,
     theta_gn,
+    verify_members,
     verify_subdiagonal,
 )
 from cartanlab.vn_oracle import (
@@ -51,6 +57,7 @@ from cartanlab.vn_oracle import (
     _pattern_intersection,
     _pattern_positions,
     _point_accepted,
+    _residual_norms,
     cartan_report,
     contains_matrix,
     hs_inner,
@@ -222,6 +229,88 @@ def reference_aoi_correspondence(rs, tol):
         algebra_like += 1
     bijective = algebra_like == len(monoids)
     return AoiReport(len(monoids), sorted(b.dimension for b in algebras), bijective)
+
+
+def reference_psi(rs, A, tol):
+    mats = [rs.lam_of(s) for s in sorted(A)]
+    basis = subspace_basis(mats, tol)
+    d_basis = [rs.lam(p) for p in rs.ext.phased_identities]
+    left = all(contains_matrix(basis, d @ b, tol) for d in d_basis for b in basis)
+    right = all(contains_matrix(basis, b @ d, tol) for d in d_basis for b in basis)
+    if not (left and right):
+        raise InvariantViolation("span of a spectral set is not diagonal-invariant")
+    return Bimodule(basis, rs.rbasis, CLOSURE_NOTE, left, right)
+
+
+def reference_theta(rs, B, tol):
+    members = frozenset(s for s in rs.ext.S if B.contains(rs.lam_of(s), tol))
+    if theta_gn(rs, B, tol) != members:
+        raise InvariantViolation("section-based and normalizer-based readings differ")
+    return members
+
+
+def reference_multiplicativity_defect(Q, gens, proj):
+    return max(
+        float(np.abs(_hs_projection(Q, X @ Y) - PX @ PY).max())
+        for X, PX in zip(gens, proj)
+        for Y, PY in zip(gens, proj)
+    )
+
+
+def reference_selfadjoint_part(rs, A, tol):
+    alg = reference_psi(rs, A, tol)
+    adj = [b.conj().T for b in alg.basis]
+    return alg, adj, _subspace_intersection(alg.basis, adj, tol)
+
+
+def reference_verify_subdiagonal(rs, A, tol):
+    """Generators are the lambdas of every element, each condition is one
+    projection per pair, and every member scans every mask."""
+    A = frozenset(A)
+    idx = _TraceIndex(rs.ext.S)
+    trace = idx.trace_of(A)
+    alg, adj, N = reference_selfadjoint_part(rs, A, tol)
+
+    Q = np.asarray(N)
+    dim = len(rs.rbasis)
+    eye = np.eye(dim, dtype=complex)
+    unital = bool(np.abs(_hs_projection(Q, eye) - eye).max() <= tol)
+
+    gens = [rs.lam_of(s) for s in sorted(A)]
+    proj = [_hs_projection(Q, X) for X in gens]
+    dev = reference_multiplicativity_defect(Q, gens, proj)
+    multiplicative = dev <= tol
+
+    bimodular = True
+    for n1 in N:
+        for X, PX in zip(gens, proj):
+            if np.abs(_hs_projection(Q, n1 @ X) - n1 @ PX).max() > tol:
+                bimodular = False
+            if np.abs(_hs_projection(Q, X @ n1) - PX @ n1).max() > tol:
+                bimodular = False
+
+    M_dim = len(subspace_basis([rs.lam(v) for v in rs.ext.elements], tol))
+    dense = len(subspace_basis(alg.basis + adj, tol)) == M_dim
+
+    maximal = True
+    n_dim = len(N)
+    for trace2 in idx.masks(SPECTRAL_GUARD):
+        if trace2 == trace or trace2 & trace != trace:
+            continue
+        A2 = idx.members(trace2)
+        if not _is_spectral_monoid(idx, trace2, A2):
+            continue
+        alg2, adj2, N2 = reference_selfadjoint_part(rs, A2, tol)
+        if len(N2) != n_dim:
+            continue
+        if all(contains_matrix(N, m, tol) for m in N2):
+            gens2 = [rs.lam_of(s) for s in A2]
+            Q2 = np.asarray(N2)
+            dev2 = reference_multiplicativity_defect(Q2, gens2, [_hs_projection(Q2, X) for X in gens2])
+            dense2 = len(subspace_basis(alg2.basis + adj2, tol)) == M_dim
+            if dev2 <= tol and dense2:
+                maximal = False
+    return SubdiagonalReport(alg.dimension, len(N), multiplicative, dense, unital, bimodular, maximal, dev)
 
 
 # -- nullspaces ------------------------------------------------------------
@@ -484,3 +573,87 @@ def test_aoi_correspondence_matches_reference(S, k):
     got = aoi_correspondence(rs)
     assert got == reference_aoi_correspondence(rs, TOL)
     assert got.bijective
+
+
+# -- stacked residuals in psi, theta and verify_subdiagonal ----------------------
+
+# (monoid, k, step through the spectral sets, step through the spectral
+# monoids for the pair-by-pair verify_subdiagonal reference)
+STACKED_CASES = [
+    (rook_monoid(2), 2, 1, 1),
+    (rook_monoid(3), 1, 37, 1),
+    (rook_monoid(3), 3, 37, 2),
+    (eqrel_monoid([(0, 1), (2, 3)]), 1, 17, 1),
+    (eqrel_monoid([(0, 1, 2), (3,), (4,)]), 1, 97, 4),
+]
+STACKED_IDS = ["rook2_k2", "rook3", "rook3_k3", "eqrel_01_23", "eqrel_012_3_4"]
+
+
+def _space(S, k):
+    return RepSpace(Extension(S, k, perturbed(S, k, 3) if k > 1 else None))
+
+
+def test_stacked_residuals_match_contains_matrix_loop(i3):
+    rs = _space(i3, 2)
+    basis = psi(rs, enumerate_spectral_sets(i3)[100]).basis
+    lams = rs.all_lambdas()
+    # a unit matrix orthogonal to the span, then probes at tol(1 -+ 1e-3) off it
+    off = next(M for M in lams if not contains_matrix(basis, M, TOL))
+    off = off - _hs_projection(basis, off)
+    off /= np.linalg.norm(off)
+    probes = lams[::5] + [basis[0] + TOL * (1 + 1e-3) * off, basis[0] + TOL * (1 - 1e-3) * off]
+    norms = _residual_norms(basis, np.asarray(probes))
+    loop = [contains_matrix(basis, M, TOL) for M in probes]
+    assert list(norms <= TOL) == loop
+    assert loop[-2:] == [False, True]
+    refs = [np.linalg.norm(M - reference_projection(basis, M)) for M in probes]
+    assert np.allclose(norms, refs, atol=1e-12)
+    assert list(_residual_norms([], np.asarray(probes[:3]))) == [np.linalg.norm(M) for M in probes[:3]]
+    assert _residual_norms(basis, np.zeros((0, 9, 9))).shape == (0,)
+
+
+@pytest.mark.parametrize("S, k, step, _", STACKED_CASES, ids=STACKED_IDS)
+def test_stacked_psi_and_theta_match_pair_references(S, k, step, _):
+    rs = _space(S, k)
+    for A in enumerate_spectral_sets(S)[::step]:
+        B, ref = psi(rs, A), reference_psi(rs, A, TOL)
+        assert len(B.basis) == len(ref.basis)
+        assert all(np.array_equal(b, r) for b, r in zip(B.basis, ref.basis))
+        assert theta(rs, B) == reference_theta(rs, ref, TOL) == A
+
+
+@pytest.mark.parametrize("S, k, _, ref_step", STACKED_CASES, ids=STACKED_IDS)
+def test_stacked_subdiagonal_verdicts_match_pair_reference(S, k, _, ref_step):
+    """Every spectral monoid holding the idempotents: exactly the msd
+    members pass, the others fail density and maximality.  Every ref_step-th
+    one is checked against the reference, members and others among them."""
+    rs = _space(S, k)
+    cases = brute_force_filter(S, lambda idx, X: True)
+    idx = _TraceIndex(S)
+    assert idx.monoid_masks(SPECTRAL_GUARD) == [idx.trace_of(A) for A in cases]
+    verdicts = lambda rep: (
+        rep.dim_algebra,
+        rep.dim_selfadjoint_part,
+        rep.multiplicative,
+        rep.dense,
+        rep.expectation_unital,
+        rep.expectation_bimodular,
+        rep.maximal,
+    )
+    reports = verify_members(rs, cases)
+    for A, got in list(zip(cases, reports))[::ref_step]:
+        ref = reference_verify_subdiagonal(rs, A, TOL)
+        assert verdicts(got) == verdicts(ref)
+        assert got.max_deviation <= TOL and ref.max_deviation <= TOL
+    members = msd(S)
+    assert [A for A, rep in zip(cases, reports) if rep.passed] == members
+    assert len(members) < len(cases)
+
+
+def test_non_invariant_span_still_raises(i2, named2):
+    """The span of the swap alone is not invariant: e0 swap is the
+    one-point map 1 -> 0."""
+    rs = _space(i2, 2)
+    for build in (psi, lambda rs, A: reference_psi(rs, A, TOL)):
+        with pytest.raises(InvariantViolation, match="not diagonal-invariant"):
+            build(rs, frozenset([named2["swap"]]))
