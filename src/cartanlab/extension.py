@@ -172,12 +172,11 @@ def point_coboundary_table(S: FiniteInverseMonoid, k: int, b_points: dict) -> Co
 
     ``b_points[(x, y)]`` is a phase exponent for each off-diagonal related
     pair; diagonal values are zero.  This induces the restriction-compatible
-    b(s)(y) = b_points[(s(y), y)] and the table is its coboundary.
+    b(s)(y) = b_points[(s(y), y)], and the table is its coboundary: the
+    point cocycle c(x, z, y) = b(x, z) + b(z, y) - b(x, y).
     """
-    b = {}
-    for s in S:
-        b[s] = tuple(b_points.get((s.apply(y), y), 0) for y in bits(s.domain))
-    return coboundary_table(S, k, trivial_cocycle(S, k), b)
+    b = lambda x, y: b_points.get((x, y), 0)
+    return point_cocycle_table(S, k, lambda x, z, y: b(x, z) + b(z, y) - b(x, y))
 
 
 def point_cocycle_table(S: FiniteInverseMonoid, k: int, c_points) -> CocycleTable:
@@ -573,11 +572,9 @@ def _check_in_P(out: PhasedElement, name: str, args: tuple):
 
 
 def lausch_alpha(ext: Extension, j: Section, s: PartialBijection, t: PartialBijection) -> PhasedElement:
-    """alpha(s,t) = j(st)^dag j(s) j(t); the section cocycle, valued in P."""
-    st = compose(s, t)
-    out = ext.multiply(ext.dagger(j[st]), ext.multiply(j[s], j[t]))
-    _check_in_P(out, "alpha", (s, t))
-    return out
+    """alpha(s,t) = j(st)^dag j(s) j(t) = sigma(j(s), t); the section
+    cocycle, valued in P."""
+    return sigma(ext, j, j[s], t)
 
 
 def sigma(ext: Extension, j: Section, v: PhasedElement, s: PartialBijection) -> PhasedElement:

@@ -5,6 +5,9 @@ The kernel K(t,s) = j(s^dag t ^ 1) takes idempotent values and is handled
 exactly (bitmasks).  Floats enter only here and downstream: matrices are
 complex double, phases become exact roots of unity, and every numeric rank
 or eigenvalue decision uses the module-wide default tolerance 1e-9.
+``RepSpace`` caches the lambda matrices of one extension and section, and
+the Cartan pair they generate: M, the span of every lambda, and D, the span
+of the phased identities' lambdas, each built once at the space's tol.
 """
 
 from __future__ import annotations
@@ -191,11 +194,9 @@ def projection_P_and_V(ext: Extension, j: Section, rbasis: RBasis | None = None,
     dim = len(rbasis)
     diag = rbasis.diagonal_indices()
     P = np.zeros((dim, dim), dtype=complex)
-    for i in diag:
-        P[i, i] = 1.0
+    P[diag, diag] = 1.0
     V = np.zeros((dim, rbasis.atom_count), dtype=complex)
-    for x in range(rbasis.atom_count):
-        V[rbasis.index[(x, x)], x] = 1.0
+    V[diag, range(rbasis.atom_count)] = 1.0
     if not np.allclose(V.conj().T @ V, np.eye(rbasis.atom_count), atol=tol):
         raise InvariantViolation("V is not an isometry")
     if not np.allclose(V @ V.conj().T, P, atol=tol):
@@ -227,19 +228,13 @@ def expectation(rbasis: RBasis, T: np.ndarray) -> np.ndarray:
     then re-embed as the block-diagonal element acting by g(x) on every pair
     (x, y).  Unital, idempotent, positive; fixes the diagonal subalgebra.
     """
-    dim = len(rbasis)
-    out = np.zeros((dim, dim), dtype=complex)
-    g = {}
-    for x in range(rbasis.atom_count):
-        i = rbasis.index[(x, x)]
-        g[x] = T[i, i]
-    for idx, (x, _y) in enumerate(rbasis.pairs):
-        out[idx, idx] = g[x]
-    return out
+    i = [rbasis.index[(x, x)] for x, _y in rbasis.pairs]
+    return np.diag(T[i, i].astype(complex))
 
 
 class RepSpace:
-    """Cached representation context for one extension and section."""
+    """Cached representation context for one extension and section: the
+    lambda matrices, and the Cartan pair (M, D) they generate."""
 
     def __init__(self, ext: Extension, j: Section | None = None, tol: float = DEFAULT_TOL):
         from .extension import order_preserving_section
@@ -265,23 +260,20 @@ class RepSpace:
         return [self.lam(v) for v in self.ext.phased_identities]
 
     @cached_property
-    def diagonal_basis(self) -> list:
-        """Orthonormal basis of the diagonal (the span of the phased
-        identities' lambdas), built once at the space's tol."""
-        from .vn_oracle import subspace_basis
+    def algebra(self):
+        """M: the ``MatrixAlgebra`` spanned by every lambda, built once at
+        the space's tol."""
+        from .vn_oracle import span_basis
 
-        return subspace_basis(self.diagonal_lambdas(), self.tol)
+        return span_basis(self.all_lambdas(), self.rbasis, self.tol)
 
     @cached_property
-    def algebra_dimension(self) -> int:
-        """Dimension of the span of every lambda, built once at the
-        space's tol."""
-        from .vn_oracle import subspace_basis
+    def diagonal(self):
+        """D: the ``MatrixAlgebra`` spanned by the phased identities'
+        lambdas, built once at the space's tol."""
+        from .vn_oracle import span_basis
 
-        return len(subspace_basis(self.all_lambdas(), self.tol))
-
-    def projection_and_isometry(self):
-        return projection_P_and_V(self.ext, self.j, self.rbasis, self.tol)
+        return span_basis(self.diagonal_lambdas(), self.rbasis, self.tol)
 
     def expectation(self, T: np.ndarray) -> np.ndarray:
         return expectation(self.rbasis, T)

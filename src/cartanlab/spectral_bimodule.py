@@ -15,12 +15,14 @@ enumeration and the msd/mtr conditions are bitmask arithmetic.
 The numeric conditions are linear or bilinear in the matrices they test:
 diagonal invariance of psi(A), multiplicativity of the expectation E onto
 the self-adjoint part N and its N-bimodularity.  So each is checked on a
-spanning set only, the orthonormal bases of the diagonal, of psi(A) and of
-N, with one stacked Hilbert-Schmidt residual or projection per condition
-(``vn_oracle._residual_norms`` and ``_hs_projections``) instead of one
-projection per pair of matrices.  theta tests all |S| lambdas in one
-stacked residual.  ``verify_members`` lists the spectral-monoid masks of
-the maximality scan once, and computes psi and N once per mask.
+spanning set only, the orthonormal bases of the diagonal D of the
+``RepSpace``, of psi(A) and of N, with one stacked Hilbert-Schmidt residual
+or projection per condition (``vn_oracle._residual_norms`` and
+``_hs_projections``) instead of one projection per pair of matrices.  theta
+tests all |S| lambdas in one stacked residual, and the intermediate-algebra
+check and the AOI correspondence test D's basis for containment in one.
+``verify_members`` lists the spectral-monoid masks of the maximality scan
+once, and computes psi and N once per mask.
 
 Closure in the matrix picture is a no-op here (every linear subspace of a
 finite matrix space is closed in all the relevant topologies), which reports
@@ -48,6 +50,7 @@ from .vn_oracle import (
     MatrixAlgebra,
     _accepted_points,
     _algebra_checks,
+    _all_within,
     _hs_projection,
     _hs_projections,
     _null_combinations,
@@ -225,9 +228,9 @@ def psi(rs: RepSpace, A, tol: float = DEFAULT_TOL) -> Bimodule:
     basis = subspace_basis(mats, tol)
     dim = len(rs.rbasis)
     B = np.reshape(basis, (len(basis), dim, dim))
-    D = np.asarray(rs.diagonal_basis)[:, None]
-    left = bool((_residual_norms(basis, D @ B) <= tol).all())
-    right = bool((_residual_norms(basis, B @ D) <= tol).all())
+    D = np.asarray(rs.diagonal.basis)[:, None]
+    left = _all_within(basis, D @ B, tol)
+    right = _all_within(basis, B @ D, tol)
     if not (left and right):
         raise InvariantViolation("span of a spectral set is not diagonal-invariant")
     return Bimodule(basis, rs.rbasis, CLOSURE_NOTE, left, right)
@@ -302,10 +305,15 @@ def intermediate_algebra_check(rs: RepSpace, T, tol: float = DEFAULT_TOL) -> Bim
     for ok, what in zip(checks, ("unital", "self-adjoint", "product closed")):
         if not ok:
             raise InvariantViolation(f"intermediate span is not {what}")
-    for p in rs.ext.phased_identities:
-        if not B.contains(rs.lam(p), tol):
-            raise InvariantViolation("intermediate span does not contain the diagonal")
+    if not _holds_diagonal(rs, B, tol):
+        raise InvariantViolation("intermediate span does not contain the diagonal")
     return B
+
+
+def _holds_diagonal(rs: RepSpace, B: Bimodule, tol: float) -> bool:
+    """Whether B contains the diagonal: one stacked residual of the
+    orthonormal basis of D, which spans every phased identity's lambda."""
+    return _all_within(B.basis, np.asarray(rs.diagonal.basis), tol)
 
 
 def aoi_correspondence(rs: RepSpace, guard: int = SPECTRAL_GUARD, tol: float = DEFAULT_TOL) -> AoiReport:
@@ -328,11 +336,8 @@ def aoi_correspondence(rs: RepSpace, guard: int = SPECTRAL_GUARD, tol: float = D
     algebra_like = 0
     for A in enumerate_spectral_sets(S, guard):
         B = psi(rs, A, tol)
-        if not all(_algebra_checks(B.basis, len(rs.rbasis), tol)):
-            continue
-        if any(not B.contains(rs.lam(p), tol) for p in rs.ext.phased_identities):
-            continue
-        algebra_like += 1
+        if all(_algebra_checks(B.basis, len(rs.rbasis), tol)) and _holds_diagonal(rs, B, tol):
+            algebra_like += 1
     bijective = algebra_like == len(monoids)
     return AoiReport(len(monoids), sorted(b.dimension for b in algebras), bijective)
 
@@ -491,7 +496,7 @@ def verify_subdiagonal(
     multiplicative = dev <= tol
     bimodular = _bimodularity_defect(N, gens, proj) <= tol
 
-    M_dim = rs.algebra_dimension
+    M_dim = rs.algebra.dimension
     dense = len(subspace_basis(alg.basis + adj, tol)) == M_dim
 
     maximal = True
@@ -502,7 +507,7 @@ def verify_subdiagonal(
         alg2, gens2, adj2, N2 = _selfadjoint_part(rs, idx, trace2, tol)
         if len(N2) != n_dim:
             continue
-        if (_residual_norms(N, N2) <= tol).all():
+        if _all_within(N, N2, tol):
             # same self-adjoint part but strictly larger subdiagonal candidate
             dev2 = _multiplicativity_defect(N2, gens2, _hs_projections(N2, gens2))
             dense2 = len(subspace_basis(alg2.basis + adj2, tol)) == M_dim

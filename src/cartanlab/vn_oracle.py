@@ -3,16 +3,19 @@
 Everything here treats matrices on the relation space as opaque numerical
 objects: spans via Gram-Schmidt in the Hilbert-Schmidt inner product,
 membership via one Hilbert-Schmidt projection onto the stacked orthonormal
-basis (for a whole stack of matrices, one product each way), commutants
-via nullspace solves, expectations via entry compression.  The point is to confirm the structural theorems against plain linear algebra
-rather than against the semigroup machinery that produced the matrices.
+basis, commutants via nullspace solves, expectations via entry compression.
+Every check that a family of matrices lies in a span (the closures, D in M,
+regularity) is one stacked residual, one product each way for the family.
+The point is to confirm the structural theorems against plain linear
+algebra rather than against the semigroup machinery that produced the
+matrices.
 
 Every nullspace comes from one SVD, thin whenever the system has at least as
 many rows as columns (its right factor is then already square), so no solve
 materializes the rows-by-rows left factor.  The commutant of a family is the
 nullspace of the Kronecker system stacking B (x) 1 - 1 (x) B^T over the family.
-``cartan_report`` builds the lambda matrices once, in one ``RepSpace`` that
-the expectation checks share.
+``cartan_report`` checks the Cartan pair (M, D) of one ``RepSpace``, which
+builds the lambda matrices and both spans once for every check.
 """
 
 from __future__ import annotations
@@ -65,20 +68,15 @@ def subspace_basis(matrices, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
 
 def _hs_projection(basis, M: np.ndarray) -> np.ndarray:
     """Hilbert-Schmidt orthogonal projection of M onto the span of an
-    orthonormal basis (a list of matrices, or their stack, which callers
-    projecting many matrices build once): one product against the stacked
-    basis for the coefficients, one for their combination."""
-    if not len(basis):
-        return np.zeros(M.shape, dtype=complex)
-    Q = np.asarray(basis).reshape(len(basis), -1)
-    return (Q.conj() @ M.ravel() @ Q).reshape(M.shape)
+    orthonormal basis (a list of matrices, or their stack): the
+    ``_hs_projections`` of the one matrix."""
+    return _hs_projections(basis, M[None])[0]
 
 
 def contains_matrix(basis, M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """Whether M lies in the span: its residual off the projection has
-    Hilbert-Schmidt norm at most tol."""
-    r = M - _hs_projection(basis, M)
-    return bool(np.sqrt(abs(hs_inner(r, r))) <= tol)
+    Hilbert-Schmidt norm at most tol (``_all_within`` of the one matrix)."""
+    return _all_within(basis, M[None], tol)
 
 
 def _hs_projections(basis, mats: np.ndarray) -> np.ndarray:
@@ -95,9 +93,19 @@ def _hs_projections(basis, mats: np.ndarray) -> np.ndarray:
 def _residual_norms(basis, mats: np.ndarray) -> np.ndarray:
     """Hilbert-Schmidt norm of each matrix in the stack ``mats`` (shape
     (..., d, d)) off the span of the orthonormal basis, one per matrix in
-    flattened order.  ``norms <= tol`` is ``contains_matrix`` per matrix."""
+    flattened order.  The residual overwrites the projection and the norms
+    are read from its real view, so no other stack-sized array is built."""
     P = mats.reshape(-1, mats.shape[-2] * mats.shape[-1])
-    return np.linalg.norm(P - _hs_projections(basis, P), axis=1)
+    R = _hs_projections(basis, P)
+    R -= P
+    return np.sqrt(np.einsum("ij,ij->i", R.view(float), R.view(float)))
+
+
+def _all_within(basis, mats: np.ndarray, tol: float) -> bool:
+    """Whether every matrix of the stack ``mats`` lies in the span of the
+    orthonormal basis, its residual norm at most tol: one stacked residual
+    for the whole family."""
+    return bool((_residual_norms(basis, mats) <= tol).all())
 
 
 @dataclass
@@ -136,10 +144,12 @@ def span_basis(matrices, rbasis: RBasis, tol: float = DEFAULT_TOL) -> MatrixAlge
 def _algebra_checks(basis, dim: int, tol: float):
     """Lazily, in this order: whether the span of the orthonormal basis of
     dim x dim matrices holds the identity, is closed under adjoints, and is
-    closed under products."""
+    closed under products (the adjoints and the products of pairs of basis
+    elements, each family one stacked residual)."""
     yield contains_matrix(basis, np.eye(dim, dtype=complex), tol)
-    yield all(contains_matrix(basis, a.conj().T, tol) for a in basis)
-    yield all(contains_matrix(basis, a @ b, tol) for a in basis for b in basis)
+    B = np.reshape(basis, (len(basis), dim, dim))
+    yield _all_within(basis, B.conj().transpose(0, 2, 1), tol)
+    yield _all_within(basis, B[:, None] @ B[None], tol)
 
 
 def _nullspace_dimension(A: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
@@ -170,12 +180,8 @@ def _null_combinations(A: np.ndarray, basis, tol: float) -> list[np.ndarray]:
 
 def relative_commutant(M: MatrixAlgebra, D: MatrixAlgebra, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     """Basis of {x in span(M) : xd = dx for all d in basis(D)}."""
-    m = M.dimension
-    rows = []
-    for d in D.basis:
-        block = np.stack([(b @ d - d @ b).ravel() for b in M.basis], axis=1)
-        rows.append(block)
-    A = np.vstack(rows) if rows else np.zeros((0, m))
+    rows = [np.stack([(b @ d - d @ b).ravel() for b in M.basis], axis=1) for d in D.basis]
+    A = np.vstack(rows) if rows else np.zeros((0, M.dimension))
     return _null_combinations(A, M.basis, tol)
 
 
@@ -218,9 +224,8 @@ class MasaReport:
 
 def masa_check(M: MatrixAlgebra, D: MatrixAlgebra, tol: float = DEFAULT_TOL) -> MasaReport:
     """D is maximal abelian in M iff its relative commutant is itself."""
-    for d in D.basis:
-        if not M.contains(d, tol):
-            raise DomainError("D is not contained in M")
+    if not _all_within(M.basis, np.asarray(D.basis), tol):
+        raise DomainError("D is not contained in M")
     comm = relative_commutant(M, D, tol)
     center = relative_commutant(M, M, tol)
     return MasaReport(
@@ -273,21 +278,20 @@ def expectation_properties(rs: RepSpace, samples: int = 100) -> ExpectationRepor
     (ii) idempotent, unital, positive on sampled x*x; (iii) faithful, via
     injectivity (rank) of x -> columns of x at the diagonal pairs on the
     span; (iv) bimodular over the diagonal subalgebra on a spanning set.
-    The lambda matrices come from the caller's ``RepSpace`` (its cache,
-    section and ``tol``), so a report that already built them builds none.
+    The lambda matrices and the basis of their span come from the caller's
+    ``RepSpace`` (its cache, section, ``tol`` and ``algebra``), so a report
+    that already built them builds neither again.
     """
     ext = rs.ext
     tol = rs.tol
     rbasis = rs.rbasis
-    G = ext.elements
-    lams = {v: rs.lam(v) for v in G}
 
     dev = 0.0
-    for v in G:
-        dev = max(dev, float(np.abs(rs.expectation(lams[v]) - rs.lam(delta(ext, rs.j, v))).max()))
+    for v in ext.elements:
+        dev = max(dev, float(np.abs(rs.expectation(rs.lam(v)) - rs.lam(delta(ext, rs.j, v))).max()))
     matches = dev <= tol
 
-    M_basis = subspace_basis(list(lams.values()), tol)
+    M_basis = rs.algebra.basis
     dim = len(rbasis)
     rng = np.random.default_rng(0)
 
@@ -309,18 +313,21 @@ def expectation_properties(rs: RepSpace, samples: int = 100) -> ExpectationRepor
     F = np.stack([b[:, diag_cols].ravel() for b in M_basis], axis=1)
     faithful = _nullspace_dimension(F, tol)[0] == 0
 
-    bimodular = True
-    d_basis = [rs.lam(p) for p in ext.phased_identities]
-    for d in d_basis[: min(len(d_basis), 8)]:
-        for b in M_basis[: min(len(M_basis), 12)]:
-            lhs = rs.expectation(d @ b)
-            rhs = d @ rs.expectation(b)
-            lhs2 = rs.expectation(b @ d)
-            rhs2 = rs.expectation(b) @ d
-            if np.abs(lhs - rhs).max() > tol or np.abs(lhs2 - rhs2).max() > tol:
-                bimodular = False
+    bimodular = all(
+        np.abs(rs.expectation(d @ b) - d @ rs.expectation(b)).max() <= tol
+        and np.abs(rs.expectation(b @ d) - rs.expectation(b) @ d).max() <= tol
+        for d in rs.diagonal_lambdas()[:8]
+        for b in M_basis[:12]
+    )
 
     return ExpectationReport(matches, idempotent, unital, positive, faithful, bimodular, dev)
+
+
+def _normalizes(lams, D: MatrixAlgebra, tol: float) -> bool:
+    """Whether lam D lam^* lies in D for every lam: one stacked residual of
+    the conjugated basis of D per lam."""
+    stack = np.asarray(D.basis)
+    return all(_all_within(D.basis, lam @ stack @ lam.conj().T, tol) for lam in lams)
 
 
 def _pattern_positions(rbasis: RBasis, g: PartialBijection):
@@ -386,9 +393,8 @@ def recover_extension(M: MatrixAlgebra, D: MatrixAlgebra, S: FiniteInverseMonoid
     n = rbasis.atom_count
     if n > guard:
         raise SizeGuardError(n, guard, "atom count for recovery")
-    for d in D.basis:
-        if not M.contains(d, tol):
-            raise DomainError("D is not contained in M")
+    if not _all_within(M.basis, np.asarray(D.basis), tol):
+        raise DomainError("D is not contained in M")
 
     points = _accepted_points(M, tol)
     allowed = [[x for x in range(n) if (x, y) in points] for y in range(n)]
@@ -450,12 +456,11 @@ class CartanReport:
 
 
 def cartan_report(ext: Extension, j: Section | None = None, tol: float = DEFAULT_TOL) -> CartanReport:
-    """Run the whole oracle battery for one extension."""
+    """Run the whole oracle battery for one extension on the Cartan pair
+    (M, D) of its ``RepSpace``."""
     rs = RepSpace(ext, j, tol)
     rbasis = rs.rbasis
-    lams = rs.all_lambdas()
-    M = span_basis(lams, rbasis, tol)
-    D = span_basis(rs.diagonal_lambdas(), rbasis, tol)
+    M, D = rs.algebra, rs.diagonal
 
     masa = masa_check(M, D, tol)
     exp_rep = expectation_properties(rs)
@@ -466,15 +471,7 @@ def cartan_report(ext: Extension, j: Section | None = None, tol: float = DEFAULT
     dc_dim, _ = commutant_dimension(comm, dim, tol)
     double_ok = dc_dim == M.dimension
 
-    regularity = True
-    for v in ext.elements:
-        lam = rs.lam(v)
-        for d in D.basis:
-            if not D.contains(lam @ d @ lam.conj().T, tol):
-                regularity = False
-                break
-        if not regularity:
-            break
+    regularity = _normalizes(rs.all_lambdas(), D, tol)
 
     S_prime, iso = recover_extension(M, D, ext.S, tol)
 

@@ -78,6 +78,16 @@ def test_generate_guard():
         generate("rook", 6)
 
 
+def test_generate_eqrel_guards_its_largest_block():
+    """Block sizes 6 and 1 (13,327 and 1 maps): only the largest block is
+    guarded, like the rook size."""
+    with pytest.raises(SizeGuardError, match="eqrel largest block of size 6 exceeds guard 5"):
+        generate("eqrel", "0,1,2,3,4,5|6")
+    assert len(generate("eqrel", "0,1|2", guard=2).elements) == 14
+    with pytest.raises(SizeGuardError, match="of size 2 exceeds guard 1"):
+        generate("eqrel", "0,1|2", guard=1)
+
+
 def test_generate_product():
     a = generate("rook", 2)
     b = generate("rook", 1)
@@ -219,6 +229,7 @@ def _rook2_edited(tmp_path, name, edit=None):
         (["validate", "{rook2}"], {"CARTANLAB_GUARD": "0"}),
         (["gen", "rook", "2", "3"], {}),
         (["gen", "eqrel", "0,1", "2"], {}),
+        (["gen", "eqrel", "0,1,2,3,4,5"], {}),
     ],
     ids=[
         "guard-env-not-int",
@@ -237,6 +248,7 @@ def _rook2_edited(tmp_path, name, edit=None):
         "guard-env-zero",
         "rook-extra-parameter",
         "eqrel-extra-parameter",
+        "eqrel-block-over-guard",
     ],
 )
 def test_malformed_invocations_exit_two_without_traceback(tmp_path, argv, env):

@@ -7,8 +7,11 @@ verify_subdiagonal), the msd/mtr filters over every enumerated spectral
 set, the recovery loop over combinations and permutations with its own
 closure check, mtr as a filter of msd, the spelled-out subspace
 intersection, the spelled-out algebra checks of the AOI correspondence,
-and the pair-by-pair psi, theta and verify_subdiagonal that one stacked
-residual or projection per condition replaced.
+the pair-by-pair psi, theta and verify_subdiagonal that one stacked
+residual or projection per condition replaced, the per-matrix closure,
+regularity and phased-identity containment loops that one stacked residual
+per family replaced, the coboundary path of point_coboundary_table, and the
+spectral command's sample of the full spectral-set list.
 """
 
 import itertools
@@ -17,13 +20,15 @@ import random
 import numpy as np
 import pytest
 
-from cartanlab.errors import InvariantViolation
-from cartanlab.extension import Extension, point_coboundary_table
+from cartanlab import cli, vn_oracle
+from cartanlab.errors import DomainError, InvariantViolation
+from cartanlab.extension import Extension, coboundary_table, point_coboundary_table, trivial_cocycle
 from cartanlab.generators import eqrel_monoid, product_monoid, rook_monoid
 from cartanlab.kernel_rep import RepSpace
 from cartanlab.semigroup_core import (
     FiniteInverseMonoid,
     PartialBijection,
+    bits,
     conjugate,
     mask_of,
     singleton,
@@ -36,6 +41,7 @@ from cartanlab.spectral_bimodule import (
     SubdiagonalReport,
     _is_spectral_monoid,
     _subspace_intersection,
+    _holds_diagonal,
     _TraceIndex,
     aoi_correspondence,
     enumerate_spectral_sets,
@@ -51,8 +57,10 @@ from cartanlab.spectral_bimodule import (
 from cartanlab.vn_oracle import (
     MatrixAlgebra,
     _accepted_points,
+    _algebra_checks,
     _commutant_system,
     _hs_projection,
+    _normalizes,
     _nullspace_dimension,
     _pattern_intersection,
     _pattern_positions,
@@ -61,6 +69,7 @@ from cartanlab.vn_oracle import (
     cartan_report,
     contains_matrix,
     hs_inner,
+    masa_check,
     recover_extension,
     span_basis,
     subspace_basis,
@@ -657,3 +666,164 @@ def test_non_invariant_span_still_raises(i2, named2):
     for build in (psi, lambda rs, A: reference_psi(rs, A, TOL)):
         with pytest.raises(InvariantViolation, match="not diagonal-invariant"):
             build(rs, frozenset([named2["swap"]]))
+
+
+# -- the Cartan pair of a RepSpace; one stacked residual per family ---------------
+
+
+def reference_algebra_checks(basis, dim, tol):
+    yield contains_matrix(basis, np.eye(dim, dtype=complex), tol)
+    yield all(contains_matrix(basis, a.conj().T, tol) for a in basis)
+    yield all(contains_matrix(basis, a @ b, tol) for a in basis for b in basis)
+
+
+def reference_regularity(lams, D, tol):
+    for lam in lams:
+        for d in D.basis:
+            if not D.contains(lam @ d @ lam.conj().T, tol):
+                return False
+    return True
+
+
+def reference_holds_diagonal(rs, B, tol):
+    return all(B.contains(rs.lam(p), tol) for p in rs.ext.phased_identities)
+
+
+def reference_masa_containment(M, D, tol):
+    for d in D.basis:
+        if not M.contains(d, tol):
+            raise DomainError("D is not contained in M")
+
+
+def _flags(basis, dim):
+    got = tuple(_algebra_checks(basis, dim, TOL))
+    assert got == tuple(reference_algebra_checks(basis, dim, TOL))
+    return got
+
+
+@pytest.mark.parametrize("S, k, step, _", STACKED_CASES, ids=STACKED_IDS)
+def test_family_checks_match_per_matrix_references(S, k, step, _):
+    """The Cartan pair of the space passes every check, and the verdicts on
+    psi of every step-th spectral set and of every full submonoid (the
+    intermediate algebras) agree with the per-matrix loops."""
+    rs = _space(S, k)
+    M, D = rs.algebra, rs.diagonal
+    dim = len(rs.rbasis)
+    assert rs.algebra is M and rs.diagonal is D and (M.dimension, D.dimension) == (dim, S.atom_count)
+    assert _flags(M.basis, dim) == _flags(D.basis, dim) == (True, True, True)
+    assert _normalizes(rs.all_lambdas(), D, TOL) and reference_regularity(rs.all_lambdas(), D, TOL)
+    assert masa_check(M, D).is_masa
+    seen = set()
+    for A in enumerate_spectral_sets(S)[::step] + full_submonoids(S):
+        B = psi(rs, A)
+        flags = _flags(B.basis, dim)
+        holds = _holds_diagonal(rs, B, TOL)
+        assert holds == reference_holds_diagonal(rs, B, TOL)
+        seen.add(flags + (holds,))
+    assert (True, True, True, True) in seen and len(seen) > 1
+
+
+def test_family_checks_fail_on_spans_built_to_fail_each(i3):
+    """rook3, k = 1 (real lambdas): each span fails the flag it names, and
+    the stacked and per-matrix forms agree on all of them."""
+    rs = _space(i3, 1)
+    lam = lambda a, b: rs.lam_of(singleton(3, a, b))  # the one-point map a -> b
+    eye = np.eye(len(rs.rbasis), dtype=complex)
+    hermitian = lam(0, 1) + lam(1, 0)
+    spans = {
+        "identity": [lam(0, 1)],
+        "adjoint": [eye, lam(0, 1)],
+        "product": [eye, hermitian],
+        "diagonal": [eye],
+    }
+    expected = {
+        "identity": (False, False, True, False),
+        "adjoint": (True, False, True, False),
+        "product": (True, True, False, False),
+        "diagonal": (True, True, True, False),
+    }
+    for name, mats in spans.items():
+        B = Bimodule(subspace_basis(mats), rs.rbasis)
+        holds = _holds_diagonal(rs, B, TOL)
+        assert holds == reference_holds_diagonal(rs, B, TOL)
+        assert _flags(B.basis, len(rs.rbasis)) + (holds,) == expected[name], name
+    assert _flags([], len(rs.rbasis)) == (False, True, True)
+
+    D = rs.diagonal
+    one_atom = MatrixAlgebra(subspace_basis([rs.lam_of(PartialBijection(3, 0b001, (0,)))]), rs.rbasis)
+    # a unitary that is not monomial: it does not normalize the diagonal
+    mixing = (rs.lam_of(PartialBijection(3, 0b111, (0, 1, 2))) + rs.lam_of(PartialBijection(3, 0b111, (1, 0, 2)))) / np.sqrt(2)
+    for lams, alg in ((rs.all_lambdas(), one_atom), (rs.all_lambdas() + [mixing], D)):
+        assert not _normalizes(lams, alg, TOL)
+        assert not reference_regularity(lams, alg, TOL)
+
+    not_M = MatrixAlgebra(subspace_basis(spans["product"]), rs.rbasis)
+    for check in (masa_check, reference_masa_containment):
+        with pytest.raises(DomainError, match="D is not contained in M"):
+            check(not_M, D, TOL)
+    with pytest.raises(DomainError, match="D is not contained in M"):
+        recover_extension(not_M, D, i3, TOL)
+
+
+@pytest.mark.parametrize(
+    "S, k",
+    [(rook_monoid(3), 1), (rook_monoid(3), 3), (eqrel_monoid([(0, 1, 2), (3,), (4,)]), 1)],
+    ids=["rook3", "rook3_k3", "eqrel_012_3_4"],
+)
+def test_cartan_report_spans_every_lambda_once(S, k, monkeypatch):
+    """One Gram-Schmidt of the whole lambda list per report (M of its
+    RepSpace, which the expectation checks share) and one-matrix membership
+    only for the identity of M and of D."""
+    ext = Extension(S, k, perturbed(S, k, 5) if k > 1 else None)
+    sizes, members = [], []
+    real_basis, real_contains = vn_oracle.subspace_basis, vn_oracle.contains_matrix
+
+    def counting_basis(matrices, tol=TOL):
+        matrices = list(matrices)
+        sizes.append(len(matrices))
+        return real_basis(matrices, tol)
+
+    def counting_contains(basis, M, tol=TOL):
+        members.append(M.shape)
+        return real_contains(basis, M, tol)
+
+    monkeypatch.setattr(vn_oracle, "subspace_basis", counting_basis)
+    monkeypatch.setattr(vn_oracle, "contains_matrix", counting_contains)
+    rep = cartan_report(ext)
+    assert rep.passed, rep.to_lines()
+    assert sizes.count(len(ext.elements)) == 1
+    assert len(members) == 2
+
+
+@pytest.mark.parametrize(
+    "S",
+    [rook_monoid(2), rook_monoid(3), eqrel_monoid([(0, 1), (2, 3)])],
+    ids=["rook2", "rook3", "eqrel_01_23"],
+)
+@pytest.mark.parametrize("k", [2, 3])
+def test_point_coboundary_table_matches_coboundary_path(S, k):
+    rng = random.Random(k)
+    b_points = {(x, y): rng.randrange(k) for s in S for x, y in s.pairs() if x != y}
+    b = {s: tuple(b_points.get((s.apply(y), y), 0) for y in bits(s.domain)) for s in S}
+    ref = coboundary_table(S, k, trivial_cocycle(S, k), b)
+    got = point_coboundary_table(S, k, b_points)
+    assert list(got.entries.items()) == list(ref.entries.items())
+    assert any(any(arr) for arr in got.entries.values())
+
+
+@pytest.mark.parametrize("name", ["rook2", "rook3", "eqrel_01_23"])
+def test_spectral_command_samples_the_enumerated_sets(name, tmp_path, monkeypatch, capsys):
+    """The command counts the masks and round-trips every step-th set in
+    enumeration order, the sets the full list would have given."""
+    S = {"rook2": rook_monoid(2), "rook3": rook_monoid(3), "eqrel_01_23": eqrel_monoid([(0, 1), (2, 3)])}[name]
+    path = tmp_path / "doc.json"
+    path.write_text(cli.emit(cli._document_of(S, 1, {})))
+    sets = enumerate_spectral_sets(S)
+    ref = sets if len(sets) <= 64 else sets[:: len(sets) // 64]
+    sampled = []
+    real_psi = cli.psi
+    monkeypatch.setattr(cli, "psi", lambda rs, A, tol: sampled.append(A) or real_psi(rs, A, tol))
+    assert cli.main(["spectral", str(path)]) == 0
+    assert sampled == ref
+    out = capsys.readouterr().out
+    assert f"spectral_sets: {len(sets)}" in out and f"round_trip_checked: {len(ref)}" in out

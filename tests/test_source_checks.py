@@ -121,3 +121,43 @@ def test_traced_names_resolve():
     assert len(pairs) > 20
     assert [f"{m}:{a}" for m, a in pairs if not _resolves(m, a)] == []
     assert not _resolves("cartanlab.extension", "Extension.no_such_method")
+
+
+def _is_membership_call(node) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Name) and func.id == "contains_matrix") or (
+        isinstance(func, ast.Attribute) and func.attr == "contains"
+    )
+
+
+def membership_calls_in_loops(root: Path) -> list[str]:
+    """Sites of ``contains_matrix(...)`` and ``.contains(...)`` calls inside
+    a ``for`` loop or a comprehension, as ``file:line``."""
+    loops = (ast.For, ast.AsyncFor, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    found = set()
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for loop in ast.walk(tree):
+            if isinstance(loop, loops):
+                found.update(f"{path.name}:{node.lineno}" for node in ast.walk(loop) if _is_membership_call(node))
+    return sorted(found)
+
+
+def test_no_one_matrix_membership_in_a_loop():
+    """A family of matrices is tested against a span with one stacked
+    residual (``vn_oracle._residual_norms``), not one projection per matrix."""
+    assert membership_calls_in_loops(SRC) == []
+
+
+def test_membership_scan_sees_loops_and_comprehensions(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def f(B, D, mats):\n"
+        "    ok = all(contains_matrix(B, m) for m in mats)\n"
+        "    for d in D.basis:\n"
+        "        if not B.contains(d):\n"
+        "            return False\n"
+        "    return ok and B.contains(mats[0]) and contains_matrix(B, mats[1])\n"
+    )
+    assert membership_calls_in_loops(tmp_path) == ["m.py:2", "m.py:4"]
