@@ -11,7 +11,6 @@ Exit codes: 0 all checks passed, 1 a check failed, 2 malformed input.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -375,7 +374,7 @@ def _cmd_spectral(doc, args):
     idx = _TraceIndex(S)
     count = idx.full + 1
     step = 1 if count <= 64 else count // 64
-    sample = [idx.members(X) for X in itertools.islice(idx.masks(args.guard), 0, None, step)]
+    sample = [idx.members(idx.mask_at(pos, args.guard)) for pos in range(0, count, step)]
     rs = RepSpace(ext, tol=args.tol)
     ok = all(theta(rs, psi(rs, A, args.tol), args.tol) == A for A in sample)
     lines = [

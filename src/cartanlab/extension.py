@@ -380,12 +380,26 @@ def g_meet(v: PhasedElement, w: PhasedElement) -> PhasedElement:
 
 @dataclass
 class Section:
-    """A section of the quotient map: one phased lift per element of S."""
+    """A section of the quotient map: one phased lift per element of S.
+
+    ``rows[i]`` is the phase row of j(e_i), dense over atoms, as the id-level
+    product reads it; ``dense_rows`` builds the rows unless the constructor
+    got them, after checking that each lift lies over its element.
+    """
 
     values: dict
+    rows: list | None = field(default=None, repr=False, compare=False)
 
     def __getitem__(self, s: PartialBijection) -> PhasedElement:
         return self.values[s]
+
+    def dense_rows(self, S: FiniteInverseMonoid) -> list[list[int]]:
+        if self.rows is None:
+            for s in S:
+                if s not in self.values or self.values[s].bij != s:
+                    raise DomainError(f"not a section at {s}")
+            self.rows = [_dense(S.atom_count, s.domain, self.values[s].phases) for s in S.elements]
+        return self.rows
 
     def items(self):
         return self.values.items()
@@ -473,7 +487,7 @@ def order_preserving_section(ext: Extension) -> Section:
             raise InvariantViolation(f"glued supports do not cover dom({t})")
         _, j[t_id] = ext._product(t_id, zero_row, S.mul[td][t_id], h)
 
-    return Section({s: ext._phased(i, j[i]) for i, s in enumerate(els)})
+    return Section({s: ext._phased(i, j[i]) for i, s in enumerate(els)}, [j[i] for i in range(len(els))])
 
 
 @dataclass
@@ -515,14 +529,10 @@ def validate_section(ext: Extension, j: Section) -> SectionReport:
     and s ^ t agree on A(s,t).  (b) uses the id-level twisted product.
     Witnesses are the first failing pair or triple in element order.
     """
-    S, n = ext.S, ext.S.atom_count
-    for s in S:
-        if s not in j.values or j[s].bij != s:
-            raise DomainError(f"not a section at {s}")
-
+    S = ext.S
+    rows = j.dense_rows(S)
     els, mul = S.elements, S.mul
     img = ext._img
-    rows = [_dense(n, s.domain, j[s].phases) for s in els]
     idem = [i for i, e in enumerate(els) if e.is_idempotent()]
     idem_of = {els[e].domain: e for e in idem}
     unit_ok = not any(rows[S.index[S.one]])

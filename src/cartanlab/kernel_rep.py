@@ -5,9 +5,11 @@ The kernel K(t,s) = j(s^dag t ^ 1) takes idempotent values and is handled
 exactly (bitmasks).  Floats enter only here and downstream: matrices are
 complex double, phases become exact roots of unity, and every numeric rank
 or eigenvalue decision uses the module-wide default tolerance 1e-9.
-``RepSpace`` caches the lambda matrices of one extension and section, and
-the Cartan pair they generate: M, the span of every lambda, and D, the span
-of the phased identities' lambdas, each built once at the space's tol.
+Lambda matrices are built on element ids, with the id-level product on
+the section's dense phase rows.  ``RepSpace`` caches the lambda matrices
+of one extension and section, and the Cartan pair they generate: M, the
+span of every lambda, and D, the span of the phased identities' lambdas,
+each built once at the space's tol.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import cached_property
 from ._lazy import np
 from .boolean_monoid import groupoid_relation
 from .errors import DomainError, InvariantViolation
-from .extension import Extension, Section, delta, sigma
+from .extension import Extension, Section, _check_in_P, delta, sigma
 from .semigroup_core import (
     FiniteInverseMonoid,
     PartialBijection,
@@ -162,24 +164,34 @@ def lambda_matrix(ext: Extension, j: Section, v: PhasedElement, rbasis: RBasis |
 
     Column (x, y) maps to (q(v)(x), y) with phase sigma(v, y->x) evaluated
     at y, and to zero when x is outside dom(q(v)).  Needs the one-point maps
-    of the relation to be elements of S (downward closure).
+    of the relation to be elements of S (downward closure).  sigma(v, t) =
+    j(q(v)t)^dag v j(t) is formed on element ids and must be a phased
+    identity (InvariantViolation otherwise, as from ``sigma``).
     """
     if rbasis is None:
         rbasis = RBasis.from_monoid(ext.S)
-    dim = len(rbasis)
-    out = np.zeros((dim, dim), dtype=complex)
-    omega = _omega(ext.k)
-    qv = v.bij
+    S, n = ext.S, rbasis.atom_count
+    rows = j.dense_rows(S)
+    i, a = ext._id_row(v)
+    img = ext._img[i]
+    targets, cols, phases = [], [], []
     for col, (x, y) in enumerate(rbasis.pairs):
-        if not (qv.domain >> x) & 1:
+        if not (v.bij.domain >> x) & 1:
             continue
-        s_xy = singleton(rbasis.atom_count, y, x)
-        if s_xy not in ext.S:
+        t = S.index.get(singleton(n, y, x))
+        if t is None:
             raise DomainError("relation pair has no one-point map in S")
-        phase = sigma(ext, j, v, s_xy).phase_at(y)
-        row = rbasis.index[(qv.apply(x), y)]
-        out[row, col] = omega**phase
-    return out
+        vt, p = ext._product(i, a, t, rows[t])
+        sig, phase = ext._product(*ext._dagger(vt, rows[vt]), vt, p)
+        if not S.elements[sig].is_idempotent():
+            _check_in_P(ext._phased(sig, phase), "sigma", (v, S.elements[t]))
+        targets.append(rbasis.index[(img[x], y)])
+        cols.append(col)
+        phases.append(phase[y])
+    dim = len(rbasis)
+    lam = np.zeros((dim, dim), dtype=complex)
+    lam[targets, cols] = (_omega(ext.k) ** np.arange(ext.k))[phases]
+    return lam
 
 
 def projection_P_and_V(ext: Extension, j: Section, rbasis: RBasis | None = None, tol: float = DEFAULT_TOL):
@@ -189,8 +201,10 @@ def projection_P_and_V(ext: Extension, j: Section, rbasis: RBasis | None = None,
     the atom space along those pairs.  Verifies V*V = 1, VV* = P, and the
     compression identity P lam(v) P = lam(Delta(v)) P for every v.
     """
-    if rbasis is None:
-        rbasis = RBasis.from_monoid(ext.S)
+    rs = RepSpace(ext, j, tol)
+    if rbasis is not None:
+        rs.rbasis = rbasis
+    rbasis = rs.rbasis
     dim = len(rbasis)
     diag = rbasis.diagonal_indices()
     P = np.zeros((dim, dim), dtype=complex)
@@ -202,9 +216,8 @@ def projection_P_and_V(ext: Extension, j: Section, rbasis: RBasis | None = None,
     if not np.allclose(V @ V.conj().T, P, atol=tol):
         raise InvariantViolation("VV* != P")
     for v in ext.elements:
-        lam = lambda_matrix(ext, j, v, rbasis)
-        lhs = P @ lam @ P
-        rhs = lambda_matrix(ext, j, delta(ext, j, v), rbasis) @ P
+        lhs = P @ rs.lam(v) @ P
+        rhs = rs.lam(delta(ext, j, v)) @ P
         if not np.allclose(lhs, rhs, atol=tol):
             raise InvariantViolation(f"P lam(v) P != lam(Delta(v)) P at {v}")
     return P, V
@@ -227,9 +240,12 @@ def expectation(rbasis: RBasis, T: np.ndarray) -> np.ndarray:
     Compress by V (read the diagonal-pair entries g(x) = T[(x,x),(x,x)]),
     then re-embed as the block-diagonal element acting by g(x) on every pair
     (x, y).  Unital, idempotent, positive; fixes the diagonal subalgebra.
+    T may be a stack of matrices (shape (..., d, d)), mapped one by one.
     """
     i = [rbasis.index[(x, x)] for x, _y in rbasis.pairs]
-    return np.diag(T[i, i].astype(complex))
+    out = np.zeros(T.shape, dtype=complex)
+    out[..., range(len(i)), range(len(i))] = T[..., i, i]
+    return out
 
 
 class RepSpace:
@@ -290,7 +306,8 @@ def abstract_gram_check(ext: Extension, j: Section, tol: float = DEFAULT_TOL):
     concrete matrices.  Returns a dict of the measured quantities.
     """
     S = ext.S
-    rbasis = RBasis.from_monoid(S)
+    rs = RepSpace(ext, j, tol)
+    rbasis = rs.rbasis
     n = S.atom_count
     cols = [(s, y) for s in S.elements for y in range(n)]
     m = len(cols)
@@ -318,7 +335,7 @@ def abstract_gram_check(ext: Extension, j: Section, tol: float = DEFAULT_TOL):
     col_index = {c: i for i, c in enumerate(cols)}
     max_dev = 0.0
     for v in ext.elements:
-        lam = lambda_matrix(ext, j, v, rbasis)
+        lam = rs.lam(v)
         for a, (s, y) in enumerate(cols):
             lhs = lam @ U[:, a]
             sig = sigma(ext, j, v, s)

@@ -32,6 +32,7 @@ note explicitly.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from ._lazy import np
@@ -155,14 +156,38 @@ class _TraceIndex:
     def dagger_of(self, X: int) -> int:
         return mask_of(self.dag[i] for i in bits(X))
 
-    def masks(self, guard: int):
-        """Every mask, by size and then in itertools.combinations order."""
+    def _guarded_count(self, guard: int) -> int:
         m = len(self.minimals)
         if m > guard:
             raise SizeGuardError(2**m, 2**guard, "spectral set enumeration")
+        return m
+
+    def masks(self, guard: int):
+        """Every mask, by size and then in itertools.combinations order."""
+        m = self._guarded_count(guard)
         for r in range(m + 1):
             for combo in itertools.combinations(range(m), r):
                 yield mask_of(combo)
+
+    def mask_at(self, pos: int, guard: int) -> int:
+        """The mask at position pos of ``masks`` order, without walking the
+        masks before it: skip the smaller sizes, then pick each member of the
+        combination by counting the combinations that start below it."""
+        m = self._guarded_count(guard)
+        for r in range(m + 1):
+            if pos < math.comb(m, r):
+                break
+            pos -= math.comb(m, r)
+        mask, i = 0, 0
+        while r:
+            starting_here = math.comb(m - i - 1, r - 1)  # combinations whose next member is i
+            if pos < starting_here:
+                mask |= 1 << i
+                r -= 1
+            else:
+                pos -= starting_here
+            i += 1
+        return mask
 
     def monoid_masks(self, guard: int) -> list[int]:
         """The masks, in ``masks`` order, of the spectral monoids holding the
@@ -228,7 +253,7 @@ def psi(rs: RepSpace, A, tol: float = DEFAULT_TOL) -> Bimodule:
     basis = subspace_basis(mats, tol)
     dim = len(rs.rbasis)
     B = np.reshape(basis, (len(basis), dim, dim))
-    D = np.asarray(rs.diagonal.basis)[:, None]
+    D = np.reshape(rs.diagonal.basis, (-1, 1, dim, dim))
     left = _all_within(basis, D @ B, tol)
     right = _all_within(basis, B @ D, tol)
     if not (left and right):
@@ -432,29 +457,32 @@ def _multiplicativity_defect(Q: np.ndarray, gens: np.ndarray, proj: np.ndarray) 
     projects onto the stacked orthonormal basis Q and proj is E of the stack
     gens: one stacked product of all pairs and one stacked projection."""
     XY = gens[:, None] @ gens[None]
-    return float(np.abs(_hs_projections(Q, XY) - proj[:, None] @ proj[None]).max())
+    return float(np.abs(_hs_projections(Q, XY) - proj[:, None] @ proj[None]).max(initial=0.0))
 
 
 def _bimodularity_defect(Q: np.ndarray, gens: np.ndarray, proj: np.ndarray) -> float:
     """Largest entry of E(nX) - n E(X) and E(Xn) - E(X) n over n in the
-    stacked orthonormal basis Q and the generators, proj being E of gens."""
+    stacked orthonormal basis Q and the generators, proj being E of gens;
+    0 when either stack is empty."""
     N = Q[:, None]
     left = _hs_projections(Q, N @ gens) - N @ proj
     right = _hs_projections(Q, gens @ N) - proj @ N
-    return float(max(np.abs(left).max(), np.abs(right).max()))
+    return float(max(np.abs(left).max(initial=0.0), np.abs(right).max(initial=0.0)))
 
 
 def _selfadjoint_part(rs: RepSpace, idx: _TraceIndex, X: int, tol: float):
     """psi(A(X)), the stack of its basis, the adjoints of its basis, and the
     stack of the orthonormal basis of its self-adjoint part N, for a
-    spectral monoid A(X) (so neither stack is empty).  Computed once per
-    space, tol and mask, and kept in ``idx.parts``."""
+    spectral monoid A(X); a stack is empty, shaped (0, d, d), only at a tol
+    that drops every matrix.  Computed once per space, tol and mask, and
+    kept in ``idx.parts``."""
     key = (rs, tol, X)
     if key not in idx.parts:
         alg = psi(rs, idx.members(X), tol)
         adj = [b.conj().T for b in alg.basis]
         N = _subspace_intersection(alg.basis, adj, tol)
-        idx.parts[key] = alg, np.asarray(alg.basis), adj, np.asarray(N)
+        shape = (-1, len(rs.rbasis), len(rs.rbasis))
+        idx.parts[key] = alg, np.reshape(alg.basis, shape), adj, np.reshape(N, shape)
     return idx.parts[key]
 
 

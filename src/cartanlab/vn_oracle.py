@@ -12,8 +12,9 @@ matrices.
 
 Every nullspace comes from one SVD, thin whenever the system has at least as
 many rows as columns (its right factor is then already square), so no solve
-materializes the rows-by-rows left factor.  The commutant of a family is the
-nullspace of the Kronecker system stacking B (x) 1 - 1 (x) B^T over the family.
+materializes the rows-by-rows left factor.  The commutant of a family is
+found by successive restriction, one SVD of at most d^2 x d^2 per member;
+the expectation checks and regularity test stacks of matrices.
 ``cartan_report`` checks the Cartan pair (M, D) of one ``RepSpace``, which
 builds the lambda matrices and both spans once for every check.
 """
@@ -95,6 +96,8 @@ def _residual_norms(basis, mats: np.ndarray) -> np.ndarray:
     (..., d, d)) off the span of the orthonormal basis, one per matrix in
     flattened order.  The residual overwrites the projection and the norms
     are read from its real view, so no other stack-sized array is built."""
+    if not mats.size:
+        return np.zeros(0)
     P = mats.reshape(-1, mats.shape[-2] * mats.shape[-1])
     R = _hs_projections(basis, P)
     R -= P
@@ -172,6 +175,8 @@ def _null_combinations(A: np.ndarray, basis, tol: float) -> list[np.ndarray]:
     """Orthonormal basis of the combinations of the matrices in ``basis``
     whose coefficient vectors make up the nullspace of A.  Columns of A
     past the first len(basis) take part in the solve only."""
+    if not len(basis):
+        return []
     _, null = _nullspace_dimension(A, tol)
     cols = np.stack([b.ravel() for b in basis], axis=1)
     shape = basis[0].shape
@@ -185,23 +190,21 @@ def relative_commutant(M: MatrixAlgebra, D: MatrixAlgebra, tol: float = DEFAULT_
     return _null_combinations(A, M.basis, tol)
 
 
-def _commutant_system(basis, ambient_dim: int) -> np.ndarray:
-    """The linear system of X B = B X over the family, X row-major.
-
-    Row-major vec(B X) = (B (x) 1) vec(X) and vec(X B) = (1 (x) B^T) vec(X),
-    so the system stacks one Kronecker block per family member.
-    """
-    eye = np.eye(ambient_dim, dtype=complex)
-    return np.vstack([np.kron(B, eye) - np.kron(eye, B.T) for B in basis])
-
-
 def commutant_dimension(basis, ambient_dim: int, tol: float = DEFAULT_TOL) -> tuple[int, list[np.ndarray]]:
-    """Commutant of a matrix family inside the full matrix algebra: the
-    nullspace of the stacked Kronecker system (thin SVD, as it is tall)."""
-    A = _commutant_system(basis, ambient_dim)
-    dim, null = _nullspace_dimension(A, tol)
-    mats = [coeffs.reshape(ambient_dim, ambient_dim) for coeffs in null]
-    return dim, subspace_basis(mats, tol)
+    """Commutant of a matrix family inside the full matrix algebra, by
+    successive restriction: the orthonormal rows of N span the X (row-major)
+    with X B = B X for the members B so far, and each member keeps the
+    combinations c N with B X - X B = 0, one thin SVD of at most d^2 x d^2.
+    An empty family leaves the full algebra."""
+    d = ambient_dim
+    N = np.eye(d * d, dtype=complex)
+    for B in basis:
+        if not len(N):
+            break
+        X = N.reshape(-1, d, d)
+        _, null = _nullspace_dimension((B @ X - X @ B).reshape(len(N), -1).T, tol)
+        N = null @ N
+    return len(N), subspace_basis(N.reshape(-1, d, d), tol)
 
 
 @dataclass
@@ -285,39 +288,33 @@ def expectation_properties(rs: RepSpace, samples: int = 100) -> ExpectationRepor
     ext = rs.ext
     tol = rs.tol
     rbasis = rs.rbasis
+    dim = len(rbasis)
+    E = rs.expectation
 
-    dev = 0.0
-    for v in ext.elements:
-        dev = max(dev, float(np.abs(rs.expectation(rs.lam(v)) - rs.lam(delta(ext, rs.j, v))).max()))
+    diff = E(np.asarray(rs.all_lambdas()))
+    diff -= np.asarray([rs.lam(delta(ext, rs.j, v)) for v in ext.elements])
+    dev = float(np.abs(diff).max())
     matches = dev <= tol
 
-    M_basis = rs.algebra.basis
-    dim = len(rbasis)
+    M = np.reshape(rs.algebra.basis, (-1, dim, dim))
     rng = np.random.default_rng(0)
-
-    idempotent = True
-    positive = True
-    unital = bool(np.abs(rs.expectation(np.eye(dim, dtype=complex)) - np.eye(dim)).max() <= tol)
-    for _ in range(samples):
-        coeffs = rng.normal(size=len(M_basis)) + 1j * rng.normal(size=len(M_basis))
-        x = sum(c * b for c, b in zip(coeffs, M_basis))
-        Ex = rs.expectation(x)
-        if np.abs(rs.expectation(Ex) - Ex).max() > tol:
-            idempotent = False
-        Exx = rs.expectation(x.conj().T @ x)
-        eigs = np.linalg.eigvalsh((Exx + Exx.conj().T) / 2)
-        if eigs.min() < -tol:
-            positive = False
+    unital = bool(np.abs(E(np.eye(dim, dtype=complex)) - np.eye(dim)).max() <= tol)
+    # the same coefficients as sequential draws: real parts, then imaginary
+    draws = rng.normal(size=(samples, 2, len(M)))
+    X = np.tensordot(draws[:, 0] + 1j * draws[:, 1], M, axes=1)
+    EX = E(X)
+    idempotent = not (np.abs(E(EX) - EX) > tol).any()
+    EXX = E(X.conj().transpose(0, 2, 1) @ X)
+    positive = not (np.linalg.eigvalsh((EXX + EXX.conj().transpose(0, 2, 1)) / 2) < -tol).any()
 
     diag_cols = rbasis.diagonal_indices()
-    F = np.stack([b[:, diag_cols].ravel() for b in M_basis], axis=1)
+    F = M[:, :, diag_cols].reshape(len(M), dim * len(diag_cols)).T
     faithful = _nullspace_dimension(F, tol)[0] == 0
 
-    bimodular = all(
-        np.abs(rs.expectation(d @ b) - d @ rs.expectation(b)).max() <= tol
-        and np.abs(rs.expectation(b @ d) - rs.expectation(b) @ d).max() <= tol
-        for d in rs.diagonal_lambdas()[:8]
-        for b in M_basis[:12]
+    Dl = np.reshape(rs.diagonal_lambdas()[:8], (-1, 1, dim, dim))
+    B, EB = M[:12], E(M[:12])
+    bimodular = bool(
+        (np.abs(E(Dl @ B) - Dl @ EB) <= tol).all() and (np.abs(E(B @ Dl) - EB @ Dl) <= tol).all()
     )
 
     return ExpectationReport(matches, idempotent, unital, positive, faithful, bimodular, dev)
@@ -325,9 +322,14 @@ def expectation_properties(rs: RepSpace, samples: int = 100) -> ExpectationRepor
 
 def _normalizes(lams, D: MatrixAlgebra, tol: float) -> bool:
     """Whether lam D lam^* lies in D for every lam: one stacked residual of
-    the conjugated basis of D per lam."""
-    stack = np.asarray(D.basis)
-    return all(_all_within(D.basis, lam @ stack @ lam.conj().T, tol) for lam in lams)
+    the basis of D conjugated by each block of 64 lams (the block bounds
+    the stack at 64 dim(D) matrices; all lams at once would be |G| dim(D))."""
+    stack = np.reshape(D.basis, (-1, *lams[0].shape))
+    for start in range(0, len(lams), 64):
+        L = np.asarray(lams[start : start + 64])[:, None]
+        if not _all_within(D.basis, L @ stack @ L.conj().transpose(0, 1, 3, 2), tol):
+            return False
+    return True
 
 
 def _pattern_positions(rbasis: RBasis, g: PartialBijection):

@@ -272,6 +272,33 @@ def test_malformed_invocations_exit_two_without_traceback(tmp_path, argv, env):
     assert "input error" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "command, shape, tol",
+    [
+        (command, shape, tol)
+        for command in ("oracle", "msd", "spectral")
+        for shape in (["rook", "3"], ["eqrel", "0,1|2,3"])
+        for tol in ("1", "10")
+    ]
+    + [("msd", ["rook", "3"], "0.75")],
+    ids=lambda p: p if isinstance(p, str) else "-".join(p).replace("|", "_"),
+)
+def test_large_tol_ends_in_a_verdict_without_traceback(tmp_path, command, shape, tol):
+    """At a tol past the matrices' norms the spans come out empty; the run
+    ends in a FAIL verdict (exit 1) or an input error (exit 2)."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "CARTANLAB_GUARD"}
+    env.update(PYTHONPATH=str(src))
+    for argv in (["gen", *shape, "--out", "doc.json"], [command, "doc.json", "--tol", tol]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cartanlab", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+    assert proc.returncode in (1, 2), (proc.stdout, proc.stderr)
+    assert "Traceback" not in proc.stderr
+    assert "FAIL" in proc.stdout or "input error" in proc.stderr
+
+
 def test_nonpositive_guard_and_extra_gen_parameters_name_the_fault(tmp_path, capsys, monkeypatch):
     """Rejected before the command runs, so validate (which reads no guard)
     and spectral (whose guard check would fire later) report the same fault."""

@@ -10,8 +10,11 @@ intersection, the spelled-out algebra checks of the AOI correspondence,
 the pair-by-pair psi, theta and verify_subdiagonal that one stacked
 residual or projection per condition replaced, the per-matrix closure,
 regularity and phased-identity containment loops that one stacked residual
-per family replaced, the coboundary path of point_coboundary_table, and the
-spectral command's sample of the full spectral-set list.
+per family replaced, the coboundary path of point_coboundary_table, the
+spectral command's sample of the full spectral-set list, the per-column
+lambda_matrix through the object-level sigma, the commutant as one stacked
+Kronecker system, the sequential expectation loops, and the per-lambda
+regularity check.
 """
 
 import itertools
@@ -21,13 +24,22 @@ import numpy as np
 import pytest
 
 from cartanlab import cli, vn_oracle
-from cartanlab.errors import DomainError, InvariantViolation
-from cartanlab.extension import Extension, coboundary_table, point_coboundary_table, trivial_cocycle
+from cartanlab.errors import DomainError, InvariantViolation, SizeGuardError
+from cartanlab.extension import (
+    Extension,
+    Section,
+    coboundary_table,
+    delta,
+    point_coboundary_table,
+    sigma,
+    trivial_cocycle,
+)
 from cartanlab.generators import eqrel_monoid, product_monoid, rook_monoid
-from cartanlab.kernel_rep import RepSpace
+from cartanlab.kernel_rep import RBasis, RepSpace, lambda_matrix
 from cartanlab.semigroup_core import (
     FiniteInverseMonoid,
     PartialBijection,
+    PhasedElement,
     bits,
     conjugate,
     mask_of,
@@ -58,7 +70,6 @@ from cartanlab.vn_oracle import (
     MatrixAlgebra,
     _accepted_points,
     _algebra_checks,
-    _commutant_system,
     _hs_projection,
     _normalizes,
     _nullspace_dimension,
@@ -94,6 +105,18 @@ def reference_nullspace(A, tol):
     _, svals, vh = np.linalg.svd(A)
     rank = int(np.sum(svals > tol))
     return A.shape[1] - rank, vh[rank:].conj()
+
+
+def commutant_system(basis, ambient_dim):
+    """The stacked Kronecker system of X B = B X over the family, X
+    row-major: the earlier commutant solved it in one thin SVD."""
+    eye = np.eye(ambient_dim, dtype=complex)
+    return np.vstack([np.kron(B, eye) - np.kron(eye, B.T) for B in basis])
+
+
+def reference_commutant(basis, ambient_dim, tol):
+    dim, null = _nullspace_dimension(commutant_system(basis, ambient_dim), tol)
+    return dim, subspace_basis([c.reshape(ambient_dim, ambient_dim) for c in null], tol)
 
 
 def reference_commutant_system(basis, ambient_dim):
@@ -393,7 +416,7 @@ def test_kronecker_system_equals_loop_reference(S, k):
     rs = RepSpace(Extension(S, k, perturbed(S, k, 3) if k > 1 else None))
     M = span_basis(rs.all_lambdas(), rs.rbasis)
     dim = len(rs.rbasis)
-    system = _commutant_system(M.basis, dim)
+    system = commutant_system(M.basis, dim)
     assert system.shape == (len(M.basis) * dim * dim, dim * dim)
     assert np.array_equal(system, reference_commutant_system(M.basis, dim))
 
@@ -409,7 +432,8 @@ def test_cartan_report_rook4():
 
 def test_no_full_svd_of_a_tall_matrix(i3, monkeypatch):
     """A full SVD of a tall system builds its rows-by-rows left factor
-    (28 MB for the rook3 commutant system); the thin one suffices."""
+    (28 MB for the rook3 stacked Kronecker system); the thin one suffices,
+    and the commutant solves are at most d^2 x d^2 (81 x 81 on rook3)."""
     real_svd = np.linalg.svd
     shapes, full_tall = [], []
 
@@ -423,7 +447,9 @@ def test_no_full_svd_of_a_tall_matrix(i3, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", guarded)
     rep = cartan_report(Extension(i3, 3, perturbed(i3, 3, 5)))
     assert rep.passed, rep.to_lines()
-    assert (729, 81) in shapes  # the commutant system went through the guard
+    # the commutant solves went through the guard, none taller than d^2 x d^2
+    assert (81, 81) in shapes
+    assert [shape for shape in shapes if shape[1] == 81 and shape[0] > 81] == []
     assert full_tall == []
 
 
@@ -827,3 +853,203 @@ def test_spectral_command_samples_the_enumerated_sets(name, tmp_path, monkeypatc
     assert sampled == ref
     out = capsys.readouterr().out
     assert f"spectral_sets: {len(sets)}" in out and f"round_trip_checked: {len(ref)}" in out
+
+
+# -- lambda matrices on element ids --------------------------------------------
+
+
+def reference_lambda_matrix(ext, j, v, rbasis):
+    """The per-column construction through the object-level sigma."""
+    dim = len(rbasis)
+    out = np.zeros((dim, dim), dtype=complex)
+    omega = np.exp(2j * np.pi / ext.k)
+    for col, (x, y) in enumerate(rbasis.pairs):
+        if not (v.bij.domain >> x) & 1:
+            continue
+        s_xy = singleton(rbasis.atom_count, y, x)
+        if s_xy not in ext.S:
+            raise DomainError("relation pair has no one-point map in S")
+        out[rbasis.index[(v.bij.apply(x), y)], col] = omega ** sigma(ext, j, v, s_xy).phase_at(y)
+    return out
+
+
+LADDER = {
+    "rook2_k2": (rook_monoid(2), 2),
+    "rook3_k3": (rook_monoid(3), 3),
+    "eqrel_01_23_k2": (eqrel_monoid([(0, 1), (2, 3)]), 2),
+    "eqrel_012_3_4": (eqrel_monoid([(0, 1, 2), (3,), (4,)]), 1),
+    "product_rook2_rook2": (product_monoid(rook_monoid(2), rook_monoid(2)), 1),
+}
+
+
+def ladder_space(name):
+    S, k = LADDER[name]
+    return RepSpace(Extension(S, k, perturbed(S, k, 5) if k > 1 else None))
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_lambda_matrices_match_object_level_reference(name):
+    rs = ladder_space(name)
+    for v in rs.ext.elements:
+        assert np.array_equal(rs.lam(v), reference_lambda_matrix(rs.ext, rs.j, v, rs.rbasis)), v
+    # a section given as a bare dict builds its dense rows on first use
+    j2 = Section(dict(rs.j.values))
+    v = rs.ext.elements[-1]
+    assert np.array_equal(lambda_matrix(rs.ext, j2, v, rs.rbasis), rs.lam(v))
+
+
+def test_lambda_matrix_keeps_its_errors(i2, monkeypatch):
+    ext = Extension(i2, 2)
+    rs = RepSpace(ext)
+    v = next(v for v in ext.elements if v.bij.domain == 0b11 and not v.is_phased_identity())
+    # a lift over the wrong map is not a section
+    ident = next(s for s in i2 if s.domain == 0b11 and s.is_idempotent())
+    with pytest.raises(DomainError, match="not a section at"):
+        lambda_matrix(ext, Section(dict(rs.j.values) | {ident: v}), v, rs.rbasis)
+    # sigma must be a phased identity: a dagger that forgets to invert breaks it
+    one = (i2.index[i2.one], [0, 0])
+    monkeypatch.setattr(ext, "_dagger", lambda i, a: one)
+    with pytest.raises(InvariantViolation, match=r"^sigma\(.* is not a phased identity$"):
+        lambda_matrix(ext, rs.j, v, rs.rbasis)
+    monkeypatch.undo()
+    points = FiniteInverseMonoid(2, [s for s in i2 if s.domain.bit_count() != 1])
+    ext_no_points = Extension(points, 1)
+    j0 = Section({s: PhasedElement(s, (0,) * s.domain.bit_count()) for s in points})
+    with pytest.raises(DomainError, match="relation pair has no one-point map in S"):
+        lambda_matrix(ext_no_points, j0, ext_no_points.elements[-1], RBasis.from_monoid(i2))
+
+
+# -- commutant by successive restriction ---------------------------------------
+
+
+def projector(basis):
+    V = np.stack([b.ravel() for b in basis], axis=1)
+    return V @ V.conj().T
+
+
+@pytest.mark.parametrize("name", ["rook2_k2", "rook3_k3", "eqrel_01_23_k2", "eqrel_012_3_4"])
+def test_commutant_matches_stacked_system(name):
+    rs = ladder_space(name)
+    d = len(rs.rbasis)
+    M = rs.algebra.basis
+    rng = np.random.default_rng(2)
+    families = {
+        "M": M,
+        "M_prime": vn_oracle.commutant_dimension(M, d, TOL)[1],
+        "two_random": [_complex(rng, d, d) for _ in range(2)],
+        "one_lambda": [rs.lam(rs.ext.elements[len(rs.ext.elements) // 2])],
+    }
+    for fam_name, family in families.items():
+        dim, basis = vn_oracle.commutant_dimension(family, d, TOL)
+        ref_dim, ref_basis = reference_commutant(family, d, TOL)
+        assert dim == ref_dim == len(basis), fam_name
+        assert np.allclose(projector(basis), projector(ref_basis), atol=1e-9), fam_name
+
+
+def test_commutant_of_no_matrices_is_everything():
+    dim, basis = vn_oracle.commutant_dimension([], 3, TOL)
+    assert dim == len(basis) == 9
+    assert np.allclose(projector(basis), np.eye(9))
+
+
+# -- one stacked expectation pass ----------------------------------------------
+
+
+def reference_expectation_properties(rs, samples=100):
+    """The sequential sample loop and pair loops of the earlier body."""
+    ext, tol, rbasis = rs.ext, rs.tol, rs.rbasis
+    dev = 0.0
+    for v in ext.elements:
+        dev = max(dev, float(np.abs(rs.expectation(rs.lam(v)) - rs.lam(delta(ext, rs.j, v))).max()))
+    M_basis = rs.algebra.basis
+    dim = len(rbasis)
+    rng = np.random.default_rng(0)
+    idempotent = positive = True
+    unital = bool(np.abs(rs.expectation(np.eye(dim, dtype=complex)) - np.eye(dim)).max() <= tol)
+    for _ in range(samples):
+        coeffs = rng.normal(size=len(M_basis)) + 1j * rng.normal(size=len(M_basis))
+        x = sum(c * b for c, b in zip(coeffs, M_basis))
+        Ex = rs.expectation(x)
+        if np.abs(rs.expectation(Ex) - Ex).max() > tol:
+            idempotent = False
+        Exx = rs.expectation(x.conj().T @ x)
+        if np.linalg.eigvalsh((Exx + Exx.conj().T) / 2).min() < -tol:
+            positive = False
+    diag_cols = rbasis.diagonal_indices()
+    F = np.stack([b[:, diag_cols].ravel() for b in M_basis], axis=1)
+    faithful = _nullspace_dimension(F, tol)[0] == 0
+    bimodular = all(
+        np.abs(rs.expectation(d @ b) - d @ rs.expectation(b)).max() <= tol
+        and np.abs(rs.expectation(b @ d) - rs.expectation(b) @ d).max() <= tol
+        for d in rs.diagonal_lambdas()[:8]
+        for b in M_basis[:12]
+    )
+    return vn_oracle.ExpectationReport(dev <= tol, idempotent, unital, positive, faithful, bimodular, dev)
+
+
+def _expectation_flags(rep):
+    return (rep.matches_diagonal_part, rep.idempotent, rep.unital, rep.positive, rep.faithful, rep.bimodular)
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_expectation_flags_match_sequential_reference(name):
+    rs = ladder_space(name)
+    got, ref = vn_oracle.expectation_properties(rs), reference_expectation_properties(rs)
+    assert _expectation_flags(got) == _expectation_flags(ref) and got.passed
+    assert got.max_deviation == ref.max_deviation
+
+
+def test_expectation_flags_match_reference_where_they_fail(i3):
+    """A span that is not M (some lambdas left out, a non-diagonal
+    'diagonal', or both) fails some flags; the verdicts still agree."""
+    rs = RepSpace(Extension(i3, 1))
+    lams = rs.all_lambdas()
+    half = span_basis(lams[: len(lams) // 2], rs.rbasis)
+    shifted = span_basis([lams[-1], lams[1]], rs.rbasis)
+    seen = set()
+    for algebra, diagonal in [(half, rs.diagonal), (rs.algebra, shifted), (half, shifted)]:
+        rs.__dict__.update(algebra=algebra)
+        rs.diagonal_lambdas = lambda diagonal=diagonal: diagonal.basis
+        got, ref = vn_oracle.expectation_properties(rs, 20), reference_expectation_properties(rs, 20)
+        assert _expectation_flags(got) == _expectation_flags(ref)
+        seen.add(_expectation_flags(got))
+    assert any(not all(flags) for flags in seen)
+
+
+def test_sample_draws_match_sequential_draws():
+    rng_a, rng_b = np.random.default_rng(0), np.random.default_rng(0)
+    stacked = rng_a.normal(size=(100, 2, 11))
+    sequential = [(rng_b.normal(size=11), rng_b.normal(size=11)) for _ in range(100)]
+    assert np.array_equal(stacked, np.asarray(sequential))
+
+
+def reference_normalizes(lams, D, tol):
+    return all(all(contains_matrix(D.basis, lam @ d @ lam.conj().T, tol) for d in D.basis) for lam in lams)
+
+
+def test_regularity_matches_pair_reference(i3):
+    rs = RepSpace(Extension(i3, 3, perturbed(i3, 3, 2)))
+    lams = rs.all_lambdas()
+    D_bad = span_basis([lams[-1], lams[0]], rs.rbasis)
+    for D in (rs.diagonal, D_bad):
+        assert _normalizes(lams, D, TOL) == reference_normalizes(lams, D, TOL)
+    assert _normalizes(lams, rs.diagonal, TOL) and not _normalizes(lams, D_bad, TOL)
+
+
+# -- spectral sampling by unranking --------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "S",
+    [rook_monoid(3), eqrel_monoid([(0, 1), (2, 3)]), rook_monoid(4)],
+    ids=["rook3", "eqrel_01_23", "rook4"],
+)
+def test_unranked_sample_equals_enumerated_sample(S):
+    idx = _TraceIndex(S)
+    count = idx.full + 1
+    step = 1 if count <= 64 else count // 64
+    sample = [idx.mask_at(pos, SPECTRAL_GUARD) for pos in range(0, count, step)]
+    assert sample == list(itertools.islice(idx.masks(SPECTRAL_GUARD), 0, None, step))
+    assert idx.mask_at(count - 1, SPECTRAL_GUARD) == idx.full
+    with pytest.raises(SizeGuardError):
+        idx.mask_at(0, len(idx.minimals) - 1)

@@ -132,17 +132,32 @@ def _is_membership_call(node) -> bool:
     )
 
 
-def membership_calls_in_loops(root: Path) -> list[str]:
-    """Sites of ``contains_matrix(...)`` and ``.contains(...)`` calls inside
-    a ``for`` loop or a comprehension, as ``file:line``."""
+def _is_lambda_matrix_call(node) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Name) and func.id == "lambda_matrix") or (
+        isinstance(func, ast.Attribute) and func.attr == "lambda_matrix"
+    )
+
+
+def calls_in_loops(root: Path, is_call) -> list[str]:
+    """Sites of the calls ``is_call`` accepts inside a ``for`` loop or a
+    comprehension, as ``file:line``."""
     loops = (ast.For, ast.AsyncFor, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     found = set()
     for path in sorted(root.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for loop in ast.walk(tree):
             if isinstance(loop, loops):
-                found.update(f"{path.name}:{node.lineno}" for node in ast.walk(loop) if _is_membership_call(node))
+                found.update(f"{path.name}:{node.lineno}" for node in ast.walk(loop) if is_call(node))
     return sorted(found)
+
+
+def membership_calls_in_loops(root: Path) -> list[str]:
+    """Sites of ``contains_matrix(...)`` and ``.contains(...)`` calls inside
+    a ``for`` loop or a comprehension."""
+    return calls_in_loops(root, _is_membership_call)
 
 
 def test_no_one_matrix_membership_in_a_loop():
@@ -161,3 +176,20 @@ def test_membership_scan_sees_loops_and_comprehensions(tmp_path):
         "    return ok and B.contains(mats[0]) and contains_matrix(B, mats[1])\n"
     )
     assert membership_calls_in_loops(tmp_path) == ["m.py:2", "m.py:4"]
+
+
+def test_no_lambda_matrix_in_a_loop():
+    """lambda matrices are built through a ``RepSpace``, whose ``lam`` calls
+    ``lambda_matrix`` once per element and keeps the result."""
+    assert calls_in_loops(SRC, _is_lambda_matrix_call) == []
+
+
+def test_lambda_matrix_scan_sees_loops_and_comprehensions(tmp_path):
+    (tmp_path / "k.py").write_text(
+        "def f(ext, j, rb, rs):\n"
+        "    mats = [lambda_matrix(ext, j, v, rb) for v in ext.elements]\n"
+        "    for v in ext.elements:\n"
+        "        mats.append(kernel_rep.lambda_matrix(ext, j, v))\n"
+        "    return mats, lambda_matrix(ext, j, ext.unit), rs.lam(ext.unit)\n"
+    )
+    assert calls_in_loops(tmp_path, _is_lambda_matrix_call) == ["k.py:2", "k.py:4"]
