@@ -146,6 +146,8 @@ def parse(text: str) -> ExtensionDocument:
             if not isinstance(entry, dict) or not {"s", "t", "phase"} <= set(entry):
                 raise FormatError("cocycle entries need 's', 't', 'phase'", where)
             for ref in (entry["s"], entry["t"]):
+                if not isinstance(ref, str):
+                    raise FormatError(f"cocycle reference {json.dumps(ref)} is not an element name", where)
                 if ref not in names:
                     raise FormatError(f"cocycle references unknown element '{ref}'", where)
             if not isinstance(entry["phase"], list) or not all(

@@ -159,7 +159,7 @@ class _TraceIndex:
     def _guarded_count(self, guard: int) -> int:
         m = len(self.minimals)
         if m > guard:
-            raise SizeGuardError(2**m, 2**guard, "spectral set enumeration")
+            raise SizeGuardError(m, guard, "minimal element count for spectral set enumeration (--guard)")
         return m
 
     def masks(self, guard: int):

@@ -12,9 +12,11 @@ from cartanlab.boolean_monoid import (
     rebase_to_idempotent_atoms,
 )
 from cartanlab.errors import DomainError, InvariantViolation
-from cartanlab.generators import eqrel_monoid, rook_monoid
+from cartanlab.generators import eqrel_monoid, product_monoid, rook_monoid
 from cartanlab.semigroup_core import (
     FiniteInverseMonoid,
+    PartialBijection,
+    are_orthogonal,
     compose,
     dagger,
     identity_map,
@@ -46,6 +48,93 @@ def test_axioms_missing_join_witness(i2, named2):
     assert not rep.complete_d.passed
     assert set(rep.complete_d.witness) == {named2["t01"], named2["t10"]}
     assert not rep.cartan
+
+
+def _point_idempotents_only():
+    """{0, e0, e1, e2, 1} on three atoms: closed, but the orthogonal pair
+    {e0, e1} has no join in it, though the maximal family {e0, e1, e2} has."""
+    return FiniteInverseMonoid(3, [zero_map(3), *(partial_identity(3, 1 << i) for i in range(3)), identity_map(3)])
+
+
+def test_axioms_missing_pair_join_fails_c_and_d():
+    S = _point_idempotents_only()
+    e = [partial_identity(3, 1 << i) for i in range(3)]
+    assert S.closure_witness() is None
+    rep = check_axioms(S)
+    assert not rep.boolean_c.passed
+    assert rep.boolean_c.witness == (e[0], e[1])
+    assert not rep.complete_d.passed
+    assert rep.complete_d.witness == (e[0], e[1])
+    assert not rep.cartan
+
+
+def _orthogonal_families(S):
+    """Every pairwise-orthogonal family of at least two nonzero elements."""
+    nonzero = [s for s in S if not s.is_zero()]
+
+    def extend(family, start):
+        for i in range(start, len(nonzero)):
+            if all(are_orthogonal(nonzero[i], f) for f in family):
+                grown = family + [nonzero[i]]
+                if len(grown) >= 2:
+                    yield grown
+                yield from extend(grown, i + 1)
+
+    return extend([], 0)
+
+
+def _brute_force_d(S) -> bool:
+    return all(orthogonal_join(family) in S for family in _orthogonal_families(S))
+
+
+def _closed_submonoid(n, generators):
+    """The inverse submonoid of the rook monoid on n atoms generated by
+    ``generators``, 0 and 1."""
+    pool = {zero_map(n), identity_map(n)}
+    todo = list(generators) + [dagger(g) for g in generators]
+    while todo:
+        pool.update(todo)
+        todo = {compose(s, t) for s in pool for t in pool} - pool
+    return FiniteInverseMonoid(n, pool)
+
+
+def _seeded_rook3_submonoids(count=40, seed=2017):
+    rng = random.Random(seed)
+    nonzero = [s for s in rook_monoid(3) if not s.is_zero()]
+    return [_closed_submonoid(3, rng.sample(nonzero, rng.randint(1, 4))) for _ in range(count)]
+
+
+def _parity_inputs():
+    i2 = rook_monoid(2)
+    swap = PartialBijection(2, 0b11, (1, 0))
+    return [
+        i2,
+        rook_monoid(3),
+        eqrel_monoid([(0, 1), (2,)]),
+        eqrel_monoid([(0, 1), (2, 3)]),
+        product_monoid(i2, i2),
+        FiniteInverseMonoid(2, [s for s in i2 if s != swap]),
+        _point_idempotents_only(),
+    ] + _seeded_rook3_submonoids()
+
+
+def test_complete_d_equals_brute_force_over_every_orthogonal_family():
+    inputs = _parity_inputs()
+    failing = []
+    for S in inputs:
+        assert S.closure_witness() is None
+        rep = check_axioms(S)
+        brute = _brute_force_d(S)
+        assert rep.complete_d.passed == brute
+        assert rep.complete_d.witness == rep.boolean_c.witness
+        if not brute:
+            assert orthogonal_join(rep.complete_d.witness) not in S
+            failing.append(S)
+    assert 0 < len(failing) < len(inputs)
+    # a check on maximal families alone passes some of the failing inputs
+    assert any(
+        all(orthogonal_join(f) in S for f in maximal_orthogonal_families(S) if len(f) >= 2) for S in failing
+    )
 
 
 def test_axioms_non_boolean_idempotents():
@@ -150,10 +239,34 @@ def test_gelfand_supports_cover_power_set(i3):
     assert supports == set(range(8))
 
 
-def test_maximal_orthogonal_families_against_brute_force(i2):
-    from cartanlab.boolean_monoid import maximal_orthogonal_families
-    from cartanlab.semigroup_core import are_orthogonal
+def maximal_orthogonal_families(S: FiniteInverseMonoid):
+    """All maximal pairwise-orthogonal families of nonzero elements.
 
+    The reference for the maximal-family search that axiom (d) once ran."""
+    nonzero = [s for s in S if not s.is_zero()]
+    out = []
+
+    def extend(family, start):
+        extended = False
+        for i in range(start, len(nonzero)):
+            cand = nonzero[i]
+            if all(are_orthogonal(cand, f) for f in family):
+                extend(family + [cand], i + 1)
+                extended = True
+        if not extended:
+            # maximal w.r.t. elements after `start`; confirm global maximality
+            if all(
+                not all(are_orthogonal(c, f) for f in family)
+                for c in nonzero
+                if c not in family
+            ):
+                out.append(family)
+
+    extend([], 0)
+    return out
+
+
+def test_maximal_orthogonal_families_against_brute_force(i2):
     nonzero = [s for s in i2 if not s.is_zero()]
     orthogonal_sets = [
         set(c)

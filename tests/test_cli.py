@@ -230,6 +230,7 @@ def _rook2_edited(tmp_path, name, edit=None):
         (["gen", "rook", "2", "3"], {}),
         (["gen", "eqrel", "0,1", "2"], {}),
         (["gen", "eqrel", "0,1,2,3,4,5"], {}),
+        (["validate", "{ref_list}"], {}),
     ],
     ids=[
         "guard-env-not-int",
@@ -249,6 +250,7 @@ def _rook2_edited(tmp_path, name, edit=None):
         "rook-extra-parameter",
         "eqrel-extra-parameter",
         "eqrel-block-over-guard",
+        "cocycle-ref-not-string",
     ],
 )
 def test_malformed_invocations_exit_two_without_traceback(tmp_path, argv, env):
@@ -258,6 +260,9 @@ def test_malformed_invocations_exit_two_without_traceback(tmp_path, argv, env):
         # JSON true is a Python bool, an int: k = 1 and the map 0 -> 1
         "k_true": _rook2_edited(tmp_path, "k_true.json", lambda raw: raw.update(k=True)),
         "map_true": _rook2_edited(tmp_path, "map_true.json", lambda raw: raw["elements"][2].update(map={"0": True})),
+        "ref_list": _rook2_edited(
+            tmp_path, "ref_list.json", lambda raw: raw.update(cocycle=[{"s": [1], "t": "s000", "phase": []}])
+        ),
     }
     argv = [a.format(**paths) for a in argv]
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -297,6 +302,22 @@ def test_large_tol_ends_in_a_verdict_without_traceback(tmp_path, command, shape,
     assert proc.returncode in (1, 2), (proc.stdout, proc.stderr)
     assert "Traceback" not in proc.stderr
     assert "FAIL" in proc.stdout or "input error" in proc.stderr
+
+
+def test_spectral_guard_error_counts_minimal_elements(tmp_path, capsys, monkeypatch):
+    """rook3 has 9 minimal elements, so its 2^9 spectral sets need --guard 9."""
+    monkeypatch.delenv("CARTANLAB_GUARD", raising=False)
+    target = tmp_path / "rook3.json"
+    target.write_text(emit(generate("rook", 3)))
+    for command in ("spectral", "msd", "mtr"):
+        assert main([command, str(target), "--guard", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (
+            "input error: minimal element count for spectral set enumeration (--guard) of size 9 exceeds guard 8"
+            in captured.err
+        )
+    assert main(["spectral", str(target), "--guard", "9"]) == 0
 
 
 def test_nonpositive_guard_and_extra_gen_parameters_name_the_fault(tmp_path, capsys, monkeypatch):

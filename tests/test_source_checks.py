@@ -123,6 +123,16 @@ def test_traced_names_resolve():
     assert not _resolves("cartanlab.extension", "Extension.no_such_method")
 
 
+def test_every_exported_name_resolves():
+    """A function deleted from a module must leave its ``__all__`` too."""
+    import cartanlab.cli  # noqa: F401  (loads every submodule)
+
+    loaded = (sys.modules.get(f"cartanlab.{path.stem}") for path in sorted(SRC.glob("*.py")))
+    exporting = [module for module in loaded if hasattr(module, "__all__")]
+    assert len(exporting) >= 8
+    assert [f"{m.__name__}:{name}" for m in exporting for name in m.__all__ if not hasattr(m, name)] == []
+
+
 def _is_membership_call(node) -> bool:
     if not isinstance(node, ast.Call):
         return False
