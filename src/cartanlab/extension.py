@@ -684,7 +684,7 @@ def extensions_equivalent(ext1: Extension, ext2: Extension, guard: int = EQUIV_G
     if len(S1) != len(S2) or S1.atom_count != S2.atom_count:
         return None
     if len(S1) > guard:
-        raise SizeGuardError(len(S1), guard, "monoid size for equivalence search")
+        raise SizeGuardError(len(S1), guard, "monoid size for equivalence search (--guard)")
 
     n = S1.atom_count
     k = ext1.k

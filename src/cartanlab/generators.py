@@ -32,7 +32,7 @@ def rook_monoid(n: int, guard: int = ROOK_GUARD) -> FiniteInverseMonoid:
     if n < 1:
         raise DomainError("rook monoid needs n >= 1")
     if n > guard:
-        raise SizeGuardError(n, guard, "rook monoid size parameter")
+        raise SizeGuardError(n, guard, "rook monoid size parameter (--guard)")
     return FiniteInverseMonoid(n, _partial_injections(n))
 
 

@@ -53,11 +53,17 @@ DEFAULT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class RBasis:
-    """Canonically ordered basis of the relation: pairs (x, y), row-major."""
+    """Canonically ordered basis of the relation: pairs (x, y), row-major.
+
+    ``patterns`` keeps, per partial bijection g, the flat positions of the
+    transport pattern of g (``vn_oracle._pattern_indices``), so the pattern
+    solves on the space build each pattern once.
+    """
 
     atom_count: int
     pairs: tuple
     index: dict = field(compare=False, hash=False, default=None)
+    patterns: dict = field(compare=False, hash=False, repr=False, default_factory=dict)
 
     @staticmethod
     def from_monoid(S: FiniteInverseMonoid) -> "RBasis":

@@ -71,7 +71,8 @@ class PartialBijection:
     ``domain`` is a bitmask over atoms and ``image`` lists the image of each
     domain atom, domain atoms taken in increasing order.  The field order
     makes dataclass ordering the canonical element order: by domain bitmask,
-    then image tuple.  The hash is computed once, at construction.
+    then image tuple.  The hash is computed once, at construction; the
+    ``graph`` bitmask on first use.
     """
 
     n: int
@@ -98,6 +99,13 @@ class PartialBijection:
     @property
     def range_mask(self) -> int:
         return mask_of(self.image)
+
+    @cached_property
+    def graph(self) -> int:
+        """The graph points as a bitmask, bit x*n + y for y -> x: t <= s iff
+        graph(t) lies inside graph(s), the meet's graph is graph(s) &
+        graph(t), and an orthogonal pair's join has graph(s) | graph(t)."""
+        return mask_of(x * self.n + y for x, y in self.pairs())
 
     def domain_atoms(self) -> tuple[int, ...]:
         return tuple(bits(self.domain))

@@ -19,8 +19,10 @@ spanning set only, the orthonormal bases of the diagonal D of the
 ``RepSpace``, of psi(A) and of N, with one stacked Hilbert-Schmidt residual
 or projection per condition (``vn_oracle._residual_norms`` and
 ``_hs_projections``) instead of one projection per pair of matrices.  theta
-tests all |S| lambdas in one stacked residual, and the intermediate-algebra
-check and the AOI correspondence test D's basis for containment in one.
+tests all |S| lambdas in one stacked residual (theta_gn, its normalizer
+reading, reads its elements from one stacked pattern solve), and the
+intermediate-algebra check and the AOI correspondence test D's basis for
+containment in one.
 ``verify_members`` lists the spectral-monoid masks of the maximality scan
 once, and computes psi and N once per mask.
 
@@ -55,8 +57,7 @@ from .vn_oracle import (
     _hs_projection,
     _hs_projections,
     _null_combinations,
-    _pattern_intersection,
-    _pattern_positions,
+    _pattern_solves,
     _residual_norms,
     contains_matrix,
     subspace_basis,
@@ -105,13 +106,14 @@ def is_spectral_set(S: FiniteInverseMonoid, A) -> bool:
 class _TraceIndex:
     """Spectral sets of S as bitmasks over its minimal nonzero elements.
 
-    ``trace[s]`` has bit i set iff ``minimals[i] <= s``, and ``dag[i]`` is
-    the position of the dagger of ``minimals[i]``.  Construction checks that
-    every element is the join of the minimals below it and that S is closed
-    under binary orthogonal joins.  Then X -> A(X) = {s : trace[s] inside X}
-    is a bijection from masks onto spectral sets that turns union,
-    intersection, inclusion and dagger of masks into join span,
-    intersection, inclusion and dagger of sets.  An index also keeps what
+    ``trace[s]`` has bit i set iff ``minimals[i] <= s``, read from graph
+    bitmasks, and ``dag[i]`` is the position of the dagger of
+    ``minimals[i]``.  Construction checks that every element is the join of
+    the minimals below it and that S is closed under binary orthogonal
+    joins.  Then X -> A(X) = {s : trace[s] inside X} is a bijection from
+    masks onto spectral sets that turns union, intersection, inclusion and
+    dagger of masks into join span, intersection, inclusion and dagger of
+    sets.  An index also keeps what
     the members of one ``verify_members`` call share: the spectral-monoid
     masks and each mask's numeric parts.
     """
@@ -119,7 +121,11 @@ class _TraceIndex:
     def __init__(self, S: FiniteInverseMonoid):
         self.S = S
         nonzero = [s for s in S if not s.is_zero()]
-        below = {s: [t for t in nonzero if natural_leq(t, s)] for s in nonzero}
+        graphs = [(t, t.graph) for t in nonzero]
+        below = {}
+        for s in nonzero:  # t <= s iff the graph of t lies inside the graph of s
+            outside = ~s.graph
+            below[s] = [t for t, g in graphs if not g & outside]
         self.minimals = [s for s in nonzero if below[s] == [s]]
         pos = {m: i for i, m in enumerate(self.minimals)}
         self.trace = {s: mask_of(pos[t] for t in below.get(s, ()) if t in pos) for s in S}
@@ -283,20 +289,18 @@ def theta_gn(rs: RepSpace, B: Bimodule, tol: float = DEFAULT_TOL) -> frozenset:
     """Normalizer-based reading: s is included iff B contains an element
     supported exactly on the transport pattern of s with unimodular entries.
 
-    The points of the relation are tested once; the pattern solve runs only
-    for elements whose graph points are all accepted.
+    The points of the relation are tested once, in one stacked solve; the
+    elements whose graphs hold only accepted points (a graph bitmask test)
+    share another, of singular values only (``vn_oracle._pattern_solves``),
+    on the pattern indices kept on the space's rbasis.
     """
-    rbasis = rs.rbasis
-    alg = MatrixAlgebra(B.basis, rbasis)
-    accepted = _accepted_points(alg, tol)
-
-    def implemented(s):
-        if not accepted.issuperset(s.pairs()):
-            return False
-        inter = _pattern_intersection(alg, _pattern_positions(rbasis, s), tol)
-        return len(inter) == s.domain.bit_count()
-
-    return frozenset(s for s in rs.ext.S if s.is_zero() or implemented(s))
+    S = rs.ext.S
+    n = rs.rbasis.atom_count
+    alg = MatrixAlgebra(B.basis, rs.rbasis)
+    accepted = mask_of(x * n + y for x, y in _accepted_points(alg, tol))
+    candidates = [s for s in S if s.domain and not s.graph & ~accepted]
+    nullity, _ = _pattern_solves(alg, candidates, tol)
+    return frozenset([S.zero, *(s for s, k in zip(candidates, nullity) if k == s.domain.bit_count())])
 
 
 def full_submonoids(S: FiniteInverseMonoid, guard: int = SPECTRAL_GUARD) -> list[frozenset]:

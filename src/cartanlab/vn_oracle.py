@@ -1,7 +1,8 @@
 """Brute-force finite-dimensional operator-algebra verification.
 
 Everything here treats matrices on the relation space as opaque numerical
-objects: spans via Gram-Schmidt in the Hilbert-Schmidt inner product,
+objects: spans via classical Gram-Schmidt with re-orthogonalization in the
+Hilbert-Schmidt inner product,
 membership via one Hilbert-Schmidt projection onto the stacked orthonormal
 basis, commutants via nullspace solves, expectations via entry compression.
 Every check that a family of matrices lies in a span (the closures, D in M,
@@ -14,7 +15,10 @@ Every nullspace comes from one SVD, thin whenever the system has at least as
 many rows as columns (its right factor is then already square), so no solve
 materializes the rows-by-rows left factor.  The commutant of a family is
 found by successive restriction, one SVD of at most d^2 x d^2 per member;
-the expectation checks and regularity test stacks of matrices.
+the expectation checks and regularity test stacks of matrices.  The
+pattern systems of recovery and of ``spectral_bimodule.theta_gn`` (which
+elements of a span sit on the transport pattern of a partial bijection)
+are solved together, one SVD per stack of systems of the same shape.
 ``cartan_report`` checks the Cartan pair (M, D) of one ``RepSpace``, which
 builds the lambda matrices and both spans once for every check.
 """
@@ -53,17 +57,23 @@ def hs_inner(A: np.ndarray, B: np.ndarray) -> complex:
 
 
 def subspace_basis(matrices, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """Orthonormal basis (Hilbert-Schmidt) of the linear span, by modified
-    Gram-Schmidt in input order; deterministic."""
+    """Orthonormal basis (Hilbert-Schmidt) of the linear span, by classical
+    Gram-Schmidt with re-orthogonalization (CGS2) in input order: each
+    matrix is projected off the stacked basis so far, one product each way,
+    twice, and kept, normalized, when its residual norm exceeds tol;
+    deterministic.  The stack is rebuilt only when the basis grows."""
     basis: list[np.ndarray] = []
+    Q = None
     for M in matrices:
-        v = M.astype(complex).copy()
-        for _ in range(2):  # re-orthogonalize for stability
-            for b in basis:
-                v -= hs_inner(b, v) * b
-        norm = np.sqrt(abs(hs_inner(v, v)))
+        v = np.array(M, dtype=complex).ravel()
+        if Q is None:
+            Q = np.empty((0, v.size), dtype=complex)
+        for _ in range(2):
+            v -= (Q @ v.conj()).conj() @ Q
+        norm = np.sqrt(abs(np.vdot(v, v)))
         if norm > tol:
-            basis.append(v / norm)
+            basis.append((v / norm).reshape(M.shape))
+            Q = np.reshape(basis, (len(basis), -1))
     return basis
 
 
@@ -341,8 +351,19 @@ def _pattern_positions(rbasis: RBasis, g: PartialBijection):
     return pos
 
 
+def _pattern_indices(rbasis: RBasis, g: PartialBijection) -> list[int]:
+    """The flat row-major positions of the transport pattern of g in a d x d
+    matrix; built once per rbasis and g and kept in ``rbasis.patterns`` (a
+    list is a fraction of the size of a small array)."""
+    if g not in rbasis.patterns:
+        d = len(rbasis)
+        rbasis.patterns[g] = [r * d + c for r, c in _pattern_positions(rbasis, g)]
+    return rbasis.patterns[g]
+
+
 def _pattern_intersection(M: MatrixAlgebra, positions, tol: float):
-    """Basis of the elements of span(M) supported exactly within positions."""
+    """Basis of the elements of span(M) supported exactly within positions:
+    the one-system form of ``_pattern_solves``."""
     if not M.basis:
         return []
     dim = len(M.rbasis)
@@ -354,28 +375,92 @@ def _pattern_intersection(M: MatrixAlgebra, positions, tol: float):
     return _null_combinations(rows, M.basis, tol)
 
 
+# Systems per SVD call in ``_pattern_solves``: at rook5 (d^2 = 625) and 25
+# basis matrices a block of 64 systems is at most 16 MB.
+_SOLVE_BLOCK = 64
+
+
+def _pattern_solves(M: MatrixAlgebra, maps, tol: float, vectors: bool = False):
+    """For each partial bijection g in maps, the dimension of the elements of
+    span(M) supported within the transport pattern of g: the nullity of
+    the system of the orthonormal basis Q of M restricted to the positions
+    outside the pattern, the system of ``_pattern_intersection``.
+
+    Positions where every matrix of Q vanishes give zero rows, which change
+    no singular value, so each system keeps only its rows on the support
+    of Q.  Systems with the same number of rows share one SVD of their
+    stack, at most ``_SOLVE_BLOCK`` systems each; the rank counts the
+    singular values above tol, and only those are computed unless vectors
+    is set.  Returns (nullities, null): with vectors, null holds per map,
+    when its nullity is 1, the flat element of span(M) from the null
+    vector, normalized (None when its norm is not above tol, and for any
+    other nullity); without, every entry is None.
+    """
+    b = len(M.basis)
+    nullity = [0] * len(maps)
+    null = [None] * len(maps)
+    if not b:
+        return nullity, null
+    Qt = np.ascontiguousarray(np.reshape(M.basis, (b, -1)).T)
+    support = (Qt != 0).any(axis=1)
+    systems = []
+    by_rows: dict[int, list[int]] = {}
+    for i, g in enumerate(maps):
+        outside = support.copy()
+        outside[_pattern_indices(M.rbasis, g)] = False
+        systems.append(np.flatnonzero(outside))
+        by_rows.setdefault(len(systems[-1]), []).append(i)
+    for rows, members in by_rows.items():
+        for start in range(0, len(members), _SOLVE_BLOCK):
+            block = members[start : start + _SOLVE_BLOCK]
+            A = Qt[np.stack([systems[i] for i in block])]
+            if vectors:
+                _, svals, vh = np.linalg.svd(A, full_matrices=rows < b)
+            else:
+                svals = np.linalg.svd(A, compute_uv=False)
+            for k, rank in enumerate((svals > tol).sum(axis=1).tolist()):
+                nullity[block[k]] = b - rank
+                if vectors and rank == b - 1:
+                    v = Qt @ vh[k, -1].conj()
+                    norm = np.sqrt(abs(np.vdot(v, v)))
+                    if norm > tol:
+                        null[block[k]] = v / norm
+    return nullity, null
+
+
+def _unimodular(vals, tol: float) -> bool:
+    """Whether the entries share one modulus above tol, up to 1e-6 relative."""
+    mods = np.abs(vals)
+    return bool(mods.min() > tol and mods.max() - mods.min() <= 1e-6 * mods.max())
+
+
 def _point_accepted(M: MatrixAlgebra, x: int, y: int, tol: float) -> bool:
     """Whether the one-point map y -> x is implemented by a normalizer in M.
 
     Its pattern is a single column group, so acceptance means: the elements
     of span(M) supported on the group form a one-dimensional space spanned
     by a vector with constant nonzero modulus across the whole group (the
-    unimodular rephasing of the 0/1 transport matrix).
+    unimodular rephasing of the 0/1 transport matrix).  The one-point form
+    of ``_accepted_points``.
     """
     rbasis = M.rbasis
     positions = _pattern_positions(rbasis, singleton(rbasis.atom_count, y, x))
     inter = _pattern_intersection(M, positions, tol)
-    if len(inter) != 1:
-        return False
-    vals = np.array([inter[0][r, c] for r, c in positions])
-    mods = np.abs(vals)
-    return bool(mods.min() > tol and mods.max() - mods.min() <= 1e-6 * mods.max())
+    return len(inter) == 1 and _unimodular([inter[0][r, c] for r, c in positions], tol)
 
 
 def _accepted_points(M: MatrixAlgebra, tol: float) -> set:
     """The relation points (x, y) whose one-point map y -> x is implemented
-    by a normalizer in M: one ``_point_accepted`` solve per point."""
-    return {(x, y) for (x, y) in M.rbasis.pairs if _point_accepted(M, x, y, tol)}
+    by a normalizer in M (``_point_accepted``), from one stacked pattern
+    solve with null vectors over every point."""
+    rbasis = M.rbasis
+    maps = [singleton(rbasis.atom_count, y, x) for x, y in rbasis.pairs]
+    _, null = _pattern_solves(M, maps, tol, vectors=True)
+    return {
+        p
+        for p, g, v in zip(rbasis.pairs, maps, null)
+        if v is not None and _unimodular(v[_pattern_indices(rbasis, g)], tol)
+    }
 
 
 def recover_extension(M: MatrixAlgebra, D: MatrixAlgebra, S: FiniteInverseMonoid, tol: float = DEFAULT_TOL, guard: int = RECOVER_GUARD):
@@ -388,11 +473,13 @@ def recover_extension(M: MatrixAlgebra, D: MatrixAlgebra, S: FiniteInverseMonoid
     points because the pattern's column groups are separated by right
     multiplication with D-projections; each surviving multi-point graph is
     still cross-checked by its full-pattern intersection dimension.  The
+    points are read from one stacked solve with null vectors and the
+    candidates' dimensions from another of singular values only
+    (``_pattern_solves``), on the pattern indices kept on M's rbasis.  The
     survivors form S', returned with an isomorphism witness onto S (atom
     permutation search, deterministic first match) or None.
     """
-    rbasis = M.rbasis
-    n = rbasis.atom_count
+    n = M.rbasis.atom_count
     if n > guard:
         raise SizeGuardError(n, guard, "atom count for recovery")
     if not _all_within(M.basis, np.asarray(D.basis), tol):
@@ -400,10 +487,9 @@ def recover_extension(M: MatrixAlgebra, D: MatrixAlgebra, S: FiniteInverseMonoid
 
     points = _accepted_points(M, tol)
     allowed = [[x for x in range(n) if (x, y) in points] for y in range(n)]
-    accepted = []
-    for g in _partial_injections(n, allowed):
-        if g.is_zero() or len(_pattern_intersection(M, _pattern_positions(rbasis, g), tol)) == g.domain.bit_count():
-            accepted.append(g)
+    zero, *candidates = _partial_injections(n, allowed)
+    nullity, _ = _pattern_solves(M, candidates, tol)
+    accepted = [zero] + [g for g, k in zip(candidates, nullity) if k == g.domain.bit_count()]
     S_prime = FiniteInverseMonoid(n, accepted)
     perm = next((p for p, _ in relabelings(S_prime, S)), None)
     # S' relabels onto S, so it is closed iff S is, whose table the section built.

@@ -320,6 +320,30 @@ def test_spectral_guard_error_counts_minimal_elements(tmp_path, capsys, monkeypa
     assert main(["spectral", str(target), "--guard", "9"]) == 0
 
 
+def test_equiv_guard_error_names_the_flag(tmp_path, capsys, monkeypatch):
+    """rook3 has 34 elements, so its equivalence search needs --guard 34."""
+    monkeypatch.delenv("CARTANLAB_GUARD", raising=False)
+    target = tmp_path / "rook3.json"
+    target.write_text(emit(generate("rook", 3)))
+    assert main(["equiv", str(target), str(target), "--guard", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error: monoid size for equivalence search (--guard) of size 34 exceeds guard 5" in captured.err
+    assert main(["equiv", str(target), str(target), "--guard", "34"]) == 0
+
+
+def test_gen_rook_guard_error_names_the_flag(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("CARTANLAB_GUARD", raising=False)
+    monkeypatch.chdir(tmp_path)
+    for argv, guard in ((["gen", "rook", "6"], 5), (["gen", "rook", "4", "--guard", "3"], 3)):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        size = argv[2]
+        assert f"input error: rook monoid size parameter (--guard) of size {size} exceeds guard {guard}" in captured.err
+    assert main(["gen", "rook", "4", "--guard", "4", "--out", "rook4.json"]) == 0
+
+
 def test_nonpositive_guard_and_extra_gen_parameters_name_the_fault(tmp_path, capsys, monkeypatch):
     """Rejected before the command runs, so validate (which reads no guard)
     and spectral (whose guard check would fire later) report the same fault."""

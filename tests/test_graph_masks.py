@@ -1,0 +1,176 @@
+"""Graph bitmasks against the element-level operations they replaced.
+
+``check_axioms`` reads axioms (b) and (c) from graph bitmasks, and
+``_TraceIndex`` its ``below`` table from graph subset tests.  The
+references kept here are the earlier bodies: the ``meet`` and
+``orthogonal_join`` loops over ``itertools.combinations`` and the table of
+|S|^2 ``natural_leq`` calls.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from cartanlab.boolean_monoid import check_axioms
+from cartanlab.errors import DomainError
+from cartanlab.generators import eqrel_monoid, product_monoid, rook_monoid
+from cartanlab.semigroup_core import (
+    FiniteInverseMonoid,
+    PartialBijection,
+    are_orthogonal,
+    bits,
+    compose,
+    dagger,
+    identity_map,
+    mask_of,
+    meet,
+    natural_leq,
+    orthogonal_join,
+    partial_identity,
+    singleton,
+    zero_map,
+)
+from cartanlab.spectral_bimodule import _TraceIndex
+
+LADDER = {
+    "rook1": rook_monoid(1),
+    "rook2": rook_monoid(2),
+    "rook3": rook_monoid(3),
+    "eqrel_01_23": eqrel_monoid([(0, 1), (2, 3)]),
+    "eqrel_012_3_4": eqrel_monoid([(0, 1, 2), (3,), (4,)]),
+    "product_rook2_rook2": product_monoid(rook_monoid(2), rook_monoid(2)),
+}
+
+
+def reference_meet_and_join_witnesses(S):
+    b = next(((s, t) for s, t in itertools.combinations(S.elements, 2) if meet(s, t) not in S), None)
+    c = next(
+        (
+            (s, t)
+            for s, t in itertools.combinations(S.elements, 2)
+            if not (s.is_zero() or t.is_zero()) and are_orthogonal(s, t) and orthogonal_join([s, t]) not in S
+        ),
+        None,
+    )
+    return b, c
+
+
+def closed_submonoid(S, gens):
+    """The closure of gens under compose and dagger (with 0 and 1)."""
+    out = {zero_map(S.atom_count), identity_map(S.atom_count), *gens}
+    while True:
+        grown = out | {dagger(s) for s in out} | {compose(s, t) for s in out for t in out}
+        if grown == out:
+            return FiniteInverseMonoid(S.atom_count, out)
+        out = grown
+
+
+def _three_atoms():
+    return [partial_identity(3, 1 << a) for a in range(3)]
+
+
+AXIOM_CASES = dict(
+    LADDER,
+    three_atoms=FiniteInverseMonoid(3, _three_atoms()),
+    swap_on_three=FiniteInverseMonoid(3, [PartialBijection(3, 0b111, (1, 0, 2))]),
+    rook2_without_swap=FiniteInverseMonoid(2, [s for s in rook_monoid(2) if s != PartialBijection(2, 0b11, (1, 0))]),
+)
+AXIOM_CASES.update(
+    {
+        f"rook3_random_{seed}": closed_submonoid(
+            rook_monoid(3), random.Random(seed).sample(rook_monoid(3).elements, 2 + seed % 3)
+        )
+        for seed in range(12)
+    }
+)
+
+
+@pytest.mark.parametrize("name", sorted(AXIOM_CASES))
+def test_axioms_b_and_c_match_meet_and_join_reference(name):
+    S = AXIOM_CASES[name]
+    b, c = reference_meet_and_join_witnesses(S)
+    rep = check_axioms(S)
+    assert (rep.boolean_b.passed, rep.boolean_b.witness) == (b is None, b)
+    assert (rep.boolean_c.passed, rep.boolean_c.witness) == (c is None, c)
+    assert (rep.complete_d.passed, rep.complete_d.witness) == (c is None, c)
+
+
+def test_axiom_cases_fail_where_they_should():
+    reps = {name: check_axioms(AXIOM_CASES[name]) for name in ("three_atoms", "swap_on_three", "rook2_without_swap")}
+    e0, e1, _ = _three_atoms()
+    assert reps["three_atoms"].boolean_b and reps["three_atoms"].boolean_c.witness == (e0, e1)
+    assert reps["swap_on_three"].boolean_b.witness == (identity_map(3), PartialBijection(3, 0b111, (1, 0, 2)))
+    assert reps["rook2_without_swap"].boolean_b
+    assert reps["rook2_without_swap"].boolean_c.witness == (singleton(2, 0, 1), singleton(2, 1, 0))
+    failing = [name for name in AXIOM_CASES if name.startswith("rook3_random") and not check_axioms(AXIOM_CASES[name]).passed]
+    assert failing
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_graph_is_the_set_of_graph_points(name):
+    S = LADDER[name]
+    n = S.atom_count
+    for s in S:
+        assert s.graph == mask_of(x * n + y for x, y in s.pairs())
+        assert "graph" in vars(s)  # kept after the first use
+    assert "graph" not in vars(PartialBijection(n, 0b1, (0,)))  # not computed at construction
+    for s, t in itertools.product(S.elements[:40], repeat=2):
+        assert natural_leq(t, s) == (not t.graph & ~s.graph)
+        assert meet(s, t).graph == s.graph & t.graph
+
+
+class ReferenceTraceIndex:
+    """The earlier ``_TraceIndex`` table of |S|^2 ``natural_leq`` calls."""
+
+    def __init__(self, S):
+        nonzero = [s for s in S if not s.is_zero()]
+        below = {s: [t for t in nonzero if natural_leq(t, s)] for s in nonzero}
+        self.minimals = [s for s in nonzero if below[s] == [s]]
+        pos = {m: i for i, m in enumerate(self.minimals)}
+        self.trace = {s: mask_of(pos[t] for t in below.get(s, ()) if t in pos) for s in S}
+        self.dag = [pos.get(dagger(m)) for m in self.minimals]
+        if None in self.dag:
+            raise DomainError("the monoid is not closed under dagger")
+        for s in nonzero:
+            covered = (a for i in bits(self.trace[s]) for a in bits(self.minimals[i].domain))
+            if mask_of(covered) != s.domain:
+                raise DomainError(f"{s} is not the join of the minimal elements below it")
+        traces = set(self.trace.values())
+        for s, t in itertools.combinations(nonzero, 2):
+            if are_orthogonal(s, t) and self.trace[s] | self.trace[t] not in traces:
+                raise DomainError("the monoid is not closed under orthogonal joins")
+
+
+TRACE_CASES = dict(
+    LADDER,
+    non_atomistic=FiniteInverseMonoid(2, [partial_identity(2, 0b01)]),
+    three_atoms=AXIOM_CASES["three_atoms"],
+    one_way=FiniteInverseMonoid(2, [singleton(2, 0, 1)]),
+)
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_CASES))
+def test_trace_index_matches_natural_leq_reference(name):
+    S = TRACE_CASES[name]
+    try:
+        ref = ReferenceTraceIndex(S)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as got:
+            _TraceIndex(S)
+        assert str(got.value) == str(exc)
+        return
+    idx = _TraceIndex(S)
+    assert idx.minimals == ref.minimals
+    assert idx.trace == ref.trace
+    assert idx.dag == ref.dag
+
+
+def test_trace_cases_reach_each_error():
+    for name, message in (
+        ("non_atomistic", "is not the join"),
+        ("one_way", "not closed under dagger"),
+        ("three_atoms", "not closed under orthogonal joins"),
+    ):
+        with pytest.raises(DomainError, match=message):
+            _TraceIndex(TRACE_CASES[name])

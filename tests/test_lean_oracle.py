@@ -14,7 +14,9 @@ per family replaced, the coboundary path of point_coboundary_table, the
 spectral command's sample of the full spectral-set list, the per-column
 lambda_matrix through the object-level sigma, the commutant as one stacked
 Kronecker system, the sequential expectation loops, and the per-lambda
-regularity check.
+regularity check, the one-system pattern solves per point and per element
+that one stacked solve replaced, and the modified Gram-Schmidt that CGS2
+replaced.
 """
 
 import itertools
@@ -165,10 +167,15 @@ def brute_force_filter(S, keep):
     ]
 
 
+def reference_accepted_points(M, tol):
+    """One ``_point_accepted`` solve per relation point."""
+    return {(x, y) for (x, y) in M.rbasis.pairs if _point_accepted(M, x, y, tol)}
+
+
 def reference_recover_extension(M, D, S, tol):
     rbasis = M.rbasis
     n = rbasis.atom_count
-    accepted_points = _accepted_points(M, tol)
+    accepted_points = reference_accepted_points(M, tol)
 
     accepted = []
     atoms = range(n)
@@ -478,8 +485,19 @@ def test_projection_and_membership_match_loop_reference(i3):
 # -- theta_gn with one point-acceptance pass -------------------------------------
 
 
+def _spectral_sample(S):
+    """The sets the spectral command round-trips: 64 evenly spaced masks."""
+    idx = _TraceIndex(S)
+    count = idx.full + 1
+    return [idx.members(idx.mask_at(pos, SPECTRAL_GUARD)) for pos in range(0, count, count // 64)]
+
+
 def test_theta_gn_matches_per_element_reference(i2, i3):
-    cases = [(i2, 2, enumerate_spectral_sets(i2)), (i3, 1, enumerate_spectral_sets(i3)[::41])]
+    cases = [
+        (i2, 2, enumerate_spectral_sets(i2)),
+        (i3, 1, enumerate_spectral_sets(i3)[::41]),
+        (i3, 2, _spectral_sample(i3)),
+    ]
     for S, k, sets in cases:
         rs = RepSpace(Extension(S, k, perturbed(S, k, 9) if k > 1 else None))
         for A in sets:
@@ -1053,3 +1071,127 @@ def test_unranked_sample_equals_enumerated_sample(S):
     assert idx.mask_at(count - 1, SPECTRAL_GUARD) == idx.full
     with pytest.raises(SizeGuardError):
         idx.mask_at(0, len(idx.minimals) - 1)
+
+
+# -- stacked pattern solves and CGS2 ---------------------------------------------
+
+
+def reference_subspace_basis(matrices, tol=TOL):
+    """Modified Gram-Schmidt, two passes of one hs_inner per basis matrix."""
+    basis = []
+    for M in matrices:
+        v = M.astype(complex).copy()
+        for _ in range(2):
+            for b in basis:
+                v -= hs_inner(b, v) * b
+        norm = np.sqrt(abs(hs_inner(v, v)))
+        if norm > tol:
+            basis.append(v / norm)
+    return basis
+
+
+def _near_dependent(rng, d, count=12):
+    """Random matrices, each later one either a combination of earlier ones
+    plus a perturbation (1e-4, kept, or 1e-13, dropped) or a fresh draw."""
+    mats = [_complex(rng, d, d) for _ in range(3)]
+    while len(mats) < count:
+        kind = rng.integers(3)
+        if kind == 2:
+            mats.append(_complex(rng, d, d))
+            continue
+        coeffs = rng.normal(size=len(mats)) + 1j * rng.normal(size=len(mats))
+        eps = 1e-4 if kind else 1e-13
+        mats.append(np.tensordot(coeffs, mats, axes=1) + eps * _complex(rng, d, d))
+    return mats
+
+
+def _cgs2_families():
+    rng = np.random.default_rng(12)
+    families = {name: ladder_space(name).all_lambdas() for name in sorted(LADDER)}
+    families["rook3_k2"] = RepSpace(Extension(rook_monoid(3), 2, perturbed(rook_monoid(3), 2, 1))).all_lambdas()
+    for seed in range(4):
+        families[f"near_dependent_{seed}"] = _near_dependent(rng, 3 + seed)
+    families["zeros_and_repeats"] = [np.zeros((3, 3)), np.eye(3), np.eye(3), 2 * np.eye(3)]
+    return families
+
+
+def test_cgs2_matches_modified_gram_schmidt():
+    for name, mats in _cgs2_families().items():
+        got, ref = subspace_basis(mats, TOL), reference_subspace_basis(mats, TOL)
+        assert len(got) == len(ref), name
+        assert np.abs(projector(got) - projector(ref)).max() <= 1e-10, name
+        Q = np.reshape(got, (len(got), -1))
+        assert np.allclose(Q.conj() @ Q.T, np.eye(len(got)), atol=1e-12), name
+    assert subspace_basis([]) == [] and subspace_basis(iter([np.zeros((2, 2))])) == []
+
+
+def test_cgs2_keeps_the_input_order_and_is_deterministic():
+    rng = np.random.default_rng(3)
+    mats = _near_dependent(rng, 4, 20)
+    first, again = subspace_basis(mats), subspace_basis(list(mats))
+    assert all(np.array_equal(a, b) for a, b in zip(first, again)) and len(first) == len(again)
+    # the first basis matrix is the first nonzero input, normalized
+    assert np.allclose(first[0], mats[0] / np.linalg.norm(mats[0]), atol=1e-15)
+
+
+def _pattern_cases():
+    """(name, algebra) pairs: M and D of ladder spaces, bimodules of spectral
+    sets, and a span built to accept only some points."""
+    out = []
+    for name in ("rook2_k2", "rook3_k3", "eqrel_01_23_k2", "eqrel_012_3_4"):
+        rs = ladder_space(name)
+        out += [(f"{name}_M", rs.algebra), (f"{name}_D", rs.diagonal)]
+        for A in enumerate_spectral_sets(rs.ext.S, SPECTRAL_GUARD)[3::97][:4]:
+            out.append((f"{name}_psi", MatrixAlgebra(psi(rs, A).basis, rs.rbasis)))
+    rs = ladder_space("rook3_k3")
+    transports = [rs.lam_of(singleton(3, 0, 1)), rs.lam_of(singleton(3, 1, 2))]
+    out.append(("rook3_partial", MatrixAlgebra(subspace_basis(rs.diagonal_lambdas() + transports), rs.rbasis)))
+    out.append(("rook3_empty", MatrixAlgebra([], rs.rbasis)))
+    return out
+
+
+@pytest.mark.parametrize("block", [vn_oracle._SOLVE_BLOCK, 3])
+def test_pattern_solves_match_one_system_forms(block, monkeypatch):
+    monkeypatch.setattr(vn_oracle, "_SOLVE_BLOCK", block)
+    for name, M in _pattern_cases():
+        maps = [g for g in _partial_injections_of(M.rbasis) if not g.is_zero()]
+        nullity, null = vn_oracle._pattern_solves(M, maps, TOL)
+        assert null == [None] * len(maps)
+        ref = [len(_pattern_intersection(M, _pattern_positions(M.rbasis, g), TOL)) for g in maps]
+        assert list(nullity) == ref, name
+        assert _accepted_points(M, TOL) == reference_accepted_points(M, TOL), name
+
+
+def _partial_injections_of(rbasis):
+    """Every partial injection whose graph lies in the relation."""
+    n = rbasis.atom_count
+    allowed = [[x for x in range(n) if (x, y) in rbasis.index] for y in range(n)]
+    return list(vn_oracle._partial_injections(n, allowed))
+
+
+def test_point_null_vectors_are_the_one_system_intersections():
+    rs = ladder_space("rook3_k3")
+    M = rs.algebra
+    n = rs.rbasis.atom_count
+    maps = [singleton(n, y, x) for x, y in rs.rbasis.pairs]
+    nullity, null = vn_oracle._pattern_solves(M, maps, TOL, vectors=True)
+    assert list(nullity) == [1] * len(maps)
+    for g, v in zip(maps, null):
+        (ref,) = _pattern_intersection(M, _pattern_positions(rs.rbasis, g), TOL)
+        # equal up to a unimodular factor
+        phase = np.vdot(ref.ravel(), v)
+        assert abs(abs(phase) - 1) < 1e-12 and np.allclose(v, phase * ref.ravel(), atol=1e-12)
+
+
+def test_pattern_indices_are_built_once_per_rbasis(i3):
+    rs = RepSpace(Extension(i3, 1))
+    B = psi(rs, i3.elements)
+    theta_gn(rs, B, TOL)
+    built = dict(rs.rbasis.patterns)
+    assert len(built) == len(i3) - 1  # every nonzero element; the points are its one-point maps
+    theta_gn(rs, B, TOL)
+    recover_extension(rs.algebra, rs.diagonal, i3, TOL)
+    assert all(rs.rbasis.patterns[g] is built[g] for g in built)
+    for g, inside in built.items():
+        d = len(rs.rbasis)
+        assert sorted(inside) == sorted(r * d + c for r, c in _pattern_positions(rs.rbasis, g))

@@ -203,3 +203,29 @@ def test_lambda_matrix_scan_sees_loops_and_comprehensions(tmp_path):
         "    return mats, lambda_matrix(ext, j, ext.unit), rs.lam(ext.unit)\n"
     )
     assert calls_in_loops(tmp_path, _is_lambda_matrix_call) == ["k.py:2", "k.py:4"]
+
+
+def _is_one_pattern_solve(node) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+    return name in ("_pattern_intersection", "_point_accepted")
+
+
+def test_no_one_pattern_solve_in_a_loop():
+    """Pattern systems are solved together, one SVD per stack of systems
+    (``vn_oracle._pattern_solves``), not one ``_pattern_intersection`` or
+    ``_point_accepted`` solve per point or element."""
+    assert calls_in_loops(SRC, _is_one_pattern_solve) == []
+
+
+def test_pattern_solve_scan_sees_loops_and_comprehensions(tmp_path):
+    (tmp_path / "p.py").write_text(
+        "def f(M, rb, maps, tol):\n"
+        "    pts = {(x, y) for x, y in rb.pairs if _point_accepted(M, x, y, tol)}\n"
+        "    for g in maps:\n"
+        "        vn_oracle._pattern_intersection(M, g, tol)\n"
+        "    return pts, _pattern_intersection(M, maps[0], tol), _point_accepted(M, 0, 0, tol)\n"
+    )
+    assert calls_in_loops(tmp_path, _is_one_pattern_solve) == ["p.py:2", "p.py:4"]
