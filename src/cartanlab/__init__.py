@@ -8,7 +8,13 @@ extensions as explicit complex matrices, verifies the MASA/expectation
 structure of the generated pair against brute-force linear algebra, and
 classifies diagonal-invariant subspaces and maximal subdiagonal algebras
 through spectral sets.
+
+The names of the numeric modules (kernel_rep, vn_oracle, spectral_bimodule)
+are served on first access, through ``__getattr__``: importing the package
+for the exact half loads neither them nor numpy.
 """
+
+from importlib import import_module as _import_module
 
 from .boolean_monoid import (
     AxiomReport,
@@ -49,17 +55,6 @@ from .extension import (
     validate_section,
 )
 from .generators import eqrel_monoid, product_monoid, rook_monoid
-from .kernel_rep import (
-    RBasis,
-    RepSpace,
-    abstract_gram_check,
-    dump_matrix,
-    expectation,
-    kernel,
-    kernel_psd_check,
-    lambda_matrix,
-    projection_P_and_V,
-)
 from .semigroup_core import (
     FiniteInverseMonoid,
     PartialBijection,
@@ -79,29 +74,53 @@ from .semigroup_core import (
     singleton,
     zero_map,
 )
-from .spectral_bimodule import (
-    Bimodule,
-    aoi_correspondence,
-    enumerate_spectral_sets,
-    full_submonoids,
-    intermediate_algebra_check,
-    is_spectral_set,
-    join_span,
-    msd,
-    mtr,
-    psi,
-    spectral_closure,
-    theta,
-    verify_members,
-    verify_subdiagonal,
-)
-from .vn_oracle import (
-    MatrixAlgebra,
-    cartan_report,
-    expectation_properties,
-    masa_check,
-    recover_extension,
-    span_basis,
-)
 
 __version__ = "0.1.0"
+
+_LAZY = {
+    "kernel_rep": (
+        "RBasis",
+        "RepSpace",
+        "abstract_gram_check",
+        "dump_matrix",
+        "expectation",
+        "kernel",
+        "kernel_psd_check",
+        "lambda_matrix",
+        "projection_P_and_V",
+    ),
+    "spectral_bimodule": (
+        "Bimodule",
+        "aoi_correspondence",
+        "enumerate_spectral_sets",
+        "full_submonoids",
+        "intermediate_algebra_check",
+        "is_spectral_set",
+        "join_span",
+        "msd",
+        "mtr",
+        "psi",
+        "spectral_closure",
+        "theta",
+        "verify_members",
+        "verify_subdiagonal",
+    ),
+    "vn_oracle": (
+        "MatrixAlgebra",
+        "cartan_report",
+        "expectation_properties",
+        "masa_check",
+        "recover_extension",
+        "span_basis",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
+__all__ = [name for name in globals() if not name.startswith("_")] + [*_LAZY, *_MODULE_OF]
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return _import_module(f"{__name__}.{name}")
+    if name in _MODULE_OF:
+        return getattr(_import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

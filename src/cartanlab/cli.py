@@ -18,8 +18,9 @@ import sys
 from dataclasses import dataclass, field
 
 from . import generators
+from ._lazy import _lazy_import
 from .boolean_monoid import check_axioms
-from .errors import CartanLabError, ClosureError, FormatError, SizeGuardError
+from .errors import SPECTRAL_GUARD, CartanLabError, ClosureError, FormatError, SizeGuardError
 from .extension import (
     EQUIV_GUARD,
     CocycleTable,
@@ -30,18 +31,13 @@ from .extension import (
     validate_cocycle,
     validate_section,
 )
-from .kernel_rep import RepSpace, dump_matrix
 from .semigroup_core import FiniteInverseMonoid, PartialBijection, bits, classify, mask_of
-from .spectral_bimodule import (
-    SPECTRAL_GUARD,
-    _TraceIndex,
-    msd,
-    mtr,
-    psi,
-    theta,
-    verify_members,
-)
-from .vn_oracle import cartan_report
+
+# The numeric half, executed on the first attribute access: the exact
+# commands run without it.
+kernel_rep = _lazy_import("cartanlab.kernel_rep")
+vn_oracle = _lazy_import("cartanlab.vn_oracle")
+spectral_bimodule = _lazy_import("cartanlab.spectral_bimodule")
 
 __all__ = ["ExtensionDocument", "parse", "emit", "generate", "main", "build_extension"]
 
@@ -342,13 +338,13 @@ def _cmd_section(doc, args):
 
 def _cmd_represent(doc, args):
     S, ext, names = build_extension(doc, args.k)
-    rs = RepSpace(ext, tol=args.tol)
+    rs = kernel_rep.RepSpace(ext, tol=args.tol)
     inv = {v: n for n, v in names.items()}
     chunks = []
     for s in S:
         label = inv.get(s, repr(s))
         chunks.append(f"# section {label}")
-        chunks.append(dump_matrix(rs.rbasis, ext.k, rs.lam_of(s)).rstrip("\n"))
+        chunks.append(kernel_rep.dump_matrix(rs.rbasis, ext.k, rs.lam_of(s)).rstrip("\n"))
     text = "\n".join(chunks) + "\n"
     payload = {"dim": len(rs.rbasis), "k": ext.k, "dump": text}
     return 0, [text.rstrip("\n")], payload
@@ -356,7 +352,7 @@ def _cmd_represent(doc, args):
 
 def _cmd_oracle(doc, args):
     S, ext, names = build_extension(doc, args.k)
-    rep = cartan_report(ext, tol=args.tol)
+    rep = vn_oracle.cartan_report(ext, tol=args.tol)
     lines = rep.to_lines()
     payload = {
         "passed": rep.passed,
@@ -373,11 +369,12 @@ def _cmd_oracle(doc, args):
 
 def _cmd_spectral(doc, args):
     S, ext, names = build_extension(doc, args.k)
-    idx = _TraceIndex(S)
+    idx = spectral_bimodule._TraceIndex(S)
     count = idx.full + 1
     step = 1 if count <= 64 else count // 64
     sample = [idx.members(idx.mask_at(pos, args.guard)) for pos in range(0, count, step)]
-    rs = RepSpace(ext, tol=args.tol)
+    rs = kernel_rep.RepSpace(ext, tol=args.tol)
+    psi, theta = spectral_bimodule.psi, spectral_bimodule.theta
     ok = all(theta(rs, psi(rs, A, args.tol), args.tol) == A for A in sample)
     lines = [
         f"spectral_sets: {count}",
@@ -390,13 +387,14 @@ def _cmd_spectral(doc, args):
 
 def _cmd_msd(doc, args, triangular=False):
     S, ext, names = build_extension(doc, args.k)
-    rs = RepSpace(ext, tol=args.tol)
-    members = mtr(S, guard=args.guard) if triangular else msd(S, guard=args.guard)
+    rs = kernel_rep.RepSpace(ext, tol=args.tol)
+    search = spectral_bimodule.mtr if triangular else spectral_bimodule.msd
+    members = search(S, guard=args.guard)
     inv = {v: n for n, v in names.items()}
     lines = [f"{'mtr' if triangular else 'msd'}_count: {len(members)}"]
     all_ok = True
     payload_members = []
-    for A, rep in zip(members, verify_members(rs, members, guard=args.guard, tol=args.tol)):
+    for A, rep in zip(members, spectral_bimodule.verify_members(rs, members, guard=args.guard, tol=args.tol)):
         all_ok &= rep.passed
         labels = sorted(inv.get(s, repr(s)) for s in A)
         lines.append(f"member ({len(A)} elements): {'pass' if rep.passed else 'FAIL'}")
@@ -445,6 +443,8 @@ def _load(path: str) -> ExtensionDocument:
             return parse(fh.read())
     except OSError as exc:
         raise FormatError(f"cannot read '{path}': {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise FormatError(f"cannot read '{path}': not UTF-8 text") from None
 
 
 def _write(path: str, text: str):
@@ -529,5 +529,15 @@ def main(argv=None) -> int:
     return code
 
 
-if __name__ == "__main__":
+def run():
+    """Command-line entry (``python -m cartanlab`` and the ``cartanlab``
+    script): one BLAS thread unless the caller chose otherwise.  The numeric
+    matrices are small, and a second OpenBLAS thread made the first span
+    solve of a process about a second slower."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -1,4 +1,8 @@
-"""Exception types shared by all cartanlab modules."""
+"""Exception types shared by all cartanlab modules, and the default size
+guard of the spectral-set searches, which the command line reads without
+loading the numeric modules."""
+
+SPECTRAL_GUARD = 25
 
 
 class CartanLabError(Exception):

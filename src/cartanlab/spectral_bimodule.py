@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 
 from ._lazy import np
-from .errors import DomainError, InvariantViolation, SizeGuardError
+from .errors import SPECTRAL_GUARD, DomainError, InvariantViolation, SizeGuardError
 from .kernel_rep import DEFAULT_TOL, RBasis, RepSpace
 from .semigroup_core import (
     FiniteInverseMonoid,
@@ -81,8 +81,6 @@ __all__ = [
     "verify_subdiagonal",
     "verify_members",
 ]
-
-SPECTRAL_GUARD = 25
 
 CLOSURE_NOTE = "finite dimension: linear subspaces are closed in every relevant topology"
 

@@ -231,6 +231,8 @@ def _rook2_edited(tmp_path, name, edit=None):
         (["gen", "eqrel", "0,1", "2"], {}),
         (["gen", "eqrel", "0,1,2,3,4,5"], {}),
         (["validate", "{ref_list}"], {}),
+        (["validate", "{not_utf8}"], {}),
+        (["gen", "product", "{not_utf8}", "{rook2}"], {}),
     ],
     ids=[
         "guard-env-not-int",
@@ -251,6 +253,8 @@ def _rook2_edited(tmp_path, name, edit=None):
         "eqrel-extra-parameter",
         "eqrel-block-over-guard",
         "cocycle-ref-not-string",
+        "document-not-utf8",
+        "product-document-not-utf8",
     ],
 )
 def test_malformed_invocations_exit_two_without_traceback(tmp_path, argv, env):
@@ -263,7 +267,9 @@ def test_malformed_invocations_exit_two_without_traceback(tmp_path, argv, env):
         "ref_list": _rook2_edited(
             tmp_path, "ref_list.json", lambda raw: raw.update(cocycle=[{"s": [1], "t": "s000", "phase": []}])
         ),
+        "not_utf8": str(tmp_path / "not_utf8.json"),
     }
+    (tmp_path / "not_utf8.json").write_bytes(b'{"atoms": \xeb\x9f\xff}')
     argv = [a.format(**paths) for a in argv]
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     run_env = {k: v for k, v in os.environ.items() if k != "CARTANLAB_GUARD"}

@@ -25,7 +25,7 @@ import random
 import numpy as np
 import pytest
 
-from cartanlab import cli, vn_oracle
+from cartanlab import cli, spectral_bimodule, vn_oracle
 from cartanlab.errors import DomainError, InvariantViolation, SizeGuardError
 from cartanlab.extension import (
     Extension,
@@ -865,8 +865,8 @@ def test_spectral_command_samples_the_enumerated_sets(name, tmp_path, monkeypatc
     sets = enumerate_spectral_sets(S)
     ref = sets if len(sets) <= 64 else sets[:: len(sets) // 64]
     sampled = []
-    real_psi = cli.psi
-    monkeypatch.setattr(cli, "psi", lambda rs, A, tol: sampled.append(A) or real_psi(rs, A, tol))
+    real_psi = spectral_bimodule.psi
+    monkeypatch.setattr(spectral_bimodule, "psi", lambda rs, A, tol: sampled.append(A) or real_psi(rs, A, tol))
     assert cli.main(["spectral", str(path)]) == 0
     assert sampled == ref
     out = capsys.readouterr().out

@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -45,26 +46,36 @@ def test_numpy_is_imported_only_through_the_lazy_helper():
     assert sorted(lazy) == ["kernel_rep", "spectral_bimodule", "vn_oracle"]
 
 
-def _python(code: str, *args: str, cwd=None) -> str:
+def _python_lines(code: str, *args: str, cwd=None) -> list[str]:
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run(
         [sys.executable, "-c", code, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1]
+    return proc.stdout.splitlines()
 
 
-# Runs ``python -m cartanlab <args>`` in this interpreter and reports, last,
-# the exit code and whether numpy's linear algebra was loaded.
+def _python(code: str, *args: str, cwd=None) -> str:
+    return _python_lines(code, *args, cwd=cwd)[-1]
+
+
+NUMERIC = ("kernel_rep", "vn_oracle", "spectral_bimodule")
+
+# Runs ``python -m cartanlab <args>`` in this interpreter and reports, second
+# to last, the numeric modules that were executed (a lazy module object in
+# ``sys.modules`` changes its type to ``ModuleType`` when it executes) and,
+# last, the exit code and whether numpy's linear algebra was loaded.
 RUN_CLI = """
-import runpy, sys
+import runpy, sys, types
 sys.argv = ["cartanlab", *sys.argv[1:]]
 try:
     runpy.run_module("cartanlab", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
+numeric = %r
+print(" ".join(n for n in numeric if type(sys.modules.get("cartanlab." + n)) is types.ModuleType) or "-")
 print(code, "numpy.linalg" in sys.modules)
-"""
+""" % (NUMERIC,)
 
 ROOK2 = str(SRC / "data" / "rook2.json")
 
@@ -85,6 +96,129 @@ def test_exact_commands_never_load_numpy(tmp_path, argv):
 
 def test_oracle_loads_numpy(tmp_path):
     assert _python(RUN_CLI, "oracle", ROOK2, cwd=tmp_path) == "0 True"
+
+
+@pytest.mark.parametrize(
+    "argv, executed",
+    [
+        (["gen", "rook", "2", "--out", "gen.json"], "-"),
+        (["validate", ROOK2], "-"),
+        (["section", ROOK2], "-"),
+        (["equiv", ROOK2, ROOK2], "-"),
+        (["oracle", ROOK2], "kernel_rep vn_oracle"),
+        (["spectral", ROOK2], "kernel_rep vn_oracle spectral_bimodule"),
+    ],
+    ids=["gen", "validate", "section", "equiv", "oracle", "spectral"],
+)
+def test_commands_execute_only_the_modules_they_use(tmp_path, argv, executed):
+    """The exact commands run without executing the numeric modules; cli
+    holds them as lazy module objects, executed on first use."""
+    lines = _python_lines(RUN_CLI, *argv, cwd=tmp_path)
+    assert lines[-2] == executed and lines[-1].startswith("0 ")
+
+
+def test_command_line_entry_defaults_blas_threads_to_one(tmp_path):
+    """``python -m cartanlab`` sets an unset BLAS thread count to 1 and keeps
+    one the caller set; importing the package sets neither."""
+    code = """
+import os, runpy, sys
+os.environ.pop("OPENBLAS_NUM_THREADS", None)
+os.environ["OMP_NUM_THREADS"] = "3"
+import cartanlab.cli
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
+sys.argv = ["cartanlab", "gen", "rook", "2"]
+try:
+    runpy.run_module("cartanlab", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+print(os.environ["OPENBLAS_NUM_THREADS"], os.environ["OMP_NUM_THREADS"])
+"""
+    lines = _python_lines(code, cwd=tmp_path)
+    assert lines[0] == "None" and lines[-1] == "1 3"
+
+
+def _numeric_imports(tree) -> list[int]:
+    """Lines of module-level statements that import a numeric module."""
+
+    def names(node):
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom):
+            base = "cartanlab." * (node.level > 0) + (node.module or "")
+            return [base.rstrip(".")] + [f"{base.rstrip('.')}.{alias.name}" for alias in node.names]
+        return []
+
+    targets = {f"cartanlab.{n}" for n in NUMERIC}
+    return [node.lineno for node in tree.body if targets & set(names(node))]
+
+
+def test_exact_half_imports_no_numeric_module_at_module_level():
+    """The package, the command line and the exact half reach the numeric
+    modules only through lazy bindings."""
+    found = []
+    for stem in ("__init__", "cli", "semigroup_core", "boolean_monoid", "extension", "generators"):
+        path = SRC / f"{stem}.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _numeric_imports(tree)]
+    assert found == []
+
+
+def test_numeric_import_scan_sees_every_form():
+    tree = ast.parse(
+        "import os\n"
+        "from .kernel_rep import RepSpace\n"
+        "from . import vn_oracle\n"
+        "import cartanlab.spectral_bimodule\n"
+        "from cartanlab.extension import sigma\n"
+        "def f():\n"
+        "    from .vn_oracle import span_basis\n"
+    )
+    assert _numeric_imports(tree) == [2, 3, 4]
+
+
+# Every name ``cartanlab`` exported when it imported all of its modules.
+EXPORTS = {
+    "boolean_monoid": "AxiomReport GroupoidRelation beta check_axioms chop groupoid_relation",
+    "errors": "CartanLabError ClosureError DomainError FormatError InvariantViolation OrthogonalityError "
+    "SizeGuardError StructuralError",
+    "extension": "CocycleTable Extension Section cohomologous coboundary_table delta extensions_equivalent g_meet "
+    "g_natural_leq is_trivial_cocycle lausch_alpha order_preserving_section point_coboundary_table "
+    "point_cocycle_table sigma trivial_cocycle validate_cocycle validate_section",
+    "generators": "eqrel_monoid product_monoid rook_monoid",
+    "kernel_rep": "RBasis RepSpace abstract_gram_check dump_matrix expectation kernel kernel_psd_check "
+    "lambda_matrix projection_P_and_V",
+    "semigroup_core": "FiniteInverseMonoid PartialBijection PhasedElement classify compose dagger identity_map "
+    "leech_idempotent meet meet_complement munn_quotient natural_leq orthogonal_join partial_identity "
+    "relative_complement singleton zero_map",
+    "spectral_bimodule": "Bimodule aoi_correspondence enumerate_spectral_sets full_submonoids "
+    "intermediate_algebra_check is_spectral_set join_span msd mtr psi spectral_closure theta verify_members "
+    "verify_subdiagonal",
+    "vn_oracle": "MatrixAlgebra cartan_report expectation_properties masa_check recover_extension span_basis",
+}
+
+
+def test_every_package_export_is_the_submodule_object():
+    """``cartanlab.X``, ``from cartanlab import X`` and ``from cartanlab
+    import *`` give the submodule's own object, and importing the package
+    executes no numeric module."""
+    code = """
+import importlib, json, sys, cartanlab
+exports = json.loads(sys.argv[1])
+loaded = sorted(m for m in sys.modules if m.startswith("cartanlab."))
+star = {}
+exec("from cartanlab import *", star)
+bad = []
+for module, names in exports.items():
+    sub = importlib.import_module("cartanlab." + module)
+    for name in names.split():
+        exec(f"from cartanlab import {name} as imported", star)
+        if not getattr(cartanlab, name) is star.get(name) is star["imported"] is getattr(sub, name):
+            bad.append(name)
+print(json.dumps([loaded, bad]))
+"""
+    loaded, bad = json.loads(_python(code, json.dumps(EXPORTS)))
+    assert bad == [] and sum(len(names.split()) for names in EXPORTS.values()) == 81
+    assert set(loaded) == {f"cartanlab.{module}" for module in EXPORTS} - {f"cartanlab.{n}" for n in NUMERIC}
 
 
 def test_import_cli_loads_every_submodule():
