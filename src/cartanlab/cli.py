@@ -5,7 +5,8 @@ Documents are JSON with keys "atoms", "k", "elements" (named partial maps)
 and an optional sparse "cocycle" entry list (absent means trivial).  Output
 is canonical and byte-stable: identical inputs produce identical bytes.
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 malformed input.
+Exit codes: 0 all checks passed, 1 a check failed, 2 malformed input, 3 a
+module the command needs (numpy, for the numeric commands) is not installed.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .extension import (
     Extension,
     extensions_equivalent,
     order_preserving_section,
-    trivial_cocycle,
     validate_cocycle,
     validate_section,
 )
@@ -87,6 +87,8 @@ def parse(text: str) -> ExtensionDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc.msg}", f"line {exc.lineno}") from None
+    except RecursionError:
+        raise FormatError("invalid JSON: nested too deeply") from None
     if not isinstance(raw, dict):
         raise FormatError("document must be a JSON object", "line 1")
 
@@ -202,7 +204,8 @@ def build_extension(doc: ExtensionDocument, k_override: int | None = None):
     """Materialize (S, Extension, name map) from a document.
 
     Missing 0/1 are added to the monoid with fresh names; an explicit
-    cocycle list must cover every pair with a nonempty product.
+    cocycle list must cover every pair with a nonempty product.  A document
+    without one gives the trivial twist, an Extension without a table.
     """
     atoms = doc.atoms
     by_name = {}
@@ -222,32 +225,30 @@ def build_extension(doc: ExtensionDocument, k_override: int | None = None):
     if k_override is not None and k_override != doc.k and doc.cocycle is not None:
         raise FormatError("cannot override k for a document with an explicit cocycle")
     if doc.cocycle is None:
-        table = trivial_cocycle(S, k)
-    else:
-        # |dom(st)| = |dom(s) & range(t)|: no product is formed, so a
-        # document that is not closed still reaches the closure check.
-        entries = {}
-        for s_name, t_name, phase in doc.cocycle:
-            s, t = by_name[s_name], by_name[t_name]
-            width = (s.domain & t.range_mask).bit_count()
-            if len(phase) != width:
+        return S, Extension(S, k), names
+    # |dom(st)| = |dom(s) & range(t)|: no product is formed, so a document
+    # that is not closed still reaches the closure check.
+    entries = {}
+    for s_name, t_name, phase in doc.cocycle:
+        s, t = by_name[s_name], by_name[t_name]
+        width = (s.domain & t.range_mask).bit_count()
+        if len(phase) != width:
+            raise FormatError(
+                f"cocycle entry ({s_name},{t_name}) has {len(phase)} phases, "
+                f"expected {width}"
+            )
+        if any(not 0 <= p < k for p in phase):
+            raise FormatError(f"cocycle entry ({s_name},{t_name}) has exponents outside 0..k-1")
+        entries[(s, t)] = tuple(phase)
+    ranges = [t.range_mask for t in S]
+    for s in S:
+        for t, rng in zip(S, ranges):
+            if s.domain & rng and (s, t) not in entries:
+                inv = {v: n for n, v in names.items()}
                 raise FormatError(
-                    f"cocycle entry ({s_name},{t_name}) has {len(phase)} phases, "
-                    f"expected {width}"
+                    f"missing cocycle entry for ({inv.get(s, s)}, {inv.get(t, t)})"
                 )
-            if any(not 0 <= p < k for p in phase):
-                raise FormatError(f"cocycle entry ({s_name},{t_name}) has exponents outside 0..k-1")
-            entries[(s, t)] = tuple(phase)
-        ranges = [t.range_mask for t in S]
-        for s in S:
-            for t, rng in zip(S, ranges):
-                if s.domain & rng and (s, t) not in entries:
-                    inv = {v: n for n, v in names.items()}
-                    raise FormatError(
-                        f"missing cocycle entry for ({inv.get(s, s)}, {inv.get(t, t)})"
-                    )
-        table = CocycleTable(k, entries)
-    return S, Extension(S, k, table), names
+    return S, Extension(S, k, CocycleTable(k, entries)), names
 
 
 def generate(kind: str, params, guard: int = generators.ROOK_GUARD) -> ExtensionDocument:
@@ -526,6 +527,9 @@ def main(argv=None) -> int:
     except CartanLabError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except ModuleNotFoundError as exc:
+        print(f"missing module: '{args.command}' needs {exc.name}, which is not installed", file=sys.stderr)
+        return 3
     return code
 
 

@@ -93,21 +93,19 @@ def _dense(n: int, mask: int, values) -> list[int]:
     return out
 
 
-def _images(S: FiniteInverseMonoid) -> list[list[int]]:
-    """images[i][y] = e_i(y) for y in dom(e_i)."""
-    return [_dense(S.atom_count, s.domain, s.image) for s in S]
-
-
-def _phase_rows(S: FiniteInverseMonoid, c: CocycleTable) -> list[list[list[int]]]:
+def _phase_rows(S: FiniteInverseMonoid, c: CocycleTable | None) -> list[list[list[int]]]:
     """rows[i][j][y] = c(e_i, e_j) at atom y, dense over atoms.
 
     Entries with an empty product are zero; a missing entry, or one with
     fewer phases than dom(e_i e_j) has atoms, raises FormatError.  All-zero
-    entries (every entry of a trivial table, and by normalization every
-    entry with an idempotent factor) share one read-only zero row.
+    entries (by normalization every entry with an idempotent factor) share
+    one read-only zero row.  The trivial twist, c None, is one shared row of
+    zero rows for every id: O(|S|), and no product is formed.
     """
     n = S.atom_count
     zero = [0] * n
+    if c is None:
+        return [[zero] * len(S)] * len(S)
     els, mul = S.elements, S.mul
     rows = []
     for s, mrow in zip(els, mul):
@@ -143,15 +141,15 @@ def trivial_cocycle(S: FiniteInverseMonoid, k: int) -> CocycleTable:
     return CocycleTable(k, entries)
 
 
-def coboundary_table(S: FiniteInverseMonoid, k: int, base: CocycleTable, b: dict) -> CocycleTable:
-    """Perturb ``base`` by the coboundary of b : S -> phase arrays.
+def coboundary_table(S: FiniteInverseMonoid, k: int, base: CocycleTable | None, b: dict) -> CocycleTable:
+    """Perturb ``base`` (None: the zero table) by the coboundary of
+    b : S -> phase arrays.
 
     b[s] is aligned with the domain atoms of s; idempotents must carry zero
     arrays.  The new entry is base(s,t) + b(s) o t + b(t) - b(st).
     """
-    n, els, mul = S.atom_count, S.elements, S.mul
+    n, els, mul, img = S.atom_count, S.elements, S.mul, S.images
     rows = _phase_rows(S, base)
-    img = _images(S)
     bd = [_dense(n, s.domain, b[s]) for s in els]
     entries = {}
     for i, s in enumerate(els):
@@ -182,8 +180,7 @@ def point_coboundary_table(S: FiniteInverseMonoid, k: int, b_points: dict) -> Co
 def point_cocycle_table(S: FiniteInverseMonoid, k: int, c_points) -> CocycleTable:
     """Table induced by a normalized 2-cocycle on composable atom triples:
     c(s,t)(y) = c_points(s(t(y)), t(y), y)."""
-    els, mul = S.elements, S.mul
-    img = _images(S)
+    els, mul, img = S.elements, S.mul, S.images
     entries = {}
     for i, s in enumerate(els):
         for j, t in enumerate(els):
@@ -219,7 +216,7 @@ class CocycleReport:
         return lines
 
 
-def validate_cocycle(S: FiniteInverseMonoid, k: int, c: CocycleTable) -> CocycleReport:
+def validate_cocycle(S: FiniteInverseMonoid, k: int, c: CocycleTable | None) -> CocycleReport:
     """Check support, normalization, and the cocycle identity on all triples.
 
     The identity, pointwise on dom(stu):
@@ -227,8 +224,12 @@ def validate_cocycle(S: FiniteInverseMonoid, k: int, c: CocycleTable) -> Cocycle
     The loops run over element ids: products come from the Cayley table
     S.mul and phases from the table's rows, dense over atoms.  Violations
     are listed in (s, t) or (s, t, u) element order.  A missing entry
-    raises FormatError; everything else lands in the report.
+    raises FormatError; everything else lands in the report.  The trivial
+    twist, c None, is the zero table: supported, normalized, and every term
+    of the identity vanishes, so it passes without a loop.
     """
+    if c is None:
+        return CocycleReport(True, True, True)
     if c.k != k:
         raise FormatError(f"cocycle table has k={c.k}, expected {k}")
     els, mul = S.elements, S.mul
@@ -258,8 +259,7 @@ def validate_cocycle(S: FiniteInverseMonoid, k: int, c: CocycleTable) -> Cocycle
                 normalized = False
                 violations.append(("normalization", s, t))
 
-    rows = _phase_rows(S, c)
-    img = _images(S)
+    rows, img = _phase_rows(S, c), S.images
     atoms = [tuple(bits(s.domain)) for s in els]
     identity_holds = True
     for i, s in enumerate(els):
@@ -289,6 +289,9 @@ class Extension:
     products come from the Cayley table S.mul and cocycle phases from the
     table's rows, both built on first use.  ``multiply`` and ``dagger`` are
     the element-level forms of ``_product`` and ``_dagger``.
+
+    ``cocycle`` None is the trivial twist: no table is built, and every
+    phase row is one shared zero row.
     """
 
     def __init__(self, S: FiniteInverseMonoid, k: int, cocycle: CocycleTable | None = None):
@@ -296,7 +299,7 @@ class Extension:
             raise DomainError("phase order k must be >= 1")
         self.S = S
         self.k = k
-        self.cocycle = cocycle if cocycle is not None else trivial_cocycle(S, k)
+        self.cocycle = cocycle
         self.unit = with_zero_phases(S.one)
         self.zero = with_zero_phases(S.zero)
 
@@ -317,17 +320,13 @@ class Extension:
         return _phase_rows(self.S, self.cocycle)
 
     @cached_property
-    def _img(self) -> list[list[int]]:
-        return _images(self.S)
-
-    @cached_property
     def _atoms(self) -> list[tuple[int, ...]]:
         return [tuple(bits(s.domain)) for s in self.S]
 
     def _product(self, i: int, a: list[int], j: int, b: list[int]) -> tuple[int, list[int]]:
         """(e_i, a)(e_j, b) = (e_i e_j, p), p(y) = a(e_j(y)) + b(y) + c(e_i, e_j)(y)."""
         st = self.S.mul[i][j]
-        c, tj, k = self._rows[i][j], self._img[j], self.k
+        c, tj, k = self._rows[i][j], self.S.images[j], self.k
         p = [0] * self.S.atom_count
         for y in self._atoms[st]:
             p[y] = (a[tj[y]] + b[y] + c[y]) % k
@@ -336,7 +335,7 @@ class Extension:
     def _dagger(self, i: int, a: list[int]) -> tuple[int, list[int]]:
         """(e_i, a)^dag = (e_i^dag, p), p(z) = -a(e_i^dag(z)) - c(e_i, e_i^dag)(z)."""
         sd = self.S.inv[i]
-        c, back, k = self._rows[i][sd], self._img[sd], self.k
+        c, back, k = self._rows[i][sd], self.S.images[sd], self.k
         p = [0] * self.S.atom_count
         for z in self._atoms[sd]:
             p[z] = (-a[back[z]] - c[z]) % k
@@ -421,19 +420,19 @@ def order_preserving_section(ext: Extension) -> Section:
     coboundary, so a missing witness means the table is not a cocycle and
     raises DomainError.  Only when the monoid lacks one-point maps (no
     witness can be computed) are zero-phase lifts, which need not be
-    homomorphic, the fallback.  For the trivial table the witness is zero
-    and the section is the zero-phase lift of every element; a table whose
-    entries are all zero takes that witness without the search.
+    homomorphic, the fallback.  For the trivial twist (no table) the witness
+    is zero and the section is the zero-phase lift of every element; an
+    explicit table of zeros gets the same zero witness from the search.
 
     Lifts are built as dense phase rows on element ids with the extension's
     id-level product.
     """
     S, k, n = ext.S, ext.k, ext.S.atom_count
     els, index = S.elements, S.index
-    witness = None  # zero lifts: the all-zero table's witness, and the fallback
-    if any(any(arr) for arr in ext.cocycle.entries.values()):
+    witness = None  # zero lifts: the trivial twist's witness, and the fallback
+    if ext.cocycle is not None:
         try:
-            witness = cohomologous(S, k, trivial_cocycle(S, k), ext.cocycle)
+            witness = cohomologous(S, k, None, ext.cocycle)
         except DomainError:
             pass
         else:
@@ -531,8 +530,7 @@ def validate_section(ext: Extension, j: Section) -> SectionReport:
     """
     S = ext.S
     rows = j.dense_rows(S)
-    els, mul = S.elements, S.mul
-    img = ext._img
+    els, mul, img = S.elements, S.mul, S.images
     idem = [i for i, e in enumerate(els) if e.is_idempotent()]
     idem_of = {els[e].domain: e for e in idem}
     unit_ok = not any(rows[S.index[S.one]])
@@ -607,8 +605,9 @@ def _related_points(S: FiniteInverseMonoid):
     return sorted({(x, y) for s in S for x, y in s.pairs()})
 
 
-def cohomologous(S: FiniteInverseMonoid, k: int, c1: CocycleTable, c2: CocycleTable):
-    """Find b with c2(s,t) = c1(s,t) + b(s) o t + b(t) - b(st) (mod k).
+def cohomologous(S: FiniteInverseMonoid, k: int, c1: CocycleTable | None, c2: CocycleTable | None):
+    """Find b with c2(s,t) = c1(s,t) + b(s) o t + b(t) - b(st) (mod k);
+    a table given as None is the zero table.
 
     Normalization forces any witness to be restriction compatible, hence
     determined by its values on one-point maps: a function b on related atom
@@ -647,8 +646,7 @@ def cohomologous(S: FiniteInverseMonoid, k: int, c1: CocycleTable, c2: CocycleTa
         r = root[z]
         b_pts[(x, z)] = diff(x, z, r)
 
-    els, mul = S.elements, S.mul
-    img = _images(S)
+    els, mul, img = S.elements, S.mul, S.images
     atoms = [tuple(bits(s.domain)) for s in els]
     bd = [_dense(S.atom_count, s.domain, (b_pts[p] for p in s.pairs())) for s in els]
     for i in range(len(els)):
@@ -663,8 +661,8 @@ def cohomologous(S: FiniteInverseMonoid, k: int, c1: CocycleTable, c2: CocycleTa
     return {s: tuple(b[y] for y in ys) for s, b, ys in zip(els, bd, atoms)}
 
 
-def is_trivial_cocycle(S: FiniteInverseMonoid, k: int, c: CocycleTable):
-    return cohomologous(S, k, trivial_cocycle(S, k), c)
+def is_trivial_cocycle(S: FiniteInverseMonoid, k: int, c: CocycleTable | None):
+    return cohomologous(S, k, None, c)
 
 
 def extensions_equivalent(ext1: Extension, ext2: Extension, guard: int = EQUIV_GUARD):
@@ -676,7 +674,8 @@ def extensions_equivalent(ext1: Extension, ext2: Extension, guard: int = EQUIV_G
     phased identities through the induced relabeling.  The search runs over
     atom permutations (complete for fundamental monoids in canonical form)
     and, per permutation, over coboundaries linking the transported cocycle
-    to the target one.
+    to the target one.  The trivial twist transports to itself: no table is
+    built for it.
     """
     if ext1.k != ext2.k:
         return None
@@ -692,19 +691,17 @@ def extensions_equivalent(ext1: Extension, ext2: Extension, guard: int = EQUIV_G
     rows1 = _phase_rows(S1, ext1.cocycle)
     for perm, theta in relabelings(S1, S2):
         inv_perm = tuple(perm.index(i) for i in range(n))
-        # pre[j] is the S1 id of theta^-1(els2[j])
-        pre = [0] * len(els2)
-        for i1, s1 in enumerate(S1.elements):
-            pre[S2.index[theta[s1]]] = i1
-        transported_entries = {}
-        for i, s2 in enumerate(els2):
-            row1 = rows1[pre[i]]
-            for j, t2 in enumerate(els2):
-                dom = els2[mul2[i][j]].domain
-                if dom:
-                    c = row1[pre[j]]
-                    transported_entries[(s2, t2)] = tuple(c[inv_perm[y]] for y in bits(dom))
-        c1_theta = CocycleTable(k, transported_entries)
+        c1_theta = None
+        if ext1.cocycle is not None:
+            pre = {S2.index[s2]: S1.index[s1] for s1, s2 in theta.items()}  # S2 id -> S1 id of theta^-1
+            transported_entries = {}
+            for i, s2 in enumerate(els2):
+                row1 = rows1[pre[i]]
+                for j, t2 in enumerate(els2):
+                    dom = els2[mul2[i][j]].domain
+                    if dom:
+                        transported_entries[(s2, t2)] = tuple(row1[pre[j]][inv_perm[y]] for y in bits(dom))
+            c1_theta = CocycleTable(k, transported_entries)
         beta = cohomologous(S2, k, ext2.cocycle, c1_theta)
         if beta is None:
             continue

@@ -179,7 +179,7 @@ def lambda_matrix(ext: Extension, j: Section, v: PhasedElement, rbasis: RBasis |
     S, n = ext.S, rbasis.atom_count
     rows = j.dense_rows(S)
     i, a = ext._id_row(v)
-    img = ext._img[i]
+    img = S.images[i]
     targets, cols, phases = [], [], []
     for col, (x, y) in enumerate(rbasis.pairs):
         if not (v.bij.domain >> x) & 1:

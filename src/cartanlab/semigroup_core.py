@@ -290,12 +290,13 @@ class FiniteInverseMonoid:
     missing from the input.  Closure is *not* enforced at construction: use
     closure_witness()/classify() to check it.
 
-    ``mul[i][j]`` is the id of compose(e_i, e_j) and ``inv[i]`` the id of
-    dagger(e_i).  Each table is built on first access and then kept: ``mul``
-    composes dense image rows and looks each product up by its (domain,
-    image) key, ``inv`` makes |S| dagger calls.  Building a table raises
-    ClosureError with the first missing product (s, t, st), or
-    (s, "dagger", s^dag), in element order.
+    ``mul[i][j]`` is the id of compose(e_i, e_j), ``inv[i]`` the id of
+    dagger(e_i), and ``images[i][y]`` is e_i(y), dense over atoms with -1
+    off dom(e_i).  Each table is built on first access and then kept:
+    ``mul`` composes the image rows and looks each product up by its
+    (domain, image) key, ``inv`` makes |S| dagger calls.  Building ``mul``
+    or ``inv`` raises ClosureError with the first missing product (s, t,
+    st), or (s, "dagger", s^dag), in element order.
     """
 
     def __init__(self, atom_count: int, elements):
@@ -353,6 +354,11 @@ class FiniteInverseMonoid:
         return out
 
     @cached_property
+    def images(self) -> list[list[int]]:
+        n = self.atom_count
+        return [[s.apply(y) if s.domain >> y & 1 else -1 for y in range(n)] for s in self.elements]
+
+    @cached_property
     def mul(self) -> list[list[int]]:
         # s t maps y to s(t(y)) where both are defined: compose s's dense
         # image row with t's graph points and look the (domain, image) key
@@ -360,10 +366,7 @@ class FiniteInverseMonoid:
         ids = {_canonical_key(s): i for i, s in enumerate(self.elements)}
         graphs = [[(1 << y, x) for x, y in t.pairs()] for t in self.elements]
         out = []
-        for s in self.elements:
-            image_of = [-1] * self.atom_count
-            for x, y in s.pairs():
-                image_of[y] = x
+        for s, image_of in zip(self.elements, self.images):
             row = []
             for t, graph in zip(self.elements, graphs):
                 domain = 0

@@ -233,6 +233,7 @@ def _rook2_edited(tmp_path, name, edit=None):
         (["validate", "{ref_list}"], {}),
         (["validate", "{not_utf8}"], {}),
         (["gen", "product", "{not_utf8}", "{rook2}"], {}),
+        (["validate", "{deep}"], {}),
     ],
     ids=[
         "guard-env-not-int",
@@ -255,6 +256,7 @@ def _rook2_edited(tmp_path, name, edit=None):
         "cocycle-ref-not-string",
         "document-not-utf8",
         "product-document-not-utf8",
+        "json-nested-too-deeply",
     ],
 )
 def test_malformed_invocations_exit_two_without_traceback(tmp_path, argv, env):
@@ -268,8 +270,10 @@ def test_malformed_invocations_exit_two_without_traceback(tmp_path, argv, env):
             tmp_path, "ref_list.json", lambda raw: raw.update(cocycle=[{"s": [1], "t": "s000", "phase": []}])
         ),
         "not_utf8": str(tmp_path / "not_utf8.json"),
+        "deep": str(tmp_path / "deep.json"),
     }
     (tmp_path / "not_utf8.json").write_bytes(b'{"atoms": \xeb\x9f\xff}')
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
     argv = [a.format(**paths) for a in argv]
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     run_env = {k: v for k, v in os.environ.items() if k != "CARTANLAB_GUARD"}

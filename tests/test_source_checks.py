@@ -242,6 +242,36 @@ def _resolves(module: str, attr: str) -> bool:
     return owner is not None and name in vars(owner)
 
 
+# Runs ``python -S -m cartanlab``: no site-packages, so numpy cannot be found
+# (the numeric-command check below shows it), and only the package source on
+# the path.
+def _run_without_site_packages(argv, cwd):
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "CARTANLAB_GUARD")}
+    env["PYTHONPATH"] = str(SRC.parent)
+    return subprocess.run(
+        [sys.executable, "-S", "-m", "cartanlab", *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gen", "rook", "2", "--out", "gen.json"], ["validate", ROOK2], ["section", ROOK2], ["equiv", ROOK2, ROOK2]],
+    ids=["gen", "validate", "section", "equiv"],
+)
+def test_exact_commands_run_without_numpy(tmp_path, argv):
+    proc = _run_without_site_packages(argv, tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout
+
+
+@pytest.mark.parametrize("command", ["represent", "oracle", "spectral", "msd", "mtr"])
+def test_numeric_commands_without_numpy_stop_with_one_line(tmp_path, command):
+    """Exit code 3 and one stderr line naming numpy, no traceback."""
+    proc = _run_without_site_packages([command, ROOK2], tmp_path)
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [f"missing module: '{command}' needs numpy, which is not installed"]
+
+
 def test_traced_names_resolve():
     """The benchmark's tracer wraps these functions by name; a rename would
     silently drop them from its ``--trace 1`` pass."""
@@ -265,6 +295,49 @@ def test_every_exported_name_resolves():
     exporting = [module for module in loaded if hasattr(module, "__all__")]
     assert len(exporting) >= 8
     assert [f"{m.__name__}:{name}" for m in exporting for name in m.__all__ if not hasattr(m, name)] == []
+
+
+def _is_trivial_cocycle_call(node) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Name) and func.id == "trivial_cocycle") or (
+        isinstance(func, ast.Attribute) and func.attr == "trivial_cocycle"
+    )
+
+
+def call_sites(root: Path, is_call) -> list[str]:
+    """Sites of the calls ``is_call`` accepts, as ``file:line``."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if is_call(node)]
+    return sorted(found)
+
+
+def test_no_command_path_builds_the_zero_table():
+    """The trivial twist is ``cocycle=None``: nothing in the package
+    materializes the |S|^2 table of zeros that ``trivial_cocycle`` returns."""
+    assert call_sites(SRC, _is_trivial_cocycle_call) == []
+
+
+def test_zero_table_scan_sees_every_call_form(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "from .extension import trivial_cocycle\n"
+        "def build(S, k, doc):\n"
+        "    if doc.cocycle is None:\n"
+        "        table = trivial_cocycle(S, k)\n"
+    )
+    (tmp_path / "extension.py").write_text(
+        "def trivial_cocycle(S, k):\n"
+        "    return {}\n"
+        "class Extension:\n"
+        "    def __init__(self, S, k, cocycle=None):\n"
+        "        self.cocycle = cocycle if cocycle is not None else trivial_cocycle(S, k)\n"
+        "def is_trivial(S, k, c):\n"
+        "    return cohomologous(S, k, extension.trivial_cocycle(S, k), c)\n"
+    )
+    assert call_sites(tmp_path, _is_trivial_cocycle_call) == ["cli.py:4", "extension.py:5", "extension.py:7"]
 
 
 def _is_membership_call(node) -> bool:
