@@ -221,47 +221,87 @@ def validate_cocycle(S: FiniteInverseMonoid, k: int, c: CocycleTable | None) -> 
 
     The identity, pointwise on dom(stu):
         c(t,u)(y) + c(s,tu)(y) = c(s,t)(u(y)) + c(st,u)(y)  (mod k)
-    The loops run over element ids: products come from the Cayley table
-    S.mul and phases from the table's rows, dense over atoms.  Violations
-    are listed in (s, t) or (s, t, u) element order.  A missing entry
-    raises FormatError; everything else lands in the report.  The trivial
-    twist, c None, is the zero table: supported, normalized, and every term
-    of the identity vanishes, so it passes without a loop.
+
+    The verdict is decided on the points of R, the union of the graphs.
+    One pass over the pairs of element ids (products from the Cayley table
+    S.mul) checks support and normalization, and checks that the table is
+    local: every phase c(s,t)(y) equals cp[s(t(y)), t(y), y], the first
+    value seen for that point triple.  For a local table the four terms of
+    the identity at (s, t, u) and y are cp[x,z,y], cp[w,x,y], cp[w,x,z] and
+    cp[w,z,y] on the chain w <- x <- z <- y of R with z = u(y), x = t(z),
+    w = s(x), and every chain of R arises from some triple.  So the identity
+    holds on all triples iff
+        cp[x,z,y] + cp[w,x,y] - cp[w,x,z] - cp[w,z,y] = 0  (mod k)
+    on every chain: sum b^4 checks over the blocks of R.  A table that
+    fails support, normalization, locality or a chain gets the id-level
+    loop over all triples, which lists the identity violations.
+
+    Violations are listed in (s, t) or (s, t, u) element order: support,
+    then normalization, then identity.  A missing entry raises FormatError;
+    everything else lands in the report.  The trivial twist, c None, is the
+    zero table: supported, normalized, and every term of the identity
+    vanishes, so it passes without a loop.
     """
     if c is None:
         return CocycleReport(True, True, True)
     if c.k != k:
         raise FormatError(f"cocycle table has k={c.k}, expected {k}")
-    els, mul = S.elements, S.mul
-    violations = []
-    supported = True
+    n, els, mul, img, entries = S.atom_count, S.elements, S.mul, S.images, c.entries
+    idem = [s.is_idempotent() for s in els]
+    atoms = [tuple(bits(s.domain)) for s in els]
+    support, normalization = [], []
+    cp = [None] * n**3  # cp[(x*n + z)*n + y]: the phase on the points z <- y, x <- z
+    local = True
     for i, s in enumerate(els):
         for j, t in enumerate(els):
-            width = els[mul[i][j]].domain.bit_count()
-            arr = c.entries.get((s, t))
-            if not width:
+            st = mul[i][j]
+            ys, arr = atoms[st], entries.get((s, t))
+            if not ys:
                 if arr:
-                    supported = False
-                    violations.append(("support", s, t))
+                    support.append(("support", s, t))
                 continue
             if arr is None:
                 raise FormatError(f"missing cocycle entry for ({s}, {t})")
-            if len(arr) != width or any(not 0 <= p < k for p in arr):
-                supported = False
-                violations.append(("support", s, t))
+            if len(arr) != len(ys) or any(not 0 <= p < k for p in arr):
+                support.append(("support", s, t))
+            if (idem[i] or idem[j]) and any(arr):
+                normalization.append(("normalization", s, t))
+            x_of, z_of = img[st], img[j]
+            for y, p in zip(ys, arr):
+                key = (x_of[y] * n + z_of[y]) * n + y
+                if cp[key] is None:
+                    cp[key] = p
+                elif cp[key] != p:
+                    local = False
 
-    normalized = True
-    for i, s in enumerate(els):
-        for j, t in enumerate(els):
-            if not (s.is_idempotent() or t.is_idempotent()):
-                continue
-            if els[mul[i][j]].domain and any(c.entries[(s, t)]):
-                normalized = False
-                violations.append(("normalization", s, t))
+    violations = support + normalization
+    if local and not violations and _point_identity_holds(n, k, cp, img):
+        return CocycleReport(True, True, True)
+    identity = _identity_violations(S, k, c)
+    return CocycleReport(not support, not normalization, not identity, violations + identity)
 
-    rows, img = _phase_rows(S, c), S.images
+
+def _point_identity_holds(n: int, k: int, cp: list, img: list) -> bool:
+    """The cocycle identity of the point cocycle ``cp`` on every chain
+    w <- x <- z <- y of R; ``img`` holds the dense image rows of S."""
+    succ = [sorted({row[y] for row in img} - {-1}) for y in range(n)]  # x with (x, y) in R
+    for y in range(n):
+        for z in succ[y]:
+            for x in succ[z]:
+                c_xzy = cp[(x * n + z) * n + y]
+                for w in succ[x]:
+                    if (c_xzy + cp[(w * n + x) * n + y] - cp[(w * n + x) * n + z] - cp[(w * n + z) * n + y]) % k:
+                        return False
+    return True
+
+
+def _identity_violations(S: FiniteInverseMonoid, k: int, c: CocycleTable) -> list:
+    """The id-level identity loop: every triple (s, t, u) whose identity
+    fails at some atom, in element order, reading the table's dense rows."""
+    els, mul, img = S.elements, S.mul, S.images
+    rows = _phase_rows(S, c)
     atoms = [tuple(bits(s.domain)) for s in els]
-    identity_holds = True
+    violations = []
     for i, s in enumerate(els):
         row_s = rows[i]
         for j, t in enumerate(els):
@@ -273,10 +313,9 @@ def validate_cocycle(S: FiniteInverseMonoid, k: int, c: CocycleTable | None) -> 
                 c_tu, c_s_tu, c_st_u, u_img = row_t[l], row_s[mul_t[l]], row_st[l], img[l]
                 for y in atoms[mul_st[l]]:
                     if (c_tu[y] + c_s_tu[y] - c_st[u_img[y]] - c_st_u[y]) % k:
-                        identity_holds = False
                         violations.append(("identity", s, t, u))
                         break
-    return CocycleReport(supported, normalized, identity_holds, violations)
+    return violations
 
 
 class Extension:
@@ -432,10 +471,11 @@ def order_preserving_section(ext: Extension) -> Section:
     witness = None  # zero lifts: the trivial twist's witness, and the fallback
     if ext.cocycle is not None:
         try:
-            witness = cohomologous(S, k, None, ext.cocycle)
+            singles = _one_point_maps(S)
         except DomainError:
             pass
         else:
+            witness = _coboundary_witness(S, k, singles, _phase_rows(S, None), ext._rows)
             if witness is None:
                 raise DomainError(
                     "cocycle table is not a coboundary, so it is not a valid cocycle; "
@@ -521,15 +561,60 @@ def validate_section(ext: Extension, j: Section) -> SectionReport:
     (c) j(s ^ t) = j(s) ^ j(t) and j(1) = 1.
     They must agree for any section; disagreement indicates a bug.
 
-    All three are walks over element ids on the lifts' dense phase rows.
-    With A(s,t) the atoms where s and t agree, s <= t iff A(s,t) = dom(s),
-    and s ^ t is s restricted to A(s,t).  So (a) compares the rows of s and
-    t on dom(s) when s <= t, and (c) holds at (s, t) iff the rows of s, t
-    and s ^ t agree on A(s,t).  (b) uses the id-level twisted product.
-    Witnesses are the first failing pair or triple in element order.
+    The pass verdict is decided on the points of R when all of these hold:
+    S is closed and holds every idempotent of the atom set, so every meet
+    is in S; every lift's phase at y is in 0..k-1 and depends only on the
+    point (s(y), y); the phase at every diagonal point is zero, so
+    idempotent lifts are zero; and the table's rows c(e, .) and c(., e) are
+    zero for every idempotent e.  Then a restriction, a meet and a product
+    esf read the same point phases as the lifts they come from, and (a),
+    (b) and (c) hold.
+
+    Otherwise all three are walks over element ids on the lifts' dense
+    phase rows, which find the witnesses.  With A(s,t) the atoms where s
+    and t agree, s <= t iff A(s,t) = dom(s), and s ^ t is s restricted to
+    A(s,t).  So (a) compares the rows of s and t on dom(s) when s <= t, and
+    (c) holds at (s, t) iff the rows of s, t and s ^ t agree on A(s,t).
+    (b) uses the id-level twisted product.  Witnesses are the first failing
+    pair or triple in element order.  A meet missing from S raises
+    DomainError.
     """
+    rows = j.dense_rows(ext.S)
+    if _lifts_on_points(ext, rows):
+        return SectionReport(True, True, True, True)
+    return _section_loops(ext, rows)
+
+
+def _lifts_on_points(ext: Extension, rows: list) -> bool:
+    """The point conditions under which ``validate_section`` passes without
+    its loops."""
+    S, k, n = ext.S, ext.k, ext.S.atom_count
+    els = S.elements
+    idem = [i for i, s in enumerate(els) if s.is_idempotent()]
+    if len(idem) != 1 << n or S.closure_witness() is not None:
+        return False
+    phase = [None] * (n * n)  # phase[x*n + y]: the lifts' phase at the point y -> x
+    for s, row, image in zip(els, rows, S.images):
+        for y in bits(s.domain):
+            key, p = image[y] * n + y, row[y]
+            if phase[key] is None:
+                if not 0 <= p < k:
+                    return False
+                phase[key] = p
+            elif phase[key] != p:
+                return False
+    if any(phase[y * n + y] for y in range(n)):
+        return False
+    if ext.cocycle is None:
+        return True
+    c = ext._rows
+    return not any(any(c[e][i]) or any(c[i][e]) for e in idem for i in range(len(els)))
+
+
+def _section_loops(ext: Extension, rows: list) -> SectionReport:
+    """Conditions (a), (b) and (c) as walks over element ids, with the
+    first witness of each."""
     S = ext.S
-    rows = j.dense_rows(S)
     els, mul, img = S.elements, S.mul, S.images
     idem = [i for i, e in enumerate(els) if e.is_idempotent()]
     idem_of = {els[e].domain: e for e in idem}
@@ -621,17 +706,32 @@ def cohomologous(S: FiniteInverseMonoid, k: int, c1: CocycleTable | None, c2: Co
 
     The check of the candidate runs over element ids, reading products
     from the Cayley table S.mul and phases from both tables' dense rows.
+    When both tables are None the witness is zero and no pair is read.
 
     Returns b as a dict s -> phase tuple, or None if not cohomologous.
     """
-    pts = _related_points(S)
+    singles = _one_point_maps(S)
+    if c1 is None and c2 is None:
+        return {s: (0,) * s.domain.bit_count() for s in S}
+    return _coboundary_witness(S, k, singles, _phase_rows(S, c1), _phase_rows(S, c2))
+
+
+def _one_point_maps(S: FiniteInverseMonoid) -> dict:
+    """Point (x, y) of R -> id of the one-point map y -> x, in point order;
+    DomainError if one is missing from S."""
     singles = {}
-    for x, y in pts:
+    for x, y in _related_points(S):
         m = singleton(S.atom_count, y, x)
         if m not in S:
             raise DomainError("cohomologous needs a downward-closed monoid (singletons present)")
         singles[(x, y)] = S.index[m]
-    rows1, rows2 = _phase_rows(S, c1), _phase_rows(S, c2)
+    return singles
+
+
+def _coboundary_witness(S: FiniteInverseMonoid, k: int, singles: dict, rows1: list, rows2: list):
+    """``cohomologous`` on the tables' dense phase rows, given the one-point
+    maps of S."""
+    pts = list(singles)
 
     def diff(x, z, y):
         # difference entry on the composable singleton pair, at atom y
@@ -674,8 +774,9 @@ def extensions_equivalent(ext1: Extension, ext2: Extension, guard: int = EQUIV_G
     phased identities through the induced relabeling.  The search runs over
     atom permutations (complete for fundamental monoids in canonical form)
     and, per permutation, over coboundaries linking the transported cocycle
-    to the target one.  The trivial twist transports to itself: no table is
-    built for it.
+    to the target one, on the extensions' cached phase rows.  The trivial
+    twist transports to itself, and two trivial twists get the zero
+    coboundary without a walk over pairs.
     """
     if ext1.k != ext2.k:
         return None
@@ -687,22 +788,20 @@ def extensions_equivalent(ext1: Extension, ext2: Extension, guard: int = EQUIV_G
 
     n = S1.atom_count
     k = ext1.k
-    els2, mul2 = S2.elements, S2.mul
-    rows1 = _phase_rows(S1, ext1.cocycle)
+    ids2 = range(len(S2))
+    rows1 = ext1._rows
     for perm, theta in relabelings(S1, S2):
         inv_perm = tuple(perm.index(i) for i in range(n))
-        c1_theta = None
-        if ext1.cocycle is not None:
-            pre = {S2.index[s2]: S1.index[s1] for s1, s2 in theta.items()}  # S2 id -> S1 id of theta^-1
-            transported_entries = {}
-            for i, s2 in enumerate(els2):
-                row1 = rows1[pre[i]]
-                for j, t2 in enumerate(els2):
-                    dom = els2[mul2[i][j]].domain
-                    if dom:
-                        transported_entries[(s2, t2)] = tuple(row1[pre[j]][inv_perm[y]] for y in bits(dom))
-            c1_theta = CocycleTable(k, transported_entries)
-        beta = cohomologous(S2, k, ext2.cocycle, c1_theta)
+        if ext1.cocycle is None and ext2.cocycle is None:
+            beta = cohomologous(S2, k, None, None)
+        else:
+            rows1_theta = rows1  # the zero rows of the trivial twist
+            if ext1.cocycle is not None:
+                pre = {S2.index[s2]: S1.index[s1] for s1, s2 in theta.items()}  # S2 id -> S1 id of theta^-1
+                rows1_theta = [
+                    [[rows1[pre[i]][pre[j]][q] for q in inv_perm] for j in ids2] for i in ids2
+                ]
+            beta = _coboundary_witness(S2, k, _one_point_maps(S2), ext2._rows, rows1_theta)
         if beta is None:
             continue
 

@@ -25,7 +25,9 @@ from cartanlab.extension import (
     _rank,
     _related_points,
     cohomologous,
+    extensions_equivalent,
     g_meet,
+    is_trivial_cocycle,
     g_natural_leq,
     order_preserving_section,
     point_coboundary_table,
@@ -625,3 +627,127 @@ def test_zero_table_section_skips_search_and_keeps_closure_error(monkeypatch):
     with pytest.raises(ClosureError) as exc:
         order_preserving_section(ext)
     assert exc.value.witness == ref_closure_witness(T)
+
+
+# The point decisions: validate_cocycle and validate_section pass from
+# point-level checks and run their id-level loops only to list witnesses.
+
+
+def _forbid(monkeypatch, *names):
+    def refuse(*args):
+        raise AssertionError("an id-level loop ran on a passing input")
+
+    for name in names:
+        monkeypatch.setattr(extension_module, name, refuse)
+
+
+def _spy(monkeypatch, name):
+    """Record each call of the module function ``name`` and run it."""
+    calls = []
+    real = getattr(extension_module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(extension_module, name, spy)
+    return calls
+
+
+def test_passing_tables_and_sections_skip_the_id_loops(monoids, monkeypatch):
+    rook4 = rook_monoid(4)
+    cases = section_cases(monoids)
+    cases.append(("rook4 twisted", Extension(rook4, 2, random_coboundary(rook4, 2, random.Random(4)))))
+    sections = [(label, ext, order_preserving_section(ext)) for label, ext in cases]
+    _forbid(monkeypatch, "_identity_violations", "_section_loops")
+    for label, ext, j in sections:
+        assert validate_cocycle(ext.S, ext.k, ext.cocycle).passed, label
+        assert validate_section(ext, j) == SectionReport(True, True, True, True), label
+
+
+def _local_non_cocycle(S, k):
+    """A normalized point cocycle that fails the point identity on rook2:
+    c(x, z, y) = x + 1 when x != z and z != y, else 0."""
+    return extension_module.point_cocycle_table(S, k, lambda x, z, y: (x + 1) * (x != z) * (z != y))
+
+
+def test_cocycle_fallbacks_match_reference(monoids, monkeypatch):
+    """Each failing check sends validate_cocycle to the id-level loop, and
+    the report equals the reference's, violation order included."""
+    S = monoids["eqrel 0,1|2"]
+    twisted = random_coboundary(S, 3, random.Random(15))
+    bumped = tampered(twisted, S, random.Random(15))  # not local
+    unnormalized = dict(twisted.entries)
+    t = next(t for t in S if not t.is_idempotent())
+    unnormalized[(S.one, t)] = tuple((p + 1) % 3 for p in unnormalized[(S.one, t)])
+    cases = [
+        ("bumped", S, 3, bumped),
+        ("unnormalized", S, 3, CocycleTable(3, unnormalized)),
+        ("local, identity fails", monoids["rook2"], 3, _local_non_cocycle(monoids["rook2"], 3)),
+    ]
+    calls = _spy(monkeypatch, "_identity_violations")
+    flags = []
+    for label, T, k, table in cases:
+        rep = assert_same_report(T, k, table)
+        assert rep.violations, label
+        flags.append((rep.supported, rep.normalized, rep.identity_holds))
+    assert len(calls) == len(cases)
+    assert flags == [(True, True, False), (True, False, False), (True, True, False)]
+
+
+def test_section_fallbacks_match_reference(monoids, monkeypatch):
+    """A nonzero idempotent lift, and a monoid without every idempotent,
+    send validate_section to its loops with the reference's verdict."""
+    S = monoids["rook3"]
+    ext = Extension(S, 3, random_coboundary(S, 3, random.Random(5)))
+    values = dict(order_preserving_section(ext).values)
+    e = partial_identity(3, 0b011)
+    values[e] = PhasedElement(e, (0, 1))
+    nonzero_idempotent = Section(values)
+
+    swap = PartialBijection(2, 0b11, (1, 0))
+    T = FiniteInverseMonoid(2, [swap])  # {0, 1, (0 1)}: the idempotents on one atom are missing
+    ext_T = Extension(T, 2)
+    j_T = order_preserving_section(ext_T)
+
+    calls = _spy(monkeypatch, "_section_loops")
+    rep = validate_section(ext, nonzero_idempotent)
+    assert rep == ref_validate_section(ext, nonzero_idempotent) and not rep.passed
+    rep = validate_section(ext_T, j_T)
+    assert rep == ref_validate_section(ext_T, j_T) and rep.passed
+    assert len(calls) == 2
+
+    three = FiniteInverseMonoid(3, [PartialBijection(3, 0b111, (1, 0, 2))])
+    with pytest.raises(DomainError, match="meet"):
+        validate_section(Extension(three, 2), Section({s: with_zero_phases(s) for s in three}))
+    assert len(calls) == 3
+
+
+def test_cohomologous_of_two_trivial_twists_reads_no_pair(monoids, monkeypatch):
+    ladder = list(monoids.values()) + [rook_monoid(4), eqrel_monoid([(0, 1, 2), (3,), (4,)])]
+    expected = {(i, k): ref_cohomologous(S, k, _zero_table(S, k), _zero_table(S, k)) for i, S in enumerate(ladder) for k in (1, 2, 3)}
+    three = FiniteInverseMonoid(3, [PartialBijection(3, 0b111, (1, 0, 2))])
+    _forbid(monkeypatch, "_coboundary_witness", "_phase_rows")
+    for (i, k), want in expected.items():
+        assert cohomologous(ladder[i], k, None, None) == want
+        assert is_trivial_cocycle(ladder[i], k, None) == want
+    with pytest.raises(DomainError, match="downward-closed"):
+        cohomologous(three, 2, None, None)
+
+
+def test_one_phase_row_build_per_table(monoids, monkeypatch):
+    """section and equiv build each table's dense rows once; equiv reads the
+    target's for every relabeling it tries."""
+    S = monoids["rook2"]
+    c = random_coboundary(S, 2, random.Random(8))
+    calls = _spy(monkeypatch, "_phase_rows")
+    ext = Extension(S, 2, c)
+    validate_section(ext, order_preserving_section(ext))
+    assert sum(args[1] is c for args in calls) == 1
+
+    bad = tampered(c, S, random.Random(8))
+    a, b = Extension(S, 2, c), Extension(S, 2, bad)
+    assert len(list(extension_module.relabelings(S, S))) == 2
+    assert extensions_equivalent(a, b) is None
+    assert sum(args[1] is bad for args in calls) == 1
+    assert sum(args[1] is c for args in calls) == 2
