@@ -290,7 +290,8 @@ def _point_identity_holds(n: int, k: int, cp: list, img: list) -> bool:
             for x in succ[z]:
                 c_xzy = cp[(x * n + z) * n + y]
                 for w in succ[x]:
-                    if (c_xzy + cp[(w * n + x) * n + y] - cp[(w * n + x) * n + z] - cp[(w * n + z) * n + y]) % k:
+                    wx = (w * n + x) * n
+                    if (c_xzy + cp[wx + y] - cp[wx + z] - cp[(w * n + z) * n + y]) % k:
                         return False
     return True
 

@@ -6,7 +6,9 @@
 Cayley-table versions replaced, kept here as oracles (the section
 references call ``ref_multiply``/``ref_dagger`` where the originals called
 the extension's methods).  Reports must be equal, including the order of
-``violations``, and witnesses must be equal dicts.
+``violations``, and witnesses must be equal dicts.  The last tests pin the
+point decisions: passing inputs never enter the id-level loops, and each
+failing point condition enters them and gets the reference's report.
 """
 
 import functools
@@ -27,10 +29,11 @@ from cartanlab.extension import (
     cohomologous,
     extensions_equivalent,
     g_meet,
-    is_trivial_cocycle,
     g_natural_leq,
+    is_trivial_cocycle,
     order_preserving_section,
     point_coboundary_table,
+    point_cocycle_table,
     trivial_cocycle,
     validate_cocycle,
     validate_section,
@@ -634,8 +637,10 @@ def test_zero_table_section_skips_search_and_keeps_closure_error(monkeypatch):
 
 
 def _forbid(monkeypatch, *names):
+    """Make the module functions ``names`` raise when called."""
+
     def refuse(*args):
-        raise AssertionError("an id-level loop ran on a passing input")
+        raise AssertionError(f"one of {names} was called")
 
     for name in names:
         monkeypatch.setattr(extension_module, name, refuse)
@@ -668,7 +673,7 @@ def test_passing_tables_and_sections_skip_the_id_loops(monoids, monkeypatch):
 def _local_non_cocycle(S, k):
     """A normalized point cocycle that fails the point identity on rook2:
     c(x, z, y) = x + 1 when x != z and z != y, else 0."""
-    return extension_module.point_cocycle_table(S, k, lambda x, z, y: (x + 1) * (x != z) * (z != y))
+    return point_cocycle_table(S, k, lambda x, z, y: (x + 1) * (x != z) * (z != y))
 
 
 def test_cocycle_fallbacks_match_reference(monoids, monkeypatch):
@@ -696,31 +701,45 @@ def test_cocycle_fallbacks_match_reference(monoids, monkeypatch):
 
 
 def test_section_fallbacks_match_reference(monoids, monkeypatch):
-    """A nonzero idempotent lift, and a monoid without every idempotent,
-    send validate_section to its loops with the reference's verdict."""
+    """Each failing point condition sends validate_section to its loops,
+    and the report equals the reference's, witnesses included."""
     S = monoids["rook3"]
     ext = Extension(S, 3, random_coboundary(S, 3, random.Random(5)))
     values = dict(order_preserving_section(ext).values)
     e = partial_identity(3, 0b011)
-    values[e] = PhasedElement(e, (0, 1))
-    nonzero_idempotent = Section(values)
+    values[e] = PhasedElement(e, (0, 1))  # disagrees with the other lifts at the point 1 -> 1
+
+    R2 = monoids["rook2"]
+    zero_lifts = Section({s: with_zero_phases(s) for s in R2})
+    # phases that depend only on the point, but are 1 at the diagonal point 0 -> 0
+    diagonal = Section({s: PhasedElement(s, tuple(int(x == y == 0) for x, y in s.pairs())) for s in R2})
+    unreduced = Section({s: PhasedElement(s, tuple(2 * ((x, y) == (1, 0)) for x, y in s.pairs())) for s in R2})
+    entries = dict(trivial_cocycle(R2, 2).entries)
+    e0, t10 = partial_identity(2, 0b01), singleton(2, 1, 0)
+    entries[(e0, t10)] = (1,)  # c(e, .) is not zero
 
     swap = PartialBijection(2, 0b11, (1, 0))
     T = FiniteInverseMonoid(2, [swap])  # {0, 1, (0 1)}: the idempotents on one atom are missing
     ext_T = Extension(T, 2)
-    j_T = order_preserving_section(ext_T)
 
+    cases = [
+        ("one idempotent lift bumped", ext, Section(values), False),
+        ("nonzero phase on the diagonal", Extension(R2, 2), diagonal, False),
+        ("phase 2 at the point 0 -> 1, k = 2", Extension(R2, 2), unreduced, False),
+        ("table not normalized", Extension(R2, 2, CocycleTable(2, entries)), zero_lifts, False),
+        ("idempotents missing", ext_T, order_preserving_section(ext_T), True),
+    ]
     calls = _spy(monkeypatch, "_section_loops")
-    rep = validate_section(ext, nonzero_idempotent)
-    assert rep == ref_validate_section(ext, nonzero_idempotent) and not rep.passed
-    rep = validate_section(ext_T, j_T)
-    assert rep == ref_validate_section(ext_T, j_T) and rep.passed
-    assert len(calls) == 2
+    for label, x, j, passed in cases:
+        rep = validate_section(x, j)
+        assert rep == ref_validate_section(x, j), label
+        assert rep.passed == passed, label
+    assert len(calls) == len(cases)
 
     three = FiniteInverseMonoid(3, [PartialBijection(3, 0b111, (1, 0, 2))])
     with pytest.raises(DomainError, match="meet"):
         validate_section(Extension(three, 2), Section({s: with_zero_phases(s) for s in three}))
-    assert len(calls) == 3
+    assert len(calls) == len(cases) + 1
 
 
 def test_cohomologous_of_two_trivial_twists_reads_no_pair(monoids, monkeypatch):
