@@ -12,7 +12,6 @@ reported from (c).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .errors import DomainError, InvariantViolation
 from .semigroup_core import (
@@ -98,11 +97,11 @@ def rebase_to_idempotent_atoms(S: FiniteInverseMonoid):
     return FiniteInverseMonoid(m, {relabel(s) for s in S}), supports
 
 
-@dataclass
 class CheckItem:
-    passed: bool
-    witness: object = None
-    note: str = ""
+    def __init__(self, passed: bool, witness=None, note: str = ""):
+        self.passed = passed
+        self.witness = witness
+        self.note = note
 
     def __bool__(self):
         return self.passed
@@ -116,20 +115,22 @@ class CheckItem:
         return ("pass" if self.passed else "FAIL") + tail
 
 
-@dataclass
 class AxiomReport:
     """Witness-carrying pass/fail record for the Boolean monoid axioms."""
 
-    boolean_a: CheckItem
-    boolean_b: CheckItem
-    boolean_c: CheckItem
-    locally_complete: CheckItem
-    complete_d: CheckItem
-    fundamental: bool
-    cartan: bool
-    hyperstonean_note: str = "finite discrete space"
-    rebased: FiniteInverseMonoid | None = None
-    block_supports: list = field(default_factory=list)
+    def __init__(
+        self, boolean_a, boolean_b, boolean_c, locally_complete, complete_d,
+        fundamental, cartan, rebased, block_supports,
+    ):
+        self.boolean_a = boolean_a
+        self.boolean_b = boolean_b
+        self.boolean_c = boolean_c
+        self.locally_complete = locally_complete
+        self.complete_d = complete_d
+        self.fundamental = fundamental
+        self.cartan = cartan
+        self.rebased = rebased
+        self.block_supports = block_supports
 
     @property
     def passed(self) -> bool:
@@ -149,7 +150,7 @@ class AxiomReport:
             f"locally_complete: {self.locally_complete.render()}",
             f"complete_d: {self.complete_d.render()}",
             f"fundamental: {self.fundamental}",
-            f"hyperstonean: pass ({self.hyperstonean_note})",
+            "hyperstonean: pass (finite discrete space)",
             f"cartan: {self.cartan}",
         ]
 
@@ -334,13 +335,13 @@ def chop(inputs) -> list[PartialBijection]:
     return family
 
 
-@dataclass
 class GroupoidRelation:
     """The union of element graphs: an equivalence relation on atoms."""
 
-    atom_count: int
-    pairs: frozenset
-    blocks: list
+    def __init__(self, atom_count: int, pairs: frozenset, blocks: list):
+        self.atom_count = atom_count
+        self.pairs = pairs
+        self.blocks = blocks
 
     def __len__(self):
         return len(self.pairs)

@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import generators
 from ._lazy import _lazy_import
@@ -42,15 +41,22 @@ spectral_bimodule = _lazy_import("cartanlab.spectral_bimodule")
 __all__ = ["ExtensionDocument", "parse", "emit", "generate", "main", "build_extension"]
 
 
-@dataclass
 class ExtensionDocument:
-    """In-memory form of a serialized extension: S, k, and a cocycle."""
+    """In-memory form of a serialized extension: S, k, and a cocycle.
 
-    atoms: int
-    k: int
-    elements: list  # list of (name, {src: dst}) in canonical order
-    cocycle: list | None = None  # list of (s_name, t_name, [exponents]) or None
-    metadata: dict = field(default_factory=dict)
+    ``elements`` lists (name, {src: dst}) in canonical order; ``cocycle``
+    lists (s_name, t_name, [exponents]), or is None.
+    """
+
+    def __init__(self, atoms: int, k: int, elements: list, cocycle: list | None = None, metadata=None):
+        self.atoms = atoms
+        self.k = k
+        self.elements = elements
+        self.cocycle = cocycle
+        self.metadata = {} if metadata is None else metadata
+
+    def __eq__(self, other):
+        return isinstance(other, ExtensionDocument) and vars(self) == vars(other)
 
     def element_map(self):
         return dict(self.elements)

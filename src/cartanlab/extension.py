@@ -10,7 +10,6 @@ arithmetic is exact integer arithmetic mod k.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import DomainError, FormatError, InvariantViolation, SizeGuardError
@@ -57,7 +56,6 @@ def _rank(mask: int, atom: int) -> int:
     return (mask & ((1 << atom) - 1)).bit_count()
 
 
-@dataclass(frozen=True)
 class CocycleTable:
     """Normalized 2-cocycle c : S x S -> phase-exponent arrays.
 
@@ -66,8 +64,9 @@ class CocycleTable:
     empty array; any other missing pair is an input error, never a default.
     """
 
-    k: int
-    entries: dict
+    def __init__(self, k: int, entries: dict):
+        self.k = k
+        self.entries = entries
 
     def entry(self, s: PartialBijection, t: PartialBijection) -> tuple[int, ...]:
         st = compose(s, t)
@@ -194,12 +193,15 @@ def point_cocycle_table(S: FiniteInverseMonoid, k: int, c_points) -> CocycleTabl
     return CocycleTable(k, entries)
 
 
-@dataclass
 class CocycleReport:
-    supported: bool
-    normalized: bool
-    identity_holds: bool
-    violations: list = field(default_factory=list)
+    def __init__(self, supported: bool, normalized: bool, identity_holds: bool, violations=()):
+        self.supported = supported
+        self.normalized = normalized
+        self.identity_holds = identity_holds
+        self.violations = list(violations)
+
+    def __eq__(self, other):
+        return isinstance(other, CocycleReport) and vars(self) == vars(other)
 
     @property
     def passed(self):
@@ -417,7 +419,6 @@ def g_meet(v: PhasedElement, w: PhasedElement) -> PhasedElement:
     return PhasedElement(bij, tuple(v.phase_at(y) for y in bits(mask)))
 
 
-@dataclass
 class Section:
     """A section of the quotient map: one phased lift per element of S.
 
@@ -426,8 +427,12 @@ class Section:
     got them, after checking that each lift lies over its element.
     """
 
-    values: dict
-    rows: list | None = field(default=None, repr=False, compare=False)
+    def __init__(self, values: dict, rows: list | None = None):
+        self.values = values
+        self.rows = rows
+
+    def __eq__(self, other):  # the rows are a cache of the values
+        return isinstance(other, Section) and self.values == other.values
 
     def __getitem__(self, s: PartialBijection) -> PhasedElement:
         return self.values[s]
@@ -487,12 +492,14 @@ def order_preserving_section(ext: Extension) -> Section:
     idem = [i for i, e in enumerate(els) if e.is_idempotent()]
     j: dict[int, list[int]] = {e: zero_row for e in idem}  # id -> dense phase row
 
-    B = [S.one]
+    # Meets by graph bitmasks: the meet of s and t has graph(s) & graph(t),
+    # so s is meet-orthogonal to all of B iff its graph misses their union.
+    B, B_graphs = [S.one], S.one.graph
     for s in S:
-        if s.is_zero() or s == S.one:
-            continue
-        if all(meet(s, b).is_zero() for b in B):
+        if s.domain and not s.graph & B_graphs:
             B.append(s)
+            B_graphs |= s.graph
+    id_of_graph = {s.graph: i for i, s in enumerate(els)}
 
     for s in B:
         i = index[s]
@@ -510,12 +517,13 @@ def order_preserving_section(ext: Extension) -> Section:
         td, w_dag = ext._dagger(t_id, zero_row)
         h, covered = [0] * n, 0
         for s in B:
-            m = meet(t, s)
-            if m.is_zero():
+            meet_graph = t.graph & s.graph
+            if not meet_graph:
                 continue
-            if m not in index:
+            m = id_of_graph.get(meet_graph)
+            if m is None:
                 raise DomainError(f"the meet of {t} and {s} is not an element of the monoid")
-            hs, h_s = ext._product(td, w_dag, index[m], j[index[m]])
+            hs, h_s = ext._product(td, w_dag, m, j[m])
             dom = els[hs].domain
             if covered & dom:
                 y = next(bits(covered & dom))
@@ -530,13 +538,16 @@ def order_preserving_section(ext: Extension) -> Section:
     return Section({s: ext._phased(i, j[i]) for i, s in enumerate(els)}, [j[i] for i in range(len(els))])
 
 
-@dataclass
 class SectionReport:
-    is_section: bool
-    cond_a: bool
-    cond_b: bool
-    cond_c: bool
-    witnesses: dict = field(default_factory=dict)
+    def __init__(self, is_section: bool, cond_a: bool, cond_b: bool, cond_c: bool, witnesses=None):
+        self.is_section = is_section
+        self.cond_a = cond_a
+        self.cond_b = cond_b
+        self.cond_c = cond_c
+        self.witnesses = {} if witnesses is None else witnesses
+
+    def __eq__(self, other):
+        return isinstance(other, SectionReport) and vars(self) == vars(other)
 
     @property
     def passed(self):

@@ -14,7 +14,6 @@ each built once at the space's tol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from ._lazy import np
@@ -51,25 +50,24 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
 class RBasis:
     """Canonically ordered basis of the relation: pairs (x, y), row-major.
 
-    ``patterns`` keeps, per partial bijection g, the flat positions of the
-    transport pattern of g (``vn_oracle._pattern_indices``), so the pattern
-    solves on the space build each pattern once.
+    ``index`` maps each pair to its position.  ``patterns`` keeps, per
+    partial bijection g, the flat positions of the transport pattern of g
+    (``vn_oracle._pattern_indices``), so the pattern solves on the space
+    build each pattern once.
     """
 
-    atom_count: int
-    pairs: tuple
-    index: dict = field(compare=False, hash=False, default=None)
-    patterns: dict = field(compare=False, hash=False, repr=False, default_factory=dict)
+    def __init__(self, atom_count: int, pairs: tuple):
+        self.atom_count = atom_count
+        self.pairs = pairs
+        self.index = {p: i for i, p in enumerate(pairs)}
+        self.patterns = {}
 
     @staticmethod
     def from_monoid(S: FiniteInverseMonoid) -> "RBasis":
-        rel = groupoid_relation(S)
-        pairs = tuple(sorted(rel.pairs))
-        return RBasis(S.atom_count, pairs, {p: i for i, p in enumerate(pairs)})
+        return RBasis(S.atom_count, tuple(sorted(groupoid_relation(S).pairs)))
 
     def __len__(self):
         return len(self.pairs)

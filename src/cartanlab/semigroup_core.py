@@ -16,7 +16,6 @@ and ``dagger`` stay the element-level operations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import ClosureError, DomainError, OrthogonalityError, StructuralError
@@ -57,6 +56,9 @@ def bits(mask: int):
         mask ^= low
 
 
+_set = object.__setattr__  # field stores of the immutable element classes
+
+
 def mask_of(atoms) -> int:
     out = 0
     for a in atoms:
@@ -64,34 +66,47 @@ def mask_of(atoms) -> int:
     return out
 
 
-@dataclass(frozen=True, order=True)
 class PartialBijection:
     """A partial injective map on atoms {0, ..., n-1}.
 
     ``domain`` is a bitmask over atoms and ``image`` lists the image of each
-    domain atom, domain atoms taken in increasing order.  The field order
-    makes dataclass ordering the canonical element order: by domain bitmask,
-    then image tuple.  The hash is computed once, at construction; the
+    domain atom, domain atoms taken in increasing order.  ``<`` is the
+    canonical element order: by domain bitmask, then image tuple.  Instances
+    are immutable: the hash is computed once, at construction, and the
     ``graph`` bitmask on first use.
     """
 
-    n: int
-    domain: int
-    image: tuple[int, ...]
-    _hash: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("n", "domain", "image", "_hash", "_graph")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, domain: int, image: tuple[int, ...]):
+        if n < 1:
             raise StructuralError("atom count must be >= 1")
-        if self.domain >> self.n:
+        if domain >> n:
             raise StructuralError("domain bitmask exceeds atom count")
-        if len(self.image) != self.domain.bit_count():
+        if len(image) != domain.bit_count():
             raise StructuralError("image length must match domain size")
-        if any(not 0 <= y < self.n for y in self.image):
+        if any(not 0 <= y < n for y in image):
             raise StructuralError("image atom out of range")
-        if len(set(self.image)) != len(self.image):
+        if len(set(image)) != len(image):
             raise StructuralError("map is not injective")
-        object.__setattr__(self, "_hash", hash((self.n, self.domain, self.image)))
+        _set(self, "n", n)
+        _set(self, "domain", domain)
+        _set(self, "image", image)
+        _set(self, "_hash", hash((n, domain, image)))
+        _set(self, "_graph", None)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not PartialBijection:
+            return NotImplemented
+        return self.domain == other.domain and self.image == other.image and self.n == other.n
+
+    def __lt__(self, other):
+        return (self.n, self.domain, self.image) < (other.n, other.domain, other.image)
 
     def __hash__(self):
         return self._hash
@@ -100,12 +115,14 @@ class PartialBijection:
     def range_mask(self) -> int:
         return mask_of(self.image)
 
-    @cached_property
+    @property
     def graph(self) -> int:
         """The graph points as a bitmask, bit x*n + y for y -> x: t <= s iff
         graph(t) lies inside graph(s), the meet's graph is graph(s) &
         graph(t), and an orthogonal pair's join has graph(s) | graph(t)."""
-        return mask_of(x * self.n + y for x, y in self.pairs())
+        if self._graph is None:
+            _set(self, "_graph", mask_of(x * self.n + y for x, y in self.pairs()))
+        return self._graph
 
     def domain_atoms(self) -> tuple[int, ...]:
         return tuple(bits(self.domain))
@@ -336,7 +353,7 @@ class FiniteInverseMonoid:
     def zero(self) -> PartialBijection:
         return self.elements[0]
 
-    @property
+    @cached_property
     def one(self) -> PartialBijection:
         return identity_map(self.atom_count)
 
@@ -397,21 +414,33 @@ class FiniteInverseMonoid:
         return f"FiniteInverseMonoid({self.atom_count} atoms, {len(self)} elements)"
 
 
-@dataclass(frozen=True)
 class PhasedElement:
     """A partial bijection decorated with a Z_k phase exponent per domain atom.
 
     ``phases[i]`` is the exponent attached to the i-th domain atom of
     ``bij`` (domain atoms in increasing order).  Exponents are stored
-    reduced mod k by the extension operations; this class is pure data.
+    reduced mod k by the extension operations; this class is immutable data,
+    its hash computed once, at construction.
     """
 
-    bij: PartialBijection
-    phases: tuple[int, ...]
+    __slots__ = ("bij", "phases", "_hash")
 
-    def __post_init__(self):
-        if len(self.phases) != self.bij.domain.bit_count():
+    def __init__(self, bij: PartialBijection, phases: tuple[int, ...]):
+        if len(phases) != bij.domain.bit_count():
             raise StructuralError("phase array length must equal domain size")
+        _set(self, "bij", bij)
+        _set(self, "phases", phases)
+        _set(self, "_hash", hash((bij, phases)))
+
+    __setattr__ = __delattr__ = PartialBijection.__setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not PhasedElement:
+            return NotImplemented
+        return self.bij == other.bij and self.phases == other.phases
+
+    def __hash__(self):
+        return self._hash
 
     def phase_at(self, atom: int) -> int:
         rank = (self.bij.domain & ((1 << atom) - 1)).bit_count()
@@ -442,15 +471,15 @@ def with_zero_phases(s: PartialBijection) -> PhasedElement:
     return PhasedElement(s, (0,) * s.domain.bit_count())
 
 
-@dataclass
 class ClassificationReport:
     """Result of classify(): closure, idempotents, fundamental, Clifford."""
 
-    inverse_monoid: bool
-    idempotents: list = field(default_factory=list)
-    fundamental: bool = False
-    clifford: bool = False
-    added_constants: list = field(default_factory=list)
+    def __init__(self, inverse_monoid, idempotents, fundamental, clifford, added_constants):
+        self.inverse_monoid = inverse_monoid
+        self.idempotents = idempotents
+        self.fundamental = fundamental
+        self.clifford = clifford
+        self.added_constants = added_constants
 
     def to_lines(self):
         return [

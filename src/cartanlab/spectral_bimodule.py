@@ -35,8 +35,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-
 from ._lazy import np
 from .errors import SPECTRAL_GUARD, DomainError, InvariantViolation, SizeGuardError
 from .kernel_rep import DEFAULT_TOL, RBasis, RepSpace
@@ -228,15 +226,17 @@ def enumerate_spectral_sets(S: FiniteInverseMonoid, guard: int = SPECTRAL_GUARD)
     return [idx.members(X) for X in idx.masks(guard)]
 
 
-@dataclass
 class Bimodule:
     """A diagonal-invariant subspace of the generated matrix algebra."""
 
-    basis: list
-    rbasis: RBasis
-    closure_note: str = CLOSURE_NOTE
-    left_invariant: bool = True
-    right_invariant: bool = True
+    def __init__(
+        self, basis: list, rbasis: RBasis, closure_note=CLOSURE_NOTE, left_invariant=True, right_invariant=True
+    ):
+        self.basis = basis
+        self.rbasis = rbasis
+        self.closure_note = closure_note
+        self.left_invariant = left_invariant
+        self.right_invariant = right_invariant
 
     @property
     def dimension(self):
@@ -308,12 +308,16 @@ def full_submonoids(S: FiniteInverseMonoid, guard: int = SPECTRAL_GUARD) -> list
     return _spectral_monoids(idx, guard, lambda X, X_dag: X_dag == X)
 
 
-@dataclass
 class AoiReport:
-    submonoid_count: int
-    algebra_dims: list
-    bijective: bool
-    closure_note: str = CLOSURE_NOTE
+    closure_note = CLOSURE_NOTE
+
+    def __init__(self, submonoid_count: int, algebra_dims: list, bijective: bool):
+        self.submonoid_count = submonoid_count
+        self.algebra_dims = algebra_dims
+        self.bijective = bijective
+
+    def __eq__(self, other):
+        return isinstance(other, AoiReport) and vars(self) == vars(other)
 
     def to_lines(self):
         return [
@@ -409,17 +413,24 @@ def mtr(S: FiniteInverseMonoid, guard: int = SPECTRAL_GUARD) -> list[frozenset]:
     )
 
 
-@dataclass
 class SubdiagonalReport:
-    dim_algebra: int
-    dim_selfadjoint_part: int
-    multiplicative: bool
-    dense: bool
-    expectation_unital: bool
-    expectation_bimodular: bool
-    maximal: bool
-    max_deviation: float
-    closure_note: str = CLOSURE_NOTE
+    closure_note = CLOSURE_NOTE
+
+    def __init__(
+        self, dim_algebra, dim_selfadjoint_part, multiplicative, dense, expectation_unital,
+        expectation_bimodular, maximal, max_deviation,
+    ):
+        self.dim_algebra = dim_algebra
+        self.dim_selfadjoint_part = dim_selfadjoint_part
+        self.multiplicative = multiplicative
+        self.dense = dense
+        self.expectation_unital = expectation_unital
+        self.expectation_bimodular = expectation_bimodular
+        self.maximal = maximal
+        self.max_deviation = max_deviation
+
+    def __eq__(self, other):
+        return isinstance(other, SubdiagonalReport) and vars(self) == vars(other)
 
     @property
     def passed(self):

@@ -25,8 +25,6 @@ builds the lambda matrices and both spans once for every check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._lazy import np
 from .errors import DomainError, InvariantViolation, SizeGuardError
 from .extension import Extension, Section, delta
@@ -121,15 +119,17 @@ def _all_within(basis, mats: np.ndarray, tol: float) -> bool:
     return bool((_residual_norms(basis, mats) <= tol).all())
 
 
-@dataclass
 class MatrixAlgebra:
     """An orthonormal spanning basis of a self-adjoint unital matrix algebra."""
 
-    basis: list
-    rbasis: RBasis
-    product_closed: bool = True
-    adjoint_closed: bool = True
-    has_identity: bool = True
+    def __init__(
+        self, basis: list, rbasis: RBasis, product_closed=True, adjoint_closed=True, has_identity=True
+    ):
+        self.basis = basis
+        self.rbasis = rbasis
+        self.product_closed = product_closed
+        self.adjoint_closed = adjoint_closed
+        self.has_identity = has_identity
 
     @property
     def dimension(self) -> int:
@@ -217,13 +217,13 @@ def commutant_dimension(basis, ambient_dim: int, tol: float = DEFAULT_TOL) -> tu
     return len(N), subspace_basis(N.reshape(-1, d, d), tol)
 
 
-@dataclass
 class MasaReport:
-    dim_algebra: int
-    dim_subalgebra: int
-    dim_relative_commutant: int
-    center_dimension: int
-    is_masa: bool
+    def __init__(self, dim_algebra, dim_subalgebra, dim_relative_commutant, center_dimension, is_masa):
+        self.dim_algebra = dim_algebra
+        self.dim_subalgebra = dim_subalgebra
+        self.dim_relative_commutant = dim_relative_commutant
+        self.center_dimension = center_dimension
+        self.is_masa = is_masa
 
     def to_lines(self):
         return [
@@ -250,15 +250,15 @@ def masa_check(M: MatrixAlgebra, D: MatrixAlgebra, tol: float = DEFAULT_TOL) -> 
     )
 
 
-@dataclass
 class ExpectationReport:
-    matches_diagonal_part: bool
-    idempotent: bool
-    unital: bool
-    positive: bool
-    faithful: bool
-    bimodular: bool
-    max_deviation: float
+    def __init__(self, matches_diagonal_part, idempotent, unital, positive, faithful, bimodular, max_deviation):
+        self.matches_diagonal_part = matches_diagonal_part
+        self.idempotent = idempotent
+        self.unital = unital
+        self.positive = positive
+        self.faithful = faithful
+        self.bimodular = bimodular
+        self.max_deviation = max_deviation
 
     @property
     def passed(self):
@@ -500,19 +500,22 @@ def recover_extension(M: MatrixAlgebra, D: MatrixAlgebra, S: FiniteInverseMonoid
     return S_prime, perm
 
 
-@dataclass
 class CartanReport:
-    dim_M: int
-    dim_D: int
-    dim_R: int
-    atom_count: int
-    masa: MasaReport
-    expectation: ExpectationReport
-    double_commutant_ok: bool
-    regularity_ok: bool
-    recovered_size: int
-    recovery_iso: object
-    closure_flags: tuple
+    def __init__(
+        self, dim_M, dim_D, dim_R, atom_count, masa, expectation, double_commutant_ok, regularity_ok,
+        recovered_size, recovery_iso, closure_flags,
+    ):
+        self.dim_M = dim_M
+        self.dim_D = dim_D
+        self.dim_R = dim_R
+        self.atom_count = atom_count
+        self.masa = masa
+        self.expectation = expectation
+        self.double_commutant_ok = double_commutant_ok
+        self.regularity_ok = regularity_ok
+        self.recovered_size = recovered_size
+        self.recovery_iso = recovery_iso
+        self.closure_flags = closure_flags
 
     @property
     def passed(self):

@@ -403,6 +403,7 @@ def test_validate_parity_flipped_and_tampered_rook2(i2, named2):
     flipped[(swap, swap)] = (1, 0)
     rep = assert_same_report(i2, 2, CocycleTable(2, flipped))
     assert ("identity", swap, swap, swap) in rep.violations
+    assert rep != CocycleReport(rep.supported, rep.normalized, rep.identity_holds, rep.violations[1:])
 
     bumped = dict(trivial_cocycle(i2, 2).entries)
     bumped[(t01, swap)] = tuple((p + 1) % 2 for p in bumped[(t01, swap)])
@@ -557,6 +558,7 @@ def test_section_parity_bumped_lifts(monoids):
         assert rep == ref_validate_section(ext, mutated), s
         assert not (rep.cond_a or rep.cond_b or rep.cond_c), s
         assert set(rep.witnesses) == {"a", "b", "c"}
+        assert rep != SectionReport(True, False, False, False), s  # the witnesses compare too
         bumped += 1
     assert bumped == len(S) - len(S.idempotents())
 

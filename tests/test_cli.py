@@ -61,6 +61,8 @@ def test_round_trip_with_cocycle():
     canonical = emit(doc)
     again = parse(canonical)
     assert emit(again) == canonical
+    assert parse(emit(again)) == again and again.cocycle
+    assert again != base and again != parse(emit(ExtensionDocument(2, 2, base.elements, cocycle[1:], {})))
     S2, ext, _ = build_extension(again)
     assert ext.k == 2 and len(S2) == 7
 

@@ -10,6 +10,7 @@ from cartanlab.generators import eqrel_monoid, rook_monoid
 from cartanlab.semigroup_core import (
     FiniteInverseMonoid,
     PartialBijection,
+    PhasedElement,
     classify,
     compose,
     dagger,
@@ -264,7 +265,49 @@ def test_hash_is_cached_and_value_semantics_unchanged(i3):
         assert hash(s) == hash((s.n, s.domain, s.image))
         assert not (twin < s) and not (s < twin)
         assert repr(twin) == repr(s)
+        phases = tuple(range(s.domain.bit_count()))
+        v, w = PhasedElement(s, phases), PhasedElement(twin, tuple(phases))
+        assert v is not w and v == w and hash(v) == hash(w) == hash((s, phases))
+        assert repr(v) == repr(w)
+        if phases:
+            assert v != PhasedElement(s, (1,) + phases[1:])
     assert {PartialBijection(3, 0b011, (1, 0))} == {PartialBijection(3, 0b011, (1, 0))}
+    assert PartialBijection(3, 0b011, (1, 0)) != (3, 0b011, (1, 0))
+
+
+@pytest.mark.parametrize("field", ["n", "domain", "image", "graph"])
+def test_partial_bijection_fields_are_read_only(field):
+    s = PartialBijection(3, 0b011, (1, 0))
+    with pytest.raises(AttributeError):
+        setattr(s, field, getattr(s, field))
+    with pytest.raises(AttributeError):
+        delattr(s, field)
+    assert s == PartialBijection(3, 0b011, (1, 0)) and s.graph == 0b000_001_010
+
+
+@pytest.mark.parametrize("field", ["bij", "phases"])
+def test_phased_element_fields_are_read_only(field):
+    v = PhasedElement(singleton(2, 0, 1), (1,))
+    with pytest.raises(AttributeError):
+        setattr(v, field, getattr(v, field))
+    assert v == PhasedElement(singleton(2, 0, 1), (1,))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PartialBijection(0, 0, ()),
+        lambda: PartialBijection(2, 0b100, (0,)),
+        lambda: PartialBijection(2, 0b11, (0,)),
+        lambda: PartialBijection(2, 0b01, (2,)),
+        lambda: PartialBijection(2, 0b11, (1, 1)),
+        lambda: PhasedElement(identity_map(2), (0,)),
+    ],
+    ids=["no_atoms", "domain_too_wide", "image_too_short", "image_out_of_range", "not_injective", "phase_count"],
+)
+def test_invalid_elements_raise_structural_error(build):
+    with pytest.raises(StructuralError):
+        build()
 
 
 def test_rook3_element_order_unchanged(i3):

@@ -117,6 +117,44 @@ def test_commands_execute_only_the_modules_they_use(tmp_path, argv, executed):
     assert lines[-2] == executed and lines[-1].startswith("0 ")
 
 
+# Before RUN_CLI: records, for each first import of ``dataclasses`` or
+# ``inspect``, the top-level package of the module that asked for it, and
+# prints them last.
+WATCH_IMPORTS = """
+import sys
+importers = []
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name in ("dataclasses", "inspect") and name not in sys.modules:
+            frame = sys._getframe(1)
+            while frame.f_globals.get("__name__", "").startswith(("importlib", "_frozen_importlib")):
+                frame = frame.f_back
+            importers.append(name + " <- " + frame.f_globals["__name__"].split(".")[0])
+sys.meta_path.insert(0, Watch())
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, importers",
+    [
+        (["gen", "rook", "2", "--out", "gen.json"], []),
+        (["validate", ROOK2], []),
+        (["section", ROOK2], []),
+        (["equiv", ROOK2, ROOK2], []),
+        (["oracle", ROOK2], ["inspect <- numpy"]),
+        (["spectral", ROOK2], ["inspect <- numpy"]),
+        (["msd", ROOK2], ["inspect <- numpy"]),
+    ],
+    ids=["gen", "validate", "section", "equiv", "oracle", "spectral", "msd"],
+)
+def test_commands_never_load_the_dataclass_machinery(tmp_path, argv, importers):
+    """No command imports ``dataclasses`` or ``inspect``; the numeric ones
+    get ``inspect`` only because numpy itself imports it."""
+    code = WATCH_IMPORTS + RUN_CLI + 'print(importers, "dataclasses" in sys.modules)\n'
+    lines = _python_lines(code, *argv, cwd=tmp_path)
+    assert lines[-2].startswith("0 ") and lines[-1] == f"{importers} False"
+
+
 def test_command_line_entry_defaults_blas_threads_to_one(tmp_path):
     """``python -m cartanlab`` sets an unset BLAS thread count to 1 and keeps
     one the caller set; importing the package sets neither."""
