@@ -11,11 +11,11 @@ A module that cannot be found (numpy, when it is not installed) is bound as
 a stand-in whose first attribute access raises ModuleNotFoundError, so the
 exact commands still run and a numeric command stops at its first use.
 
-Measured on a 2-core x86-64 host with Python 3.11, median of at least 20
-runs: the exact commands on rook3 and eqrel(0,1|2,3) documents take
-0.12-0.20 s from process start to exit when no bytecode is cached
-(0.14-0.22 s with every module executed at start-up) and 0.07-0.10 s with
-a cache (0.08-0.12 s); the bare interpreter takes 0.05 s.
+Measured on a 2-core x86-64 host with Python 3.11, median of 21 runs: the
+exact commands on rook3 and eqrel(0,1|2,3) documents take 0.12-0.15 s from
+process start to exit when no bytecode is cached and 0.08-0.11 s with a
+cache, the difference being the compiling of the package's sources; the
+bare interpreter takes 0.065 s.
 """
 
 import importlib.util

@@ -95,7 +95,7 @@ class PartialBijection:
         _set(self, "_hash", hash((n, domain, image)))
         _set(self, "_graph", None)
 
-    def __setattr__(self, name, *value):
+    def __setattr__(self, name, *value):  # also __delattr__, which passes no value
         raise AttributeError(f"cannot assign to field {name!r}")
 
     __delattr__ = __setattr__

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+
 from ._lazy import np
 from .errors import SPECTRAL_GUARD, DomainError, InvariantViolation, SizeGuardError
 from .kernel_rep import DEFAULT_TOL, RBasis, RepSpace
