@@ -1,12 +1,17 @@
-"""Modules executed on first attribute access: numpy and the numeric half.
+"""Modules executed on first attribute access: numpy, the numeric half,
+and the exact modules only some commands use.
 
 The exact half of the package (gen, validate, section, equiv) never touches
 a matrix.  The numeric modules import numpy from here as ``np``, and
 ``cli`` binds ``kernel_rep``, ``vn_oracle`` and ``spectral_bimodule``
 through ``_lazy_import``, so an exact command finishes without loading
-numpy or compiling and executing the numeric modules.  Each module object
-is the one in ``sys.modules`` (and, for a submodule, the attribute of its
-package), so a later ``import`` anywhere loads and returns the same module.
+numpy or compiling and executing the numeric modules.  ``cli`` binds
+``boolean_monoid`` and ``generators`` the same way, so only the commands
+that use them execute them, and the package itself serves every export
+through its own ``__getattr__``: ``import cartanlab`` executes none of its
+modules.  Each module object is the one in ``sys.modules`` (and, for a
+submodule, the attribute of its package), so a later ``import`` anywhere
+loads and returns the same module.
 A module that cannot be found (numpy, when it is not installed) is bound as
 a stand-in whose first attribute access raises ModuleNotFoundError, so the
 exact commands still run and a numeric command stops at its first use.

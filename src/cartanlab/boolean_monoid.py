@@ -1,5 +1,7 @@
 """Boolean/complete/Cartan axiom verification, Stone duality at finite scale,
-the character action, the chop partition refinement, and the atom relation.
+the character action and the chop partition refinement.  The atom relation
+(``groupoid_relation``) is defined in ``semigroup_core``, which the numeric
+half imports without this module, and is re-exported here.
 
 The character space of a finite Boolean algebra is its set of lattice atoms,
 so every topological condition degenerates to combinatorics here: the
@@ -16,11 +18,13 @@ import itertools
 from .errors import DomainError, InvariantViolation
 from .semigroup_core import (
     FiniteInverseMonoid,
+    GroupoidRelation,
     PartialBijection,
     bits,
     classify,
     compose,
     dagger,
+    groupoid_relation,
     mask_of,
     meet,
     meet_complement,
@@ -333,50 +337,3 @@ def chop(inputs) -> list[PartialBijection]:
             pieces.append(r)
         family = pieces
     return family
-
-
-class GroupoidRelation:
-    """The union of element graphs: an equivalence relation on atoms."""
-
-    def __init__(self, atom_count: int, pairs: frozenset, blocks: list):
-        self.atom_count = atom_count
-        self.pairs = pairs
-        self.blocks = blocks
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def block_of(self, atom: int):
-        for b in self.blocks:
-            if atom in b:
-                return b
-        raise DomainError(f"atom {atom} out of range")
-
-
-def groupoid_relation(S: FiniteInverseMonoid) -> GroupoidRelation:
-    """R = union of Graph(s) over s in S, with its block partition.
-
-    Raises InvariantViolation if R is not an equivalence relation, which
-    signals a non-closed input (or a bug).
-    """
-    pairs = {(x, y) for s in S for x, y in s.pairs()}
-    n = S.atom_count
-    for x in range(n):
-        if (x, x) not in pairs:
-            raise InvariantViolation(f"relation is not reflexive at atom {x}")
-    for x, y in pairs:
-        if (y, x) not in pairs:
-            raise InvariantViolation(f"relation is not symmetric at {(x, y)}")
-    for x, y in pairs:
-        for y2, z in pairs:
-            if y2 == y and (x, z) not in pairs:
-                raise InvariantViolation(f"relation is not transitive via {(x, y, z)}")
-
-    remaining = set(range(n))
-    blocks = []
-    while remaining:
-        seed = min(remaining)
-        block = sorted(y for (x, y) in pairs if x == seed)
-        blocks.append(tuple(block))
-        remaining -= set(block)
-    return GroupoidRelation(n, frozenset(pairs), blocks)

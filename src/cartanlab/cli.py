@@ -17,9 +17,7 @@ import math
 import os
 import sys
 
-from . import generators
 from ._lazy import _lazy_import
-from .boolean_monoid import check_axioms
 from .errors import SPECTRAL_GUARD, CartanLabError, ClosureError, FormatError, SizeGuardError
 from .extension import (
     EQUIV_GUARD,
@@ -32,8 +30,11 @@ from .extension import (
 )
 from .semigroup_core import FiniteInverseMonoid, PartialBijection, bits, classify, mask_of
 
-# The numeric half, executed on the first attribute access: the exact
-# commands run without it.
+# Executed on the first attribute access: the exact commands run without
+# the numeric half, boolean_monoid is executed by validate alone, and
+# generators by gen and the numeric modules that import it.
+boolean_monoid = _lazy_import("cartanlab.boolean_monoid")
+generators = _lazy_import("cartanlab.generators")
 kernel_rep = _lazy_import("cartanlab.kernel_rep")
 vn_oracle = _lazy_import("cartanlab.vn_oracle")
 spectral_bimodule = _lazy_import("cartanlab.spectral_bimodule")
@@ -257,8 +258,11 @@ def build_extension(doc: ExtensionDocument, k_override: int | None = None):
     return S, Extension(S, k, CocycleTable(k, entries)), names
 
 
-def generate(kind: str, params, guard: int = generators.ROOK_GUARD) -> ExtensionDocument:
-    """Built-in documents: rook(n), eqrel(blocks), product(doc, doc)."""
+def generate(kind: str, params, guard: int | None = None) -> ExtensionDocument:
+    """Built-in documents: rook(n), eqrel(blocks), product(doc, doc).  The
+    guard defaults to ``generators.ROOK_GUARD``."""
+    if guard is None:
+        guard = generators.ROOK_GUARD
     if kind == "rook":
         n = _int_param(params, "rook size")
         S = generators.rook_monoid(n, guard)
@@ -310,7 +314,7 @@ def _cmd_validate(doc, args):
     if S.added:
         lines.append(f"materialized_constants: {len(S.added)} (0/1 added to the element list)")
     lines += rep.to_lines()
-    ax = check_axioms(S)
+    ax = boolean_monoid.check_axioms(S)
     lines += ax.to_lines()
     crep = validate_cocycle(S, ext.k, ext.cocycle)
     lines += crep.to_lines()
@@ -435,8 +439,7 @@ def _cmd_gen(args):
     else:
         if len(args.params) != 1:
             raise FormatError(f"gen {args.kind} needs exactly one parameter, got {len(args.params)}")
-        guard = args.guard if args.guard_explicit else generators.ROOK_GUARD
-        doc = generate(args.kind, args.params[0], guard=guard)
+        doc = generate(args.kind, args.params[0], guard=args.guard if args.guard_explicit else None)
     text = emit(doc)
     if args.out:
         _write(args.out, text)

@@ -17,7 +17,6 @@ from __future__ import annotations
 from functools import cached_property
 
 from ._lazy import np
-from .boolean_monoid import groupoid_relation
 from .errors import DomainError, InvariantViolation
 from .extension import Extension, Section, _check_in_P, delta, sigma
 from .semigroup_core import (
@@ -27,6 +26,7 @@ from .semigroup_core import (
     bits,
     compose,
     dagger,
+    groupoid_relation,
     identity_map,
     meet,
     singleton,

@@ -10,7 +10,9 @@ A FiniteInverseMonoid numbers its elements by their position in
 ``elements`` (the element id) and builds, on first use, the Cayley table
 ``mul`` (``mul[i][j]`` is the id of e_i e_j) and the inverse table ``inv``.
 Loops over all pairs or triples of elements read these tables; ``compose``
-and ``dagger`` stay the element-level operations.
+and ``dagger`` stay the element-level operations.  ``groupoid_relation`` is
+R, the union of the element graphs, on which the matrices of the numeric
+half act.
 """
 
 from __future__ import annotations
@@ -18,13 +20,14 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .errors import ClosureError, DomainError, OrthogonalityError, StructuralError
+from .errors import ClosureError, DomainError, InvariantViolation, OrthogonalityError, StructuralError
 
 __all__ = [
     "PartialBijection",
     "PhasedElement",
     "FiniteInverseMonoid",
     "ClassificationReport",
+    "GroupoidRelation",
     "partial_identity",
     "singleton",
     "zero_map",
@@ -42,6 +45,7 @@ __all__ = [
     "are_orthogonal",
     "classify",
     "munn_quotient",
+    "groupoid_relation",
     "bits",
     "mask_of",
     "with_zero_phases",
@@ -572,3 +576,50 @@ def munn_quotient(G, product, g_dagger):
         if q[v].is_idempotent() and not v.is_phased_identity():
             raise ClosureError(v, "non-identity element maps to an idempotent")
     return S, q
+
+
+class GroupoidRelation:
+    """The union of element graphs: an equivalence relation on atoms."""
+
+    def __init__(self, atom_count: int, pairs: frozenset, blocks: list):
+        self.atom_count = atom_count
+        self.pairs = pairs
+        self.blocks = blocks
+
+    def __len__(self):
+        return len(self.pairs)
+
+    def block_of(self, atom: int):
+        for b in self.blocks:
+            if atom in b:
+                return b
+        raise DomainError(f"atom {atom} out of range")
+
+
+def groupoid_relation(S: FiniteInverseMonoid) -> GroupoidRelation:
+    """R = union of Graph(s) over s in S, with its block partition.
+
+    Raises InvariantViolation if R is not an equivalence relation, which
+    signals a non-closed input (or a bug).
+    """
+    pairs = {(x, y) for s in S for x, y in s.pairs()}
+    n = S.atom_count
+    for x in range(n):
+        if (x, x) not in pairs:
+            raise InvariantViolation(f"relation is not reflexive at atom {x}")
+    for x, y in pairs:
+        if (y, x) not in pairs:
+            raise InvariantViolation(f"relation is not symmetric at {(x, y)}")
+    for x, y in pairs:
+        for y2, z in pairs:
+            if y2 == y and (x, z) not in pairs:
+                raise InvariantViolation(f"relation is not transitive via {(x, y, z)}")
+
+    remaining = set(range(n))
+    blocks = []
+    while remaining:
+        seed = min(remaining)
+        block = sorted(y for (x, y) in pairs if x == seed)
+        blocks.append(tuple(block))
+        remaining -= set(block)
+    return GroupoidRelation(n, frozenset(pairs), blocks)

@@ -1034,6 +1034,31 @@ def test_expectation_flags_match_reference_where_they_fail(i3):
     assert any(not all(flags) for flags in seen)
 
 
+def test_expectation_deviation_is_the_largest_over_every_block(monkeypatch):
+    """The diagonal-part check runs in blocks of 64 elements.  Twisted rook3
+    with k = 3 has |G| = 352, six blocks; a wrong diagonal part in the second
+    block, off by |1 - omega| = sqrt(3), outweighs one in the last block,
+    off by 1, and the report agrees with the reference on both."""
+    rs = ladder_space("rook3_k3")
+    ext, G = rs.ext, rs.ext.elements
+    nonzero = [i for i, v in enumerate(G) if not delta(ext, rs.j, v).is_zero()]
+    early = next(i for i in nonzero if i >= 64)
+    late = nonzero[-1]
+    assert len(G) == 352 and early < 128 and late >= 320
+
+    def wrong_delta(ext, j, v, delta=delta):
+        d = delta(ext, j, v)
+        if v == G[early]:
+            return PhasedElement(d.bij, ((d.phases[0] + 1) % 3, *d.phases[1:]))
+        return ext.zero if v == G[late] else d
+
+    monkeypatch.setattr(vn_oracle, "delta", wrong_delta)
+    monkeypatch.setitem(globals(), "delta", wrong_delta)
+    got, ref = vn_oracle.expectation_properties(rs), reference_expectation_properties(rs)
+    assert _expectation_flags(got) == _expectation_flags(ref) and not got.matches_diagonal_part
+    assert got.max_deviation == ref.max_deviation == pytest.approx(3**0.5)
+
+
 def test_sample_draws_match_sequential_draws():
     rng_a, rng_b = np.random.default_rng(0), np.random.default_rng(0)
     stacked = rng_a.normal(size=(100, 2, 11))

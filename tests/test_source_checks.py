@@ -60,11 +60,16 @@ def _python(code: str, *args: str, cwd=None) -> str:
 
 
 NUMERIC = ("kernel_rep", "vn_oracle", "spectral_bimodule")
+# The exact modules that only some commands use, then the numeric half.
+PROBED = ("boolean_monoid", "generators", *NUMERIC)
+# numpy's random-number stack, and a module it pulls in.
+RANDOM_STACK = ("numpy.random", "secrets")
 
 # Runs ``python -m cartanlab <args>`` in this interpreter and reports, second
-# to last, the numeric modules that were executed (a lazy module object in
-# ``sys.modules`` changes its type to ``ModuleType`` when it executes) and,
-# last, the exit code and whether numpy's linear algebra was loaded.
+# to last, the probed modules that were executed (a lazy module object in
+# ``sys.modules`` changes its type to ``ModuleType`` when it executes) and the
+# random-stack modules that were loaded and, last, the exit code and whether
+# numpy's linear algebra was loaded.
 RUN_CLI = """
 import runpy, sys, types
 sys.argv = ["cartanlab", *sys.argv[1:]]
@@ -72,10 +77,11 @@ try:
     runpy.run_module("cartanlab", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-numeric = %r
-print(" ".join(n for n in numeric if type(sys.modules.get("cartanlab." + n)) is types.ModuleType) or "-")
+probed, stack = %r, %r
+executed = [n for n in probed if type(sys.modules.get("cartanlab." + n)) is types.ModuleType]
+print(" ".join(executed + [m for m in stack if m in sys.modules]) or "-")
 print(code, "numpy.linalg" in sys.modules)
-""" % (NUMERIC,)
+""" % (PROBED, RANDOM_STACK)
 
 ROOK2 = str(SRC / "data" / "rook2.json")
 
@@ -101,18 +107,22 @@ def test_oracle_loads_numpy(tmp_path):
 @pytest.mark.parametrize(
     "argv, executed",
     [
-        (["gen", "rook", "2", "--out", "gen.json"], "-"),
-        (["validate", ROOK2], "-"),
+        (["gen", "rook", "2", "--out", "gen.json"], "generators"),
+        (["validate", ROOK2], "boolean_monoid"),
         (["section", ROOK2], "-"),
         (["equiv", ROOK2, ROOK2], "-"),
-        (["oracle", ROOK2], "kernel_rep vn_oracle"),
-        (["spectral", ROOK2], "kernel_rep vn_oracle spectral_bimodule"),
+        (["oracle", ROOK2], "generators kernel_rep vn_oracle"),
+        (["represent", ROOK2], "kernel_rep"),
+        (["spectral", ROOK2], "generators kernel_rep vn_oracle spectral_bimodule"),
+        (["msd", ROOK2], "generators kernel_rep vn_oracle spectral_bimodule"),
     ],
-    ids=["gen", "validate", "section", "equiv", "oracle", "spectral"],
+    ids=["gen", "validate", "section", "equiv", "oracle", "represent", "spectral", "msd"],
 )
 def test_commands_execute_only_the_modules_they_use(tmp_path, argv, executed):
-    """The exact commands run without executing the numeric modules; cli
-    holds them as lazy module objects, executed on first use."""
+    """The exact commands run without executing the numeric modules, and only
+    validate executes boolean_monoid; cli holds these modules as lazy module
+    objects, executed on first use.  The oracle's sample draws load no
+    ``numpy.random``."""
     lines = _python_lines(RUN_CLI, *argv, cwd=tmp_path)
     assert lines[-2] == executed and lines[-1].startswith("0 ")
 
@@ -238,7 +248,7 @@ EXPORTS = {
 def test_every_package_export_is_the_submodule_object():
     """``cartanlab.X``, ``from cartanlab import X`` and ``from cartanlab
     import *`` give the submodule's own object, and importing the package
-    executes no numeric module."""
+    executes none of its modules."""
     code = """
 import importlib, json, sys, cartanlab
 exports = json.loads(sys.argv[1])
@@ -256,7 +266,7 @@ print(json.dumps([loaded, bad]))
 """
     loaded, bad = json.loads(_python(code, json.dumps(EXPORTS)))
     assert bad == [] and sum(len(names.split()) for names in EXPORTS.values()) == 81
-    assert set(loaded) == {f"cartanlab.{module}" for module in EXPORTS} - {f"cartanlab.{n}" for n in NUMERIC}
+    assert loaded == []
 
 
 def test_import_cli_loads_every_submodule():
