@@ -70,8 +70,9 @@ def _int_param(text, what: str) -> int:
         raise FormatError(f"{what} '{text}' is not an integer") from None
 
 
-def _line_of(text: str, token: str) -> str | None:
-    pos = text.find(token)
+def _line_of(text: str, token: str, start: int = 0) -> str | None:
+    """The line of the first occurrence of token at or after offset start."""
+    pos = text.find(token, start)
     if pos < 0:
         return None
     return f"line {text.count(chr(10), 0, pos) + 1}"
@@ -121,7 +122,7 @@ def parse(text: str) -> ExtensionDocument:
         if not isinstance(name, str) or not name:
             raise FormatError("element name must be a nonempty string", where)
         if name in names:
-            loc = _line_of(text[text.find(f'"{name}"') + 1 :], f'"{name}"')
+            loc = _line_of(text, f'"{name}"', text.find(f'"{name}"') + 1)
             raise FormatError(f"duplicate element name '{name}'", loc or where)
         if not isinstance(entry["map"], dict):
             raise FormatError("'map' must be an object", where)

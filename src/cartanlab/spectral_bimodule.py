@@ -10,7 +10,10 @@ relation R).  Every public call builds one trace index: the minimal
 elements, each element's trace (the bitmask of minimals below it) and the
 dagger permutation on minimals.  The spectral sets are then exactly
 A(X) = {s : trace(s) inside X} for the masks X, so closure, join span,
-enumeration and the msd/mtr conditions are bitmask arithmetic.
+enumeration and the msd/mtr conditions are bitmask arithmetic.  Whether
+A(X) is a monoid is decided on X alone, from the products of the minimal
+elements (no Cayley table); msd, mtr, full_submonoids and the maximality
+scan filter one list of monoid masks and build A(X) only for masks they keep.
 
 The numeric conditions are linear or bilinear in the matrices they test:
 diagonal invariance of psi(A), multiplicativity of the expectation E onto
@@ -22,9 +25,7 @@ or projection per condition (``vn_oracle._residual_norms`` and
 tests all |S| lambdas in one stacked residual (theta_gn, its normalizer
 reading, reads its elements from one stacked pattern solve), and the
 intermediate-algebra check and the AOI correspondence test D's basis for
-containment in one.
-``verify_members`` lists the spectral-monoid masks of the maximality scan
-once, and computes psi and N once per mask.
+containment in one.  ``verify_members`` computes psi and N once per mask.
 
 Closure in the matrix picture is a no-op here (every linear subspace of a
 finite matrix space is closed in all the relevant topologies), which reports
@@ -35,14 +36,16 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cached_property
 
 from ._lazy import np
-from .errors import SPECTRAL_GUARD, DomainError, InvariantViolation, SizeGuardError
+from .errors import SPECTRAL_GUARD, ClosureError, DomainError, InvariantViolation, SizeGuardError
 from .kernel_rep import DEFAULT_TOL, RBasis, RepSpace
 from .semigroup_core import (
     FiniteInverseMonoid,
     are_orthogonal,
     bits,
+    compose,
     dagger,
     mask_of,
     natural_leq,
@@ -110,9 +113,8 @@ class _TraceIndex:
     joins.  Then X -> A(X) = {s : trace[s] inside X} is a bijection from
     masks onto spectral sets that turns union, intersection, inclusion and
     dagger of masks into join span, intersection, inclusion and dagger of
-    sets.  An index also keeps what
-    the members of one ``verify_members`` call share: the spectral-monoid
-    masks and each mask's numeric parts.
+    sets, and A(X) is a monoid iff X is closed under ``products``.  An index
+    keeps the monoid masks and, for ``verify_members``, each mask's parts.
     """
 
     def __init__(self, S: FiniteInverseMonoid):
@@ -192,15 +194,34 @@ class _TraceIndex:
             i += 1
         return mask
 
+    @cached_property
+    def products(self) -> list[tuple[int, int]]:
+        """(bits of m_i and m_j, trace of m_i m_j), in element order, for each
+        product of two minimals with a minimal below it other than m_i, m_j
+        and the idempotents; each product is composed on graph points and
+        looked up in S, and a missing one raises ClosureError (m_i, m_j, m_i m_j)."""
+        n = self.S.atom_count
+        traces = {s.graph: t for s, t in self.trace.items()}
+        out = []
+        for (i, s), (j, t) in itertools.product(enumerate(self.minimals), repeat=2):
+            graph = mask_of(s.apply(x) * n + y for x, y in t.pairs() if s.domain >> x & 1)
+            if graph not in traces:
+                raise ClosureError((s, t, compose(s, t)))
+            if traces[graph] & ~(1 << i | 1 << j | self.idempotent):
+                out.append((1 << i | 1 << j, traces[graph]))
+        return out
+
+    def is_monoid(self, X: int) -> bool:
+        """Whether A(X) holds the idempotents and is closed under products: as
+        every element is the join of the minimals below it, whether X holds
+        the idempotent minimals and the products of any two of its minimals."""
+        return X & self.idempotent == self.idempotent and not any(p & ~X for f, p in self.products if not f & ~X)
+
     def monoid_masks(self, guard: int) -> list[int]:
         """The masks, in ``masks`` order, of the spectral monoids holding the
         idempotents; listed once per index and guard, then kept."""
         if guard not in self._monoid_masks:
-            self._monoid_masks[guard] = [
-                X
-                for X in self.masks(guard)
-                if X & self.idempotent == self.idempotent and _is_spectral_monoid(self, X, self.members(X))
-            ]
+            self._monoid_masks[guard] = [X for X in self.masks(guard) if self.is_monoid(X)]
         return self._monoid_masks[guard]
 
 
@@ -306,7 +327,7 @@ def full_submonoids(S: FiniteInverseMonoid, guard: int = SPECTRAL_GUARD) -> list
     """Spectral sets that are dagger-closed submonoids containing all
     idempotents (full Cartan inverse submonoids): X^dag is X."""
     idx = _TraceIndex(S)
-    return _spectral_monoids(idx, guard, lambda X, X_dag: X_dag == X)
+    return [idx.members(X) for X in idx.monoid_masks(guard) if idx.dagger_of(X) == X]
 
 
 class AoiReport:
@@ -374,44 +395,19 @@ def aoi_correspondence(rs: RepSpace, guard: int = SPECTRAL_GUARD, tol: float = D
     return AoiReport(len(monoids), sorted(b.dimension for b in algebras), bijective)
 
 
-def _spectral_monoids(idx: _TraceIndex, guard: int, keep) -> list[frozenset]:
-    """A(X) for the masks X, in ``masks`` order, that hold the idempotent
-    minimals, satisfy keep(X, X^dag) and span a set closed under products.
-    A(X) is built only for masks that pass the two bitmask tests."""
-    out = []
-    for X in idx.masks(guard):
-        if X & idx.idempotent != idx.idempotent or not keep(X, idx.dagger_of(X)):
-            continue
-        A = idx.members(X)
-        if _is_spectral_monoid(idx, X, A):
-            out.append(A)
-    return out
-
-
-def _is_spectral_monoid(idx: _TraceIndex, X: int, A) -> bool:
-    """A = A(X) contains every idempotent (X holds the idempotent minimals)
-    and is closed under products, read from the Cayley table of S."""
-    if X & idx.idempotent != idx.idempotent:
-        return False
-    mul = idx.S.mul
-    ids = {idx.S.index[s] for s in A}
-    return all(ids.issuperset([mul[i][j] for j in ids]) for i in ids)
-
-
 def msd(S: FiniteInverseMonoid, guard: int = SPECTRAL_GUARD) -> list[frozenset]:
     """Spectral monoids containing all idempotents whose join span with
     their dagger recovers the whole monoid: X | X^dag is every minimal."""
     idx = _TraceIndex(S)
-    return _spectral_monoids(idx, guard, lambda X, X_dag: X | X_dag == idx.full)
+    return [idx.members(X) for X in idx.monoid_masks(guard) if X | idx.dagger_of(X) == idx.full]
 
 
 def mtr(S: FiniteInverseMonoid, guard: int = SPECTRAL_GUARD) -> list[frozenset]:
     """Members of msd whose self-adjoint part is exactly the idempotents:
     X & X^dag is the set of idempotent minimals."""
     idx = _TraceIndex(S)
-    return _spectral_monoids(
-        idx, guard, lambda X, X_dag: X | X_dag == idx.full and X & X_dag == idx.idempotent
-    )
+    kept = ((X, idx.dagger_of(X)) for X in idx.monoid_masks(guard))
+    return [idx.members(X) for X, X_dag in kept if X | X_dag == idx.full and X & X_dag == idx.idempotent]
 
 
 class SubdiagonalReport:
@@ -525,7 +521,7 @@ def verify_subdiagonal(
     A = frozenset(A)
     idx = index if index is not None else _TraceIndex(rs.ext.S)
     trace = idx.trace_of(A)
-    if idx.members(trace) != A or not _is_spectral_monoid(idx, trace, A):
+    if idx.members(trace) != A or not idx.is_monoid(trace):
         raise DomainError("input is not a spectral monoid containing the idempotents")
     alg, gens, adj, N = _selfadjoint_part(rs, idx, trace, tol)
 

@@ -298,7 +298,8 @@ def expectation_properties(rs: RepSpace, samples: int = 100) -> ExpectationRepor
     are Gaussian, drawn from the standard library's ``random.Random(0)``,
     the real parts of a sample then its imaginary parts; (iii) faithful,
     via injectivity (rank) of x -> columns of x at the diagonal pairs on the
-    span; (iv) bimodular over the diagonal subalgebra on a spanning set.
+    span; (iv) bimodular over the diagonal subalgebra, checked on every pair
+    of a basis element of D and one of M, in one stacked pass.
     The lambda matrices and the basis of their span come from the caller's
     ``RepSpace`` (its cache, section, ``tol`` and ``algebra``), so a report
     that already built them builds neither again.
@@ -331,11 +332,8 @@ def expectation_properties(rs: RepSpace, samples: int = 100) -> ExpectationRepor
     F = M[:, :, diag_cols].reshape(len(M), dim * len(diag_cols)).T
     faithful = _nullspace_dimension(F, tol)[0] == 0
 
-    Dl = np.reshape(rs.diagonal_lambdas()[:8], (-1, 1, dim, dim))
-    B, EB = M[:12], E(M[:12])
-    bimodular = bool(
-        (np.abs(E(Dl @ B) - Dl @ EB) <= tol).all() and (np.abs(E(B @ Dl) - EB @ Dl) <= tol).all()
-    )
+    Dl, EM = np.reshape(rs.diagonal.basis, (-1, 1, dim, dim)), E(M)
+    bimodular = bool((np.abs(E(Dl @ M) - Dl @ EM) <= tol).all() and (np.abs(E(M @ Dl) - EM @ Dl) <= tol).all())
 
     return ExpectationReport(matches, idempotent, unital, positive, faithful, bimodular, dev)
 

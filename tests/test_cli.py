@@ -38,7 +38,7 @@ def test_parse_duplicate_name_is_located():
     text = (FIXTURES / "malformed" / "08_duplicate_name.json").read_text()
     with pytest.raises(FormatError) as err:
         parse(text)
-    assert "'a'" in str(err.value)
+    assert "'a'" in str(err.value) and "line 10" in str(err.value)
 
 
 def test_round_trip_canonical():

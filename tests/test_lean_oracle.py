@@ -15,8 +15,9 @@ spectral command's sample of the full spectral-set list, the per-column
 lambda_matrix through the object-level sigma, the commutant as one stacked
 Kronecker system, the sequential expectation loops, and the per-lambda
 regularity check, the one-system pattern solves per point and per element
-that one stacked solve replaced, and the modified Gram-Schmidt that CGS2
-replaced.
+that one stacked solve replaced, the modified Gram-Schmidt that CGS2
+replaced, and the Cayley-table spectral-monoid test that the mask test on
+the products of the minimal elements replaced.
 """
 
 import itertools
@@ -26,7 +27,7 @@ import numpy as np
 import pytest
 
 from cartanlab import cli, spectral_bimodule, vn_oracle
-from cartanlab.errors import DomainError, InvariantViolation, SizeGuardError
+from cartanlab.errors import ClosureError, DomainError, InvariantViolation, SizeGuardError
 from cartanlab.extension import (
     Extension,
     Section,
@@ -45,6 +46,7 @@ from cartanlab.semigroup_core import (
     bits,
     conjugate,
     mask_of,
+    partial_identity,
     singleton,
 )
 from cartanlab.spectral_bimodule import (
@@ -53,7 +55,6 @@ from cartanlab.spectral_bimodule import (
     AoiReport,
     Bimodule,
     SubdiagonalReport,
-    _is_spectral_monoid,
     _subspace_intersection,
     _holds_diagonal,
     _TraceIndex,
@@ -156,6 +157,17 @@ def reference_theta_gn(rs, B, tol):
         )
 
     return frozenset(s for s in rs.ext.S if s.is_zero() or implemented(s))
+
+
+def _is_spectral_monoid(idx, X, A):
+    """The Cayley form of ``_TraceIndex.is_monoid``: A = A(X) contains every
+    idempotent (X holds the idempotent minimals) and is closed under
+    products, read from the Cayley table of S."""
+    if X & idx.idempotent != idx.idempotent:
+        return False
+    mul = idx.S.mul
+    ids = {idx.S.index[s] for s in A}
+    return all(ids.issuperset([mul[i][j] for j in ids]) for i in ids)
 
 
 def brute_force_filter(S, keep):
@@ -528,6 +540,71 @@ def test_mask_filters_match_brute_force(S):
     assert mtr(S) == mtr_ref
     assert full_submonoids(S) == full_ref
     assert msd_ref and mtr_ref and full_ref
+
+
+MONOID_TEST_CASES = {
+    "rook1": rook_monoid(1),
+    "rook2": rook_monoid(2),
+    "rook3": rook_monoid(3),
+    "eqrel_01_23": eqrel_monoid([(0, 1), (2, 3)]),
+    "eqrel_012_3_4": eqrel_monoid([(0, 1, 2), (3,), (4,)]),
+    "product_rook2_rook2": product_monoid(rook_monoid(2), rook_monoid(2)),
+    "idempotents_on_three": FiniteInverseMonoid(3, [partial_identity(3, m) for m in range(8)]),
+    "swap_on_three": FiniteInverseMonoid(3, [PartialBijection(3, 0b111, (1, 0, 2))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MONOID_TEST_CASES))
+def test_mask_monoid_test_matches_cayley_reference(name):
+    """Over every mask, the products of the minimals decide what the Cayley
+    table decides; in a closed S each product is 0 or minimal."""
+    S = MONOID_TEST_CASES[name]
+    idx = _TraceIndex(S)
+    got = [idx.is_monoid(X) for X in idx.masks(SPECTRAL_GUARD)]
+    assert got == [_is_spectral_monoid(idx, X, idx.members(X)) for X in idx.masks(SPECTRAL_GUARD)]
+    assert any(got) and not all(got)
+    assert all(product.bit_count() == 1 for _, product in idx.products)
+
+
+def test_rook4_monoid_masks_match_cayley_reference():
+    idx = _TraceIndex(rook_monoid(4))
+    ref = [
+        X
+        for X in idx.masks(SPECTRAL_GUARD)
+        if X & idx.idempotent == idx.idempotent and _is_spectral_monoid(idx, X, idx.members(X))
+    ]
+    assert len(ref) == 355
+    assert idx.monoid_masks(SPECTRAL_GUARD) == ref
+
+
+def _avoiding_0_2():
+    """The partial injections on 3 atoms whose graphs avoid 0 <-> 2."""
+    points = {(x, y) for x in range(3) for y in range(3)} - {(0, 2), (2, 0)}
+    maps = [
+        PartialBijection(3, dom, image)
+        for dom in range(8)
+        for image in itertools.permutations(range(3), dom.bit_count())
+        if points.issuperset(zip(image, bits(dom)))
+    ]
+    return FiniteInverseMonoid(3, maps)
+
+
+def test_set_that_is_not_closed_keeps_its_errors(tmp_path, capsys):
+    """Join- and dagger-closed but not closed: 1 -> 0 after 2 -> 1 is 2 -> 0.
+    The spectral sets are still listed; the monoid searches raise with the
+    Cayley table's witness, and the command line stops at the section."""
+    S = _avoiding_0_2()
+    witness = (singleton(3, 1, 0), singleton(3, 2, 1), singleton(3, 2, 0))
+    assert len(S) == 22 and S.added == [] and S.closure_witness() == witness
+    assert repr(witness) == "(<1>0 on 3>, <2>1 on 3>, <2>0 on 3>)"
+    assert len(enumerate_spectral_sets(S)) == 128
+    for search in (full_submonoids, msd, mtr):
+        with pytest.raises(ClosureError) as exc:
+            search(S)
+        assert exc.value.witness == witness
+    path = tmp_path / "not_closed.json"
+    path.write_text(cli.emit(cli._document_of(S, 1, {})))
+    assert cli.main(["msd", str(path)]) == 2
 
 
 def test_subdiagonal_deviation_matches_loop_reference(i3):
@@ -1026,7 +1103,7 @@ def test_expectation_flags_match_reference_where_they_fail(i3):
     shifted = span_basis([lams[-1], lams[1]], rs.rbasis)
     seen = set()
     for algebra, diagonal in [(half, rs.diagonal), (rs.algebra, shifted), (half, shifted)]:
-        rs.__dict__.update(algebra=algebra)
+        rs.__dict__.update(algebra=algebra, diagonal=diagonal)
         rs.diagonal_lambdas = lambda diagonal=diagonal: diagonal.basis
         got, ref = vn_oracle.expectation_properties(rs, 20), reference_expectation_properties(rs, 20)
         assert _expectation_flags(got) == _expectation_flags(ref)

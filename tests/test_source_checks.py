@@ -484,3 +484,33 @@ def test_pattern_solve_scan_sees_loops_and_comprehensions(tmp_path):
         "    return pts, _pattern_intersection(M, maps[0], tol), _point_accepted(M, 0, 0, tol)\n"
     )
     assert calls_in_loops(tmp_path, _is_one_pattern_solve) == ["p.py:2", "p.py:4"]
+
+
+# The Cayley table of a monoid and the closure check that builds it.
+CAYLEY_READS = ("mul", "closure_witness")
+
+
+def attribute_reads(path: Path, names) -> list[str]:
+    """Sites of the attribute reads ``<expr>.<name>`` for the given names, as
+    ``file:line``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    nodes = (node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in names)
+    return sorted(f"{path.name}:{node.lineno}" for node in nodes)
+
+
+def test_spectral_layer_reads_no_cayley_table():
+    """Spectral monoids are decided on masks, from the products of the
+    minimal elements (``_TraceIndex.products``), not from ``S.mul``."""
+    assert attribute_reads(SRC / "spectral_bimodule.py", CAYLEY_READS) == []
+
+
+def test_cayley_read_scan_sees_attribute_reads(tmp_path):
+    path = tmp_path / "s.py"
+    path.write_text(
+        "def f(idx, S, mul):\n"
+        "    table = idx.S.mul\n"
+        "    if S.closure_witness() is not None:\n"
+        "        return mul\n"
+        "    return table[0][0], S.multiply, S.images, np.matmul\n"
+    )
+    assert attribute_reads(path, CAYLEY_READS) == ["s.py:2", "s.py:3"]

@@ -5,6 +5,7 @@ import pytest
 
 from cartanlab.errors import DomainError
 from cartanlab.extension import Extension, point_coboundary_table
+from cartanlab.generators import rook_monoid
 from cartanlab.kernel_rep import RepSpace
 from cartanlab.vn_oracle import (
     cartan_report,
@@ -80,6 +81,21 @@ def test_expectation_properties_exhaustive(i2, i3):
         table = perturbed(S, k, seed) if k > 1 else None
         rep = expectation_properties(RepSpace(Extension(S, k, table)))
         assert rep.passed, rep.to_lines()
+
+
+def test_expectation_bimodularity_reads_all_of_d_and_m():
+    """E(T) + T[(3,3),(3,3)] Q_2, with Q_2 the diagonal projection onto the
+    pairs (2, y), is not D-bimodular.  On rook4 at k = 2 the first 8 diagonal
+    lambdas cover atoms 0 and 1 only and span 3 of D's 4 dimensions, so the
+    defect shows only on all of D's basis and all 16 of M's."""
+    rs = RepSpace(Extension(rook_monoid(4), 2))
+    index = rs.rbasis.index
+    Q2 = np.diag([1.0 if x == 2 else 0.0 for x, _ in rs.rbasis.pairs])
+    E = rs.expectation
+    rs.expectation = lambda T: E(T) + T[..., index[(3, 3)], index[(3, 3)], None, None] * Q2
+    assert (rs.algebra.dimension, rs.diagonal.dimension) == (16, 4)
+    rep = expectation_properties(rs)
+    assert not rep.bimodular and "expectation_bimodular: FAIL" in rep.to_lines()
 
 
 def test_recover_rook2_all_ks(i2):
