@@ -46,13 +46,10 @@ __all__ = [
 
 
 def idempotent_atoms(S: FiniteInverseMonoid) -> list[PartialBijection]:
-    """Minimal nonzero idempotents of E(S)."""
-    idem = [e for e in S.idempotents() if not e.is_zero()]
-    out = []
-    for e in idem:
-        if not any(f != e and natural_leq(f, e) for f in idem):
-            out.append(e)
-    return out
+    """Minimal nonzero idempotents of E(S), in element order; for
+    idempotents f <= e iff dom f lies inside dom e."""
+    idem = [e for e in S.idempotents() if e.domain]
+    return [e for e in idem if not any(f.domain != e.domain and not f.domain & ~e.domain for f in idem)]
 
 
 def rebase_to_idempotent_atoms(S: FiniteInverseMonoid):
@@ -64,7 +61,11 @@ def rebase_to_idempotent_atoms(S: FiniteInverseMonoid):
     by conjugation.  Returns (S', block_supports) where block_supports[i] is
     the raw-atom bitmask of new atom i.  Requires E(S) to be Boolean.
     """
-    blocks = idempotent_atoms(S)
+    return _rebased(S, idempotent_atoms(S))
+
+
+def _rebased(S: FiniteInverseMonoid, blocks: list):
+    """``rebase_to_idempotent_atoms`` onto the given idempotent atoms."""
     supports = [e.domain for e in blocks]
     union = 0
     for m in supports:
@@ -159,21 +160,17 @@ class AxiomReport:
         ]
 
 
-def _boolean_algebra_item(S: FiniteInverseMonoid) -> CheckItem:
-    """E(S) must be the full power set over its own lattice atoms."""
+def _boolean_algebra_item(S: FiniteInverseMonoid, atoms: list) -> CheckItem:
+    """E(S) must be the full power set over its lattice atoms ``atoms``."""
     idem_masks = {e.domain for e in S.idempotents()}
-    try:
-        atoms = idempotent_atoms(S)
-        supports = [e.domain for e in atoms]
-        union = 0
-        for msk in supports:
-            if union & msk:
-                return CheckItem(False, witness=msk, note="atoms overlap")
-            union |= msk
-        if union != (1 << S.atom_count) - 1:
-            return CheckItem(False, witness=union, note="atoms do not cover the unit")
-    except DomainError as exc:
-        return CheckItem(False, note=str(exc))
+    supports = [e.domain for e in atoms]
+    union = 0
+    for msk in supports:
+        if union & msk:
+            return CheckItem(False, witness=msk, note="atoms overlap")
+        union |= msk
+    if union != (1 << S.atom_count) - 1:
+        return CheckItem(False, witness=union, note="atoms do not cover the unit")
     for r in range(len(supports) + 1):
         for combo in itertools.combinations(supports, r):
             msk = 0
@@ -194,7 +191,7 @@ def _boolean_algebra_item(S: FiniteInverseMonoid) -> CheckItem:
 def _first_missing(els, i: int, graphs, in_S):
     """(els[i], els[j]) for the first j > i whose graph, graphs[j - i - 1],
     is not in in_S; None when every one is."""
-    if in_S.issuperset(graphs):
+    if all(map(in_S.__contains__, graphs)):
         return None
     j = next(j for j, g in enumerate(graphs) if g not in in_S)
     return els[i], els[i + 1 + j]
@@ -207,9 +204,8 @@ def _meet_and_join_witnesses(S: FiniteInverseMonoid):
     Both are read from graph bitmasks: the meet of s and t has the graph
     graph(s) & graph(t), the join of an orthogonal pair graph(s) | graph(t),
     and an element of S is fixed by its graph."""
-    els = S.elements
+    els, in_S = S.elements, S.id_of_graph
     shapes = [(s.graph, s.domain, s.range_mask) for s in els]
-    in_S = {g for g, _, _ in shapes}
     b_witness = c_witness = None
     for i, (gs, ds, rs) in enumerate(shapes):
         rest = shapes[i + 1 :]
@@ -238,11 +234,12 @@ def check_axioms(S: FiniteInverseMonoid) -> AxiomReport:
     """
     report_cls = classify(S)
 
-    a = _boolean_algebra_item(S)
+    atoms = idempotent_atoms(S)
+    a = _boolean_algebra_item(S, atoms)
     rebased = None
     supports = []
-    if a and len(idempotent_atoms(S)) != S.atom_count:
-        rebased, supports = rebase_to_idempotent_atoms(S)
+    if a and len(atoms) != S.atom_count:
+        rebased, supports = _rebased(S, atoms)
 
     b_witness, c_witness = _meet_and_join_witnesses(S)
     b = CheckItem(b_witness is None, witness=b_witness)

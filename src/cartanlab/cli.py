@@ -59,9 +59,6 @@ class ExtensionDocument:
     def __eq__(self, other):
         return isinstance(other, ExtensionDocument) and vars(self) == vars(other)
 
-    def element_map(self):
-        return dict(self.elements)
-
 
 def _int_param(text, what: str) -> int:
     try:
@@ -122,7 +119,9 @@ def parse(text: str) -> ExtensionDocument:
         if not isinstance(name, str) or not name:
             raise FormatError("element name must be a nonempty string", where)
         if name in names:
-            loc = _line_of(text, f'"{name}"', text.find(f'"{name}"') + 1)
+            # the first use of the name from the "elements" key on is its first element
+            token = f'"{name}"'
+            loc = _line_of(text, token, text.find(token, max(text.find('"elements"'), 0)) + 1)
             raise FormatError(f"duplicate element name '{name}'", loc or where)
         if not isinstance(entry["map"], dict):
             raise FormatError("'map' must be an object", where)
@@ -164,7 +163,7 @@ def parse(text: str) -> ExtensionDocument:
             if key in seen:
                 raise FormatError(f"duplicate cocycle entry for {key}", where)
             seen.add(key)
-            cocycle.append((entry["s"], entry["t"], list(entry["phase"])))
+            cocycle.append((entry["s"], entry["t"], entry["phase"]))  # the parsed list: nothing else holds it
 
     metadata = raw.get("metadata", {})
     if not isinstance(metadata, dict):
@@ -381,7 +380,7 @@ def _cmd_oracle(doc, args):
 
 def _cmd_spectral(doc, args):
     S, ext, names = build_extension(doc, args.k)
-    idx = spectral_bimodule._TraceIndex(S)
+    idx = spectral_bimodule._trace_index(S)
     count = idx.full + 1
     step = 1 if count <= 64 else count // 64
     sample = [idx.members(idx.mask_at(pos, args.guard)) for pos in range(0, count, step)]

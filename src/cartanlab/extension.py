@@ -23,7 +23,6 @@ from .semigroup_core import (
     meet,
     natural_leq,
     relabelings,
-    singleton,
     with_zero_phases,
 )
 
@@ -249,8 +248,8 @@ def validate_cocycle(S: FiniteInverseMonoid, k: int, c: CocycleTable | None) -> 
     if c.k != k:
         raise FormatError(f"cocycle table has k={c.k}, expected {k}")
     n, els, mul, img, entries = S.atom_count, S.elements, S.mul, S.images, c.entries
-    idem = [s.is_idempotent() for s in els]
-    atoms = [tuple(bits(s.domain)) for s in els]
+    idem = set(S.idempotent_ids)
+    atoms = S.domain_atoms
     support, normalization = [], []
     cp = [None] * n**3  # cp[(x*n + z)*n + y]: the phase on the points z <- y, x <- z
     local = True
@@ -266,7 +265,7 @@ def validate_cocycle(S: FiniteInverseMonoid, k: int, c: CocycleTable | None) -> 
                 raise FormatError(f"missing cocycle entry for ({s}, {t})")
             if len(arr) != len(ys) or any(not 0 <= p < k for p in arr):
                 support.append(("support", s, t))
-            if (idem[i] or idem[j]) and any(arr):
+            if (i in idem or j in idem) and any(arr):
                 normalization.append(("normalization", s, t))
             x_of, z_of = img[st], img[j]
             for y, p in zip(ys, arr):
@@ -302,8 +301,7 @@ def _identity_violations(S: FiniteInverseMonoid, k: int, c: CocycleTable) -> lis
     """The id-level identity loop: every triple (s, t, u) whose identity
     fails at some atom, in element order, reading the table's dense rows."""
     els, mul, img = S.elements, S.mul, S.images
-    rows = _phase_rows(S, c)
-    atoms = [tuple(bits(s.domain)) for s in els]
+    rows, atoms = _phase_rows(S, c), S.domain_atoms
     violations = []
     for i, s in enumerate(els):
         row_s = rows[i]
@@ -361,16 +359,12 @@ class Extension:
     def _rows(self) -> list[list[list[int]]]:
         return _phase_rows(self.S, self.cocycle)
 
-    @cached_property
-    def _atoms(self) -> list[tuple[int, ...]]:
-        return [tuple(bits(s.domain)) for s in self.S]
-
     def _product(self, i: int, a: list[int], j: int, b: list[int]) -> tuple[int, list[int]]:
         """(e_i, a)(e_j, b) = (e_i e_j, p), p(y) = a(e_j(y)) + b(y) + c(e_i, e_j)(y)."""
         st = self.S.mul[i][j]
         c, tj, k = self._rows[i][j], self.S.images[j], self.k
         p = [0] * self.S.atom_count
-        for y in self._atoms[st]:
+        for y in self.S.domain_atoms[st]:
             p[y] = (a[tj[y]] + b[y] + c[y]) % k
         return st, p
 
@@ -379,7 +373,7 @@ class Extension:
         sd = self.S.inv[i]
         c, back, k = self._rows[i][sd], self.S.images[sd], self.k
         p = [0] * self.S.atom_count
-        for z in self._atoms[sd]:
+        for z in self.S.domain_atoms[sd]:
             p[z] = (-a[back[z]] - c[z]) % k
         return sd, p
 
@@ -390,7 +384,7 @@ class Extension:
         return i, _dense(self.S.atom_count, v.bij.domain, v.phases)
 
     def _phased(self, i: int, p: list[int]) -> PhasedElement:
-        return PhasedElement(self.S.elements[i], tuple(p[y] for y in self._atoms[i]))
+        return PhasedElement(self.S.elements[i], tuple(p[y] for y in self.S.domain_atoms[i]))
 
     def multiply(self, v: PhasedElement, w: PhasedElement) -> PhasedElement:
         return self._phased(*self._product(*self._id_row(v), *self._id_row(w)))
@@ -489,7 +483,7 @@ def order_preserving_section(ext: Extension) -> Section:
                 )
 
     zero_row = [0] * n  # read-only, shared
-    idem = [i for i, e in enumerate(els) if e.is_idempotent()]
+    idem = S.idempotent_ids
     j: dict[int, list[int]] = {e: zero_row for e in idem}  # id -> dense phase row
 
     # Meets by graph bitmasks: the meet of s and t has graph(s) & graph(t),
@@ -499,7 +493,6 @@ def order_preserving_section(ext: Extension) -> Section:
         if s.domain and not s.graph & B_graphs:
             B.append(s)
             B_graphs |= s.graph
-    id_of_graph = {s.graph: i for i, s in enumerate(els)}
 
     for s in B:
         i = index[s]
@@ -520,7 +513,7 @@ def order_preserving_section(ext: Extension) -> Section:
             meet_graph = t.graph & s.graph
             if not meet_graph:
                 continue
-            m = id_of_graph.get(meet_graph)
+            m = S.id_of_graph.get(meet_graph)
             if m is None:
                 raise DomainError(f"the meet of {t} and {s} is not an element of the monoid")
             hs, h_s = ext._product(td, w_dag, m, j[m])
@@ -601,8 +594,7 @@ def _lifts_on_points(ext: Extension, rows: list) -> bool:
     """The point conditions under which ``validate_section`` passes without
     its loops."""
     S, k, n = ext.S, ext.k, ext.S.atom_count
-    els = S.elements
-    idem = [i for i, s in enumerate(els) if s.is_idempotent()]
+    els, idem = S.elements, S.idempotent_ids
     if len(idem) != 1 << n or S.closure_witness() is not None:
         return False
     phase = [None] * (n * n)  # phase[x*n + y]: the lifts' phase at the point y -> x
@@ -626,10 +618,8 @@ def _lifts_on_points(ext: Extension, rows: list) -> bool:
 def _section_loops(ext: Extension, rows: list) -> SectionReport:
     """Conditions (a), (b) and (c) as walks over element ids, with the
     first witness of each."""
-    S = ext.S
-    els, mul, img = S.elements, S.mul, S.images
-    idem = [i for i, e in enumerate(els) if e.is_idempotent()]
-    idem_of = {els[e].domain: e for e in idem}
+    S, n = ext.S, ext.S.atom_count
+    els, mul, img, idem = S.elements, S.mul, S.images, S.idempotent_ids
     unit_ok = not any(rows[S.index[S.one]])
 
     cond_a = cond_c = unit_ok
@@ -645,7 +635,7 @@ def _section_loops(ext: Extension, rows: list) -> SectionReport:
                 if any(r_s[y] != r_t[y] for y in agree):
                     cond_a, wit_a = False, (s, t)
             if cond_c:
-                e = idem_of.get(mask_of(agree))
+                e = S.id_of_graph.get(mask_of(y * (n + 1) for y in agree))  # the partial identity on agree
                 if e is None:
                     raise DomainError(f"the meet of {s} and {t} is not an element of the monoid")
                 r_m = rows[mul[i][e]]  # j(s ^ t)
@@ -698,10 +688,6 @@ def delta(ext: Extension, j: Section, v: PhasedElement) -> PhasedElement:
     return out
 
 
-def _related_points(S: FiniteInverseMonoid):
-    return sorted({(x, y) for s in S for x, y in s.pairs()})
-
-
 def cohomologous(S: FiniteInverseMonoid, k: int, c1: CocycleTable | None, c2: CocycleTable | None):
     """Find b with c2(s,t) = c1(s,t) + b(s) o t + b(t) - b(st) (mod k);
     a table given as None is the zero table.
@@ -731,12 +717,12 @@ def cohomologous(S: FiniteInverseMonoid, k: int, c1: CocycleTable | None, c2: Co
 def _one_point_maps(S: FiniteInverseMonoid) -> dict:
     """Point (x, y) of R -> id of the one-point map y -> x, in point order;
     DomainError if one is missing from S."""
-    singles = {}
-    for x, y in _related_points(S):
-        m = singleton(S.atom_count, y, x)
-        if m not in S:
+    n, singles = S.atom_count, {}
+    for x, y in S.points:
+        m = S.id_of_graph.get(1 << (x * n + y))
+        if m is None:
             raise DomainError("cohomologous needs a downward-closed monoid (singletons present)")
-        singles[(x, y)] = S.index[m]
+        singles[(x, y)] = m
     return singles
 
 
@@ -758,8 +744,7 @@ def _coboundary_witness(S: FiniteInverseMonoid, k: int, singles: dict, rows1: li
         r = root[z]
         b_pts[(x, z)] = diff(x, z, r)
 
-    els, mul, img = S.elements, S.mul, S.images
-    atoms = [tuple(bits(s.domain)) for s in els]
+    els, mul, img, atoms = S.elements, S.mul, S.images, S.domain_atoms
     bd = [_dense(S.atom_count, s.domain, (b_pts[p] for p in s.pairs())) for s in els]
     for i in range(len(els)):
         r1, r2, b_s = rows1[i], rows2[i], bd[i]

@@ -29,7 +29,6 @@ from .semigroup_core import (
     groupoid_relation,
     identity_map,
     meet,
-    singleton,
 )
 
 __all__ = [
@@ -182,7 +181,7 @@ def lambda_matrix(ext: Extension, j: Section, v: PhasedElement, rbasis: RBasis |
     for col, (x, y) in enumerate(rbasis.pairs):
         if not (v.bij.domain >> x) & 1:
             continue
-        t = S.index.get(singleton(n, y, x))
+        t = S.id_of_graph.get(1 << (x * n + y))  # the one-point map y -> x
         if t is None:
             raise DomainError("relation pair has no one-point map in S")
         vt, p = ext._product(i, a, t, rows[t])

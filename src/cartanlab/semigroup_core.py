@@ -7,12 +7,12 @@ and disjoint ranges) have a join given by the union map.  Everything here is
 exact integer/bitset arithmetic; no floats.
 
 A FiniteInverseMonoid numbers its elements by their position in
-``elements`` (the element id) and builds, on first use, the Cayley table
-``mul`` (``mul[i][j]`` is the id of e_i e_j) and the inverse table ``inv``.
-Loops over all pairs or triples of elements read these tables; ``compose``
-and ``dagger`` stay the element-level operations.  ``groupoid_relation`` is
-R, the union of the element graphs, on which the matrices of the numeric
-half act.
+``elements`` (the element id) and builds, on first use, the id-level views
+its docstring lists: the graph lookup, the composition ``product_row``
+behind the Cayley table ``mul``, the inverse table ``inv`` and the others.
+Loops over element ids read these; ``compose`` and ``dagger`` stay the
+element-level operations.  ``groupoid_relation`` is R, the union of the
+element graphs, on which the matrices of the numeric half act.
 """
 
 from __future__ import annotations
@@ -127,9 +127,6 @@ class PartialBijection:
         if self._graph is None:
             _set(self, "_graph", mask_of(x * self.n + y for x, y in self.pairs()))
         return self._graph
-
-    def domain_atoms(self) -> tuple[int, ...]:
-        return tuple(bits(self.domain))
 
     def pairs(self):
         """Yield (x, y) graph points, i.e. y in the domain with x = self(y)."""
@@ -311,13 +308,16 @@ class FiniteInverseMonoid:
     missing from the input.  Closure is *not* enforced at construction: use
     closure_witness()/classify() to check it.
 
-    ``mul[i][j]`` is the id of compose(e_i, e_j), ``inv[i]`` the id of
-    dagger(e_i), and ``images[i][y]`` is e_i(y), dense over atoms with -1
-    off dom(e_i).  Each table is built on first access and then kept:
-    ``mul`` composes the image rows and looks each product up by its
-    (domain, image) key, ``inv`` makes |S| dagger calls.  Building ``mul``
-    or ``inv`` raises ClosureError with the first missing product (s, t,
-    st), or (s, "dagger", s^dag), in element order.
+    Views by element id, each built on first use and kept: ``id_of_graph``
+    (graph bitmask -> id, so the one-point map y -> x is
+    ``id_of_graph.get(1 << (x*n + y))``); ``product_row(i, js)``, the ids of
+    e_i e_j for j in js, composed on e_i's image row and looked up by graph;
+    ``mul``, the Cayley table of product rows; ``inv[i]``, the id of
+    dagger(e_i); ``images[i][y]`` = e_i(y), -1 off dom(e_i);
+    ``domain_atoms[i]``, the atoms of dom(e_i) in increasing order;
+    ``idempotent_ids``; and ``points``, the sorted points (x, y) of R.
+    ``product_row`` (so ``mul``) raises ClosureError with the first missing
+    product (s, t, st) in element order, ``inv`` with (s, "dagger", s^dag).
     """
 
     def __init__(self, atom_count: int, elements):
@@ -362,7 +362,23 @@ class FiniteInverseMonoid:
         return identity_map(self.atom_count)
 
     def idempotents(self) -> list[PartialBijection]:
-        return [e for e in self.elements if e.is_idempotent()]
+        return [self.elements[i] for i in self.idempotent_ids]
+
+    @cached_property
+    def idempotent_ids(self) -> list[int]:
+        return [i for i, e in enumerate(self.elements) if e.is_idempotent()]
+
+    @cached_property
+    def domain_atoms(self) -> list[tuple[int, ...]]:
+        return [tuple(bits(s.domain)) for s in self.elements]
+
+    @cached_property
+    def id_of_graph(self) -> dict[int, int]:
+        return {s.graph: i for i, s in enumerate(self.elements)}
+
+    @cached_property
+    def points(self) -> list[tuple[int, int]]:
+        return sorted({p for s in self.elements for p in s.pairs()})
 
     @cached_property
     def inv(self) -> list[int]:
@@ -380,29 +396,30 @@ class FiniteInverseMonoid:
         return [[s.apply(y) if s.domain >> y & 1 else -1 for y in range(n)] for s in self.elements]
 
     @cached_property
+    def _graph_bits(self) -> list[tuple[int, ...]]:
+        return [tuple(bits(s.graph)) for s in self.elements]
+
+    def product_row(self, i: int, js) -> list[int]:
+        # graph bit x*n + y of e_j becomes bit e_i(x)*n + y of e_i e_j, or
+        # none off dom(e_i); no PartialBijection is built but the witness
+        n, image_of, ids, graph_bits = self.atom_count, self.images[i], self.id_of_graph, self._graph_bits
+        moved = [1 << (image_of[x] * n + y) if image_of[x] >= 0 else 0 for x in range(n) for y in range(n)]
+        row = []
+        for j in js:
+            graph = 0
+            for p in graph_bits[j]:
+                graph |= moved[p]
+            st = ids.get(graph)
+            if st is None:
+                s, t = self.elements[i], self.elements[j]
+                raise ClosureError((s, t, compose(s, t)))
+            row.append(st)
+        return row
+
+    @cached_property
     def mul(self) -> list[list[int]]:
-        # s t maps y to s(t(y)) where both are defined: compose s's dense
-        # image row with t's graph points and look the (domain, image) key
-        # up, so no PartialBijection is built except for the witness.
-        ids = {_canonical_key(s): i for i, s in enumerate(self.elements)}
-        graphs = [[(1 << y, x) for x, y in t.pairs()] for t in self.elements]
-        out = []
-        for s, image_of in zip(self.elements, self.images):
-            row = []
-            for t, graph in zip(self.elements, graphs):
-                domain = 0
-                image = []
-                for bit, x in graph:
-                    z = image_of[x]
-                    if z >= 0:
-                        domain |= bit
-                        image.append(z)
-                st = ids.get((domain, tuple(image)))
-                if st is None:
-                    raise ClosureError((s, t, compose(s, t)))
-                row.append(st)
-            out.append(row)
-        return out
+        ids = range(len(self.elements))
+        return [self.product_row(i, ids) for i in ids]
 
     def closure_witness(self):
         """None if closed under dagger and compose, else the first witness:
@@ -505,13 +522,11 @@ def classify(S: FiniteInverseMonoid) -> ClassificationReport:
     if witness is not None:
         raise ClosureError(witness)
     mul, inv = S.mul, S.inv
-    idem = S.idempotents()
-    idem_ids = [S.index[e] for e in idem]
 
     actions = {}
     fundamental = True
     for i, row in enumerate(mul):
-        act = tuple(mul[row[e]][inv[i]] for e in idem_ids)
+        act = tuple(mul[row[e]][inv[i]] for e in S.idempotent_ids)
         if act in actions and actions[act] != i:
             fundamental = False
             break
@@ -519,7 +534,7 @@ def classify(S: FiniteInverseMonoid) -> ClassificationReport:
     clifford = all(mul[inv[i]][i] == mul[i][inv[i]] for i in range(len(mul)))
     return ClassificationReport(
         inverse_monoid=True,
-        idempotents=idem,
+        idempotents=S.idempotents(),
         fundamental=fundamental,
         clifford=clifford,
         added_constants=list(S.added),
@@ -602,7 +617,7 @@ def groupoid_relation(S: FiniteInverseMonoid) -> GroupoidRelation:
     Raises InvariantViolation if R is not an equivalence relation, which
     signals a non-closed input (or a bug).
     """
-    pairs = {(x, y) for s in S for x, y in s.pairs()}
+    pairs = frozenset(S.points)
     n = S.atom_count
     for x in range(n):
         if (x, x) not in pairs:
@@ -622,4 +637,4 @@ def groupoid_relation(S: FiniteInverseMonoid) -> GroupoidRelation:
         block = sorted(y for (x, y) in pairs if x == seed)
         blocks.append(tuple(block))
         remaining -= set(block)
-    return GroupoidRelation(n, frozenset(pairs), blocks)
+    return GroupoidRelation(n, pairs, blocks)

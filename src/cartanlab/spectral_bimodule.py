@@ -6,14 +6,15 @@ A spectral set is modeled as a frozenset of monoid elements containing the
 zero map, downward closed, and closed under orthogonal joins.  In the finite
 case it is fixed by the minimal nonzero elements it contains (for the
 canonical realizations these are the one-point maps, i.e. the points of the
-relation R).  Every public call builds one trace index: the minimal
-elements, each element's trace (the bitmask of minimals below it) and the
-dagger permutation on minimals.  The spectral sets are then exactly
-A(X) = {s : trace(s) inside X} for the masks X, so closure, join span,
-enumeration and the msd/mtr conditions are bitmask arithmetic.  Whether
-A(X) is a monoid is decided on X alone, from the products of the minimal
-elements (no Cayley table); msd, mtr, full_submonoids and the maximality
-scan filter one list of monoid masks and build A(X) only for masks they keep.
+relation R).  Every public call reads one trace index, kept for the most
+recent monoid: the minimal elements, each element's trace (the bitmask of
+minimals below it) and the dagger permutation on minimals.  The spectral
+sets are then exactly A(X) = {s : trace(s) inside X} for the masks X, so
+closure, join span, enumeration and the msd/mtr conditions are bitmask
+arithmetic.  Whether A(X) is a monoid is decided on X alone, from the
+products of the minimal elements (no Cayley table); msd, mtr,
+full_submonoids and the maximality scan filter one list of monoid masks and
+build A(X) only for masks they keep.
 
 The numeric conditions are linear or bilinear in the matrices they test:
 diagonal invariance of psi(A), multiplicativity of the expectation E onto
@@ -36,16 +37,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from ._lazy import np
-from .errors import SPECTRAL_GUARD, ClosureError, DomainError, InvariantViolation, SizeGuardError
+from .errors import SPECTRAL_GUARD, DomainError, InvariantViolation, SizeGuardError
 from .kernel_rep import DEFAULT_TOL, RBasis, RepSpace
 from .semigroup_core import (
     FiniteInverseMonoid,
     are_orthogonal,
     bits,
-    compose,
     dagger,
     mask_of,
     natural_leq,
@@ -114,7 +114,7 @@ class _TraceIndex:
     masks onto spectral sets that turns union, intersection, inclusion and
     dagger of masks into join span, intersection, inclusion and dagger of
     sets, and A(X) is a monoid iff X is closed under ``products``.  An index
-    keeps the monoid masks and, for ``verify_members``, each mask's parts.
+    keeps the monoid masks and each mask's parts.
     """
 
     def __init__(self, S: FiniteInverseMonoid):
@@ -198,17 +198,15 @@ class _TraceIndex:
     def products(self) -> list[tuple[int, int]]:
         """(bits of m_i and m_j, trace of m_i m_j), in element order, for each
         product of two minimals with a minimal below it other than m_i, m_j
-        and the idempotents; each product is composed on graph points and
-        looked up in S, and a missing one raises ClosureError (m_i, m_j, m_i m_j)."""
-        n = self.S.atom_count
-        traces = {s.graph: t for s, t in self.trace.items()}
+        and the idempotents; one ``S.product_row`` per minimal, which raises
+        ClosureError (m_i, m_j, m_i m_j) for the first missing product."""
+        els, ids = self.S.elements, [self.S.index[m] for m in self.minimals]
         out = []
-        for (i, s), (j, t) in itertools.product(enumerate(self.minimals), repeat=2):
-            graph = mask_of(s.apply(x) * n + y for x, y in t.pairs() if s.domain >> x & 1)
-            if graph not in traces:
-                raise ClosureError((s, t, compose(s, t)))
-            if traces[graph] & ~(1 << i | 1 << j | self.idempotent):
-                out.append((1 << i | 1 << j, traces[graph]))
+        for i, m in enumerate(ids):
+            for j, st in enumerate(self.S.product_row(m, ids)):
+                trace = self.trace[els[st]]
+                if trace & ~(1 << i | 1 << j | self.idempotent):
+                    out.append((1 << i | 1 << j, trace))
         return out
 
     def is_monoid(self, X: int) -> bool:
@@ -225,15 +223,22 @@ class _TraceIndex:
         return self._monoid_masks[guard]
 
 
+@lru_cache(maxsize=1)
+def _trace_index(S: FiniteInverseMonoid) -> _TraceIndex:
+    """The trace index of S, kept for the most recent monoid only: every
+    public call reads it, so one command lists the monoid masks once."""
+    return _TraceIndex(S)
+
+
 def spectral_closure(S: FiniteInverseMonoid, gen) -> frozenset:
     """Least spectral set containing the generators: A(OR of their traces)."""
-    idx = _TraceIndex(S)
+    idx = _trace_index(S)
     return idx.members(idx.trace_of(gen))
 
 
 def join_span(S: FiniteInverseMonoid, A1, A2) -> frozenset:
     """Smallest spectral set containing both operands: A(X1 | X2)."""
-    idx = _TraceIndex(S)
+    idx = _trace_index(S)
     return idx.members(idx.trace_of(A1) | idx.trace_of(A2))
 
 
@@ -244,7 +249,7 @@ def enumerate_spectral_sets(S: FiniteInverseMonoid, guard: int = SPECTRAL_GUARD)
     the order msd, mtr and full_submonoids keep.  Distinct masks give
     distinct sets because A(X) contains exactly the minimals in X.
     """
-    idx = _TraceIndex(S)
+    idx = _trace_index(S)
     return [idx.members(X) for X in idx.masks(guard)]
 
 
@@ -326,7 +331,7 @@ def theta_gn(rs: RepSpace, B: Bimodule, tol: float = DEFAULT_TOL) -> frozenset:
 def full_submonoids(S: FiniteInverseMonoid, guard: int = SPECTRAL_GUARD) -> list[frozenset]:
     """Spectral sets that are dagger-closed submonoids containing all
     idempotents (full Cartan inverse submonoids): X^dag is X."""
-    idx = _TraceIndex(S)
+    idx = _trace_index(S)
     return [idx.members(X) for X in idx.monoid_masks(guard) if idx.dagger_of(X) == X]
 
 
@@ -398,14 +403,14 @@ def aoi_correspondence(rs: RepSpace, guard: int = SPECTRAL_GUARD, tol: float = D
 def msd(S: FiniteInverseMonoid, guard: int = SPECTRAL_GUARD) -> list[frozenset]:
     """Spectral monoids containing all idempotents whose join span with
     their dagger recovers the whole monoid: X | X^dag is every minimal."""
-    idx = _TraceIndex(S)
+    idx = _trace_index(S)
     return [idx.members(X) for X in idx.monoid_masks(guard) if X | idx.dagger_of(X) == idx.full]
 
 
 def mtr(S: FiniteInverseMonoid, guard: int = SPECTRAL_GUARD) -> list[frozenset]:
     """Members of msd whose self-adjoint part is exactly the idempotents:
     X & X^dag is the set of idempotent minimals."""
-    idx = _TraceIndex(S)
+    idx = _trace_index(S)
     kept = ((X, idx.dagger_of(X)) for X in idx.monoid_masks(guard))
     return [idx.members(X) for X, X_dag in kept if X | X_dag == idx.full and X & X_dag == idx.idempotent]
 
@@ -496,9 +501,7 @@ def _selfadjoint_part(rs: RepSpace, idx: _TraceIndex, X: int, tol: float):
     return idx.parts[key]
 
 
-def verify_subdiagonal(
-    rs: RepSpace, A, guard: int = SPECTRAL_GUARD, tol: float = DEFAULT_TOL, index: _TraceIndex | None = None
-) -> SubdiagonalReport:
+def verify_subdiagonal(rs: RepSpace, A, guard: int = SPECTRAL_GUARD, tol: float = DEFAULT_TOL) -> SubdiagonalReport:
     """Verify that a spectral monoid spans a maximal subdiagonal algebra.
 
     The expectation onto the self-adjoint part N is realized as the
@@ -511,15 +514,14 @@ def verify_subdiagonal(
     checked against the other enumerated spectral-monoid candidates with
     the same self-adjoint part, which is exactly what the classification
     licenses; every strict superset among the spectral-monoid masks gets
-    the N-dimension, containment, defect and density checks.  ``index`` is
-    the trace index of rs.ext.S, built here when not given
-    (``verify_members`` builds one for all its members, so the masks are
-    listed, and each mask's psi and N computed, once for all of them).
+    the N-dimension, containment, defect and density checks.  The trace
+    index of rs.ext.S is the module's kept one, so the masks are listed,
+    and each mask's psi and N computed, once for every member checked.
     The dimension of the whole algebra is the RepSpace's, computed once at
     its tol.
     """
     A = frozenset(A)
-    idx = index if index is not None else _TraceIndex(rs.ext.S)
+    idx = _trace_index(rs.ext.S)
     trace = idx.trace_of(A)
     if idx.members(trace) != A or not idx.is_monoid(trace):
         raise DomainError("input is not a spectral monoid containing the idempotents")
@@ -566,6 +568,5 @@ def verify_subdiagonal(
 def verify_members(
     rs: RepSpace, members, guard: int = SPECTRAL_GUARD, tol: float = DEFAULT_TOL
 ) -> list[SubdiagonalReport]:
-    """verify_subdiagonal on each member, in order, with one trace index."""
-    index = _TraceIndex(rs.ext.S)
-    return [verify_subdiagonal(rs, A, guard, tol, index=index) for A in members]
+    """verify_subdiagonal on each member, in order."""
+    return [verify_subdiagonal(rs, A, guard, tol) for A in members]

@@ -157,6 +157,51 @@ def test_rebase_onto_blocks():
     assert sorted(rep.block_supports) == [0b011, 0b100]
 
 
+def reference_idempotent_atoms(S):
+    """The earlier body: |E|^2 ``natural_leq`` calls."""
+    idem = [e for e in S.idempotents() if not e.is_zero()]
+    return [e for e in idem if not any(f != e and natural_leq(f, e) for f in idem)]
+
+
+ATOM_CASES = {
+    "rook3": rook_monoid(3),
+    "rook4": rook_monoid(4),
+    "eqrel_01_2": eqrel_monoid([(0, 1), (2,)]),
+    "blocks_01_2": FiniteInverseMonoid(3, [partial_identity(3, 0b011), partial_identity(3, 0b100)]),
+    "not_boolean": FiniteInverseMonoid(2, [partial_identity(2, 0b01)]),
+    "chain": FiniteInverseMonoid(3, [partial_identity(3, 0b001), partial_identity(3, 0b011)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ATOM_CASES))
+def test_check_axioms_reads_idempotent_atoms_once_from_domains(name, monkeypatch):
+    """The same atoms, in the same order, as the natural_leq reference, and
+    the same report from one idempotent_atoms call and no natural_leq call."""
+    import cartanlab.boolean_monoid as boolean_module
+    import cartanlab.semigroup_core as core_module
+
+    S = ATOM_CASES[name]
+    assert idempotent_atoms(S) == reference_idempotent_atoms(S)
+    expected = check_axioms(S)
+    calls = []
+    original = boolean_module.idempotent_atoms
+
+    def counted(S):
+        calls.append(S)
+        return original(S)
+
+    def forbidden(*args):
+        raise AssertionError("natural_leq called")
+
+    monkeypatch.setattr(boolean_module, "idempotent_atoms", counted)
+    monkeypatch.setattr(boolean_module, "natural_leq", forbidden)
+    monkeypatch.setattr(core_module, "natural_leq", forbidden)
+    rep = check_axioms(S)
+    assert rep.to_lines() == expected.to_lines() and rep.block_supports == expected.block_supports
+    assert rep.rebased == expected.rebased and (rep.rebased is not None) == (name == "blocks_01_2")
+    assert len(calls) == 1
+
+
 def test_beta_examples(i2, named2):
     for e in i2.idempotents():
         assert beta(i2, e) == e

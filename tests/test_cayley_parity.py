@@ -25,7 +25,6 @@ from cartanlab.extension import (
     Section,
     SectionReport,
     _rank,
-    _related_points,
     cohomologous,
     extensions_equivalent,
     g_meet,
@@ -127,7 +126,7 @@ def ref_validate_cocycle(S, k, c):
 
 
 def ref_cohomologous(S, k, c1, c2):
-    pts = _related_points(S)
+    pts = sorted({(x, y) for s in S for x, y in s.pairs()})
     singles = {}
     for x, y in pts:
         m = singleton(S.atom_count, y, x)

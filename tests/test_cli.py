@@ -41,6 +41,30 @@ def test_parse_duplicate_name_is_located():
     assert "'a'" in str(err.value) and "line 10" in str(err.value)
 
 
+def test_duplicate_name_after_a_cocycle_entry_is_located():
+    """``emit`` writes "cocycle" before "elements": the duplicate is looked
+    for from the "elements" key on, not from the name's first use."""
+    text = (
+        '{\n'
+        '  "atoms": 1,\n'
+        '  "cocycle": [\n'
+        '    {"s": "a", "t": "a",\n'
+        '     "phase": []}\n'
+        '  ],\n'
+        '  "elements": [\n'
+        '    {"map": {}, "name": "a"},\n'
+        '    {"map": {"0": 0}, "name": "z"},\n'
+        '    {"map": {}, "name": "a"}\n'
+        '  ],\n'
+        '  "k": 1\n'
+        '}\n'
+    )
+    assert text.splitlines()[9].endswith('"name": "a"}')
+    with pytest.raises(FormatError) as err:
+        parse(text)
+    assert "duplicate element name 'a'" in str(err.value) and "line 10" in str(err.value)
+
+
 def test_round_trip_canonical():
     text = bundled_rook2_text()
     doc = parse(text)

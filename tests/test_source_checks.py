@@ -514,3 +514,77 @@ def test_cayley_read_scan_sees_attribute_reads(tmp_path):
         "    return table[0][0], S.multiply, S.images, np.matmul\n"
     )
     assert attribute_reads(path, CAYLEY_READS) == ["s.py:2", "s.py:3"]
+
+
+def _is_singleton_call(node) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Name) and func.id == "singleton") or (
+        isinstance(func, ast.Attribute) and func.attr == "singleton"
+    )
+
+
+def test_one_point_maps_are_looked_up_by_graph():
+    """``extension`` and ``kernel_rep`` find the one-point map of a point
+    through ``S.id_of_graph``; neither builds it with ``singleton``."""
+    sites = call_sites(SRC, _is_singleton_call)
+    assert [site for site in sites if site.startswith(("extension.py:", "kernel_rep.py:"))] == []
+
+
+def _reads_graph(node) -> bool:
+    return any(isinstance(n, ast.Attribute) and n.attr == "graph" for n in ast.walk(node))
+
+
+def _keys_built(node) -> list:
+    """The key expressions of a dict or set that ``node`` builds: the keys of
+    a comprehension or display, or the element of a generator passed to
+    ``dict``, ``set`` or ``frozenset`` (a pair's first member for ``dict``)."""
+    if isinstance(node, ast.DictComp):
+        return [node.key]
+    if isinstance(node, ast.SetComp):
+        return [node.elt]
+    if isinstance(node, ast.Dict):
+        return [key for key in node.keys if key is not None]
+    if isinstance(node, ast.Set):
+        return node.elts
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.args:
+        arg = node.args[0]
+        if node.func.id in ("dict", "set", "frozenset") and isinstance(arg, (ast.GeneratorExp, ast.ListComp)):
+            pair = node.func.id == "dict" and isinstance(arg.elt, ast.Tuple)
+            return [arg.elt.elts[0] if pair else arg.elt]
+    return []
+
+
+def graph_keyed_builds(root: Path) -> list[str]:
+    """Sites of the dicts and sets keyed by a ``.graph`` read, as ``file:line``."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        nodes = (node for node in ast.walk(tree) if any(_reads_graph(key) for key in _keys_built(node)))
+        found += [f"{path.name}:{node.lineno}" for node in nodes]
+    return sorted(found)
+
+
+def test_only_the_monoid_keys_by_graph():
+    """One graph lookup per monoid: ``FiniteInverseMonoid.id_of_graph`` is
+    the only dict or set keyed by element graphs."""
+    builds = graph_keyed_builds(SRC)
+    assert len(builds) == 1 and builds[0].startswith("semigroup_core.py:")
+
+
+def test_graph_key_scan_sees_every_form(tmp_path):
+    (tmp_path / "g.py").write_text(
+        "def f(S, idx, B):\n"
+        "    ids = {s.graph: i for i, s in enumerate(S.elements)}\n"
+        "    in_S = {t.graph for t in S}\n"
+        "    traces = dict((s.graph, t) for s, t in idx.trace.items())\n"
+        "    seen = frozenset(s.graph for s in B)\n"
+        "    first = {S.one.graph: 0}\n"
+        "    listed = [s.graph for s in S]\n"
+        "    by_id = {i: s.graph for i, s in enumerate(S.elements)}\n"
+        "    return ids, in_S, traces, seen, first, listed, by_id, {S.one.graph}\n"
+    )
+    assert graph_keyed_builds(tmp_path) == ["g.py:2", "g.py:3", "g.py:4", "g.py:5", "g.py:6", "g.py:9"]
+    (tmp_path / "s.py").write_text("def f(n):\n    return singleton(n, 0, 1), core.singleton(n, 1, 0), n.singletons\n")
+    assert call_sites(tmp_path, _is_singleton_call) == ["s.py:2", "s.py:2"]

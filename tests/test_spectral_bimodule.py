@@ -197,12 +197,13 @@ def test_verify_subdiagonal_rook2(i2):
 
 
 def test_verify_members_builds_one_index(monkeypatch):
-    """The same reports, in member order, as one verify_subdiagonal call
-    per member, from one trace index instead of one per member."""
+    """An msd command lists its members and then verifies them: the same
+    reports, in member order, as one verify_subdiagonal call per member,
+    from one trace index for the whole command."""
     S = eqrel_monoid([(0, 1), (2,), (3,)])
     rs = RepSpace(Extension(S, 1))
-    members = msd(S)
-    expected = [verify_subdiagonal(rs, A) for A in members]
+    expected = [verify_subdiagonal(rs, A) for A in msd(S)]
+    spectral_module._trace_index.cache_clear()
     builds = []
     original = spectral_module._TraceIndex.__init__
 
@@ -211,6 +212,7 @@ def test_verify_members_builds_one_index(monkeypatch):
         original(self, S)
 
     monkeypatch.setattr(spectral_module._TraceIndex, "__init__", counted)
+    members = msd(S)
     assert verify_members(rs, members) == expected
     assert len(members) == 3 and len(builds) == 1
 
