@@ -60,4 +60,4 @@ print("\nabstract module picture agrees with the matrices:")
 print(" ", abstract_gram_check(ext, j))
 
 print("\nserialized matrix dump (one line per nonzero entry):")
-print(dump_matrix(rs.rbasis, ext.k, rs.lam_of(t01)))
+print(dump_matrix(rs.rbasis, ext.k, rs.monomial(j[t01])))

@@ -5,7 +5,9 @@ The exact half of the package (gen, validate, section, equiv) never touches
 a matrix.  The numeric modules import numpy from here as ``np``, and
 ``cli`` binds ``kernel_rep``, ``vn_oracle`` and ``spectral_bimodule``
 through ``_lazy_import``, so an exact command finishes without loading
-numpy or compiling and executing the numeric modules.  ``cli`` binds
+numpy or compiling and executing the numeric modules.  ``represent``
+executes ``kernel_rep`` but prints the lambdas from their monomial form, so
+it too finishes without executing numpy.  ``cli`` binds
 ``boolean_monoid`` and ``generators`` the same way, so only the commands
 that use them execute them, and the package itself serves every export
 through its own ``__getattr__``: ``import cartanlab`` executes none of its
@@ -14,7 +16,8 @@ submodule, the attribute of its package), so a later ``import`` anywhere
 loads and returns the same module.
 A module that cannot be found (numpy, when it is not installed) is bound as
 a stand-in whose first attribute access raises ModuleNotFoundError, so the
-exact commands still run and a numeric command stops at its first use.
+exact commands and ``represent`` still run and a command that needs numpy
+(oracle, spectral, msd, mtr) stops at its first use.
 
 Measured on a 2-core x86-64 host with Python 3.11, median of 21 runs: the
 exact commands on rook3 and eqrel(0,1|2,3) documents take 0.12-0.15 s from

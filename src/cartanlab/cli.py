@@ -355,7 +355,7 @@ def _cmd_represent(doc, args):
     for s in S:
         label = inv.get(s, repr(s))
         chunks.append(f"# section {label}")
-        chunks.append(kernel_rep.dump_matrix(rs.rbasis, ext.k, rs.lam_of(s)).rstrip("\n"))
+        chunks.append(kernel_rep.dump_matrix(rs.rbasis, ext.k, rs.monomial(rs.j[s])).rstrip("\n"))
     text = "\n".join(chunks) + "\n"
     payload = {"dim": len(rs.rbasis), "k": ext.k, "dump": text}
     return 0, [text.rstrip("\n")], payload

@@ -5,16 +5,26 @@ The kernel K(t,s) = j(s^dag t ^ 1) takes idempotent values and is handled
 exactly (bitmasks).  Floats enter only here and downstream: matrices are
 complex double, phases become exact roots of unity, and every numeric rank
 or eigenvalue decision uses the module-wide default tolerance 1e-9.
-Lambda matrices are built on element ids, with the id-level product on
-the section's dense phase rows.  ``RepSpace`` caches the lambda matrices
-of one extension and section, and the Cartan pair they generate: M, the
-span of every lambda, and D, the span of the phased identities' lambdas,
-each built once at the space's tol.
+
+Each lambda is monomial: a column holds at most one entry, a k-th root of
+unity.  Its columns are built on element ids, with the id-level product on
+the section's dense phase rows, once per element of S: lambda((s, a)) is
+lambda((s, 0)) with the exponent of column (x, y) shifted by a(x).  The
+monomial form is exact integer data and needs no numpy, so ``represent``
+(``dump_matrix`` of the section's lambdas) runs without it.  Dense matrices
+are built only for linear algebra, a stack of them at a time by one
+scatter.  ``RepSpace`` keeps the columns of one extension and section, and
+the Cartan pair they generate: M, the span of every lambda, and D, the span
+of the phased identities' lambdas, each built once at the space's tol from
+the lambdas in blocks of 64.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from functools import cached_property
+from itertools import chain
 
 from ._lazy import np
 from .errors import DomainError, InvariantViolation
@@ -158,28 +168,36 @@ def kernel_matrix(j: Section, S: FiniteInverseMonoid) -> dict:
     return out
 
 
-def _omega(k: int) -> complex:
-    return np.exp(2j * np.pi / k)
+def _roots(k: int) -> list[complex]:
+    """The k-th roots of unity w^p for p = 0..k-1, w = exp(2 pi i / k).
 
-
-def lambda_matrix(ext: Extension, j: Section, v: PhasedElement, rbasis: RBasis | None = None) -> np.ndarray:
-    """The matrix of v on the relation's function space.
-
-    Column (x, y) maps to (q(v)(x), y) with phase sigma(v, y->x) evaluated
-    at y, and to zero when x is outside dom(q(v)).  Needs the one-point maps
-    of the relation to be elements of S (downward closure).  sigma(v, t) =
-    j(q(v)t)^dag v j(t) is formed on element ids and must be a phased
-    identity (InvariantViolation otherwise, as from ``sigma``).
+    Bitwise equal to numpy's ``np.exp(2j*np.pi/k) ** np.arange(k)`` for
+    every exponent below 100, where both take the power by repeated
+    squaring; from 100 on the two switch algorithms and may differ in the
+    last bits.
     """
-    if rbasis is None:
-        rbasis = RBasis.from_monoid(ext.S)
-    S, n = ext.S, rbasis.atom_count
+    w = cmath.exp(2j * math.pi / k)
+    return [w**p for p in range(k)]
+
+
+def _lambda_columns(ext: Extension, j: Section, rbasis: RBasis, v: PhasedElement, i: int, a: list[int]):
+    """The columns of lambda((e_i, 0)), for v = (e_i, a): (targets, cols,
+    base, xs), one entry per column (x, y) with x in dom(e_i), in column
+    order.  Column (x, y) maps to row (e_i(x), y) with phase sigma(v, y->x)
+    at y, which is base + a(x) mod k: nothing after the product v j(y->x)
+    reads a, and that product adds a(x) at y.
+
+    Needs the one-point maps of the relation to be elements of S (downward
+    closure; DomainError otherwise).  sigma(v, t) = j(q(v)t)^dag v j(t) is
+    formed on element ids and must be a phased identity (InvariantViolation
+    otherwise, as from ``sigma``, naming v).
+    """
+    S, n, k = ext.S, rbasis.atom_count, ext.k
     rows = j.dense_rows(S)
-    i, a = ext._id_row(v)
-    img = S.images[i]
-    targets, cols, phases = [], [], []
+    dom, img = S.elements[i].domain, S.images[i]
+    targets, cols, base, xs = [], [], [], []
     for col, (x, y) in enumerate(rbasis.pairs):
-        if not (v.bij.domain >> x) & 1:
+        if not (dom >> x) & 1:
             continue
         t = S.id_of_graph.get(1 << (x * n + y))  # the one-point map y -> x
         if t is None:
@@ -190,14 +208,48 @@ def lambda_matrix(ext: Extension, j: Section, v: PhasedElement, rbasis: RBasis |
             _check_in_P(ext._phased(sig, phase), "sigma", (v, S.elements[t]))
         targets.append(rbasis.index[(img[x], y)])
         cols.append(col)
-        phases.append(phase[y])
-    dim = len(rbasis)
-    lam = np.zeros((dim, dim), dtype=complex)
-    lam[targets, cols] = (_omega(ext.k) ** np.arange(ext.k))[phases]
-    return lam
+        base.append((phase[y] - a[x]) % k)
+        xs.append(x)
+    return targets, cols, base, xs
 
 
-def projection_P_and_V(ext: Extension, j: Section, rbasis: RBasis | None = None, tol: float = DEFAULT_TOL):
+def _monomial(columns, a: list[int], k: int):
+    """lambda((e_i, a)) in monomial form from the columns of lambda((e_i, 0)):
+    (targets, cols, exponents), the entry of column cols[c] sitting in row
+    targets[c] with value w^exponents[c]."""
+    targets, cols, base, xs = columns
+    return targets, cols, [(b + a[x]) % k for b, x in zip(base, xs)]
+
+
+def _scatter(monomials, dim: int, k: int) -> np.ndarray:
+    """The dense (len(monomials), dim, dim) stack of monomial lambdas, filled
+    by one fancy-index assignment."""
+    which, targets, cols, exps = [], [], [], []
+    for m, (t, c, e) in enumerate(monomials):
+        which += [m] * len(t)
+        targets += t
+        cols += c
+        exps += e
+    out = np.zeros((len(monomials), dim, dim), dtype=complex)
+    out[which, targets, cols] = np.asarray(_roots(k))[exps]
+    return out
+
+
+def lambda_matrix(ext: Extension, j: Section, v: PhasedElement, rbasis: RBasis | None = None) -> np.ndarray:
+    """The matrix of v on the relation's function space: the dense form of
+    one monomial lambda, from the columns of ``_lambda_columns``.
+
+    Column (x, y) maps to (q(v)(x), y) with phase sigma(v, y->x) evaluated
+    at y, and to zero when x is outside dom(q(v)).
+    """
+    if rbasis is None:
+        rbasis = RBasis.from_monoid(ext.S)
+    i, a = ext._id_row(v)
+    columns = _lambda_columns(ext, j, rbasis, v, i, a)
+    return _scatter([_monomial(columns, a, ext.k)], len(rbasis), ext.k)[0]
+
+
+def projection_P_and_V(ext: Extension, j: Section, tol: float = DEFAULT_TOL):
     """The diagonal compression data: (P, V).
 
     P projects onto the span of the diagonal pairs; V isometrically includes
@@ -205,8 +257,6 @@ def projection_P_and_V(ext: Extension, j: Section, rbasis: RBasis | None = None,
     compression identity P lam(v) P = lam(Delta(v)) P for every v.
     """
     rs = RepSpace(ext, j, tol)
-    if rbasis is not None:
-        rs.rbasis = rbasis
     rbasis = rs.rbasis
     dim = len(rbasis)
     diag = rbasis.diagonal_indices()
@@ -230,10 +280,10 @@ def phased_identity_diagonal(p: PhasedElement, k: int, atom_count: int) -> np.nd
     """A member of P as a complex vector over atoms (zero off its support)."""
     if not p.is_phased_identity():
         raise DomainError("not a phased partial identity")
-    omega = _omega(k)
+    roots = _roots(k)
     d = np.zeros(atom_count, dtype=complex)
     for y in bits(p.bij.domain):
-        d[y] = omega ** p.phase_at(y)
+        d[y] = roots[p.phase_at(y) % k]
     return d
 
 
@@ -253,7 +303,14 @@ def expectation(rbasis: RBasis, T: np.ndarray) -> np.ndarray:
 
 class RepSpace:
     """Cached representation context for one extension and section: the
-    lambda matrices, and the Cartan pair (M, D) they generate."""
+    lambdas in monomial form, and the Cartan pair (M, D) they generate.
+
+    The columns of lambda((e_i, 0)) are built once per id i of S, on first
+    use; lambda((e_i, a)) shifts their exponents by a (``_monomial``).
+    Dense lambdas are built only for linear algebra, a stack at a time by
+    one scatter, and are not kept, apart from the read-only stack of the
+    section's lambdas that ``psi`` and ``theta`` index by S id.
+    """
 
     def __init__(self, ext: Extension, j: Section | None = None, tol: float = DEFAULT_TOL):
         from .extension import order_preserving_section
@@ -262,21 +319,43 @@ class RepSpace:
         self.j = j if j is not None else order_preserving_section(ext)
         self.rbasis = RBasis.from_monoid(ext.S)
         self.tol = tol
-        self._lam_cache: dict[PhasedElement, np.ndarray] = {}
+        self._columns: dict[int, tuple] = {}
+
+    def monomial(self, v: PhasedElement):
+        """lambda(v) as (targets, cols, exponents): its entry in column
+        cols[c] sits in row targets[c] and is w^exponents[c]."""
+        i, a = self.ext._id_row(v)
+        if i not in self._columns:
+            self._columns[i] = _lambda_columns(self.ext, self.j, self.rbasis, v, i, a)
+        return _monomial(self._columns[i], a, self.ext.k)
+
+    def stack(self, vs) -> np.ndarray:
+        """The dense lambdas of the elements vs, one (len(vs), d, d) stack."""
+        return _scatter([self.monomial(v) for v in vs], len(self.rbasis), self.ext.k)
+
+    def blocks(self, vs):
+        """``stack`` of vs in blocks of at most 64 elements."""
+        for start in range(0, len(vs), 64):
+            yield self.stack(vs[start : start + 64])
 
     def lam(self, v: PhasedElement) -> np.ndarray:
-        if v not in self._lam_cache:
-            self._lam_cache[v] = lambda_matrix(self.ext, self.j, v, self.rbasis)
-        return self._lam_cache[v]
+        return self.stack([v])[0]
 
     def lam_of(self, s: PartialBijection) -> np.ndarray:
         return self.lam(self.j[s])
 
     def all_lambdas(self):
-        return [self.lam(v) for v in self.ext.elements]
+        return list(self.stack(self.ext.elements))
 
     def diagonal_lambdas(self):
-        return [self.lam(v) for v in self.ext.phased_identities]
+        return list(self.stack(self.ext.phased_identities))
+
+    @cached_property
+    def section_stack(self) -> np.ndarray:
+        """The lambdas of the section, lambda(j(e_i)) at index i; read-only."""
+        out = self.stack([self.j[s] for s in self.ext.S.elements])
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def algebra(self):
@@ -284,7 +363,7 @@ class RepSpace:
         the space's tol."""
         from .vn_oracle import span_basis
 
-        return span_basis(self.all_lambdas(), self.rbasis, self.tol)
+        return span_basis(chain.from_iterable(self.blocks(self.ext.elements)), self.rbasis, self.tol)
 
     @cached_property
     def diagonal(self):
@@ -292,7 +371,7 @@ class RepSpace:
         lambdas, built once at the space's tol."""
         from .vn_oracle import span_basis
 
-        return span_basis(self.diagonal_lambdas(), self.rbasis, self.tol)
+        return span_basis(chain.from_iterable(self.blocks(self.ext.phased_identities)), self.rbasis, self.tol)
 
     def expectation(self, T: np.ndarray) -> np.ndarray:
         return expectation(self.rbasis, T)
@@ -334,7 +413,7 @@ def abstract_gram_check(ext: Extension, j: Section, tol: float = DEFAULT_TOL):
     if rank != len(rbasis):
         raise InvariantViolation(f"Gram rank {rank} != |R| = {len(rbasis)}")
 
-    omega = _omega(ext.k)
+    roots = _roots(ext.k)
     col_index = {c: i for i, c in enumerate(cols)}
     max_dev = 0.0
     for v in ext.elements:
@@ -345,21 +424,21 @@ def abstract_gram_check(ext: Extension, j: Section, tol: float = DEFAULT_TOL):
             rhs = np.zeros(len(rbasis), dtype=complex)
             if (sig.bij.domain >> y) & 1:
                 b = col_index[(compose(v.bij, s), y)]
-                rhs = (omega ** sig.phase_at(y)) * U[:, b]
+                rhs = roots[sig.phase_at(y)] * U[:, b]
             max_dev = max(max_dev, float(np.abs(lhs - rhs).max()))
     if max_dev > tol:
         raise InvariantViolation(f"intertwining deviation {max_dev}")
     return {"rank": rank, "dim_R": len(rbasis), "intertwining_deviation": max_dev}
 
 
-def dump_matrix(rbasis: RBasis, k: int, T: np.ndarray) -> str:
-    """Serialize one matrix: header, then one 'row,col,re,im' line per
-    nonzero entry, rows/columns given as relation-pair indices."""
+def dump_matrix(rbasis: RBasis, k: int, lam) -> str:
+    """Serialize one monomial lambda (targets, cols, exponents), as from
+    ``RepSpace.monomial``: header, then one 'row,col,re,im' line per nonzero
+    entry in row order, rows/columns given as relation-pair indices.  Each
+    row and each column holds at most one entry."""
+    roots = _roots(k)
     lines = [f"atoms={rbasis.atom_count} k={k} dim={len(rbasis)}"]
-    dim = len(rbasis)
-    for i in range(dim):
-        for jcol in range(dim):
-            z = T[i, jcol]
-            if z != 0:
-                lines.append(f"{i},{jcol},{z.real:.17g},{z.imag:.17g}")
+    for row, col, e in sorted(zip(*lam)):
+        z = roots[e]
+        lines.append(f"{row},{col},{z.real:.17g},{z.imag:.17g}")
     return "\n".join(lines) + "\n"

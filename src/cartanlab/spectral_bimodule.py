@@ -280,8 +280,8 @@ def psi(rs: RepSpace, A, tol: float = DEFAULT_TOL) -> Bimodule:
     invariance is verified, not assumed, against the orthonormal basis of
     the diagonal: one stacked residual of every product d b per side.
     """
-    mats = [rs.lam_of(s) for s in sorted(A)]
-    basis = subspace_basis(mats, tol)
+    index = rs.ext.S.index
+    basis = subspace_basis(rs.section_stack[[index[s] for s in sorted(A)]], tol)
     dim = len(rs.rbasis)
     B = np.reshape(basis, (len(basis), dim, dim))
     D = np.reshape(rs.diagonal.basis, (-1, 1, dim, dim))
@@ -301,7 +301,7 @@ def theta(rs: RepSpace, B: Bimodule, tol: float = DEFAULT_TOL, check_gn: bool = 
     elements of B) is computed as well and must agree.
     """
     S = rs.ext.S
-    inside = _residual_norms(B.basis, np.asarray([rs.lam_of(s) for s in S])) <= tol
+    inside = _residual_norms(B.basis, rs.section_stack) <= tol
     members = frozenset(s for s, ok in zip(S, inside) if ok)
     if check_gn:
         gn = theta_gn(rs, B, tol)

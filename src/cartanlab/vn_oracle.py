@@ -15,17 +15,19 @@ Every nullspace comes from one SVD, thin whenever the system has at least as
 many rows as columns (its right factor is then already square), so no solve
 materializes the rows-by-rows left factor.  The commutant of a family is
 found by successive restriction, one SVD of at most d^2 x d^2 per member;
-the expectation checks and regularity test stacks of matrices, the lambdas
-in blocks of 64.  The pattern systems of recovery and of
-``spectral_bimodule.theta_gn`` (which elements of a span sit on the
-transport pattern of a partial bijection) are solved together, one SVD per
-stack of systems of the same shape.
-``cartan_report`` checks the Cartan pair (M, D) of one ``RepSpace``, which
-builds the lambda matrices and both spans once for every check.
+the span of the lambdas, the expectation checks and regularity read them
+in blocks of 64, so no check holds a dense lambda for every element of G.
+The pattern systems of recovery and of ``spectral_bimodule.theta_gn``
+(which elements of a span sit on the transport pattern of a partial
+bijection) are solved together, one SVD per stack of systems of the same
+shape.  ``cartan_report`` checks the Cartan pair (M, D) of one
+``RepSpace``, which builds the lambdas' columns and both spans once for
+every check.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from random import Random
 
 from ._lazy import np
@@ -145,15 +147,17 @@ class MatrixAlgebra:
 def span_basis(matrices, rbasis: RBasis, tol: float = DEFAULT_TOL) -> MatrixAlgebra:
     """Span of the given matrices with closure verification.
 
-    The span is computed by Gram-Schmidt; closure of the span under products
-    and adjoints (and membership of the identity) is verified and reported
-    in the returned flags, not enforced.
+    The span is computed by Gram-Schmidt, reading the matrices one at a
+    time, so a generator of them is never held whole; closure of the span
+    under products and adjoints (and membership of the identity) is
+    verified and reported in the returned flags, not enforced.
     """
-    mats = list(matrices)
-    if not mats:
+    mats = iter(matrices)
+    first = next(mats, None)
+    if first is None:
         raise DomainError("span_basis needs a nonempty matrix list")
-    basis = subspace_basis(mats, tol)
-    has_identity, adjoint_closed, product_closed = _algebra_checks(basis, mats[0].shape[0], tol)
+    basis = subspace_basis(chain([first], mats), tol)
+    has_identity, adjoint_closed, product_closed = _algebra_checks(basis, first.shape[0], tol)
     return MatrixAlgebra(basis, rbasis, product_closed, adjoint_closed, has_identity)
 
 
@@ -300,9 +304,9 @@ def expectation_properties(rs: RepSpace, samples: int = 100) -> ExpectationRepor
     via injectivity (rank) of x -> columns of x at the diagonal pairs on the
     span; (iv) bimodular over the diagonal subalgebra, checked on every pair
     of a basis element of D and one of M, in one stacked pass.
-    The lambda matrices and the basis of their span come from the caller's
-    ``RepSpace`` (its cache, section, ``tol`` and ``algebra``), so a report
-    that already built them builds neither again.
+    The lambdas and the basis of their span come from the caller's
+    ``RepSpace`` (its columns, section, ``tol`` and ``algebra``), so a
+    report that already built them builds neither again.
     """
     ext = rs.ext
     tol = rs.tol
@@ -313,8 +317,8 @@ def expectation_properties(rs: RepSpace, samples: int = 100) -> ExpectationRepor
     dev = 0.0
     for start in range(0, len(ext.elements), 64):
         block = ext.elements[start : start + 64]
-        diff = E(np.asarray([rs.lam(v) for v in block]))
-        diff -= np.asarray([rs.lam(delta(ext, rs.j, v)) for v in block])
+        diff = E(rs.stack(block))
+        diff -= rs.stack([delta(ext, rs.j, v) for v in block])
         dev = max(dev, float(np.abs(diff).max()))
     matches = dev <= tol
 
@@ -340,14 +344,12 @@ def expectation_properties(rs: RepSpace, samples: int = 100) -> ExpectationRepor
 
 def _normalizes(lams, D: MatrixAlgebra, tol: float) -> bool:
     """Whether lam D lam^* lies in D for every lam: one stacked residual of
-    the basis of D conjugated by each block of 64 lams (the block bounds
-    the stack at 64 dim(D) matrices; all lams at once would be |G| dim(D))."""
-    stack = np.reshape(D.basis, (-1, *lams[0].shape))
-    for start in range(0, len(lams), 64):
-        L = np.asarray(lams[start : start + 64])[:, None]
-        if not _all_within(D.basis, L @ stack @ L.conj().transpose(0, 1, 3, 2), tol):
-            return False
-    return True
+    the basis of D conjugated by each lam.  The stack holds len(lams)
+    dim(D) matrices, so ``cartan_report`` passes the lambdas in blocks of
+    64 (all of G at once would be |G| dim(D))."""
+    L = np.asarray(lams)[:, None]
+    stack = np.reshape(D.basis, (-1, *L.shape[2:]))
+    return _all_within(D.basis, L @ stack @ L.conj().transpose(0, 1, 3, 2), tol)
 
 
 def _pattern_positions(rbasis: RBasis, g: PartialBijection):
@@ -570,7 +572,7 @@ def cartan_report(ext: Extension, j: Section | None = None, tol: float = DEFAULT
     dc_dim, _ = commutant_dimension(comm, dim, tol)
     double_ok = dc_dim == M.dimension
 
-    regularity = _normalizes(rs.all_lambdas(), D, tol)
+    regularity = all(_normalizes(L, D, tol) for L in rs.blocks(ext.elements))
 
     S_prime, iso = recover_extension(M, D, ext.S, tol)
 

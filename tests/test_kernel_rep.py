@@ -203,9 +203,9 @@ def test_reproducing_property(i2):
 def test_dump_matrix_format(i2):
     ext = Extension(i2, 1)
     rs = RepSpace(ext)
-    text = dump_matrix(rs.rbasis, 1, rs.lam(ext.unit))
+    text = dump_matrix(rs.rbasis, 1, rs.monomial(ext.unit))
     lines = text.strip().split("\n")
     assert lines[0] == "atoms=2 k=1 dim=4"
     assert lines[1:] == ["0,0,1,0", "1,1,1,0", "2,2,1,0", "3,3,1,0"]
     # byte stability
-    assert text == dump_matrix(rs.rbasis, 1, rs.lam(ext.unit))
+    assert text == dump_matrix(rs.rbasis, 1, rs.monomial(ext.unit))

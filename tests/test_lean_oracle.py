@@ -26,7 +26,7 @@ import random
 import numpy as np
 import pytest
 
-from cartanlab import cli, spectral_bimodule, vn_oracle
+from cartanlab import cli, kernel_rep, spectral_bimodule, vn_oracle
 from cartanlab.errors import ClosureError, DomainError, InvariantViolation, SizeGuardError
 from cartanlab.extension import (
     Extension,
@@ -38,7 +38,7 @@ from cartanlab.extension import (
     trivial_cocycle,
 )
 from cartanlab.generators import eqrel_monoid, product_monoid, rook_monoid
-from cartanlab.kernel_rep import RBasis, RepSpace, lambda_matrix
+from cartanlab.kernel_rep import RBasis, RepSpace, _roots, dump_matrix, lambda_matrix
 from cartanlab.semigroup_core import (
     FiniteInverseMonoid,
     PartialBijection,
@@ -993,6 +993,17 @@ def test_lambda_matrices_match_object_level_reference(name):
     assert np.array_equal(lambda_matrix(rs.ext, j2, v, rs.rbasis), rs.lam(v))
 
 
+def test_blocked_lambdas_match_object_level_reference_on_twisted_rook4():
+    """Every lambda of twisted rook4 with k = 2, read from the stacks of 64
+    that the span and the checks read, equals the object-level matrix."""
+    S = rook_monoid(4)
+    rs = RepSpace(Extension(S, 2, perturbed(S, 2, 5)))
+    lams = [lam for block in rs.blocks(rs.ext.elements) for lam in block]
+    assert len(lams) == len(rs.ext.elements)
+    for v, lam in zip(rs.ext.elements, lams):
+        assert np.array_equal(lam, reference_lambda_matrix(rs.ext, rs.j, v, rs.rbasis)), v
+
+
 def test_lambda_matrix_keeps_its_errors(i2, monkeypatch):
     ext = Extension(i2, 2)
     rs = RepSpace(ext)
@@ -1012,6 +1023,103 @@ def test_lambda_matrix_keeps_its_errors(i2, monkeypatch):
     j0 = Section({s: PhasedElement(s, (0,) * s.domain.bit_count()) for s in points})
     with pytest.raises(DomainError, match="relation pair has no one-point map in S"):
         lambda_matrix(ext_no_points, j0, ext_no_points.elements[-1], RBasis.from_monoid(i2))
+
+
+def _first_error(build, elements, exc):
+    """The message of the first element whose build raises exc."""
+    for v in elements:
+        try:
+            build(v)
+        except exc as err:
+            return str(err)
+    return None
+
+
+def test_space_raises_the_errors_of_lambda_matrix(i2, monkeypatch):
+    """The columns a RepSpace builds once per element of S raise what
+    lambda_matrix raises on the first element of G that fails."""
+    ext = Extension(i2, 2)
+    rs = RepSpace(ext)
+    one_col = lambda j: lambda v: lambda_matrix(ext, j, v, rs.rbasis)
+    # a section with a lift over the wrong map
+    ident = next(s for s in i2 if s.domain == 0b11 and s.is_idempotent())
+    swap = next(v for v in ext.elements if v.bij.domain == 0b11 and not v.is_phased_identity())
+    broken = Section(dict(rs.j.values) | {ident: swap})
+    with pytest.raises(DomainError, match="not a section at") as got:
+        RepSpace(ext, broken).all_lambdas()
+    assert str(got.value) == _first_error(one_col(broken), ext.elements, DomainError)
+    # sigma must be a phased identity: a dagger that forgets to invert breaks it
+    monkeypatch.setattr(ext, "_dagger", lambda i, a: (i2.index[i2.one], [0, 0]))
+    with pytest.raises(InvariantViolation, match=r"^sigma\(.* is not a phased identity$") as got:
+        RepSpace(ext, rs.j).all_lambdas()
+    assert str(got.value) == _first_error(one_col(rs.j), ext.elements, InvariantViolation)
+    monkeypatch.undo()
+    # a monoid without its one-point maps
+    points = FiniteInverseMonoid(2, [s for s in i2 if s.domain.bit_count() != 1])
+    ext0 = Extension(points, 1)
+    j0 = Section({s: PhasedElement(s, (0,) * s.domain.bit_count()) for s in points})
+    rs0 = RepSpace(ext0, j0)
+    with pytest.raises(DomainError, match="relation pair has no one-point map in S") as got:
+        rs0.all_lambdas()
+    first = _first_error(lambda v: lambda_matrix(ext0, j0, v, rs0.rbasis), ext0.elements, DomainError)
+    assert str(got.value) == first
+
+
+def test_space_builds_columns_once_per_element_of_S(monkeypatch):
+    """Every lambda the oracle reads comes from one column pass per element
+    of S, never from lambda_matrix."""
+    S, k = LADDER["rook3_k3"]
+    rs = ladder_space("rook3_k3")
+    passes = []
+    real = kernel_rep._lambda_columns
+    monkeypatch.setattr(kernel_rep, "_lambda_columns", lambda *a: passes.append(a[4]) or real(*a))
+    monkeypatch.setattr(kernel_rep, "lambda_matrix", None)
+    rs.all_lambdas(), rs.diagonal_lambdas(), rs.section_stack, rs.algebra, rs.diagonal
+    assert sorted(passes) == list(range(len(S)))
+
+
+def test_section_stack_is_read_only(i2):
+    rs = RepSpace(Extension(i2, 2))
+    L = rs.section_stack
+    assert rs.section_stack is L and L.shape == (len(i2), 4, 4)
+    for s in i2:
+        assert np.array_equal(L[i2.index[s]], rs.lam_of(s))
+    with pytest.raises(ValueError):
+        L[0, 0, 0] = 2.0
+    with pytest.raises(ValueError):
+        L += 1
+    assert np.array_equal(L[i2.index[i2.one]], np.eye(4))
+
+
+def test_roots_match_numpy_bitwise():
+    for k in range(1, 101):
+        assert np.asarray(_roots(k)).tobytes() == (np.exp(2j * np.pi / k) ** np.arange(k)).tobytes(), k
+
+
+def reference_dump(rbasis, k, T):
+    """The dense scan: one line per nonzero entry of T in row-major order."""
+    lines = [f"atoms={rbasis.atom_count} k={k} dim={len(rbasis)}"]
+    dim = len(rbasis)
+    for i in range(dim):
+        for jcol in range(dim):
+            z = T[i, jcol]
+            if z != 0:
+                lines.append(f"{i},{jcol},{z.real:.17g},{z.imag:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(LADDER) + ["rook3_k5", "rook3_k7"])
+def test_dump_matrix_matches_dense_scan(name):
+    """The dump of each monomial lambda equals the dense scan of its matrix
+    built through the object-level sigma with numpy's roots."""
+    if name in LADDER:
+        rs = ladder_space(name)
+    else:
+        S, k = rook_monoid(3), int(name[-1])
+        rs = RepSpace(Extension(S, k, perturbed(S, k, 5)))
+    for v in rs.ext.elements:
+        dense = reference_lambda_matrix(rs.ext, rs.j, v, rs.rbasis)
+        assert dump_matrix(rs.rbasis, rs.ext.k, rs.monomial(v)) == reference_dump(rs.rbasis, rs.ext.k, dense), v
 
 
 # -- commutant by successive restriction ---------------------------------------
