@@ -32,8 +32,8 @@ _LAZY = {
     "munn_quotient natural_leq orthogonal_join partial_identity relative_complement singleton "
     "zero_map",
     "kernel_rep": "RBasis RepSpace abstract_gram_check dump_matrix expectation kernel "
-    "kernel_psd_check lambda_matrix projection_P_and_V",
-    "spectral_bimodule": "Bimodule aoi_correspondence enumerate_spectral_sets full_submonoids "
+    "kernel_psd_check lambda_matrix",
+    "spectral_bimodule": "aoi_correspondence enumerate_spectral_sets full_submonoids "
     "intermediate_algebra_check is_spectral_set join_span msd mtr psi spectral_closure theta "
     "verify_members verify_subdiagonal",
     "vn_oracle": "MatrixAlgebra cartan_report expectation_properties masa_check recover_extension "

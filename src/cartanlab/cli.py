@@ -386,7 +386,7 @@ def _cmd_spectral(doc, args):
     sample = [idx.members(idx.mask_at(pos, args.guard)) for pos in range(0, count, step)]
     rs = kernel_rep.RepSpace(ext, tol=args.tol)
     psi, theta = spectral_bimodule.psi, spectral_bimodule.theta
-    ok = all(theta(rs, psi(rs, A, args.tol), args.tol) == A for A in sample)
+    ok = all(theta(rs, psi(rs, A)) == A for A in sample)
     lines = [
         f"spectral_sets: {count}",
         f"round_trip_checked: {len(sample)}",
@@ -405,7 +405,7 @@ def _cmd_msd(doc, args, triangular=False):
     lines = [f"{'mtr' if triangular else 'msd'}_count: {len(members)}"]
     all_ok = True
     payload_members = []
-    for A, rep in zip(members, spectral_bimodule.verify_members(rs, members, guard=args.guard, tol=args.tol)):
+    for A, rep in zip(members, spectral_bimodule.verify_members(rs, members, guard=args.guard)):
         all_ok &= rep.passed
         labels = sorted(inv.get(s, repr(s)) for s in A)
         lines.append(f"member ({len(A)} elements): {'pass' if rep.passed else 'FAIL'}")
@@ -526,13 +526,14 @@ def main(argv=None) -> int:
             else:
                 code, lines, payload = _cmd_msd(doc, args, triangular=True)
 
-        for line in lines:
-            print(line)
+        # the report file first, so a reader that closes stdout early cannot lose it
         if args.out and args.command != "gen":  # gen already wrote the document there
             if args.format == "json":
                 _write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
             else:
                 _write(args.out, "\n".join(lines) + "\n")
+        for line in lines:
+            print(line)
     except CartanLabError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -546,10 +547,21 @@ def run():
     """Command-line entry (``python -m cartanlab`` and the ``cartanlab``
     script): one BLAS thread unless the caller chose otherwise.  The numeric
     matrices are small, and a second OpenBLAS thread made the first span
-    solve of a process about a second slower."""
+    solve of a process about a second slower.
+
+    A reader that closes stdout early (``| head -1``) ends the command
+    quietly with exit code 1: stdout is flushed while a broken pipe can
+    still be caught, then pointed at devnull so the flush at exit finds
+    nothing to write."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         os.environ.setdefault(var, "1")
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

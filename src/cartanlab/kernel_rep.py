@@ -4,7 +4,9 @@ matrix representation on the function space of the atom relation.
 The kernel K(t,s) = j(s^dag t ^ 1) takes idempotent values and is handled
 exactly (bitmasks).  Floats enter only here and downstream: matrices are
 complex double, phases become exact roots of unity, and every numeric rank
-or eigenvalue decision uses the module-wide default tolerance 1e-9.
+or eigenvalue decision is made at the tol of the ``RepSpace`` or the check
+that makes it (``DEFAULT_TOL``, 1e-9, unless the caller, like the command
+line's ``--tol``, gives another).
 
 Each lambda is monomial: a column holds at most one entry, a k-th root of
 unity.  Its columns are built on element ids, with the id-level product on
@@ -28,12 +30,11 @@ from itertools import chain
 
 from ._lazy import np
 from .errors import DomainError, InvariantViolation
-from .extension import Extension, Section, _check_in_P, delta, sigma
+from .extension import Extension, Section, _check_in_P, sigma
 from .semigroup_core import (
     FiniteInverseMonoid,
     PartialBijection,
     PhasedElement,
-    bits,
     compose,
     dagger,
     groupoid_relation,
@@ -46,14 +47,11 @@ __all__ = [
     "RBasis",
     "RepSpace",
     "kernel",
-    "kernel_matrix",
     "kernel_psd_check",
     "lambda_matrix",
-    "projection_P_and_V",
     "expectation",
     "abstract_gram_check",
     "dump_matrix",
-    "phased_identity_diagonal",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -150,24 +148,6 @@ def kernel_psd_check(j: Section, s_list, atom_count: int | None = None, tol: flo
     return results
 
 
-def kernel_matrix(j: Section, S: FiniteInverseMonoid) -> dict:
-    """The full idempotent-valued kernel, keyed by element pairs.
-
-    Symmetry and the diagonal identity K(s,s) = s^dag s are checked.
-    """
-    out = {}
-    for t in S:
-        for s in S:
-            out[(t, s)] = kernel(j, t, s)
-    for t in S:
-        for s in S:
-            if out[(t, s)] != out[(s, t)]:
-                raise InvariantViolation(f"kernel not symmetric at ({t}, {s})")
-        if out[(t, t)] != compose(dagger(t), t):
-            raise InvariantViolation(f"kernel diagonal wrong at {t}")
-    return out
-
-
 def _roots(k: int) -> list[complex]:
     """The k-th roots of unity w^p for p = 0..k-1, w = exp(2 pi i / k).
 
@@ -247,44 +227,6 @@ def lambda_matrix(ext: Extension, j: Section, v: PhasedElement, rbasis: RBasis |
     i, a = ext._id_row(v)
     columns = _lambda_columns(ext, j, rbasis, v, i, a)
     return _scatter([_monomial(columns, a, ext.k)], len(rbasis), ext.k)[0]
-
-
-def projection_P_and_V(ext: Extension, j: Section, tol: float = DEFAULT_TOL):
-    """The diagonal compression data: (P, V).
-
-    P projects onto the span of the diagonal pairs; V isometrically includes
-    the atom space along those pairs.  Verifies V*V = 1, VV* = P, and the
-    compression identity P lam(v) P = lam(Delta(v)) P for every v.
-    """
-    rs = RepSpace(ext, j, tol)
-    rbasis = rs.rbasis
-    dim = len(rbasis)
-    diag = rbasis.diagonal_indices()
-    P = np.zeros((dim, dim), dtype=complex)
-    P[diag, diag] = 1.0
-    V = np.zeros((dim, rbasis.atom_count), dtype=complex)
-    V[diag, range(rbasis.atom_count)] = 1.0
-    if not np.allclose(V.conj().T @ V, np.eye(rbasis.atom_count), atol=tol):
-        raise InvariantViolation("V is not an isometry")
-    if not np.allclose(V @ V.conj().T, P, atol=tol):
-        raise InvariantViolation("VV* != P")
-    for v in ext.elements:
-        lhs = P @ rs.lam(v) @ P
-        rhs = rs.lam(delta(ext, j, v)) @ P
-        if not np.allclose(lhs, rhs, atol=tol):
-            raise InvariantViolation(f"P lam(v) P != lam(Delta(v)) P at {v}")
-    return P, V
-
-
-def phased_identity_diagonal(p: PhasedElement, k: int, atom_count: int) -> np.ndarray:
-    """A member of P as a complex vector over atoms (zero off its support)."""
-    if not p.is_phased_identity():
-        raise DomainError("not a phased partial identity")
-    roots = _roots(k)
-    d = np.zeros(atom_count, dtype=complex)
-    for y in bits(p.bij.domain):
-        d[y] = roots[p.phase_at(y) % k]
-    return d
 
 
 def expectation(rbasis: RBasis, T: np.ndarray) -> np.ndarray:

@@ -27,6 +27,9 @@ tests all |S| lambdas in one stacked residual (theta_gn, its normalizer
 reading, reads its elements from one stacked pattern solve), and the
 intermediate-algebra check and the AOI correspondence test D's basis for
 containment in one.  ``verify_members`` computes psi and N once per mask.
+psi returns a ``vn_oracle.MatrixAlgebra`` built at the space's tol, and
+every numeric check here decides at that one tol, read from the
+``RepSpace`` or from the span.
 
 Closure in the matrix picture is a no-op here (every linear subspace of a
 finite matrix space is closed in all the relevant topologies), which reports
@@ -41,7 +44,7 @@ from functools import cached_property, lru_cache
 
 from ._lazy import np
 from .errors import SPECTRAL_GUARD, DomainError, InvariantViolation, SizeGuardError
-from .kernel_rep import DEFAULT_TOL, RBasis, RepSpace
+from .kernel_rep import RepSpace
 from .semigroup_core import (
     FiniteInverseMonoid,
     are_orthogonal,
@@ -61,13 +64,11 @@ from .vn_oracle import (
     _null_combinations,
     _pattern_solves,
     _residual_norms,
-    contains_matrix,
     subspace_basis,
 )
 
 __all__ = [
     "SPECTRAL_GUARD",
-    "Bimodule",
     "is_spectral_set",
     "spectral_closure",
     "join_span",
@@ -142,7 +143,7 @@ class _TraceIndex:
         for (xs, ds, rs), (xt, dt, rt) in itertools.combinations(shapes, 2):
             if not (ds & dt or rs & rt) and xs | xt not in traces:
                 raise DomainError("the monoid is not closed under orthogonal joins")
-        self._monoid_masks: dict[int, list[int]] = {}
+        self._monoid_masks: list[int] | None = None
         self.parts: dict = {}  # filled by _selfadjoint_part
 
     def members(self, X: int) -> frozenset:
@@ -217,10 +218,12 @@ class _TraceIndex:
 
     def monoid_masks(self, guard: int) -> list[int]:
         """The masks, in ``masks`` order, of the spectral monoids holding the
-        idempotents; listed once per index and guard, then kept."""
-        if guard not in self._monoid_masks:
-            self._monoid_masks[guard] = [X for X in self.masks(guard) if self.is_monoid(X)]
-        return self._monoid_masks[guard]
+        idempotents; listed once per index, then kept.  The guard is
+        checked on every call."""
+        m = self._guarded_count(guard)
+        if self._monoid_masks is None:
+            self._monoid_masks = [X for X in self.masks(m) if self.is_monoid(X)]
+        return self._monoid_masks
 
 
 @lru_cache(maxsize=1)
@@ -253,78 +256,55 @@ def enumerate_spectral_sets(S: FiniteInverseMonoid, guard: int = SPECTRAL_GUARD)
     return [idx.members(X) for X in idx.masks(guard)]
 
 
-class Bimodule:
-    """A diagonal-invariant subspace of the generated matrix algebra."""
-
-    def __init__(
-        self, basis: list, rbasis: RBasis, closure_note=CLOSURE_NOTE, left_invariant=True, right_invariant=True
-    ):
-        self.basis = basis
-        self.rbasis = rbasis
-        self.closure_note = closure_note
-        self.left_invariant = left_invariant
-        self.right_invariant = right_invariant
-
-    @property
-    def dimension(self):
-        return len(self.basis)
-
-    def contains(self, M, tol: float = DEFAULT_TOL) -> bool:
-        return contains_matrix(self.basis, M, tol)
-
-
-def psi(rs: RepSpace, A, tol: float = DEFAULT_TOL) -> Bimodule:
-    """Linear span of the represented section over a spectral set.
+def psi(rs: RepSpace, A) -> MatrixAlgebra:
+    """Linear span of the represented section over a spectral set, built at
+    the space's tol.
 
     The result is automatically invariant under both diagonal actions;
     invariance is verified, not assumed, against the orthonormal basis of
     the diagonal: one stacked residual of every product d b per side.
     """
-    index = rs.ext.S.index
+    index, tol = rs.ext.S.index, rs.tol
     basis = subspace_basis(rs.section_stack[[index[s] for s in sorted(A)]], tol)
     dim = len(rs.rbasis)
     B = np.reshape(basis, (len(basis), dim, dim))
     D = np.reshape(rs.diagonal.basis, (-1, 1, dim, dim))
-    left = _all_within(basis, D @ B, tol)
-    right = _all_within(basis, B @ D, tol)
-    if not (left and right):
+    if not (_all_within(basis, D @ B, tol) and _all_within(basis, B @ D, tol)):
         raise InvariantViolation("span of a spectral set is not diagonal-invariant")
-    return Bimodule(basis, rs.rbasis, CLOSURE_NOTE, left, right)
+    return MatrixAlgebra(basis, rs.rbasis, tol)
 
 
-def theta(rs: RepSpace, B: Bimodule, tol: float = DEFAULT_TOL, check_gn: bool = True) -> frozenset:
+def theta(rs: RepSpace, B: MatrixAlgebra) -> frozenset:
     """Elements of S whose represented section lies in the bimodule, read
-    from one stacked residual of all their lambdas.
+    from one stacked residual of all their lambdas at the space's tol.
 
-    Phase absorption makes this independent of the section; when check_gn
-    is set, the normalizer-based reading (graphs implemented by unimodular
-    elements of B) is computed as well and must agree.
+    Phase absorption makes this independent of the section; the
+    normalizer-based reading (graphs implemented by unimodular elements of
+    B) is computed as well and must agree.
     """
     S = rs.ext.S
-    inside = _residual_norms(B.basis, rs.section_stack) <= tol
+    inside = _residual_norms(B.basis, rs.section_stack) <= rs.tol
     members = frozenset(s for s, ok in zip(S, inside) if ok)
-    if check_gn:
-        gn = theta_gn(rs, B, tol)
-        if gn != members:
-            raise InvariantViolation("section-based and normalizer-based readings differ")
+    if theta_gn(rs, B) != members:
+        raise InvariantViolation("section-based and normalizer-based readings differ")
     return members
 
 
-def theta_gn(rs: RepSpace, B: Bimodule, tol: float = DEFAULT_TOL) -> frozenset:
+def theta_gn(rs: RepSpace, B: MatrixAlgebra) -> frozenset:
     """Normalizer-based reading: s is included iff B contains an element
     supported exactly on the transport pattern of s with unimodular entries.
 
     The points of the relation are tested once, in one stacked solve; the
     elements whose graphs hold only accepted points (a graph bitmask test)
     share another, of singular values only (``vn_oracle._pattern_solves``),
-    on the pattern indices kept on the space's rbasis.
+    on the pattern indices kept on the space's rbasis.  Both decide at B's
+    tol, which ``psi`` sets to the space's.
     """
     S = rs.ext.S
     n = rs.rbasis.atom_count
-    alg = MatrixAlgebra(B.basis, rs.rbasis)
-    accepted = mask_of(x * n + y for x, y in _accepted_points(alg, tol))
+    accepted = mask_of(x * n + y for x, y in _accepted_points(B))
     candidates = [s for s in S if s.domain and not s.graph & ~accepted]
-    nullity, _ = _pattern_solves(alg, candidates, tol)
+    nullity, _ = _pattern_solves(B, candidates)
     return frozenset([S.zero, *(s for s, k in zip(candidates, nullity) if k == s.domain.bit_count())])
 
 
@@ -355,26 +335,26 @@ class AoiReport:
         ]
 
 
-def intermediate_algebra_check(rs: RepSpace, T, tol: float = DEFAULT_TOL) -> Bimodule:
+def intermediate_algebra_check(rs: RepSpace, T) -> MatrixAlgebra:
     """Check that the span of one full submonoid is an intermediate algebra:
     unital, self-adjoint, product closed, containing the diagonal."""
-    B = psi(rs, T, tol)
-    checks = _algebra_checks(B.basis, len(rs.rbasis), tol)
+    B = psi(rs, T)
+    checks = _algebra_checks(B.basis, len(rs.rbasis), rs.tol)
     for ok, what in zip(checks, ("unital", "self-adjoint", "product closed")):
         if not ok:
             raise InvariantViolation(f"intermediate span is not {what}")
-    if not _holds_diagonal(rs, B, tol):
+    if not _holds_diagonal(rs, B):
         raise InvariantViolation("intermediate span does not contain the diagonal")
     return B
 
 
-def _holds_diagonal(rs: RepSpace, B: Bimodule, tol: float) -> bool:
+def _holds_diagonal(rs: RepSpace, B: MatrixAlgebra) -> bool:
     """Whether B contains the diagonal: one stacked residual of the
     orthonormal basis of D, which spans every phased identity's lambda."""
-    return _all_within(B.basis, np.asarray(rs.diagonal.basis), tol)
+    return _all_within(B.basis, np.asarray(rs.diagonal.basis), rs.tol)
 
 
-def aoi_correspondence(rs: RepSpace, guard: int = SPECTRAL_GUARD, tol: float = DEFAULT_TOL) -> AoiReport:
+def aoi_correspondence(rs: RepSpace, guard: int = SPECTRAL_GUARD) -> AoiReport:
     """Full submonoids against the algebra side, both directions.
 
     Forward: each full submonoid spans an intermediate algebra.  Backward:
@@ -386,15 +366,15 @@ def aoi_correspondence(rs: RepSpace, guard: int = SPECTRAL_GUARD, tol: float = D
     monoids = full_submonoids(S, guard)
     algebras = []
     for T in monoids:
-        B = intermediate_algebra_check(rs, T, tol)
-        if theta(rs, B, tol) != T:
+        B = intermediate_algebra_check(rs, T)
+        if theta(rs, B) != T:
             raise InvariantViolation("theta does not invert psi on a full submonoid")
         algebras.append(B)
 
     algebra_like = 0
     for A in enumerate_spectral_sets(S, guard):
-        B = psi(rs, A, tol)
-        if all(_algebra_checks(B.basis, len(rs.rbasis), tol)) and _holds_diagonal(rs, B, tol):
+        B = psi(rs, A)
+        if all(_algebra_checks(B.basis, len(rs.rbasis), rs.tol)) and _holds_diagonal(rs, B):
             algebra_like += 1
     bijective = algebra_like == len(monoids)
     return AoiReport(len(monoids), sorted(b.dimension for b in algebras), bijective)
@@ -485,23 +465,23 @@ def _bimodularity_defect(Q: np.ndarray, gens: np.ndarray, proj: np.ndarray) -> f
     return float(max(np.abs(left).max(initial=0.0), np.abs(right).max(initial=0.0)))
 
 
-def _selfadjoint_part(rs: RepSpace, idx: _TraceIndex, X: int, tol: float):
+def _selfadjoint_part(rs: RepSpace, idx: _TraceIndex, X: int):
     """psi(A(X)), the stack of its basis, the adjoints of its basis, and the
     stack of the orthonormal basis of its self-adjoint part N, for a
     spectral monoid A(X); a stack is empty, shaped (0, d, d), only at a tol
-    that drops every matrix.  Computed once per space, tol and mask, and
-    kept in ``idx.parts``."""
-    key = (rs, tol, X)
+    that drops every matrix.  Computed once per space and mask, and kept in
+    ``idx.parts``."""
+    key = (rs, X)
     if key not in idx.parts:
-        alg = psi(rs, idx.members(X), tol)
+        alg = psi(rs, idx.members(X))
         adj = [b.conj().T for b in alg.basis]
-        N = _subspace_intersection(alg.basis, adj, tol)
+        N = _subspace_intersection(alg.basis, adj, rs.tol)
         shape = (-1, len(rs.rbasis), len(rs.rbasis))
         idx.parts[key] = alg, np.reshape(alg.basis, shape), adj, np.reshape(N, shape)
     return idx.parts[key]
 
 
-def verify_subdiagonal(rs: RepSpace, A, guard: int = SPECTRAL_GUARD, tol: float = DEFAULT_TOL) -> SubdiagonalReport:
+def verify_subdiagonal(rs: RepSpace, A, guard: int = SPECTRAL_GUARD) -> SubdiagonalReport:
     """Verify that a spectral monoid spans a maximal subdiagonal algebra.
 
     The expectation onto the self-adjoint part N is realized as the
@@ -517,15 +497,15 @@ def verify_subdiagonal(rs: RepSpace, A, guard: int = SPECTRAL_GUARD, tol: float 
     the N-dimension, containment, defect and density checks.  The trace
     index of rs.ext.S is the module's kept one, so the masks are listed,
     and each mask's psi and N computed, once for every member checked.
-    The dimension of the whole algebra is the RepSpace's, computed once at
-    its tol.
+    Every decision is made at the space's tol, at which the dimension of
+    the whole algebra was computed once.
     """
-    A = frozenset(A)
+    A, tol = frozenset(A), rs.tol
     idx = _trace_index(rs.ext.S)
     trace = idx.trace_of(A)
     if idx.members(trace) != A or not idx.is_monoid(trace):
         raise DomainError("input is not a spectral monoid containing the idempotents")
-    alg, gens, adj, N = _selfadjoint_part(rs, idx, trace, tol)
+    alg, gens, adj, N = _selfadjoint_part(rs, idx, trace)
 
     dim = len(rs.rbasis)
     eye = np.eye(dim, dtype=complex)
@@ -544,7 +524,7 @@ def verify_subdiagonal(rs: RepSpace, A, guard: int = SPECTRAL_GUARD, tol: float 
     for trace2 in idx.monoid_masks(guard):
         if trace2 == trace or trace2 & trace != trace:
             continue
-        alg2, gens2, adj2, N2 = _selfadjoint_part(rs, idx, trace2, tol)
+        alg2, gens2, adj2, N2 = _selfadjoint_part(rs, idx, trace2)
         if len(N2) != n_dim:
             continue
         if _all_within(N, N2, tol):
@@ -565,8 +545,6 @@ def verify_subdiagonal(rs: RepSpace, A, guard: int = SPECTRAL_GUARD, tol: float 
     )
 
 
-def verify_members(
-    rs: RepSpace, members, guard: int = SPECTRAL_GUARD, tol: float = DEFAULT_TOL
-) -> list[SubdiagonalReport]:
+def verify_members(rs: RepSpace, members, guard: int = SPECTRAL_GUARD) -> list[SubdiagonalReport]:
     """verify_subdiagonal on each member, in order."""
-    return [verify_subdiagonal(rs, A, guard, tol) for A in members]
+    return [verify_subdiagonal(rs, A, guard) for A in members]

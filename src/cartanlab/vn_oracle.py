@@ -23,6 +23,12 @@ bijection) are solved together, one SVD per stack of systems of the same
 shape.  ``cartan_report`` checks the Cartan pair (M, D) of one
 ``RepSpace``, which builds the lambdas' columns and both spans once for
 every check.
+
+A span is a ``MatrixAlgebra`` that carries the tol it was built at, and
+every check on a span decides at that tol; M, D and every
+``spectral_bimodule.psi`` span of a ``RepSpace`` are built at the space's.
+Only ``cartan_report``, which builds its own space, and the primitives on
+raw bases and systems take tol as an argument.
 """
 
 from __future__ import annotations
@@ -125,13 +131,20 @@ def _all_within(basis, mats: np.ndarray, tol: float) -> bool:
 
 
 class MatrixAlgebra:
-    """An orthonormal spanning basis of a self-adjoint unital matrix algebra."""
+    """An orthonormal basis of a span of matrices on the relation space,
+    with the tol it was built at, which every check on the span reads.
+
+    The three algebra flags are computed by ``span_basis`` only; a span
+    built otherwise (``spectral_bimodule.psi``) leaves them None.
+    """
 
     def __init__(
-        self, basis: list, rbasis: RBasis, product_closed=True, adjoint_closed=True, has_identity=True
+        self, basis: list, rbasis: RBasis, tol: float = DEFAULT_TOL,
+        product_closed=None, adjoint_closed=None, has_identity=None,
     ):
         self.basis = basis
         self.rbasis = rbasis
+        self.tol = tol
         self.product_closed = product_closed
         self.adjoint_closed = adjoint_closed
         self.has_identity = has_identity
@@ -140,12 +153,12 @@ class MatrixAlgebra:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def contains(self, M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-        return contains_matrix(self.basis, M, tol)
+    def contains(self, M: np.ndarray) -> bool:
+        return contains_matrix(self.basis, M, self.tol)
 
 
 def span_basis(matrices, rbasis: RBasis, tol: float = DEFAULT_TOL) -> MatrixAlgebra:
-    """Span of the given matrices with closure verification.
+    """Span of the given matrices with closure verification, at tol.
 
     The span is computed by Gram-Schmidt, reading the matrices one at a
     time, so a generator of them is never held whole; closure of the span
@@ -158,7 +171,7 @@ def span_basis(matrices, rbasis: RBasis, tol: float = DEFAULT_TOL) -> MatrixAlge
         raise DomainError("span_basis needs a nonempty matrix list")
     basis = subspace_basis(chain([first], mats), tol)
     has_identity, adjoint_closed, product_closed = _algebra_checks(basis, first.shape[0], tol)
-    return MatrixAlgebra(basis, rbasis, product_closed, adjoint_closed, has_identity)
+    return MatrixAlgebra(basis, rbasis, tol, product_closed, adjoint_closed, has_identity)
 
 
 def _algebra_checks(basis, dim: int, tol: float):
@@ -200,11 +213,11 @@ def _null_combinations(A: np.ndarray, basis, tol: float) -> list[np.ndarray]:
     return subspace_basis([(cols @ c[: len(basis)]).reshape(shape) for c in null], tol)
 
 
-def relative_commutant(M: MatrixAlgebra, D: MatrixAlgebra, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """Basis of {x in span(M) : xd = dx for all d in basis(D)}."""
+def relative_commutant(M: MatrixAlgebra, D: MatrixAlgebra) -> list[np.ndarray]:
+    """Basis of {x in span(M) : xd = dx for all d in basis(D)}, at M's tol."""
     rows = [np.stack([(b @ d - d @ b).ravel() for b in M.basis], axis=1) for d in D.basis]
     A = np.vstack(rows) if rows else np.zeros((0, M.dimension))
-    return _null_combinations(A, M.basis, tol)
+    return _null_combinations(A, M.basis, M.tol)
 
 
 def commutant_dimension(basis, ambient_dim: int, tol: float = DEFAULT_TOL) -> tuple[int, list[np.ndarray]]:
@@ -234,20 +247,19 @@ class MasaReport:
 
     def to_lines(self):
         return [
-            f"dim_M: {self.dim_algebra}",
-            f"dim_D: {self.dim_subalgebra}",
             f"dim_relative_commutant: {self.dim_relative_commutant}",
             f"center_dimension: {self.center_dimension}",
             f"masa: {'pass' if self.is_masa else 'FAIL'}",
         ]
 
 
-def masa_check(M: MatrixAlgebra, D: MatrixAlgebra, tol: float = DEFAULT_TOL) -> MasaReport:
-    """D is maximal abelian in M iff its relative commutant is itself."""
-    if not _all_within(M.basis, np.asarray(D.basis), tol):
+def masa_check(M: MatrixAlgebra, D: MatrixAlgebra) -> MasaReport:
+    """D is maximal abelian in M iff its relative commutant is itself,
+    decided at M's tol."""
+    if not _all_within(M.basis, np.asarray(D.basis), M.tol):
         raise DomainError("D is not contained in M")
-    comm = relative_commutant(M, D, tol)
-    center = relative_commutant(M, M, tol)
+    comm = relative_commutant(M, D)
+    center = relative_commutant(M, M)
     return MasaReport(
         dim_algebra=M.dimension,
         dim_subalgebra=D.dimension,
@@ -342,14 +354,14 @@ def expectation_properties(rs: RepSpace, samples: int = 100) -> ExpectationRepor
     return ExpectationReport(matches, idempotent, unital, positive, faithful, bimodular, dev)
 
 
-def _normalizes(lams, D: MatrixAlgebra, tol: float) -> bool:
-    """Whether lam D lam^* lies in D for every lam: one stacked residual of
-    the basis of D conjugated by each lam.  The stack holds len(lams)
-    dim(D) matrices, so ``cartan_report`` passes the lambdas in blocks of
-    64 (all of G at once would be |G| dim(D))."""
+def _normalizes(lams, D: MatrixAlgebra) -> bool:
+    """Whether lam D lam^* lies in D for every lam, at D's tol: one stacked
+    residual of the basis of D conjugated by each lam.  The stack holds
+    len(lams) dim(D) matrices, so ``cartan_report`` passes the lambdas in
+    blocks of 64 (all of G at once would be |G| dim(D))."""
     L = np.asarray(lams)[:, None]
     stack = np.reshape(D.basis, (-1, *L.shape[2:]))
-    return _all_within(D.basis, L @ stack @ L.conj().transpose(0, 1, 3, 2), tol)
+    return _all_within(D.basis, L @ stack @ L.conj().transpose(0, 1, 3, 2), D.tol)
 
 
 def _pattern_positions(rbasis: RBasis, g: PartialBijection):
@@ -371,9 +383,9 @@ def _pattern_indices(rbasis: RBasis, g: PartialBijection) -> list[int]:
     return rbasis.patterns[g]
 
 
-def _pattern_intersection(M: MatrixAlgebra, positions, tol: float):
-    """Basis of the elements of span(M) supported exactly within positions:
-    the one-system form of ``_pattern_solves``."""
+def _pattern_intersection(M: MatrixAlgebra, positions):
+    """Basis of the elements of span(M) supported exactly within positions,
+    at M's tol: the one-system form of ``_pattern_solves``."""
     if not M.basis:
         return []
     dim = len(M.rbasis)
@@ -382,7 +394,7 @@ def _pattern_intersection(M: MatrixAlgebra, positions, tol: float):
         mask[r, c] = True
     outside = ~mask
     rows = np.stack([b[outside].ravel() for b in M.basis], axis=1)
-    return _null_combinations(rows, M.basis, tol)
+    return _null_combinations(rows, M.basis, M.tol)
 
 
 # Systems per SVD call in ``_pattern_solves``: at rook5 (d^2 = 625) and 25
@@ -390,7 +402,7 @@ def _pattern_intersection(M: MatrixAlgebra, positions, tol: float):
 _SOLVE_BLOCK = 64
 
 
-def _pattern_solves(M: MatrixAlgebra, maps, tol: float, vectors: bool = False):
+def _pattern_solves(M: MatrixAlgebra, maps, vectors: bool = False):
     """For each partial bijection g in maps, the dimension of the elements of
     span(M) supported within the transport pattern of g: the nullity of
     the system of the orthonormal basis Q of M restricted to the positions
@@ -400,13 +412,13 @@ def _pattern_solves(M: MatrixAlgebra, maps, tol: float, vectors: bool = False):
     no singular value, so each system keeps only its rows on the support
     of Q.  Systems with the same number of rows share one SVD of their
     stack, at most ``_SOLVE_BLOCK`` systems each; the rank counts the
-    singular values above tol, and only those are computed unless vectors
-    is set.  Returns (nullities, null): with vectors, null holds per map,
+    singular values above M's tol, and only those are computed unless
+    vectors is set.  Returns (nullities, null): with vectors, null holds per map,
     when its nullity is 1, the flat element of span(M) from the null
     vector, normalized (None when its norm is not above tol, and for any
     other nullity); without, every entry is None.
     """
-    b = len(M.basis)
+    b, tol = len(M.basis), M.tol
     nullity = [0] * len(maps)
     null = [None] * len(maps)
     if not b:
@@ -444,7 +456,7 @@ def _unimodular(vals, tol: float) -> bool:
     return bool(mods.min() > tol and mods.max() - mods.min() <= 1e-6 * mods.max())
 
 
-def _point_accepted(M: MatrixAlgebra, x: int, y: int, tol: float) -> bool:
+def _point_accepted(M: MatrixAlgebra, x: int, y: int) -> bool:
     """Whether the one-point map y -> x is implemented by a normalizer in M.
 
     Its pattern is a single column group, so acceptance means: the elements
@@ -455,26 +467,27 @@ def _point_accepted(M: MatrixAlgebra, x: int, y: int, tol: float) -> bool:
     """
     rbasis = M.rbasis
     positions = _pattern_positions(rbasis, singleton(rbasis.atom_count, y, x))
-    inter = _pattern_intersection(M, positions, tol)
-    return len(inter) == 1 and _unimodular([inter[0][r, c] for r, c in positions], tol)
+    inter = _pattern_intersection(M, positions)
+    return len(inter) == 1 and _unimodular([inter[0][r, c] for r, c in positions], M.tol)
 
 
-def _accepted_points(M: MatrixAlgebra, tol: float) -> set:
+def _accepted_points(M: MatrixAlgebra) -> set:
     """The relation points (x, y) whose one-point map y -> x is implemented
     by a normalizer in M (``_point_accepted``), from one stacked pattern
     solve with null vectors over every point."""
     rbasis = M.rbasis
     maps = [singleton(rbasis.atom_count, y, x) for x, y in rbasis.pairs]
-    _, null = _pattern_solves(M, maps, tol, vectors=True)
+    _, null = _pattern_solves(M, maps, vectors=True)
     return {
         p
         for p, g, v in zip(rbasis.pairs, maps, null)
-        if v is not None and _unimodular(v[_pattern_indices(rbasis, g)], tol)
+        if v is not None and _unimodular(v[_pattern_indices(rbasis, g)], M.tol)
     }
 
 
-def recover_extension(M: MatrixAlgebra, D: MatrixAlgebra, S: FiniteInverseMonoid, tol: float = DEFAULT_TOL, guard: int = RECOVER_GUARD):
-    """Recover the base monoid from the generated pair and match it to S.
+def recover_extension(M: MatrixAlgebra, D: MatrixAlgebra, S: FiniteInverseMonoid):
+    """Recover the base monoid from the generated pair and match it to S,
+    deciding at M's tol, for at most ``RECOVER_GUARD`` atoms.
 
     Candidates are the partial bijections of atoms whose graph points are
     all accepted; a candidate g survives iff span(M) contains an element
@@ -490,15 +503,15 @@ def recover_extension(M: MatrixAlgebra, D: MatrixAlgebra, S: FiniteInverseMonoid
     permutation search, deterministic first match) or None.
     """
     n = M.rbasis.atom_count
-    if n > guard:
-        raise SizeGuardError(n, guard, "atom count for recovery")
-    if not _all_within(M.basis, np.asarray(D.basis), tol):
+    if n > RECOVER_GUARD:
+        raise SizeGuardError(n, RECOVER_GUARD, "atom count for recovery")
+    if not _all_within(M.basis, np.asarray(D.basis), M.tol):
         raise DomainError("D is not contained in M")
 
-    points = _accepted_points(M, tol)
+    points = _accepted_points(M)
     allowed = [[x for x in range(n) if (x, y) in points] for y in range(n)]
     zero, *candidates = _partial_injections(n, allowed)
-    nullity, _ = _pattern_solves(M, candidates, tol)
+    nullity, _ = _pattern_solves(M, candidates)
     accepted = [zero] + [g for g, k in zip(candidates, nullity) if k == g.domain.bit_count()]
     S_prime = FiniteInverseMonoid(n, accepted)
     perm = next((p for p, _ in relabelings(S_prime, S)), None)
@@ -563,7 +576,7 @@ def cartan_report(ext: Extension, j: Section | None = None, tol: float = DEFAULT
     rbasis = rs.rbasis
     M, D = rs.algebra, rs.diagonal
 
-    masa = masa_check(M, D, tol)
+    masa = masa_check(M, D)
     exp_rep = expectation_properties(rs)
 
     # von Neumann check: the span must equal its double commutant
@@ -572,9 +585,9 @@ def cartan_report(ext: Extension, j: Section | None = None, tol: float = DEFAULT
     dc_dim, _ = commutant_dimension(comm, dim, tol)
     double_ok = dc_dim == M.dimension
 
-    regularity = all(_normalizes(L, D, tol) for L in rs.blocks(ext.elements))
+    regularity = all(_normalizes(L, D) for L in rs.blocks(ext.elements))
 
-    S_prime, iso = recover_extension(M, D, ext.S, tol)
+    S_prime, iso = recover_extension(M, D, ext.S)
 
     return CartanReport(
         dim_M=M.dimension,

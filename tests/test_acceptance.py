@@ -259,7 +259,7 @@ def test_criterion_08_recovery_independent_of_cocycle():
         rs = RepSpace(ext, tol=TOL)
         M = span_basis(rs.all_lambdas(), rs.rbasis, TOL)
         D = span_basis(rs.diagonal_lambdas(), rs.rbasis, TOL)
-        S_prime, iso = recover_extension(M, D, ext.S, tol=TOL)
+        S_prime, iso = recover_extension(M, D, ext.S)
         assert iso is not None
         recovered.setdefault(name, set()).add(
             tuple((s.domain, s.image) for s in S_prime)
@@ -274,10 +274,9 @@ def test_criterion_09_spectral_theorem():
     sets2 = enumerate_spectral_sets(i2)
     assert len(sets2) == 16
     for A in sets2:
-        assert theta(rs, psi(rs, A, TOL), TOL) == A
+        assert theta(rs, psi(rs, A)) == A
     # bimodules built directly from relation subsets: psi(theta(B)) = B
     from cartanlab.semigroup_core import singleton
-    from cartanlab.spectral_bimodule import Bimodule
 
     full = span_basis(rs.all_lambdas(), rs.rbasis, TOL)
     for r in range(len(rs.rbasis) + 1):
@@ -287,12 +286,12 @@ def test_criterion_09_spectral_theorem():
                 x, y = rs.rbasis.pairs[pi]
                 g = singleton(2, y, x)
                 vecs.extend(
-                    _pattern_intersection(full, _pattern_positions(rs.rbasis, g), TOL)
+                    _pattern_intersection(full, _pattern_positions(rs.rbasis, g))
                 )
             basis = subspace_basis(vecs, TOL)
-            B = Bimodule(basis, rs.rbasis)
-            A = theta(rs, B, TOL)
-            back = psi(rs, A, TOL)
+            B = MatrixAlgebra(basis, rs.rbasis)
+            A = theta(rs, B)
+            back = psi(rs, A)
             assert back.dimension == B.dimension
             assert all(contains_matrix(back.basis, m, TOL) for m in B.basis)
 
@@ -302,15 +301,15 @@ def test_criterion_09_spectral_theorem():
     assert len(sets3) == 512 == 2 ** len(rs3.rbasis)
     rng = random.Random(1021)
     for A in rng.sample(sets3, 50):
-        assert theta(rs3, psi(rs3, A, TOL), TOL, check_gn=False) == A
+        assert theta(rs3, psi(rs3, A)) == A
     for _ in range(8):
         A1, A2 = rng.sample(sets3, 2)
-        B1, B2 = psi(rs3, A1, TOL), psi(rs3, A2, TOL)
+        B1, B2 = psi(rs3, A1), psi(rs3, A2)
         sum_basis = subspace_basis(B1.basis + B2.basis, TOL)
-        join_module = psi(rs3, join_span(i3, A1, A2), TOL)
+        join_module = psi(rs3, join_span(i3, A1, A2))
         assert len(sum_basis) == join_module.dimension
         inter = _subspace_intersection(B1.basis, B2.basis, TOL)
-        meet_module = psi(rs3, A1 & A2, TOL)
+        meet_module = psi(rs3, A1 & A2)
         assert len(inter) == meet_module.dimension
     _report(9, "spectral sets <-> bimodules, both directions")
 
@@ -335,7 +334,7 @@ def test_criterion_11_msd_mtr():
     assert len(m) == 3 and len(t) == 2
     assert all(A in m for A in t)
     for A in m:
-        rep = verify_subdiagonal(rs, A, tol=TOL)
+        rep = verify_subdiagonal(rs, A)
         assert rep.passed, rep.to_lines()
         assert rep.max_deviation <= TOL
         assert rep.dense

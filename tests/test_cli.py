@@ -398,3 +398,42 @@ def test_nonpositive_guard_and_extra_gen_parameters_name_the_fault(tmp_path, cap
     assert main(["gen", "rook", "2", "3"]) == 2
     assert "gen rook needs exactly one parameter, got 2" in capsys.readouterr().err
     assert main(["gen", "rook", "2"]) == 0
+
+
+@pytest.mark.parametrize("command", ["section", "oracle"])
+def test_closed_stdout_ends_quietly_after_writing_the_report(tmp_path, command):
+    """A reader that closes stdout before the command prints (``| head -1``):
+    the child's stdout is a pipe whose read end is already closed, so its
+    first write fails.  The command exits 1 without a traceback, and the
+    ``--out`` report, written before the prints, equals a normal run's."""
+    target = tmp_path / "rook2.json"
+    target.write_text(bundled_rook2_text())
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "CARTANLAB_GUARD"}
+    env.update(PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "cartanlab", command, str(target), "--out"]
+    normal = subprocess.run([*argv, "normal.txt"], cwd=tmp_path, env=env, capture_output=True, timeout=120)
+    assert normal.returncode == 0 and normal.stdout, normal.stderr
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        closed = subprocess.run(
+            [*argv, "closed.txt"], cwd=tmp_path, env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=120
+        )
+    finally:
+        os.close(write_end)
+    assert closed.returncode == 1
+    assert closed.stderr == b""
+    assert (tmp_path / "closed.txt").read_text() == (tmp_path / "normal.txt").read_text()
+
+
+def test_oracle_prints_each_key_once(tmp_path, capsys):
+    """``dim_M`` and ``dim_D`` come once, first, with their expected values;
+    the MASA lines follow without repeating them."""
+    target = tmp_path / "rook2.json"
+    target.write_text(bundled_rook2_text())
+    assert main(["oracle", str(target)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    keys = [line.split(":")[0] for line in lines]
+    assert len(keys) == len(set(keys)) == 18
+    assert lines[:2] == ["dim_M: 4 (expected 4)", "dim_D: 2 (expected 2)"]

@@ -13,8 +13,6 @@ from cartanlab.kernel_rep import (
     kernel,
     kernel_psd_check,
     lambda_matrix,
-    phased_identity_diagonal,
-    projection_P_and_V,
 )
 from cartanlab.semigroup_core import compose, dagger, meet, partial_identity
 
@@ -107,24 +105,6 @@ def test_lambda_homomorphism_dagger_isometry_injective(i2):
         assert np.abs(mats[v] - mats[w]).max() > 0.5
 
 
-def test_projection_isometry_compression(i2, named2):
-    ext = Extension(i2, 2, perturbed(i2, 2, 3))
-    j = order_preserving_section(ext)
-    P, V = projection_P_and_V(ext, j)
-    assert int(round(np.real(np.trace(P)))) == 2
-    assert np.allclose(V.conj().T @ V, np.eye(2))
-    rs = RepSpace(ext, j)
-    lam_swap = rs.lam_of(named2["swap"])
-    assert np.abs(P @ lam_swap @ P).max() <= TOL
-    # V* lam(v) V realizes the diagonal part on the atom space
-    from cartanlab.extension import delta
-
-    for v in ext.elements:
-        lhs = V.conj().T @ rs.lam(v) @ V
-        rhs = np.diag(phased_identity_diagonal(delta(ext, j, v), ext.k, 2))
-        assert np.abs(lhs - rhs).max() <= TOL
-
-
 def test_expectation_behavior(i2, named2):
     ext = Extension(i2, 2)
     rs = RepSpace(ext)
@@ -159,15 +139,6 @@ def test_abstract_gram(i2):
         res = abstract_gram_check(ext, j)
         assert res["rank"] == 4
         assert res["intertwining_deviation"] <= TOL
-
-
-def test_kernel_matrix_bulk(i2):
-    from cartanlab.kernel_rep import kernel_matrix
-
-    ext = Extension(i2, 2, perturbed(i2, 2, 5))
-    j = order_preserving_section(ext)
-    K = kernel_matrix(j, i2)
-    assert len(K) == len(i2) ** 2
 
 
 def test_reproducing_property(i2):

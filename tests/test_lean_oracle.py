@@ -50,10 +50,8 @@ from cartanlab.semigroup_core import (
     singleton,
 )
 from cartanlab.spectral_bimodule import (
-    CLOSURE_NOTE,
     SPECTRAL_GUARD,
     AoiReport,
-    Bimodule,
     SubdiagonalReport,
     _subspace_intersection,
     _holds_diagonal,
@@ -148,12 +146,12 @@ def reference_projection(basis, M):
 
 def reference_theta_gn(rs, B, tol):
     rbasis = rs.rbasis
-    alg = MatrixAlgebra(B.basis, rbasis)
+    alg = MatrixAlgebra(B.basis, rbasis, tol)
 
     def implemented(s):
-        inter = _pattern_intersection(alg, _pattern_positions(rbasis, s), tol)
+        inter = _pattern_intersection(alg, _pattern_positions(rbasis, s))
         return len(inter) == s.domain.bit_count() and all(
-            _point_accepted(alg, x, y, tol) for x, y in s.pairs()
+            _point_accepted(alg, x, y) for x, y in s.pairs()
         )
 
     return frozenset(s for s in rs.ext.S if s.is_zero() or implemented(s))
@@ -179,15 +177,15 @@ def brute_force_filter(S, keep):
     ]
 
 
-def reference_accepted_points(M, tol):
+def reference_accepted_points(M):
     """One ``_point_accepted`` solve per relation point."""
-    return {(x, y) for (x, y) in M.rbasis.pairs if _point_accepted(M, x, y, tol)}
+    return {(x, y) for (x, y) in M.rbasis.pairs if _point_accepted(M, x, y)}
 
 
-def reference_recover_extension(M, D, S, tol):
+def reference_recover_extension(M, D, S):
     rbasis = M.rbasis
     n = rbasis.atom_count
-    accepted_points = reference_accepted_points(M, tol)
+    accepted_points = reference_accepted_points(M)
 
     accepted = []
     atoms = range(n)
@@ -198,7 +196,7 @@ def reference_recover_extension(M, D, S, tol):
                     continue
                 g = PartialBijection(n, mask_of(dom), tuple(image))
                 if not g.is_zero():
-                    inter = _pattern_intersection(M, _pattern_positions(rbasis, g), tol)
+                    inter = _pattern_intersection(M, _pattern_positions(rbasis, g))
                     if len(inter) != g.domain.bit_count():
                         continue
                 accepted.append(g)
@@ -236,31 +234,31 @@ def reference_subspace_intersection(basis_a, basis_b, tol):
     return subspace_basis(out, tol)
 
 
-def reference_intermediate_algebra_check(rs, T, tol):
-    B = psi(rs, T, tol)
+def reference_intermediate_algebra_check(rs, T):
+    B = psi(rs, T)
     dim = len(rs.rbasis)
-    if not B.contains(np.eye(dim, dtype=complex), tol):
+    if not B.contains(np.eye(dim, dtype=complex)):
         raise InvariantViolation("intermediate span is not unital")
     for b in B.basis:
-        if not B.contains(b.conj().T, tol):
+        if not B.contains(b.conj().T):
             raise InvariantViolation("intermediate span is not self-adjoint")
     for a in B.basis:
         for b in B.basis:
-            if not B.contains(a @ b, tol):
+            if not B.contains(a @ b):
                 raise InvariantViolation("intermediate span is not product closed")
     for p in rs.ext.phased_identities:
-        if not B.contains(rs.lam(p), tol):
+        if not B.contains(rs.lam(p)):
             raise InvariantViolation("intermediate span does not contain the diagonal")
     return B
 
 
-def reference_aoi_correspondence(rs, tol):
+def reference_aoi_correspondence(rs):
     S = rs.ext.S
     monoids = full_submonoids(S)
     algebras = []
     for T in monoids:
-        B = reference_intermediate_algebra_check(rs, T, tol)
-        if theta(rs, B, tol) != T:
+        B = reference_intermediate_algebra_check(rs, T)
+        if theta(rs, B) != T:
             raise InvariantViolation("theta does not invert psi on a full submonoid")
         algebras.append(B)
 
@@ -268,14 +266,14 @@ def reference_aoi_correspondence(rs, tol):
     eye = np.eye(dim, dtype=complex)
     algebra_like = 0
     for A in enumerate_spectral_sets(S):
-        B = psi(rs, A, tol)
-        if not B.contains(eye, tol):
+        B = psi(rs, A)
+        if not B.contains(eye):
             continue
-        if any(not B.contains(b.conj().T, tol) for b in B.basis):
+        if any(not B.contains(b.conj().T) for b in B.basis):
             continue
-        if any(not B.contains(a @ b, tol) for a in B.basis for b in B.basis):
+        if any(not B.contains(a @ b) for a in B.basis for b in B.basis):
             continue
-        if any(not B.contains(rs.lam(p), tol) for p in rs.ext.phased_identities):
+        if any(not B.contains(rs.lam(p)) for p in rs.ext.phased_identities):
             continue
         algebra_like += 1
     bijective = algebra_like == len(monoids)
@@ -290,12 +288,12 @@ def reference_psi(rs, A, tol):
     right = all(contains_matrix(basis, b @ d, tol) for d in d_basis for b in basis)
     if not (left and right):
         raise InvariantViolation("span of a spectral set is not diagonal-invariant")
-    return Bimodule(basis, rs.rbasis, CLOSURE_NOTE, left, right)
+    return MatrixAlgebra(basis, rs.rbasis, tol)
 
 
-def reference_theta(rs, B, tol):
-    members = frozenset(s for s in rs.ext.S if B.contains(rs.lam_of(s), tol))
-    if theta_gn(rs, B, tol) != members:
+def reference_theta(rs, B):
+    members = frozenset(s for s in rs.ext.S if B.contains(rs.lam_of(s)))
+    if theta_gn(rs, B) != members:
         raise InvariantViolation("section-based and normalizer-based readings differ")
     return members
 
@@ -514,7 +512,7 @@ def test_theta_gn_matches_per_element_reference(i2, i3):
         rs = RepSpace(Extension(S, k, perturbed(S, k, 9) if k > 1 else None))
         for A in sets:
             B = psi(rs, A)
-            got = theta_gn(rs, B, TOL)
+            got = theta_gn(rs, B)
             assert got == reference_theta_gn(rs, B, TOL)
             assert got == A
 
@@ -647,8 +645,8 @@ def _pair(S, k, seed):
 )
 def test_recover_extension_matches_reference(S, k):
     _, M, D = _pair(S, k, 4)
-    S_prime, perm = recover_extension(M, D, S, TOL)
-    ref_S_prime, ref_perm = reference_recover_extension(M, D, S, TOL)
+    S_prime, perm = recover_extension(M, D, S)
+    ref_S_prime, ref_perm = reference_recover_extension(M, D, S)
     assert S_prime == ref_S_prime and len(S_prime) == len(S)
     assert perm == ref_perm is not None
 
@@ -660,9 +658,9 @@ def test_recovered_set_not_closed_raises_with_its_witness(i3):
     transports = [rs.lam_of(singleton(3, 0, 1)), rs.lam_of(singleton(3, 1, 2))]
     M = MatrixAlgebra(subspace_basis(rs.diagonal_lambdas() + transports), rs.rbasis)
     with pytest.raises(InvariantViolation) as ref:
-        reference_recover_extension(M, D, i3, TOL)
+        reference_recover_extension(M, D, i3)
     with pytest.raises(InvariantViolation) as got:
-        recover_extension(M, D, i3, TOL)
+        recover_extension(M, D, i3)
     assert str(got.value) == str(ref.value)
     assert "recovered set is not closed" in str(got.value)
 
@@ -701,7 +699,7 @@ def test_subspace_intersection_matches_reference(i3):
 def test_aoi_correspondence_matches_reference(S, k):
     rs = RepSpace(Extension(S, k, perturbed(S, k, 2) if k > 1 else None))
     got = aoi_correspondence(rs)
-    assert got == reference_aoi_correspondence(rs, TOL)
+    assert got == reference_aoi_correspondence(rs)
     assert got.bijective
 
 
@@ -749,7 +747,7 @@ def test_stacked_psi_and_theta_match_pair_references(S, k, step, _):
         B, ref = psi(rs, A), reference_psi(rs, A, TOL)
         assert len(B.basis) == len(ref.basis)
         assert all(np.array_equal(b, r) for b, r in zip(B.basis, ref.basis))
-        assert theta(rs, B) == reference_theta(rs, ref, TOL) == A
+        assert theta(rs, B) == reference_theta(rs, ref) == A
 
 
 @pytest.mark.parametrize("S, k, _, ref_step", STACKED_CASES, ids=STACKED_IDS)
@@ -798,21 +796,21 @@ def reference_algebra_checks(basis, dim, tol):
     yield all(contains_matrix(basis, a @ b, tol) for a in basis for b in basis)
 
 
-def reference_regularity(lams, D, tol):
+def reference_regularity(lams, D):
     for lam in lams:
         for d in D.basis:
-            if not D.contains(lam @ d @ lam.conj().T, tol):
+            if not D.contains(lam @ d @ lam.conj().T):
                 return False
     return True
 
 
-def reference_holds_diagonal(rs, B, tol):
-    return all(B.contains(rs.lam(p), tol) for p in rs.ext.phased_identities)
+def reference_holds_diagonal(rs, B):
+    return all(B.contains(rs.lam(p)) for p in rs.ext.phased_identities)
 
 
-def reference_masa_containment(M, D, tol):
+def reference_masa_containment(M, D):
     for d in D.basis:
-        if not M.contains(d, tol):
+        if not M.contains(d):
             raise DomainError("D is not contained in M")
 
 
@@ -832,14 +830,14 @@ def test_family_checks_match_per_matrix_references(S, k, step, _):
     dim = len(rs.rbasis)
     assert rs.algebra is M and rs.diagonal is D and (M.dimension, D.dimension) == (dim, S.atom_count)
     assert _flags(M.basis, dim) == _flags(D.basis, dim) == (True, True, True)
-    assert _normalizes(rs.all_lambdas(), D, TOL) and reference_regularity(rs.all_lambdas(), D, TOL)
+    assert _normalizes(rs.all_lambdas(), D) and reference_regularity(rs.all_lambdas(), D)
     assert masa_check(M, D).is_masa
     seen = set()
     for A in enumerate_spectral_sets(S)[::step] + full_submonoids(S):
         B = psi(rs, A)
         flags = _flags(B.basis, dim)
-        holds = _holds_diagonal(rs, B, TOL)
-        assert holds == reference_holds_diagonal(rs, B, TOL)
+        holds = _holds_diagonal(rs, B)
+        assert holds == reference_holds_diagonal(rs, B)
         seen.add(flags + (holds,))
     assert (True, True, True, True) in seen and len(seen) > 1
 
@@ -864,9 +862,9 @@ def test_family_checks_fail_on_spans_built_to_fail_each(i3):
         "diagonal": (True, True, True, False),
     }
     for name, mats in spans.items():
-        B = Bimodule(subspace_basis(mats), rs.rbasis)
-        holds = _holds_diagonal(rs, B, TOL)
-        assert holds == reference_holds_diagonal(rs, B, TOL)
+        B = MatrixAlgebra(subspace_basis(mats), rs.rbasis)
+        holds = _holds_diagonal(rs, B)
+        assert holds == reference_holds_diagonal(rs, B)
         assert _flags(B.basis, len(rs.rbasis)) + (holds,) == expected[name], name
     assert _flags([], len(rs.rbasis)) == (False, True, True)
 
@@ -875,15 +873,15 @@ def test_family_checks_fail_on_spans_built_to_fail_each(i3):
     # a unitary that is not monomial: it does not normalize the diagonal
     mixing = (rs.lam_of(PartialBijection(3, 0b111, (0, 1, 2))) + rs.lam_of(PartialBijection(3, 0b111, (1, 0, 2)))) / np.sqrt(2)
     for lams, alg in ((rs.all_lambdas(), one_atom), (rs.all_lambdas() + [mixing], D)):
-        assert not _normalizes(lams, alg, TOL)
-        assert not reference_regularity(lams, alg, TOL)
+        assert not _normalizes(lams, alg)
+        assert not reference_regularity(lams, alg)
 
     not_M = MatrixAlgebra(subspace_basis(spans["product"]), rs.rbasis)
     for check in (masa_check, reference_masa_containment):
         with pytest.raises(DomainError, match="D is not contained in M"):
-            check(not_M, D, TOL)
+            check(not_M, D)
     with pytest.raises(DomainError, match="D is not contained in M"):
-        recover_extension(not_M, D, i3, TOL)
+        recover_extension(not_M, D, i3)
 
 
 @pytest.mark.parametrize(
@@ -943,7 +941,7 @@ def test_spectral_command_samples_the_enumerated_sets(name, tmp_path, monkeypatc
     ref = sets if len(sets) <= 64 else sets[:: len(sets) // 64]
     sampled = []
     real_psi = spectral_bimodule.psi
-    monkeypatch.setattr(spectral_bimodule, "psi", lambda rs, A, tol: sampled.append(A) or real_psi(rs, A, tol))
+    monkeypatch.setattr(spectral_bimodule, "psi", lambda rs, A: sampled.append(A) or real_psi(rs, A))
     assert cli.main(["spectral", str(path)]) == 0
     assert sampled == ref
     out = capsys.readouterr().out
@@ -1260,8 +1258,8 @@ def test_regularity_matches_pair_reference(i3):
     lams = rs.all_lambdas()
     D_bad = span_basis([lams[-1], lams[0]], rs.rbasis)
     for D in (rs.diagonal, D_bad):
-        assert _normalizes(lams, D, TOL) == reference_normalizes(lams, D, TOL)
-    assert _normalizes(lams, rs.diagonal, TOL) and not _normalizes(lams, D_bad, TOL)
+        assert _normalizes(lams, D) == reference_normalizes(lams, D, TOL)
+    assert _normalizes(lams, rs.diagonal) and not _normalizes(lams, D_bad)
 
 
 # -- spectral sampling by unranking --------------------------------------------
@@ -1352,7 +1350,7 @@ def _pattern_cases():
         rs = ladder_space(name)
         out += [(f"{name}_M", rs.algebra), (f"{name}_D", rs.diagonal)]
         for A in enumerate_spectral_sets(rs.ext.S, SPECTRAL_GUARD)[3::97][:4]:
-            out.append((f"{name}_psi", MatrixAlgebra(psi(rs, A).basis, rs.rbasis)))
+            out.append((f"{name}_psi", psi(rs, A)))
     rs = ladder_space("rook3_k3")
     transports = [rs.lam_of(singleton(3, 0, 1)), rs.lam_of(singleton(3, 1, 2))]
     out.append(("rook3_partial", MatrixAlgebra(subspace_basis(rs.diagonal_lambdas() + transports), rs.rbasis)))
@@ -1365,11 +1363,11 @@ def test_pattern_solves_match_one_system_forms(block, monkeypatch):
     monkeypatch.setattr(vn_oracle, "_SOLVE_BLOCK", block)
     for name, M in _pattern_cases():
         maps = [g for g in _partial_injections_of(M.rbasis) if not g.is_zero()]
-        nullity, null = vn_oracle._pattern_solves(M, maps, TOL)
+        nullity, null = vn_oracle._pattern_solves(M, maps)
         assert null == [None] * len(maps)
-        ref = [len(_pattern_intersection(M, _pattern_positions(M.rbasis, g), TOL)) for g in maps]
+        ref = [len(_pattern_intersection(M, _pattern_positions(M.rbasis, g))) for g in maps]
         assert list(nullity) == ref, name
-        assert _accepted_points(M, TOL) == reference_accepted_points(M, TOL), name
+        assert _accepted_points(M) == reference_accepted_points(M), name
 
 
 def _partial_injections_of(rbasis):
@@ -1384,10 +1382,10 @@ def test_point_null_vectors_are_the_one_system_intersections():
     M = rs.algebra
     n = rs.rbasis.atom_count
     maps = [singleton(n, y, x) for x, y in rs.rbasis.pairs]
-    nullity, null = vn_oracle._pattern_solves(M, maps, TOL, vectors=True)
+    nullity, null = vn_oracle._pattern_solves(M, maps, vectors=True)
     assert list(nullity) == [1] * len(maps)
     for g, v in zip(maps, null):
-        (ref,) = _pattern_intersection(M, _pattern_positions(rs.rbasis, g), TOL)
+        (ref,) = _pattern_intersection(M, _pattern_positions(rs.rbasis, g))
         # equal up to a unimodular factor
         phase = np.vdot(ref.ravel(), v)
         assert abs(abs(phase) - 1) < 1e-12 and np.allclose(v, phase * ref.ravel(), atol=1e-12)
@@ -1396,11 +1394,11 @@ def test_point_null_vectors_are_the_one_system_intersections():
 def test_pattern_indices_are_built_once_per_rbasis(i3):
     rs = RepSpace(Extension(i3, 1))
     B = psi(rs, i3.elements)
-    theta_gn(rs, B, TOL)
+    theta_gn(rs, B)
     built = dict(rs.rbasis.patterns)
     assert len(built) == len(i3) - 1  # every nonzero element; the points are its one-point maps
-    theta_gn(rs, B, TOL)
-    recover_extension(rs.algebra, rs.diagonal, i3, TOL)
+    theta_gn(rs, B)
+    recover_extension(rs.algebra, rs.diagonal, i3)
     assert all(rs.rbasis.patterns[g] is built[g] for g in built)
     for g, inside in built.items():
         d = len(rs.rbasis)

@@ -237,11 +237,11 @@ EXPORTS = {
     "point_cocycle_table sigma trivial_cocycle validate_cocycle validate_section",
     "generators": "eqrel_monoid product_monoid rook_monoid",
     "kernel_rep": "RBasis RepSpace abstract_gram_check dump_matrix expectation kernel kernel_psd_check "
-    "lambda_matrix projection_P_and_V",
+    "lambda_matrix",
     "semigroup_core": "FiniteInverseMonoid PartialBijection PhasedElement classify compose dagger identity_map "
     "leech_idempotent meet meet_complement munn_quotient natural_leq orthogonal_join partial_identity "
     "relative_complement singleton zero_map",
-    "spectral_bimodule": "Bimodule aoi_correspondence enumerate_spectral_sets full_submonoids "
+    "spectral_bimodule": "aoi_correspondence enumerate_spectral_sets full_submonoids "
     "intermediate_algebra_check is_spectral_set join_span msd mtr psi spectral_closure theta verify_members "
     "verify_subdiagonal",
     "vn_oracle": "MatrixAlgebra cartan_report expectation_properties masa_check recover_extension span_basis",
@@ -268,7 +268,7 @@ for module, names in exports.items():
 print(json.dumps([loaded, bad]))
 """
     loaded, bad = json.loads(_python(code, json.dumps(EXPORTS)))
-    assert bad == [] and sum(len(names.split()) for names in EXPORTS.values()) == 81
+    assert bad == [] and sum(len(names.split()) for names in EXPORTS.values()) == 79
     assert loaded == []
 
 
@@ -597,3 +597,67 @@ def test_graph_key_scan_sees_every_form(tmp_path):
     assert graph_keyed_builds(tmp_path) == ["g.py:2", "g.py:3", "g.py:4", "g.py:5", "g.py:6", "g.py:9"]
     (tmp_path / "s.py").write_text("def f(n):\n    return singleton(n, 0, 1), core.singleton(n, 1, 0), n.singletons\n")
     assert call_sites(tmp_path, _is_singleton_call) == ["s.py:2", "s.py:2"]
+
+
+# The objects that own the tolerance of a numeric decision.
+TOL_OWNERS = ("RepSpace", "MatrixAlgebra")
+
+
+def _annotated_class(node) -> str | None:
+    """The class an annotation names: ``C``, ``module.C`` or the string ``"C"``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value.rpartition(".")[2]
+    return None
+
+
+def tol_beside_owner(path: Path) -> list[str]:
+    """Functions that take a ``RepSpace`` or ``MatrixAlgebra`` (a parameter
+    annotated with either, or the ``self`` of their methods) and a ``tol``
+    parameter too, as ``file:line``.  A constructor sets the tol its object
+    carries, so ``__init__`` is left out."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    owner = {fn: cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for fn in cls.body}
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, functions) or fn.name == "__init__":
+            continue
+        params = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+        takes = {_annotated_class(p.annotation) for p in params}
+        if params and params[0].arg == "self":
+            takes.add(owner.get(fn))
+        if takes & set(TOL_OWNERS) and any(p.arg == "tol" for p in params):
+            found.append(fn.lineno)
+    return [f"{path.name}:{line}" for line in sorted(found)]
+
+
+def test_checks_on_a_space_or_span_read_its_tol():
+    """A check on a ``RepSpace`` or a span decides at the tol that object
+    was built at: no such function takes its own ``tol`` as well."""
+    assert [site for name in NUMERIC[1:] for site in tol_beside_owner(SRC / f"{name}.py")] == []
+
+
+def test_tol_scan_sees_every_form(tmp_path):
+    path = tmp_path / "t.py"
+    path.write_text(
+        "class MatrixAlgebra:\n"
+        "    def __init__(self, basis, tol):\n"
+        "        self.tol = tol\n"
+        "    def contains(self, M, tol):\n"
+        "        return M\n"
+        "def psi(rs: RepSpace, A, tol: float = 1e-9):\n"
+        "    return A\n"
+        "def theta(rs: 'kernel_rep.RepSpace', B, *, tol):\n"
+        "    return B\n"
+        "def check(M: vn_oracle.MatrixAlgebra, D, tol):\n"
+        "    return M\n"
+        "def span_basis(matrices, rbasis: RBasis, tol):\n"
+        "    return matrices\n"
+        "def masa_check(M: MatrixAlgebra, D: MatrixAlgebra):\n"
+        "    return M.tol\n"
+    )
+    assert tol_beside_owner(path) == ["t.py:4", "t.py:6", "t.py:8", "t.py:10"]

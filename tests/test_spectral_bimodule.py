@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import cartanlab.spectral_bimodule as spectral_module
-from cartanlab.errors import DomainError
+from cartanlab.errors import DomainError, SizeGuardError
 from cartanlab.extension import Extension
 from cartanlab.generators import eqrel_monoid, rook_monoid
 from cartanlab.kernel_rep import RepSpace
@@ -20,6 +20,7 @@ from cartanlab.semigroup_core import (
 )
 from cartanlab.spectral_bimodule import (
     SubdiagonalReport,
+    _TraceIndex,
     _subspace_intersection,
     aoi_correspondence,
     enumerate_spectral_sets,
@@ -111,7 +112,7 @@ def test_theta_section_independent(i2):
     rs2 = RepSpace(ext, Section(other_values))
     for A in enumerate_spectral_sets(i2):
         B = psi(rs, A)
-        assert theta(rs2, B, check_gn=False) == A
+        assert theta(rs2, B) == A
 
 
 def test_theta_psi_samples_rook3(i3):
@@ -318,3 +319,16 @@ def test_non_atomistic_monoid_is_rejected():
             call(S)
     with pytest.raises(DomainError):
         spectral_closure(S, [S.one])
+
+
+def test_monoid_masks_listed_once_and_guarded_on_every_call(i3):
+    """rook3 has 9 minimal elements: the list does not depend on the guard,
+    so every guard that admits them returns the one kept list, and a guard
+    below 9 still raises after the list is kept."""
+    idx = _TraceIndex(i3)
+    assert len(idx.minimals) == 9
+    first = idx.monoid_masks(25)
+    assert idx.monoid_masks(9) is first
+    with pytest.raises(SizeGuardError):
+        idx.monoid_masks(8)
+    assert idx.monoid_masks(25) is first
