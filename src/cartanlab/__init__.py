@@ -19,18 +19,16 @@ from importlib import import_module as _import_module
 __version__ = "0.1.0"
 
 _LAZY = {
-    "boolean_monoid": "AxiomReport beta check_axioms chop",
+    "boolean_monoid": "AxiomReport check_axioms chop",
     "errors": "CartanLabError ClosureError DomainError FormatError InvariantViolation "
     "OrthogonalityError SizeGuardError StructuralError",
-    "extension": "CocycleTable Extension Section cohomologous coboundary_table delta "
-    "extensions_equivalent g_meet g_natural_leq is_trivial_cocycle lausch_alpha "
-    "order_preserving_section point_coboundary_table point_cocycle_table sigma trivial_cocycle "
+    "extension": "CocycleTable Extension Section cohomologous delta extensions_equivalent "
+    "lausch_alpha order_preserving_section point_coboundary_table point_cocycle_table sigma "
     "validate_cocycle validate_section",
     "generators": "eqrel_monoid product_monoid rook_monoid",
     "semigroup_core": "FiniteInverseMonoid GroupoidRelation PartialBijection PhasedElement "
-    "classify compose dagger groupoid_relation identity_map leech_idempotent meet meet_complement "
-    "munn_quotient natural_leq orthogonal_join partial_identity relative_complement singleton "
-    "zero_map",
+    "classify compose dagger groupoid_relation identity_map meet meet_complement natural_leq "
+    "orthogonal_join partial_identity singleton zero_map",
     "kernel_rep": "RBasis RepSpace abstract_gram_check dump_matrix expectation kernel "
     "kernel_psd_check lambda_matrix",
     "spectral_bimodule": "aoi_correspondence enumerate_spectral_sets full_submonoids "

@@ -1,5 +1,6 @@
-"""Boolean/complete/Cartan axiom verification, Stone duality at finite scale,
-the character action and the chop partition refinement.  The atom relation
+"""Boolean/complete/Cartan axiom verification, Stone duality at finite scale
+(the rebase onto the lattice atoms of E(S)) and the chop partition
+refinement.  The atom relation
 (``groupoid_relation``) is defined in ``semigroup_core``, which the numeric
 half imports without this module, and is re-exported here.
 
@@ -15,15 +16,13 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import DomainError, InvariantViolation
+from .errors import DomainError
 from .semigroup_core import (
     FiniteInverseMonoid,
     GroupoidRelation,
     PartialBijection,
     bits,
     classify,
-    compose,
-    dagger,
     groupoid_relation,
     mask_of,
     meet,
@@ -37,7 +36,6 @@ __all__ = [
     "AxiomReport",
     "GroupoidRelation",
     "check_axioms",
-    "beta",
     "chop",
     "groupoid_relation",
     "idempotent_atoms",
@@ -61,11 +59,7 @@ def rebase_to_idempotent_atoms(S: FiniteInverseMonoid):
     by conjugation.  Returns (S', block_supports) where block_supports[i] is
     the raw-atom bitmask of new atom i.  Requires E(S) to be Boolean.
     """
-    return _rebased(S, idempotent_atoms(S))
-
-
-def _rebased(S: FiniteInverseMonoid, blocks: list):
-    """``rebase_to_idempotent_atoms`` onto the given idempotent atoms."""
+    blocks = idempotent_atoms(S)
     supports = [e.domain for e in blocks]
     union = 0
     for m in supports:
@@ -123,10 +117,7 @@ class CheckItem:
 class AxiomReport:
     """Witness-carrying pass/fail record for the Boolean monoid axioms."""
 
-    def __init__(
-        self, boolean_a, boolean_b, boolean_c, locally_complete, complete_d,
-        fundamental, cartan, rebased, block_supports,
-    ):
+    def __init__(self, boolean_a, boolean_b, boolean_c, locally_complete, complete_d, fundamental, cartan):
         self.boolean_a = boolean_a
         self.boolean_b = boolean_b
         self.boolean_c = boolean_c
@@ -134,8 +125,6 @@ class AxiomReport:
         self.complete_d = complete_d
         self.fundamental = fundamental
         self.cartan = cartan
-        self.rebased = rebased
-        self.block_supports = block_supports
 
     @property
     def passed(self) -> bool:
@@ -236,10 +225,6 @@ def check_axioms(S: FiniteInverseMonoid) -> AxiomReport:
 
     atoms = idempotent_atoms(S)
     a = _boolean_algebra_item(S, atoms)
-    rebased = None
-    supports = []
-    if a and len(atoms) != S.atom_count:
-        rebased, supports = _rebased(S, atoms)
 
     b_witness, c_witness = _meet_and_join_witnesses(S)
     b = CheckItem(b_witness is None, witness=b_witness)
@@ -261,44 +246,7 @@ def check_axioms(S: FiniteInverseMonoid) -> AxiomReport:
         complete_d=d,
         fundamental=report_cls.fundamental,
         cartan=cartan,
-        rebased=rebased,
-        block_supports=supports,
     )
-
-
-def beta(S: FiniteInverseMonoid, s: PartialBijection) -> PartialBijection:
-    """The partial map on characters induced by e -> s^dag e s.
-
-    Characters of E(S) are evaluations at atoms; the induced map sends the
-    character at x to the character at s(x), so in the canonical realization
-    beta(s) = s, which is checked.
-    """
-    idem = S.idempotents()
-    if len(idem) != 1 << S.atom_count:
-        raise DomainError(
-            "beta needs the canonical realization (E(S) = power set); rebase first"
-        )
-
-    def char(x):
-        return tuple(1 if (e.domain >> x) & 1 else 0 for e in idem)
-
-    atom_chars = {char(x): x for x in range(S.atom_count)}
-    dom = 0
-    image = []
-    src_mask = compose(dagger(s), s).domain
-    for x in bits(src_mask):
-        moved = tuple(
-            1 if (compose(compose(dagger(s), e), s).domain >> x) & 1 else 0
-            for e in idem
-        )
-        if moved not in atom_chars:
-            raise InvariantViolation(f"character image of atom {x} is not an atom")
-        dom |= 1 << x
-        image.append(atom_chars[moved])
-    result = PartialBijection(S.atom_count, dom, tuple(image))
-    if result != s:
-        raise InvariantViolation(f"character action gives {result}, not the element {s}")
-    return result
 
 
 def chop(inputs) -> list[PartialBijection]:

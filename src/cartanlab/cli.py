@@ -18,7 +18,7 @@ import os
 import sys
 
 from ._lazy import _lazy_import
-from .errors import SPECTRAL_GUARD, CartanLabError, ClosureError, FormatError, SizeGuardError
+from .errors import SPECTRAL_GUARD, CartanLabError, ClosureError, FormatError, InvariantViolation, SizeGuardError
 from .extension import (
     EQUIV_GUARD,
     CocycleTable,
@@ -383,16 +383,29 @@ def _cmd_spectral(doc, args):
     idx = spectral_bimodule._trace_index(S)
     count = idx.full + 1
     step = 1 if count <= 64 else count // 64
-    sample = [idx.members(idx.mask_at(pos, args.guard)) for pos in range(0, count, step)]
+    positions = range(0, count, step)
+    sample = [idx.members(idx.mask_at(pos, args.guard)) for pos in positions]
     rs = kernel_rep.RepSpace(ext, tol=args.tol)
     psi, theta = spectral_bimodule.psi, spectral_bimodule.theta
-    ok = all(theta(rs, psi(rs, A)) == A for A in sample)
+    witness = None
+    for pos, A in zip(positions, sample):
+        try:
+            if theta(rs, psi(rs, A)) != A:
+                witness = f"spectral set {pos}: theta(psi(A)) != A"
+        except InvariantViolation as exc:  # a tol past the matrices' norms splits the two readings
+            witness = f"spectral set {pos}: {exc}"
+        if witness:
+            break
+    ok = witness is None
     lines = [
         f"spectral_sets: {count}",
         f"round_trip_checked: {len(sample)}",
         f"round_trip: {'pass' if ok else 'FAIL'}",
     ]
     payload = {"count": count, "round_trip": ok, "checked": len(sample)}
+    if witness:
+        lines.append(f"  witness: {witness}")
+        payload["witness"] = witness
     return (0 if ok else 1), lines, payload
 
 

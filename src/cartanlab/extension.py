@@ -4,7 +4,9 @@ the section cocycle alpha, the phase correction sigma, the diagonal part
 Delta, and the cohomology/equivalence decision procedures.
 
 Phases are exponents of a fixed primitive k-th root of unity and all phase
-arithmetic is exact integer arithmetic mod k.
+arithmetic is exact integer arithmetic mod k.  sigma, alpha and Delta are
+formed on element ids from the section's dense phase rows (``_sigma``),
+the form in which ``kernel_rep`` builds the columns of every lambda.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from .semigroup_core import (
     bits,
     compose,
     mask_of,
-    meet,
-    natural_leq,
     relabelings,
     with_zero_phases,
 )
@@ -30,20 +30,15 @@ __all__ = [
     "CocycleTable",
     "Extension",
     "Section",
-    "trivial_cocycle",
-    "coboundary_table",
     "point_coboundary_table",
     "point_cocycle_table",
     "validate_cocycle",
-    "g_natural_leq",
-    "g_meet",
     "order_preserving_section",
     "validate_section",
     "lausch_alpha",
     "sigma",
     "delta",
     "cohomologous",
-    "is_trivial_cocycle",
     "extensions_equivalent",
     "EQUIV_GUARD",
 ]
@@ -121,46 +116,6 @@ def _phase_rows(S: FiniteInverseMonoid, c: CocycleTable | None) -> list[list[lis
             row.append(_dense(n, dom, arr) if any(arr) else zero)
         rows.append(row)
     return rows
-
-
-def trivial_cocycle(S: FiniteInverseMonoid, k: int) -> CocycleTable:
-    """Zero arrays on every pair with a nonempty product.
-
-    |dom(st)| = |dom(s) & range(t)|, so no product is formed and S need not
-    be closed.
-    """
-    ranges = [t.range_mask for t in S]
-    entries = {}
-    for s in S:
-        for t, rng in zip(S, ranges):
-            width = (s.domain & rng).bit_count()
-            if width:
-                entries[(s, t)] = (0,) * width
-    return CocycleTable(k, entries)
-
-
-def coboundary_table(S: FiniteInverseMonoid, k: int, base: CocycleTable | None, b: dict) -> CocycleTable:
-    """Perturb ``base`` (None: the zero table) by the coboundary of
-    b : S -> phase arrays.
-
-    b[s] is aligned with the domain atoms of s; idempotents must carry zero
-    arrays.  The new entry is base(s,t) + b(s) o t + b(t) - b(st).
-    """
-    n, els, mul, img = S.atom_count, S.elements, S.mul, S.images
-    rows = _phase_rows(S, base)
-    bd = [_dense(n, s.domain, b[s]) for s in els]
-    entries = {}
-    for i, s in enumerate(els):
-        for j, t in enumerate(els):
-            st = mul[i][j]
-            dom = els[st].domain
-            if not dom:
-                continue
-            c, bs, bt, bst, tj = rows[i][j], bd[i], bd[j], bd[st], img[j]
-            entries[(s, t)] = tuple(
-                (c[y] + bs[tj[y]] + bt[y] - bst[y]) % k for y in bits(dom)
-            )
-    return CocycleTable(k, entries)
 
 
 def point_coboundary_table(S: FiniteInverseMonoid, k: int, b_points: dict) -> CocycleTable:
@@ -377,11 +332,14 @@ class Extension:
             p[z] = (-a[back[z]] - c[z]) % k
         return sd, p
 
-    def _id_row(self, v: PhasedElement) -> tuple[int, list[int]]:
-        i = self.S.index.get(v.bij)
+    def _id(self, s: PartialBijection) -> int:
+        i = self.S.index.get(s)
         if i is None:
-            raise DomainError(f"{v.bij} is not an element of the monoid")
-        return i, _dense(self.S.atom_count, v.bij.domain, v.phases)
+            raise DomainError(f"{s} is not an element of the monoid")
+        return i
+
+    def _id_row(self, v: PhasedElement) -> tuple[int, list[int]]:
+        return self._id(v.bij), _dense(self.S.atom_count, v.bij.domain, v.phases)
 
     def _phased(self, i: int, p: list[int]) -> PhasedElement:
         return PhasedElement(self.S.elements[i], tuple(p[y] for y in self.S.domain_atoms[i]))
@@ -394,23 +352,6 @@ class Extension:
 
     def __repr__(self):
         return f"Extension(|S|={len(self.S)}, k={self.k})"
-
-
-def g_natural_leq(v: PhasedElement, w: PhasedElement) -> bool:
-    """v <= w in the extension: v is a restriction of w with matching phases."""
-    if not natural_leq(v.bij, w.bij):
-        return False
-    return all(v.phase_at(y) == w.phase_at(y) for y in bits(v.bij.domain))
-
-
-def g_meet(v: PhasedElement, w: PhasedElement) -> PhasedElement:
-    """Greatest lower bound: restriction to bijection-and-phase agreement."""
-    mask = 0
-    for x, y in v.bij.pairs():
-        if (w.bij.domain >> y) & 1 and w.bij.apply(y) == x and v.phase_at(y) == w.phase_at(y):
-            mask |= 1 << y
-    bij = v.bij.restrict(mask)
-    return PhasedElement(bij, tuple(v.phase_at(y) for y in bits(mask)))
 
 
 class Section:
@@ -661,31 +602,41 @@ def _section_loops(ext: Extension, rows: list) -> SectionReport:
     return SectionReport(True, cond_a, cond_b, cond_c, witnesses)
 
 
-def _check_in_P(out: PhasedElement, name: str, args: tuple):
-    if not out.is_phased_identity():
-        raise InvariantViolation(f"{name}{args} = {out} is not a phased identity")
+def _sigma(ext: Extension, rows: list, i: int, a: list[int], t: int) -> tuple[int, list[int]]:
+    """sigma((e_i, a), e_t) = j(e_i e_t)^dag (e_i, a) j(e_t) on element ids,
+    with ``rows`` the section's dense phase rows: the id and phase row of a
+    phased identity (InvariantViolation otherwise, naming v and s)."""
+    vt, p = ext._product(i, a, t, rows[t])
+    sig, phase = ext._product(*ext._dagger(vt, rows[vt]), vt, p)
+    if not ext.S.elements[sig].is_idempotent():
+        v, s = ext._phased(i, a), ext.S.elements[t]
+        raise InvariantViolation(f"sigma{(v, s)} = {ext._phased(sig, phase)} is not a phased identity")
+    return sig, phase
 
 
 def lausch_alpha(ext: Extension, j: Section, s: PartialBijection, t: PartialBijection) -> PhasedElement:
     """alpha(s,t) = j(st)^dag j(s) j(t) = sigma(j(s), t); the section
     cocycle, valued in P."""
-    return sigma(ext, j, j[s], t)
+    rows, i = j.dense_rows(ext.S), ext._id(s)
+    return ext._phased(*_sigma(ext, rows, i, rows[i], ext._id(t)))
 
 
 def sigma(ext: Extension, j: Section, v: PhasedElement, s: PartialBijection) -> PhasedElement:
     """sigma(v,s) = j(q(v)s)^dag v j(s); the phase correction, valued in P."""
-    qvs = compose(v.bij, s)
-    out = ext.multiply(ext.dagger(j[qvs]), ext.multiply(v, j[s]))
-    _check_in_P(out, "sigma", (v, s))
-    return out
+    return ext._phased(*_sigma(ext, j.dense_rows(ext.S), *ext._id_row(v), ext._id(s)))
 
 
 def delta(ext: Extension, j: Section, v: PhasedElement) -> PhasedElement:
-    """Delta(v) = v j(q(v) ^ 1); the diagonal part of v, valued in P."""
-    fix = meet(v.bij, ext.S.one)
-    out = ext.multiply(v, j[fix])
-    _check_in_P(out, "Delta", (v,))
-    return out
+    """Delta(v) = v j(q(v) ^ 1); the diagonal part of v, valued in P.
+
+    q(v) ^ 1 is the partial identity on the fixed points of q(v), whose
+    graph is graph(q(v)) & graph(1); v times it is v restricted to those
+    points, a phased identity."""
+    S = ext.S
+    f = S.id_of_graph.get(v.bij.graph & S.one.graph)
+    if f is None:
+        raise DomainError(f"the meet of {v.bij} and 1 is not an element of the monoid")
+    return ext._phased(*ext._product(*ext._id_row(v), f, j.dense_rows(S)[f]))
 
 
 def cohomologous(S: FiniteInverseMonoid, k: int, c1: CocycleTable | None, c2: CocycleTable | None):
@@ -756,10 +707,6 @@ def _coboundary_witness(S: FiniteInverseMonoid, k: int, singles: dict, rows1: li
     if any(b_pts[(x, y)] for x, y in pts if x == y):
         return None
     return {s: tuple(b[y] for y in ys) for s, b, ys in zip(els, bd, atoms)}
-
-
-def is_trivial_cocycle(S: FiniteInverseMonoid, k: int, c: CocycleTable | None):
-    return cohomologous(S, k, None, c)
 
 
 def extensions_equivalent(ext1: Extension, ext2: Extension, guard: int = EQUIV_GUARD):

@@ -30,7 +30,7 @@ from itertools import chain
 
 from ._lazy import np
 from .errors import DomainError, InvariantViolation
-from .extension import Extension, Section, _check_in_P, sigma
+from .extension import Extension, Section, _sigma, sigma
 from .semigroup_core import (
     FiniteInverseMonoid,
     PartialBijection,
@@ -160,7 +160,7 @@ def _roots(k: int) -> list[complex]:
     return [w**p for p in range(k)]
 
 
-def _lambda_columns(ext: Extension, j: Section, rbasis: RBasis, v: PhasedElement, i: int, a: list[int]):
+def _lambda_columns(ext: Extension, j: Section, rbasis: RBasis, i: int, a: list[int]):
     """The columns of lambda((e_i, 0)), for v = (e_i, a): (targets, cols,
     base, xs), one entry per column (x, y) with x in dom(e_i), in column
     order.  Column (x, y) maps to row (e_i(x), y) with phase sigma(v, y->x)
@@ -168,9 +168,9 @@ def _lambda_columns(ext: Extension, j: Section, rbasis: RBasis, v: PhasedElement
     reads a, and that product adds a(x) at y.
 
     Needs the one-point maps of the relation to be elements of S (downward
-    closure; DomainError otherwise).  sigma(v, t) = j(q(v)t)^dag v j(t) is
-    formed on element ids and must be a phased identity (InvariantViolation
-    otherwise, as from ``sigma``, naming v).
+    closure; DomainError otherwise).  sigma is ``extension._sigma`` on
+    element ids, which raises InvariantViolation, naming v, when it is not
+    a phased identity.
     """
     S, n, k = ext.S, rbasis.atom_count, ext.k
     rows = j.dense_rows(S)
@@ -182,10 +182,7 @@ def _lambda_columns(ext: Extension, j: Section, rbasis: RBasis, v: PhasedElement
         t = S.id_of_graph.get(1 << (x * n + y))  # the one-point map y -> x
         if t is None:
             raise DomainError("relation pair has no one-point map in S")
-        vt, p = ext._product(i, a, t, rows[t])
-        sig, phase = ext._product(*ext._dagger(vt, rows[vt]), vt, p)
-        if not S.elements[sig].is_idempotent():
-            _check_in_P(ext._phased(sig, phase), "sigma", (v, S.elements[t]))
+        _, phase = _sigma(ext, rows, i, a, t)
         targets.append(rbasis.index[(img[x], y)])
         cols.append(col)
         base.append((phase[y] - a[x]) % k)
@@ -225,7 +222,7 @@ def lambda_matrix(ext: Extension, j: Section, v: PhasedElement, rbasis: RBasis |
     if rbasis is None:
         rbasis = RBasis.from_monoid(ext.S)
     i, a = ext._id_row(v)
-    columns = _lambda_columns(ext, j, rbasis, v, i, a)
+    columns = _lambda_columns(ext, j, rbasis, i, a)
     return _scatter([_monomial(columns, a, ext.k)], len(rbasis), ext.k)[0]
 
 
@@ -268,7 +265,7 @@ class RepSpace:
         cols[c] sits in row targets[c] and is w^exponents[c]."""
         i, a = self.ext._id_row(v)
         if i not in self._columns:
-            self._columns[i] = _lambda_columns(self.ext, self.j, self.rbasis, v, i, a)
+            self._columns[i] = _lambda_columns(self.ext, self.j, self.rbasis, i, a)
         return _monomial(self._columns[i], a, self.ext.k)
 
     def stack(self, vs) -> np.ndarray:
@@ -285,12 +282,6 @@ class RepSpace:
 
     def lam_of(self, s: PartialBijection) -> np.ndarray:
         return self.lam(self.j[s])
-
-    def all_lambdas(self):
-        return list(self.stack(self.ext.elements))
-
-    def diagonal_lambdas(self):
-        return list(self.stack(self.ext.phased_identities))
 
     @cached_property
     def section_stack(self) -> np.ndarray:

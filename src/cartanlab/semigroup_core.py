@@ -38,13 +38,10 @@ __all__ = [
     "relabelings",
     "natural_leq",
     "meet",
-    "leech_idempotent",
     "orthogonal_join",
-    "relative_complement",
     "meet_complement",
     "are_orthogonal",
     "classify",
-    "munn_quotient",
     "groupoid_relation",
     "bits",
     "mask_of",
@@ -139,12 +136,6 @@ class PartialBijection:
         rank = (self.domain & ((1 << atom) - 1)).bit_count()
         return self.image[rank]
 
-    def inverse_apply(self, atom: int) -> int:
-        for x, y in self.pairs():
-            if x == atom:
-                return y
-        raise DomainError(f"atom {atom} not in range")
-
     def is_idempotent(self) -> bool:
         return all(x == y for x, y in self.pairs())
 
@@ -238,17 +229,11 @@ def _agreement_mask(s: PartialBijection, t: PartialBijection) -> int:
     return mask
 
 
-def leech_idempotent(s: PartialBijection, t: PartialBijection) -> PartialBijection:
-    """The fixed-point idempotent s^dag t ^ 1 defining the meet of s and t."""
-    _check_same_atoms(s, t)
-    return partial_identity(s.n, _agreement_mask(s, t))
-
-
 def meet(s: PartialBijection, t: PartialBijection) -> PartialBijection:
     """Greatest lower bound: restriction to the agreement set of s and t.
 
-    With f = leech_idempotent(s, t) this is s.f = t.f, and
-    (s^t)^dag (s^t) = f.
+    With f the partial identity on the agreement set (the fixed-point
+    idempotent s^dag t ^ 1) this is s.f = t.f, and (s^t)^dag (s^t) = f.
     """
     _check_same_atoms(s, t)
     return s.restrict(_agreement_mask(s, t))
@@ -274,22 +259,12 @@ def orthogonal_join(family) -> PartialBijection:
     return PartialBijection(n, dom, tuple(x for _, x in pairs))
 
 
-def relative_complement(s: PartialBijection, t: PartialBijection) -> PartialBijection:
-    """s restricted to dom(s) \\ dom(t), i.e. s.(s^dag s ^ not(t^dag t)).
-
-    Note (s\\t) v (s^t) = s only holds when s and t agree on their common
-    domain (in particular when t <= s); callers that need a complement of
-    the meet itself should use meet_complement.
-    """
-    _check_same_atoms(s, t)
-    return s.restrict(s.domain & ~t.domain)
-
-
 def meet_complement(s: PartialBijection, t: PartialBijection) -> PartialBijection:
     """s with the agreement set of s and t removed.
 
-    Unlike relative_complement this always satisfies
-    (s minus t) v (s ^ t) = s with the two parts orthogonal.
+    This always satisfies (s minus t) v (s ^ t) = s with the two parts
+    orthogonal; removing all of dom(t) instead would drop the points where
+    s and t disagree.
     """
     _check_same_atoms(s, t)
     return s.restrict(s.domain & ~_agreement_mask(s, t))
@@ -539,58 +514,6 @@ def classify(S: FiniteInverseMonoid) -> ClassificationReport:
         clifford=clifford,
         added_constants=list(S.added),
     )
-
-
-def munn_quotient(G, product, g_dagger):
-    """Quotient a closed list of PhasedElement by the Munn congruence.
-
-    ``product`` and ``g_dagger`` are the (twisted) multiplication and inverse
-    of the ambient extension; they are injected so this module stays free of
-    cocycle arithmetic.  Each v is sent to the partial bijection of atoms it
-    induces by conjugation on the atom idempotents e_x -> v e_x v^dag, which
-    realizes the maximal idempotent-separating quotient as a fundamental
-    monoid of partial bijections.
-
-    Returns (S, q) with q a dict from members of G to elements of S.
-    """
-    members = list(G)
-    if not members:
-        raise DomainError("empty element list")
-    n = members[0].bij.n
-    lookup = set(members)
-    atom_idems = [with_zero_phases(partial_identity(n, 1 << x)) for x in range(n)]
-
-    for v in members:
-        if g_dagger(v) not in lookup:
-            raise ClosureError((v, "dagger"))
-
-    q = {}
-    for v in members:
-        dom = 0
-        image = []
-        for x in range(n):
-            w = product(product(v, atom_idems[x]), g_dagger(v))
-            if w not in lookup:
-                raise ClosureError((v, atom_idems[x]))
-            if w.is_zero():
-                continue
-            if not w.is_phased_identity() or any(p for p in w.phases):
-                raise ClosureError((v, x), "conjugate of an idempotent is not idempotent")
-            dom |= 1 << x
-            image.append(next(iter(w.bij.pairs()))[0])
-        q[v] = PartialBijection(n, dom, tuple(image))
-
-    S = FiniteInverseMonoid(n, set(q.values()))
-    # q must be idempotent separating: the fiber over E(S) is exactly the
-    # phased partial identities, and on those q only forgets phases.
-    idem_images = {q[v] for v in members if v.is_phased_identity()}
-    expected = set(S.idempotents()) - set(S.added)
-    if idem_images != expected:
-        raise ClosureError(idem_images ^ expected, "idempotent fibers are inconsistent")
-    for v in members:
-        if q[v].is_idempotent() and not v.is_phased_identity():
-            raise ClosureError(v, "non-identity element maps to an idempotent")
-    return S, q
 
 
 class GroupoidRelation:

@@ -255,7 +255,7 @@ class MasaReport:
 
 def masa_check(M: MatrixAlgebra, D: MatrixAlgebra) -> MasaReport:
     """D is maximal abelian in M iff its relative commutant is itself,
-    decided at M's tol."""
+    decided at M's tol.  A MASA holds the unit, so an empty D is none."""
     if not _all_within(M.basis, np.asarray(D.basis), M.tol):
         raise DomainError("D is not contained in M")
     comm = relative_commutant(M, D)
@@ -265,7 +265,7 @@ def masa_check(M: MatrixAlgebra, D: MatrixAlgebra) -> MasaReport:
         dim_subalgebra=D.dimension,
         dim_relative_commutant=len(comm),
         center_dimension=len(center),
-        is_masa=len(comm) == D.dimension,
+        is_masa=D.dimension > 0 and len(comm) == D.dimension,
     )
 
 
@@ -318,7 +318,9 @@ def expectation_properties(rs: RepSpace, samples: int = 100) -> ExpectationRepor
     of a basis element of D and one of M, in one stacked pass.
     The lambdas and the basis of their span come from the caller's
     ``RepSpace`` (its columns, section, ``tol`` and ``algebra``), so a
-    report that already built them builds neither again.
+    report that already built them builds neither again.  On an empty M or
+    D every flag is False: the expectation onto an empty span decides
+    nothing.
     """
     ext = rs.ext
     tol = rs.tol
@@ -351,7 +353,10 @@ def expectation_properties(rs: RepSpace, samples: int = 100) -> ExpectationRepor
     Dl, EM = np.reshape(rs.diagonal.basis, (-1, 1, dim, dim)), E(M)
     bimodular = bool((np.abs(E(Dl @ M) - Dl @ EM) <= tol).all() and (np.abs(E(M @ Dl) - EM @ Dl) <= tol).all())
 
-    return ExpectationReport(matches, idempotent, unital, positive, faithful, bimodular, dev)
+    flags = (matches, idempotent, unital, positive, faithful, bimodular)
+    if not (rs.algebra.dimension and rs.diagonal.dimension):
+        flags = (False,) * len(flags)
+    return ExpectationReport(*flags, dev)
 
 
 def _normalizes(lams, D: MatrixAlgebra) -> bool:
@@ -585,7 +590,9 @@ def cartan_report(ext: Extension, j: Section | None = None, tol: float = DEFAULT
     dc_dim, _ = commutant_dimension(comm, dim, tol)
     double_ok = dc_dim == M.dimension
 
-    regularity = all(_normalizes(L, D) for L in rs.blocks(ext.elements))
+    # a check over an empty span passes vacuously, so an empty M or D fails it
+    spans = M.dimension > 0 and D.dimension > 0
+    regularity = spans and all(_normalizes(L, D) for L in rs.blocks(ext.elements))
 
     S_prime, iso = recover_extension(M, D, ext.S)
 
@@ -600,6 +607,6 @@ def cartan_report(ext: Extension, j: Section | None = None, tol: float = DEFAULT
         regularity_ok=regularity,
         recovered_size=len(S_prime),
         recovery_iso=iso,
-        closure_flags=(M.product_closed, M.adjoint_closed, M.has_identity,
+        closure_flags=(spans, M.product_closed, M.adjoint_closed, M.has_identity,
                        D.product_closed, D.adjoint_closed),
     )

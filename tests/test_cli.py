@@ -16,8 +16,9 @@ from cartanlab.cli import (
     parse,
 )
 from cartanlab.errors import FormatError, SizeGuardError
-from cartanlab.extension import trivial_cocycle
 from cartanlab.semigroup_core import PartialBijection, singleton
+
+from exact_reference import trivial_cocycle
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -326,7 +327,9 @@ def test_malformed_invocations_exit_two_without_traceback(tmp_path, argv, env):
 )
 def test_large_tol_ends_in_a_verdict_without_traceback(tmp_path, command, shape, tol):
     """At a tol past the matrices' norms the spans come out empty; the run
-    ends in a FAIL verdict (exit 1) or an input error (exit 2)."""
+    ends in a FAIL verdict (exit 1) or an input error (exit 2).  The
+    document is well formed, so ``spectral`` ends in its verdict, with the
+    round trip that failed as the witness."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = {k: v for k, v in os.environ.items() if k != "CARTANLAB_GUARD"}
     env.update(PYTHONPATH=str(src))
@@ -338,6 +341,20 @@ def test_large_tol_ends_in_a_verdict_without_traceback(tmp_path, command, shape,
     assert proc.returncode in (1, 2), (proc.stdout, proc.stderr)
     assert "Traceback" not in proc.stderr
     assert "FAIL" in proc.stdout or "input error" in proc.stderr
+    if command == "spectral":
+        assert proc.returncode == 1 and proc.stderr == ""
+        assert "round_trip: FAIL\n  witness: spectral set " in proc.stdout
+
+
+def test_oracle_on_empty_spans_passes_no_check(tmp_path, capsys):
+    """At --tol 10 every span of rook2 is empty, and a check over an empty
+    span has nothing to decide: no line of the report reads pass."""
+    target = tmp_path / "rook2.json"
+    target.write_text(emit(generate("rook", 2)))
+    assert main(["oracle", str(target), "--tol", "10"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "dim_M: 0 (expected 4)" in lines and "dim_D: 0 (expected 2)" in lines
+    assert [line for line in lines if line.endswith("pass")] == []
 
 
 def test_spectral_guard_error_counts_minimal_elements(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cartanlab.extension as extension_module
 
 from cartanlab.errors import DomainError, FormatError
 from cartanlab.extension import (
@@ -9,22 +13,17 @@ from cartanlab.extension import (
     Extension,
     Section,
     cohomologous,
-    coboundary_table,
     delta,
     extensions_equivalent,
-    g_meet,
-    g_natural_leq,
-    is_trivial_cocycle,
     lausch_alpha,
     order_preserving_section,
     point_coboundary_table,
     point_cocycle_table,
     sigma,
-    trivial_cocycle,
     validate_cocycle,
     validate_section,
 )
-from cartanlab.generators import rook_monoid
+from cartanlab.generators import eqrel_monoid, product_monoid, rook_monoid
 from cartanlab.semigroup_core import (
     PhasedElement,
     compose,
@@ -32,6 +31,15 @@ from cartanlab.semigroup_core import (
     meet,
     natural_leq,
     with_zero_phases,
+)
+
+from exact_reference import (
+    coboundary_table,
+    element_delta,
+    element_sigma,
+    g_meet,
+    g_natural_leq,
+    trivial_cocycle,
 )
 
 
@@ -286,7 +294,7 @@ def test_all_valid_cocycles_on_rook2_are_coboundaries(i2):
         table = CocycleTable(2, entries)
         rep = validate_cocycle(i2, 2, table)
         if rep.passed:
-            witness = is_trivial_cocycle(i2, 2, table)
+            witness = cohomologous(i2, 2, None, table)
             assert witness is not None, "valid table must be a coboundary"
             valid.add(freeze(table))
 
@@ -339,3 +347,67 @@ def test_extensions_equivalent_trivial_vs_perturbed(i2):
 def test_extensions_not_equivalent_size(i2, i3):
     assert extensions_equivalent(Extension(i2, 1), Extension(i3, 1)) is None
     assert extensions_equivalent(Extension(i2, 1), Extension(i2, 2)) is None
+
+
+SIGMA_LADDER = {
+    "rook2": lambda: (rook_monoid(2), 2, False),
+    "rook3": lambda: (rook_monoid(3), 2, False),
+    "eqrel_01_23": lambda: (eqrel_monoid([(0, 1), (2, 3)]), 2, False),
+    "product_rook2_rook2": lambda: (product_monoid(rook_monoid(2), rook_monoid(2)), 2, False),
+    "rook3_twisted_k3": lambda: (rook_monoid(3), 3, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIGMA_LADDER))
+def test_id_level_sigma_alpha_delta_match_element_level_reference(name, monkeypatch):
+    """sigma on every (v, s) in G x S, alpha on every (s, t) in S x S and
+    Delta on every v equal the element-level references (compose or meet,
+    then the extension's multiply and dagger), and form no composition."""
+    S, k, twisted = SIGMA_LADDER[name]()
+    ext = Extension(S, k, random_coboundary(S, k, 3) if twisted else None)
+    j = order_preserving_section(ext)
+    ref_sigma = {(v, s): element_sigma(ext, j, v, s) for v in ext.elements for s in S}
+    ref_delta = {v: element_delta(ext, j, v) for v in ext.elements}
+
+    def forbidden(*args):
+        raise AssertionError("compose called")
+
+    monkeypatch.setattr(extension_module, "compose", forbidden)
+    for v in ext.elements:
+        assert delta(ext, j, v) == ref_delta[v], v
+        for s in S:
+            assert sigma(ext, j, v, s) == ref_sigma[(v, s)], (v, s)
+    for s in S:
+        for t in S:
+            assert lausch_alpha(ext, j, s, t) == ref_sigma[(j[s], t)], (s, t)
+
+
+@st.composite
+def twisted_eqrel(draw):
+    """An eqrel monoid on at most 5 atoms, in blocks of at most 3 (so |S|
+    is at most 34 * 7 = 238), a phase order k and a random point
+    coboundary table on it."""
+    n = draw(st.integers(1, 5))
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(draw(st.integers(1, min(3, n - sum(sizes)))))
+    atoms = draw(st.permutations(range(n)))
+    cuts = list(itertools.accumulate(sizes, initial=0))
+    S = eqrel_monoid([tuple(sorted(atoms[a:b])) for a, b in zip(cuts, cuts[1:])])
+    k = draw(st.integers(2, 3))
+    pts = offdiag_points(S)
+    phases = draw(st.lists(st.integers(0, k - 1), min_size=len(pts), max_size=len(pts)))
+    return S, k, point_coboundary_table(S, k, dict(zip(pts, phases)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(twisted_eqrel())
+def test_point_coboundaries_are_trivial_and_equivalent(case):
+    """cohomologous finds a witness for a point coboundary, the coboundary of
+    that witness is the table again, and the twisted extension is
+    equivalent to the untwisted one."""
+    S, k, table = case
+    witness = cohomologous(S, k, None, table)
+    assert witness is not None
+    assert coboundary_table(S, k, None, witness).entries == table.entries
+    assert extensions_equivalent(Extension(S, k), Extension(S, k, table), guard=len(S)) is not None

@@ -12,7 +12,7 @@ residual or projection per condition replaced, the per-matrix closure,
 regularity and phased-identity containment loops that one stacked residual
 per family replaced, the coboundary path of point_coboundary_table, the
 spectral command's sample of the full spectral-set list, the per-column
-lambda_matrix through the object-level sigma, the commutant as one stacked
+lambda_matrix through the element-level sigma, the commutant as one stacked
 Kronecker system, the sequential expectation loops, and the per-lambda
 regularity check, the one-system pattern solves per point and per element
 that one stacked solve replaced, the modified Gram-Schmidt that CGS2
@@ -31,11 +31,8 @@ from cartanlab.errors import ClosureError, DomainError, InvariantViolation, Size
 from cartanlab.extension import (
     Extension,
     Section,
-    coboundary_table,
     delta,
     point_coboundary_table,
-    sigma,
-    trivial_cocycle,
 )
 from cartanlab.generators import eqrel_monoid, product_monoid, rook_monoid
 from cartanlab.kernel_rep import RBasis, RepSpace, _roots, dump_matrix, lambda_matrix
@@ -86,6 +83,8 @@ from cartanlab.vn_oracle import (
     span_basis,
     subspace_basis,
 )
+
+from exact_reference import coboundary_table, element_sigma, trivial_cocycle
 
 TOL = 1e-9
 
@@ -431,7 +430,7 @@ def test_nullspace_ranks_of_the_named_shapes():
 )
 def test_kronecker_system_equals_loop_reference(S, k):
     rs = RepSpace(Extension(S, k, perturbed(S, k, 3) if k > 1 else None))
-    M = span_basis(rs.all_lambdas(), rs.rbasis)
+    M = span_basis(rs.stack(rs.ext.elements), rs.rbasis)
     dim = len(rs.rbasis)
     system = commutant_system(M.basis, dim)
     assert system.shape == (len(M.basis) * dim * dim, dim * dim)
@@ -477,7 +476,7 @@ def test_projection_and_membership_match_loop_reference(i3):
     rs = RepSpace(Extension(i3, 2, perturbed(i3, 2, 8)))
     rng = np.random.default_rng(1)
     sets = enumerate_spectral_sets(i3)
-    lams = rs.all_lambdas()
+    lams = list(rs.stack(rs.ext.elements))
     for A in sets[::37]:
         B = psi(rs, A)
         probes = [lams[i] for i in rng.choice(len(lams), 12, replace=False)]
@@ -628,7 +627,7 @@ def test_subdiagonal_deviation_matches_loop_reference(i3):
 
 def _pair(S, k, seed):
     rs = RepSpace(Extension(S, k, perturbed(S, k, seed) if k > 1 else None))
-    return rs, span_basis(rs.all_lambdas(), rs.rbasis), span_basis(rs.diagonal_lambdas(), rs.rbasis)
+    return rs, span_basis(rs.stack(rs.ext.elements), rs.rbasis), span_basis(rs.stack(rs.ext.phased_identities), rs.rbasis)
 
 
 @pytest.mark.parametrize(
@@ -656,7 +655,7 @@ def test_recovered_set_not_closed_raises_with_its_witness(i3):
     recovered set lacks their daggers and their product 0 -> 2."""
     rs, _, D = _pair(i3, 1, 0)
     transports = [rs.lam_of(singleton(3, 0, 1)), rs.lam_of(singleton(3, 1, 2))]
-    M = MatrixAlgebra(subspace_basis(rs.diagonal_lambdas() + transports), rs.rbasis)
+    M = MatrixAlgebra(subspace_basis(list(rs.stack(rs.ext.phased_identities)) + transports), rs.rbasis)
     with pytest.raises(InvariantViolation) as ref:
         reference_recover_extension(M, D, i3)
     with pytest.raises(InvariantViolation) as got:
@@ -724,7 +723,7 @@ def _space(S, k):
 def test_stacked_residuals_match_contains_matrix_loop(i3):
     rs = _space(i3, 2)
     basis = psi(rs, enumerate_spectral_sets(i3)[100]).basis
-    lams = rs.all_lambdas()
+    lams = list(rs.stack(rs.ext.elements))
     # a unit matrix orthogonal to the span, then probes at tol(1 -+ 1e-3) off it
     off = next(M for M in lams if not contains_matrix(basis, M, TOL))
     off = off - _hs_projection(basis, off)
@@ -830,7 +829,7 @@ def test_family_checks_match_per_matrix_references(S, k, step, _):
     dim = len(rs.rbasis)
     assert rs.algebra is M and rs.diagonal is D and (M.dimension, D.dimension) == (dim, S.atom_count)
     assert _flags(M.basis, dim) == _flags(D.basis, dim) == (True, True, True)
-    assert _normalizes(rs.all_lambdas(), D) and reference_regularity(rs.all_lambdas(), D)
+    assert _normalizes(list(rs.stack(rs.ext.elements)), D) and reference_regularity(list(rs.stack(rs.ext.elements)), D)
     assert masa_check(M, D).is_masa
     seen = set()
     for A in enumerate_spectral_sets(S)[::step] + full_submonoids(S):
@@ -872,7 +871,7 @@ def test_family_checks_fail_on_spans_built_to_fail_each(i3):
     one_atom = MatrixAlgebra(subspace_basis([rs.lam_of(PartialBijection(3, 0b001, (0,)))]), rs.rbasis)
     # a unitary that is not monomial: it does not normalize the diagonal
     mixing = (rs.lam_of(PartialBijection(3, 0b111, (0, 1, 2))) + rs.lam_of(PartialBijection(3, 0b111, (1, 0, 2)))) / np.sqrt(2)
-    for lams, alg in ((rs.all_lambdas(), one_atom), (rs.all_lambdas() + [mixing], D)):
+    for lams, alg in ((list(rs.stack(rs.ext.elements)), one_atom), (list(rs.stack(rs.ext.elements)) + [mixing], D)):
         assert not _normalizes(lams, alg)
         assert not reference_regularity(lams, alg)
 
@@ -952,7 +951,7 @@ def test_spectral_command_samples_the_enumerated_sets(name, tmp_path, monkeypatc
 
 
 def reference_lambda_matrix(ext, j, v, rbasis):
-    """The per-column construction through the object-level sigma."""
+    """The per-column construction through the element-level sigma."""
     dim = len(rbasis)
     out = np.zeros((dim, dim), dtype=complex)
     omega = np.exp(2j * np.pi / ext.k)
@@ -962,7 +961,7 @@ def reference_lambda_matrix(ext, j, v, rbasis):
         s_xy = singleton(rbasis.atom_count, y, x)
         if s_xy not in ext.S:
             raise DomainError("relation pair has no one-point map in S")
-        out[rbasis.index[(v.bij.apply(x), y)], col] = omega ** sigma(ext, j, v, s_xy).phase_at(y)
+        out[rbasis.index[(v.bij.apply(x), y)], col] = omega ** element_sigma(ext, j, v, s_xy).phase_at(y)
     return out
 
 
@@ -1044,12 +1043,12 @@ def test_space_raises_the_errors_of_lambda_matrix(i2, monkeypatch):
     swap = next(v for v in ext.elements if v.bij.domain == 0b11 and not v.is_phased_identity())
     broken = Section(dict(rs.j.values) | {ident: swap})
     with pytest.raises(DomainError, match="not a section at") as got:
-        RepSpace(ext, broken).all_lambdas()
+        RepSpace(ext, broken).stack(ext.elements)
     assert str(got.value) == _first_error(one_col(broken), ext.elements, DomainError)
     # sigma must be a phased identity: a dagger that forgets to invert breaks it
     monkeypatch.setattr(ext, "_dagger", lambda i, a: (i2.index[i2.one], [0, 0]))
     with pytest.raises(InvariantViolation, match=r"^sigma\(.* is not a phased identity$") as got:
-        RepSpace(ext, rs.j).all_lambdas()
+        RepSpace(ext, rs.j).stack(ext.elements)
     assert str(got.value) == _first_error(one_col(rs.j), ext.elements, InvariantViolation)
     monkeypatch.undo()
     # a monoid without its one-point maps
@@ -1058,7 +1057,7 @@ def test_space_raises_the_errors_of_lambda_matrix(i2, monkeypatch):
     j0 = Section({s: PhasedElement(s, (0,) * s.domain.bit_count()) for s in points})
     rs0 = RepSpace(ext0, j0)
     with pytest.raises(DomainError, match="relation pair has no one-point map in S") as got:
-        rs0.all_lambdas()
+        rs0.stack(ext0.elements)
     first = _first_error(lambda v: lambda_matrix(ext0, j0, v, rs0.rbasis), ext0.elements, DomainError)
     assert str(got.value) == first
 
@@ -1070,9 +1069,9 @@ def test_space_builds_columns_once_per_element_of_S(monkeypatch):
     rs = ladder_space("rook3_k3")
     passes = []
     real = kernel_rep._lambda_columns
-    monkeypatch.setattr(kernel_rep, "_lambda_columns", lambda *a: passes.append(a[4]) or real(*a))
+    monkeypatch.setattr(kernel_rep, "_lambda_columns", lambda *a: passes.append(a[3]) or real(*a))
     monkeypatch.setattr(kernel_rep, "lambda_matrix", None)
-    rs.all_lambdas(), rs.diagonal_lambdas(), rs.section_stack, rs.algebra, rs.diagonal
+    rs.stack(rs.ext.elements), rs.stack(rs.ext.phased_identities), rs.section_stack, rs.algebra, rs.diagonal
     assert sorted(passes) == list(range(len(S)))
 
 
@@ -1182,7 +1181,7 @@ def reference_expectation_properties(rs, samples=100):
     bimodular = all(
         np.abs(rs.expectation(d @ b) - d @ rs.expectation(b)).max() <= tol
         and np.abs(rs.expectation(b @ d) - rs.expectation(b) @ d).max() <= tol
-        for d in rs.diagonal_lambdas()[:8]
+        for d in rs.diagonal.basis[:8]
         for b in M_basis[:12]
     )
     return vn_oracle.ExpectationReport(dev <= tol, idempotent, unital, positive, faithful, bimodular, dev)
@@ -1204,13 +1203,12 @@ def test_expectation_flags_match_reference_where_they_fail(i3):
     """A span that is not M (some lambdas left out, a non-diagonal
     'diagonal', or both) fails some flags; the verdicts still agree."""
     rs = RepSpace(Extension(i3, 1))
-    lams = rs.all_lambdas()
+    lams = list(rs.stack(rs.ext.elements))
     half = span_basis(lams[: len(lams) // 2], rs.rbasis)
     shifted = span_basis([lams[-1], lams[1]], rs.rbasis)
     seen = set()
     for algebra, diagonal in [(half, rs.diagonal), (rs.algebra, shifted), (half, shifted)]:
         rs.__dict__.update(algebra=algebra, diagonal=diagonal)
-        rs.diagonal_lambdas = lambda diagonal=diagonal: diagonal.basis
         got, ref = vn_oracle.expectation_properties(rs, 20), reference_expectation_properties(rs, 20)
         assert _expectation_flags(got) == _expectation_flags(ref)
         seen.add(_expectation_flags(got))
@@ -1255,7 +1253,7 @@ def reference_normalizes(lams, D, tol):
 
 def test_regularity_matches_pair_reference(i3):
     rs = RepSpace(Extension(i3, 3, perturbed(i3, 3, 2)))
-    lams = rs.all_lambdas()
+    lams = list(rs.stack(rs.ext.elements))
     D_bad = span_basis([lams[-1], lams[0]], rs.rbasis)
     for D in (rs.diagonal, D_bad):
         assert _normalizes(lams, D) == reference_normalizes(lams, D, TOL)
@@ -1315,8 +1313,9 @@ def _near_dependent(rng, d, count=12):
 
 def _cgs2_families():
     rng = np.random.default_rng(12)
-    families = {name: ladder_space(name).all_lambdas() for name in sorted(LADDER)}
-    families["rook3_k2"] = RepSpace(Extension(rook_monoid(3), 2, perturbed(rook_monoid(3), 2, 1))).all_lambdas()
+    spaces = {name: ladder_space(name) for name in sorted(LADDER)}
+    spaces["rook3_k2"] = RepSpace(Extension(rook_monoid(3), 2, perturbed(rook_monoid(3), 2, 1)))
+    families = {name: list(rs.stack(rs.ext.elements)) for name, rs in spaces.items()}
     for seed in range(4):
         families[f"near_dependent_{seed}"] = _near_dependent(rng, 3 + seed)
     families["zeros_and_repeats"] = [np.zeros((3, 3)), np.eye(3), np.eye(3), 2 * np.eye(3)]
@@ -1353,7 +1352,7 @@ def _pattern_cases():
             out.append((f"{name}_psi", psi(rs, A)))
     rs = ladder_space("rook3_k3")
     transports = [rs.lam_of(singleton(3, 0, 1)), rs.lam_of(singleton(3, 1, 2))]
-    out.append(("rook3_partial", MatrixAlgebra(subspace_basis(rs.diagonal_lambdas() + transports), rs.rbasis)))
+    out.append(("rook3_partial", MatrixAlgebra(subspace_basis(list(rs.stack(rs.ext.phased_identities)) + transports), rs.rbasis)))
     out.append(("rook3_empty", MatrixAlgebra([], rs.rbasis)))
     return out
 

@@ -229,18 +229,16 @@ def test_numeric_import_scan_sees_every_form():
 
 # Every name ``cartanlab`` exported when it imported all of its modules.
 EXPORTS = {
-    "boolean_monoid": "AxiomReport GroupoidRelation beta check_axioms chop groupoid_relation",
+    "boolean_monoid": "AxiomReport GroupoidRelation check_axioms chop groupoid_relation",
     "errors": "CartanLabError ClosureError DomainError FormatError InvariantViolation OrthogonalityError "
     "SizeGuardError StructuralError",
-    "extension": "CocycleTable Extension Section cohomologous coboundary_table delta extensions_equivalent g_meet "
-    "g_natural_leq is_trivial_cocycle lausch_alpha order_preserving_section point_coboundary_table "
-    "point_cocycle_table sigma trivial_cocycle validate_cocycle validate_section",
+    "extension": "CocycleTable Extension Section cohomologous delta extensions_equivalent lausch_alpha "
+    "order_preserving_section point_coboundary_table point_cocycle_table sigma validate_cocycle validate_section",
     "generators": "eqrel_monoid product_monoid rook_monoid",
     "kernel_rep": "RBasis RepSpace abstract_gram_check dump_matrix expectation kernel kernel_psd_check "
     "lambda_matrix",
     "semigroup_core": "FiniteInverseMonoid PartialBijection PhasedElement classify compose dagger identity_map "
-    "leech_idempotent meet meet_complement munn_quotient natural_leq orthogonal_join partial_identity "
-    "relative_complement singleton zero_map",
+    "meet meet_complement natural_leq orthogonal_join partial_identity singleton zero_map",
     "spectral_bimodule": "aoi_correspondence enumerate_spectral_sets full_submonoids "
     "intermediate_algebra_check is_spectral_set join_span msd mtr psi spectral_closure theta verify_members "
     "verify_subdiagonal",
@@ -268,7 +266,7 @@ for module, names in exports.items():
 print(json.dumps([loaded, bad]))
 """
     loaded, bad = json.loads(_python(code, json.dumps(EXPORTS)))
-    assert bad == [] and sum(len(names.split()) for names in EXPORTS.values()) == 79
+    assert bad == [] and sum(len(names.split()) for names in EXPORTS.values()) == 70
     assert loaded == []
 
 
@@ -661,3 +659,77 @@ def test_tol_scan_sees_every_form(tmp_path):
         "    return M.tol\n"
     )
     assert tol_beside_owner(path) == ["t.py:4", "t.py:6", "t.py:8", "t.py:10"]
+
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+# Names the package serves that no module or demo uses, each with the reason
+# it stays.
+UNCALLED_EXPORTS = {
+    "compose": "counted by the benchmark's tracer (perfbench/tracer.py COUNTED)",
+    "natural_leq": "counted by the benchmark's tracer (perfbench/tracer.py COUNTED)",
+    "lambda_matrix": "spanned by the benchmark's tracer (perfbench/tracer.py SPANNED)",
+    "enumerate_spectral_sets": "spanned by the benchmark's tracer (perfbench/tracer.py SPANNED)",
+    "spectral_closure": "spanned by the benchmark's tracer (perfbench/tracer.py SPANNED)",
+    "is_spectral_set": "the definition of a spectral set that the spectral tests check A(X) against",
+}
+
+
+def referenced_names(paths) -> set:
+    """Every name read as a bare name or an attribute in the given files."""
+    found = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+    return found
+
+
+def test_every_lazy_export_has_a_caller():
+    """Each name in the package's ``_LAZY`` is used by another module of the
+    package or by a demo, or is listed above with the reason it stays."""
+    paths = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    used = referenced_names(paths + sorted(DEMOS.glob("*.py")))
+    exported = set(cartanlab._MODULE_OF)
+    assert len(exported) == 70 and len(list(DEMOS.glob("*.py"))) == 5
+    assert sorted(set(UNCALLED_EXPORTS) - exported) == []
+    assert sorted(exported - used - set(UNCALLED_EXPORTS)) == []
+
+
+def test_caller_scan_sees_names_and_attributes(tmp_path):
+    path = tmp_path / "t.py"
+    path.write_text("from x import unused\nimport m\ndef f():\n    return m.attr(name)\n")
+    assert referenced_names([path]) == {"m", "attr", "name"}
+
+
+def twisted_product_sites(path) -> list[str]:
+    """Calls of ``_product`` or ``_dagger`` and imports of ``_check_in_P``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("_product", "_dagger"):
+                found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and any(alias.name == "_check_in_P" for alias in node.names):
+            found.append(node.lineno)
+    return [f"{path.name}:{line}" for line in sorted(found)]
+
+
+def test_kernel_rep_reads_sigma_from_extension():
+    """The lambda columns take sigma from ``extension._sigma``; ``kernel_rep``
+    forms no twisted product or inverse of its own."""
+    assert twisted_product_sites(SRC / "kernel_rep.py") == []
+
+
+def test_twisted_product_scan_sees_every_form(tmp_path):
+    path = tmp_path / "t.py"
+    path.write_text(
+        "from .extension import Section, _check_in_P\n"
+        "def f(ext, i, a):\n"
+        "    vt, p = ext._product(i, a, i, a)\n"
+        "    return _dagger(vt, p), ext.multiply(a, a)\n"
+    )
+    assert twisted_product_sites(path) == ["t.py:1", "t.py:3", "t.py:4"]

@@ -30,17 +30,17 @@ def test_span_basis_dimensions(i2):
     rs = RepSpace(ext)
     eye = [np.eye(4, dtype=complex)]
     assert span_basis(eye, rs.rbasis).dimension == 1
-    M = span_basis(rs.all_lambdas(), rs.rbasis)
+    M = span_basis(rs.stack(rs.ext.elements), rs.rbasis)
     assert M.dimension == 4
     assert M.product_closed and M.adjoint_closed and M.has_identity
-    D = span_basis(rs.diagonal_lambdas(), rs.rbasis)
+    D = span_basis(rs.stack(rs.ext.phased_identities), rs.rbasis)
     assert D.dimension == 2
 
 
 def test_masa_check_rook2(i2):
     rs = RepSpace(Extension(i2, 1))
-    M = span_basis(rs.all_lambdas(), rs.rbasis)
-    D = span_basis(rs.diagonal_lambdas(), rs.rbasis)
+    M = span_basis(rs.stack(rs.ext.elements), rs.rbasis)
+    D = span_basis(rs.stack(rs.ext.phased_identities), rs.rbasis)
     rep = masa_check(M, D)
     assert rep.is_masa
     assert rep.dim_relative_commutant == rep.dim_subalgebra == 2
@@ -52,16 +52,16 @@ def test_masa_check_rook2(i2):
 
 def test_masa_check_requires_containment(i2):
     rs = RepSpace(Extension(i2, 1))
-    M = span_basis(rs.all_lambdas(), rs.rbasis)
-    D = span_basis(rs.diagonal_lambdas(), rs.rbasis)
+    M = span_basis(rs.stack(rs.ext.elements), rs.rbasis)
+    D = span_basis(rs.stack(rs.ext.phased_identities), rs.rbasis)
     with pytest.raises(DomainError):
         masa_check(D, M)
 
 
 def test_two_block_center(twoblock):
     rs = RepSpace(Extension(twoblock, 1))
-    M = span_basis(rs.all_lambdas(), rs.rbasis)
-    D = span_basis(rs.diagonal_lambdas(), rs.rbasis)
+    M = span_basis(rs.stack(rs.ext.elements), rs.rbasis)
+    D = span_basis(rs.stack(rs.ext.phased_identities), rs.rbasis)
     assert M.dimension == 5  # 2^2 + 1^2
     rep = masa_check(M, D)
     assert rep.center_dimension == 2
@@ -70,7 +70,7 @@ def test_two_block_center(twoblock):
 
 def test_double_commutant_equals_span(i2):
     rs = RepSpace(Extension(i2, 2))
-    M = span_basis(rs.all_lambdas(), rs.rbasis)
+    M = span_basis(rs.stack(rs.ext.elements), rs.rbasis)
     dim, comm = commutant_dimension(M.basis, 4)
     dc_dim, _ = commutant_dimension(comm, 4)
     assert dc_dim == M.dimension == 4
@@ -103,8 +103,8 @@ def test_recover_rook2_all_ks(i2):
         for seed in (None, 4):
             table = perturbed(i2, k, seed) if seed and k > 1 else None
             rs = RepSpace(Extension(i2, k, table))
-            M = span_basis(rs.all_lambdas(), rs.rbasis)
-            D = span_basis(rs.diagonal_lambdas(), rs.rbasis)
+            M = span_basis(rs.stack(rs.ext.elements), rs.rbasis)
+            D = span_basis(rs.stack(rs.ext.phased_identities), rs.rbasis)
             S_prime, iso = recover_extension(M, D, i2)
             assert len(S_prime) == 7
             assert iso == (0, 1)
@@ -112,8 +112,8 @@ def test_recover_rook2_all_ks(i2):
 
 def test_recover_two_block(twoblock):
     rs = RepSpace(Extension(twoblock, 1))
-    M = span_basis(rs.all_lambdas(), rs.rbasis)
-    D = span_basis(rs.diagonal_lambdas(), rs.rbasis)
+    M = span_basis(rs.stack(rs.ext.elements), rs.rbasis)
+    D = span_basis(rs.stack(rs.ext.phased_identities), rs.rbasis)
     S_prime, iso = recover_extension(M, D, twoblock)
     assert len(S_prime) == len(twoblock) == 14
     assert iso is not None
