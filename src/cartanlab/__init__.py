@@ -33,7 +33,7 @@ _LAZY = {
     "kernel_psd_check lambda_matrix",
     "spectral_bimodule": "aoi_correspondence enumerate_spectral_sets full_submonoids "
     "intermediate_algebra_check is_spectral_set join_span msd mtr psi spectral_closure theta "
-    "verify_members verify_subdiagonal",
+    "verify_subdiagonal",
     "vn_oracle": "MatrixAlgebra cartan_report expectation_properties masa_check recover_extension "
     "span_basis",
 }

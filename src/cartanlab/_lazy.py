@@ -18,12 +18,6 @@ A module that cannot be found (numpy, when it is not installed) is bound as
 a stand-in whose first attribute access raises ModuleNotFoundError, so the
 exact commands and ``represent`` still run and a command that needs numpy
 (oracle, spectral, msd, mtr) stops at its first use.
-
-Measured on a 2-core x86-64 host with Python 3.11, median of 21 runs: the
-exact commands on rook3 and eqrel(0,1|2,3) documents take 0.12-0.15 s from
-process start to exit when no bytecode is cached and 0.08-0.11 s with a
-cache, the difference being the compiling of the package's sources; the
-bare interpreter takes 0.065 s.
 """
 
 import importlib.util

@@ -21,7 +21,6 @@ from .semigroup_core import (
     PhasedElement,
     bits,
     compose,
-    mask_of,
     relabelings,
     with_zero_phases,
 )
@@ -300,11 +299,9 @@ class Extension:
 
     @cached_property
     def elements(self) -> list[PhasedElement]:
-        out = []
-        for s in self.S:
-            for phases in itertools.product(range(self.k), repeat=s.domain.bit_count()):
-                out.append(PhasedElement(s, phases))
-        return sorted(out, key=PhasedElement.sort_key)
+        """In canonical order: S's order, then phases lexicographically."""
+        k = range(self.k)
+        return [PhasedElement(s, p) for s in self.S for p in itertools.product(k, repeat=s.domain.bit_count())]
 
     @cached_property
     def phased_identities(self) -> list[PhasedElement]:
@@ -313,6 +310,17 @@ class Extension:
     @cached_property
     def _rows(self) -> list[list[list[int]]]:
         return _phase_rows(self.S, self.cocycle)
+
+    @cached_property
+    def coboundary(self) -> list[list[int]] | None:
+        """b with c = delta b, c(s,t)(y) = b(s)(t(y)) + b(t)(y) - b(st)(y) mod k,
+        as dense phase rows by element id, solved once: zero for the trivial
+        twist, None for a table that is not a coboundary (so not a cocycle),
+        and DomainError, on every read, when S lacks a one-point map."""
+        singles = _one_point_maps(self.S)
+        if self.cocycle is None:
+            return [[0] * self.S.atom_count] * len(self.S)
+        return _coboundary_witness(self.S, self.k, singles, _phase_rows(self.S, None), self._rows)
 
     def _product(self, i: int, a: list[int], j: int, b: list[int]) -> tuple[int, list[int]]:
         """(e_i, a)(e_j, b) = (e_i e_j, p), p(y) = a(e_j(y)) + b(y) + c(e_i, e_j)(y)."""
@@ -394,7 +402,7 @@ def order_preserving_section(ext: Extension) -> Section:
     On a finite atom set the glued supports exhaust dom(t) exactly (density
     is totality here), which is checked (InvariantViolation otherwise).
 
-    Lifts on B come from a coboundary witness for the table, which makes
+    Lifts on B are -b for the extension's coboundary witness b, which makes
     the returned section a homomorphism and hence compatible with the
     inverse operation.  On a downward-closed monoid every valid table is a
     coboundary, so a missing witness means the table is not a cocycle and
@@ -409,19 +417,15 @@ def order_preserving_section(ext: Extension) -> Section:
     """
     S, k, n = ext.S, ext.k, ext.S.atom_count
     els, index = S.elements, S.index
-    witness = None  # zero lifts: the trivial twist's witness, and the fallback
-    if ext.cocycle is not None:
-        try:
-            singles = _one_point_maps(S)
-        except DomainError:
-            pass
-        else:
-            witness = _coboundary_witness(S, k, singles, _phase_rows(S, None), ext._rows)
-            if witness is None:
-                raise DomainError(
-                    "cocycle table is not a coboundary, so it is not a valid cocycle; "
-                    "run 'cartanlab validate' on the document"
-                )
+    try:
+        witness = ext.coboundary
+    except DomainError:  # no one-point maps: the zero lifts
+        witness = [[0] * n] * len(els)
+    if witness is None:
+        raise DomainError(
+            "cocycle table is not a coboundary, so it is not a valid cocycle; "
+            "run 'cartanlab validate' on the document"
+        )
 
     zero_row = [0] * n  # read-only, shared
     idem = S.idempotent_ids
@@ -437,7 +441,7 @@ def order_preserving_section(ext: Extension) -> Section:
 
     for s in B:
         i = index[s]
-        lift = zero_row if witness is None else _dense(n, s.domain, ((-p) % k for p in witness[s]))
+        lift = [-p % k for p in witness[i]]
         for e in idem:
             if not els[e].domain & ~s.domain:  # e <= s^dag s
                 se, val = ext._product(i, lift, e, j[e])
@@ -517,10 +521,11 @@ def validate_section(ext: Extension, j: Section) -> SectionReport:
     (b) and (c) hold.
 
     Otherwise all three are walks over element ids on the lifts' dense
-    phase rows, which find the witnesses.  With A(s,t) the atoms where s
-    and t agree, s <= t iff A(s,t) = dom(s), and s ^ t is s restricted to
-    A(s,t).  So (a) compares the rows of s and t on dom(s) when s <= t, and
-    (c) holds at (s, t) iff the rows of s, t and s ^ t agree on A(s,t).
+    phase rows, which find the witnesses.  s <= t iff graph(s) lies inside
+    graph(t), and s ^ t, looked up by the graph graph(s) & graph(t), is s
+    restricted to A(s,t), the atoms where s and t agree.  So (a) compares
+    the rows of s and t on dom(s) when s <= t, and (c) holds at (s, t) iff
+    the rows of s, t and s ^ t agree on A(s,t) = dom(s ^ t).
     (b) uses the id-level twisted product.  Witnesses are the first failing
     pair or triple in element order.  A meet missing from S raises
     DomainError.
@@ -559,8 +564,9 @@ def _lifts_on_points(ext: Extension, rows: list) -> bool:
 def _section_loops(ext: Extension, rows: list) -> SectionReport:
     """Conditions (a), (b) and (c) as walks over element ids, with the
     first witness of each."""
-    S, n = ext.S, ext.S.atom_count
-    els, mul, img, idem = S.elements, S.mul, S.images, S.idempotent_ids
+    S = ext.S
+    S.mul  # a product missing from S raises ClosureError before a meet is looked up
+    els, idem, atoms = S.elements, S.idempotent_ids, S.domain_atoms
     unit_ok = not any(rows[S.index[S.one]])
 
     cond_a = cond_c = unit_ok
@@ -568,19 +574,18 @@ def _section_loops(ext: Extension, rows: list) -> SectionReport:
     for i, s in enumerate(els):
         if not (cond_a or cond_c):
             break
-        r_s, img_s = rows[i], img[i]
+        r_s, g_s = rows[i], s.graph
         for t_id, t in enumerate(els):
-            r_t, img_t = rows[t_id], img[t_id]
-            agree = [y for y in bits(s.domain & t.domain) if img_s[y] == img_t[y]]
-            if cond_a and len(agree) == s.domain.bit_count():  # s <= t
-                if any(r_s[y] != r_t[y] for y in agree):
+            r_t = rows[t_id]
+            if cond_a and not g_s & ~t.graph:  # s <= t
+                if any(r_s[y] != r_t[y] for y in atoms[i]):
                     cond_a, wit_a = False, (s, t)
             if cond_c:
-                e = S.id_of_graph.get(mask_of(y * (n + 1) for y in agree))  # the partial identity on agree
-                if e is None:
+                m = S.id_of_graph.get(g_s & t.graph)  # s ^ t, defined on A(s,t)
+                if m is None:
                     raise DomainError(f"the meet of {s} and {t} is not an element of the monoid")
-                r_m = rows[mul[i][e]]  # j(s ^ t)
-                if any(r_s[y] != r_t[y] or r_m[y] != r_s[y] for y in agree):
+                r_m = rows[m]
+                if any(r_s[y] != r_t[y] or r_m[y] != r_s[y] for y in atoms[m]):
                     cond_c, wit_c = False, (s, t)
 
     cond_b, wit_b = True, None
@@ -662,7 +667,8 @@ def cohomologous(S: FiniteInverseMonoid, k: int, c1: CocycleTable | None, c2: Co
     singles = _one_point_maps(S)
     if c1 is None and c2 is None:
         return {s: (0,) * s.domain.bit_count() for s in S}
-    return _coboundary_witness(S, k, singles, _phase_rows(S, c1), _phase_rows(S, c2))
+    b = _coboundary_witness(S, k, singles, _phase_rows(S, c1), _phase_rows(S, c2))
+    return None if b is None else {s: tuple(b[i][y] for y in S.domain_atoms[i]) for i, s in enumerate(S)}
 
 
 def _one_point_maps(S: FiniteInverseMonoid) -> dict:
@@ -679,7 +685,7 @@ def _one_point_maps(S: FiniteInverseMonoid) -> dict:
 
 def _coboundary_witness(S: FiniteInverseMonoid, k: int, singles: dict, rows1: list, rows2: list):
     """``cohomologous`` on the tables' dense phase rows, given the one-point
-    maps of S."""
+    maps of S; the witness as dense phase rows by element id, or None."""
     pts = list(singles)
 
     def diff(x, z, y):
@@ -706,21 +712,21 @@ def _coboundary_witness(S: FiniteInverseMonoid, k: int, singles: dict, rows1: li
                     return None
     if any(b_pts[(x, y)] for x, y in pts if x == y):
         return None
-    return {s: tuple(b[y] for y in ys) for s, b, ys in zip(els, bd, atoms)}
+    return bd
 
 
 def extensions_equivalent(ext1: Extension, ext2: Extension, guard: int = EQUIV_GUARD):
     """Decide equivalence of two extensions; return a witness or None.
 
-    A witness is (perm, theta, alpha): the atom bijection inducing the
-    monoid isomorphism theta : S1 -> S2, plus the element-level isomorphism
-    alpha : G1 -> G2 with q2(alpha(v)) = theta(q1(v)) and alpha fixing the
-    phased identities through the induced relabeling.  The search runs over
-    atom permutations (complete for fundamental monoids in canonical form)
-    and, per permutation, over coboundaries linking the transported cocycle
-    to the target one, on the extensions' cached phase rows.  The trivial
-    twist transports to itself, and two trivial twists get the zero
-    coboundary without a walk over pairs.
+    A witness is (perm, theta, alpha): the first atom permutation carrying
+    S1 onto S2 (complete for fundamental monoids in canonical form), the
+    monoid isomorphism theta it induces, and the isomorphism alpha : G1 ->
+    G2 with q2(alpha(v)) = theta(q1(v)), fixing the phased identities
+    through the relabeling.  With c1 = delta b1 and c2 = delta b2
+    (``Extension.coboundary``), delta commutes with the relabeling, so
+    alpha(s, a) = (theta(s), a o perm^-1 + b1 o theta^-1 - b2); no table is
+    transported.  A table that is not a coboundary is not a cocycle, and
+    its extension is equivalent to none.
     """
     if ext1.k != ext2.k:
         return None
@@ -729,35 +735,21 @@ def extensions_equivalent(ext1: Extension, ext2: Extension, guard: int = EQUIV_G
         return None
     if len(S1) > guard:
         raise SizeGuardError(len(S1), guard, "monoid size for equivalence search (--guard)")
+    found = next(relabelings(S1, S2), None)
+    if found is None:
+        return None
+    b1, b2 = ext1.coboundary, ext2.coboundary
+    if b1 is None or b2 is None:
+        return None
 
-    n = S1.atom_count
-    k = ext1.k
-    ids2 = range(len(S2))
-    rows1 = ext1._rows
-    for perm, theta in relabelings(S1, S2):
-        inv_perm = tuple(perm.index(i) for i in range(n))
-        if ext1.cocycle is None and ext2.cocycle is None:
-            beta = cohomologous(S2, k, None, None)
-        else:
-            rows1_theta = rows1  # the zero rows of the trivial twist
-            if ext1.cocycle is not None:
-                pre = {S2.index[s2]: S1.index[s1] for s1, s2 in theta.items()}  # S2 id -> S1 id of theta^-1
-                rows1_theta = [
-                    [[rows1[pre[i]][pre[j]][q] for q in inv_perm] for j in ids2] for i in ids2
-                ]
-            beta = _coboundary_witness(S2, k, _one_point_maps(S2), ext2._rows, rows1_theta)
-        if beta is None:
-            continue
-
-        def b_at(s2, atom):
-            return beta[s2][_rank(s2.domain, atom)]
-
-        alpha = {}
-        for v in ext1.elements:
-            s2 = theta[v.bij]
-            phases = tuple(
-                (v.phase_at(inv_perm[y]) + b_at(s2, y)) % k for y in bits(s2.domain)
-            )
-            alpha[v] = PhasedElement(s2, phases)
-        return perm, theta, alpha
-    return None
+    perm, theta = found
+    k, n = ext1.k, S1.atom_count
+    inv_perm = tuple(perm.index(i) for i in range(n))
+    alpha = {}
+    for v in ext1.elements:
+        s2 = theta[v.bij]
+        r1, r2 = b1[S1.index[v.bij]], b2[S2.index[s2]]
+        alpha[v] = PhasedElement(
+            s2, tuple((v.phase_at(inv_perm[y]) + r1[inv_perm[y]] - r2[y]) % k for y in bits(s2.domain))
+        )
+    return perm, theta, alpha

@@ -396,6 +396,30 @@ class FiniteInverseMonoid:
         ids = range(len(self.elements))
         return [self.product_row(i, ids) for i in ids]
 
+    @cached_property
+    def classification(self) -> ClassificationReport:
+        """``classify``'s report, kept; a ClosureError is raised on every read."""
+        witness = self.closure_witness()
+        if witness is not None:
+            raise ClosureError(witness)
+        mul, inv = self.mul, self.inv
+
+        actions = {}
+        fundamental = True
+        for i, row in enumerate(mul):
+            act = tuple(mul[row[e]][inv[i]] for e in self.idempotent_ids)
+            if act in actions and actions[act] != i:
+                fundamental = False
+                break
+            actions[act] = i
+        clifford = all(mul[inv[i]][i] == mul[i][inv[i]] for i in range(len(mul)))
+        return ClassificationReport(
+            inverse_monoid=True,
+            idempotents=self.idempotents(),
+            fundamental=fundamental,
+            clifford=clifford,
+        )
+
     def closure_witness(self):
         """None if closed under dagger and compose, else the first witness:
         (s, "dagger", s^dag) or (s, t, st)."""
@@ -451,9 +475,6 @@ class PhasedElement:
     def is_zero(self) -> bool:
         return self.bij.is_zero()
 
-    def sort_key(self):
-        return (self.bij.domain, self.bij.image, self.phases)
-
     def __repr__(self):
         if self.bij.is_zero():
             return "<<0>>"
@@ -470,12 +491,11 @@ def with_zero_phases(s: PartialBijection) -> PhasedElement:
 class ClassificationReport:
     """Result of classify(): closure, idempotents, fundamental, Clifford."""
 
-    def __init__(self, inverse_monoid, idempotents, fundamental, clifford, added_constants):
+    def __init__(self, inverse_monoid, idempotents, fundamental, clifford):
         self.inverse_monoid = inverse_monoid
         self.idempotents = idempotents
         self.fundamental = fundamental
         self.clifford = clifford
-        self.added_constants = added_constants
 
     def to_lines(self):
         return [
@@ -491,29 +511,9 @@ def classify(S: FiniteInverseMonoid) -> ClassificationReport:
 
     Fundamental: no two distinct elements act identically on all idempotents
     by e -> s e s^dag (equivalently, the centralizer of E(S) in S is E(S)).
-    Clifford: s^dag s = s s^dag for every s.
+    Clifford: s^dag s = s s^dag for every s.  Computed once, kept on S.
     """
-    witness = S.closure_witness()
-    if witness is not None:
-        raise ClosureError(witness)
-    mul, inv = S.mul, S.inv
-
-    actions = {}
-    fundamental = True
-    for i, row in enumerate(mul):
-        act = tuple(mul[row[e]][inv[i]] for e in S.idempotent_ids)
-        if act in actions and actions[act] != i:
-            fundamental = False
-            break
-        actions[act] = i
-    clifford = all(mul[inv[i]][i] == mul[i][inv[i]] for i in range(len(mul)))
-    return ClassificationReport(
-        inverse_monoid=True,
-        idempotents=S.idempotents(),
-        fundamental=fundamental,
-        clifford=clifford,
-        added_constants=list(S.added),
-    )
+    return S.classification
 
 
 class GroupoidRelation:
@@ -526,12 +526,6 @@ class GroupoidRelation:
 
     def __len__(self):
         return len(self.pairs)
-
-    def block_of(self, atom: int):
-        for b in self.blocks:
-            if atom in b:
-                return b
-        raise DomainError(f"atom {atom} out of range")
 
 
 def groupoid_relation(S: FiniteInverseMonoid) -> GroupoidRelation:

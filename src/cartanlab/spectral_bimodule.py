@@ -26,7 +26,7 @@ or projection per condition (``vn_oracle._residual_norms`` and
 tests all |S| lambdas in one stacked residual (theta_gn, its normalizer
 reading, reads its elements from one stacked pattern solve), and the
 intermediate-algebra check and the AOI correspondence test D's basis for
-containment in one.  ``verify_members`` computes psi and N once per mask.
+containment in one.  psi and N are computed once per mask and space.
 psi returns a ``vn_oracle.MatrixAlgebra`` built at the space's tol, and
 every numeric check here decides at that one tol, read from the
 ``RepSpace`` or from the span.
@@ -82,7 +82,6 @@ __all__ = [
     "msd",
     "mtr",
     "verify_subdiagonal",
-    "verify_members",
 ]
 
 CLOSURE_NOTE = "finite dimension: linear subspaces are closed in every relevant topology"
@@ -121,14 +120,15 @@ class _TraceIndex:
     def __init__(self, S: FiniteInverseMonoid):
         self.S = S
         nonzero = [s for s in S if not s.is_zero()]
-        graphs = [(t, t.graph) for t in nonzero]
-        below = {}
-        for s in nonzero:  # t <= s iff the graph of t lies inside the graph of s
-            outside = ~s.graph
-            below[s] = [t for t, g in graphs if not g & outside]
-        self.minimals = [s for s in nonzero if below[s] == [s]]
+        # taken by graph size, s is minimal iff no minimal found so far lies below it
+        found = set()
+        for g in sorted((s.graph for s in nonzero), key=int.bit_count):
+            if all(f & ~g for f in found):
+                found.add(g)
+        self.minimals = [s for s in nonzero if s.graph in found]
+        graphs = [m.graph for m in self.minimals]
+        self.trace = {s: mask_of(i for i, g in enumerate(graphs) if not g & ~s.graph) for s in S}
         pos = {m: i for i, m in enumerate(self.minimals)}
-        self.trace = {s: mask_of(pos[t] for t in below.get(s, ()) if t in pos) for s in S}
         self.idempotent = mask_of(i for i, m in enumerate(self.minimals) if m.is_idempotent())
         self.full = (1 << len(self.minimals)) - 1
         self.dag = [pos.get(dagger(m)) for m in self.minimals]
@@ -498,7 +498,8 @@ def verify_subdiagonal(rs: RepSpace, A, guard: int = SPECTRAL_GUARD) -> Subdiago
     index of rs.ext.S is the module's kept one, so the masks are listed,
     and each mask's psi and N computed, once for every member checked.
     Every decision is made at the space's tol, at which the dimension of
-    the whole algebra was computed once.
+    the whole algebra was computed once.  On an empty psi(A) or N every
+    flag is False: a check over an empty span has nothing to decide.
     """
     A, tol = frozenset(A), rs.tol
     idx = _trace_index(rs.ext.S)
@@ -521,6 +522,8 @@ def verify_subdiagonal(rs: RepSpace, A, guard: int = SPECTRAL_GUARD) -> Subdiago
 
     maximal = True
     n_dim = len(N)
+    if not (alg.dimension and n_dim):  # a check over an empty span decides nothing
+        multiplicative = dense = unital = bimodular = maximal = False
     for trace2 in idx.monoid_masks(guard):
         if trace2 == trace or trace2 & trace != trace:
             continue
@@ -543,8 +546,3 @@ def verify_subdiagonal(rs: RepSpace, A, guard: int = SPECTRAL_GUARD) -> Subdiago
         maximal=maximal,
         max_deviation=dev,
     )
-
-
-def verify_members(rs: RepSpace, members, guard: int = SPECTRAL_GUARD) -> list[SubdiagonalReport]:
-    """verify_subdiagonal on each member, in order."""
-    return [verify_subdiagonal(rs, A, guard) for A in members]

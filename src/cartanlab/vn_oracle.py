@@ -148,6 +148,7 @@ class MatrixAlgebra:
         self.product_closed = product_closed
         self.adjoint_closed = adjoint_closed
         self.has_identity = has_identity
+        self._holds: dict = {}  # span -> whether it lies in this one
 
     @property
     def dimension(self) -> int:
@@ -155,6 +156,13 @@ class MatrixAlgebra:
 
     def contains(self, M: np.ndarray) -> bool:
         return contains_matrix(self.basis, M, self.tol)
+
+    def holds(self, other: MatrixAlgebra) -> bool:
+        """Whether the span ``other`` lies in this one at this span's tol:
+        one stacked residual of its basis, decided once per span and kept."""
+        if other not in self._holds:
+            self._holds[other] = _all_within(self.basis, np.asarray(other.basis), self.tol)
+        return self._holds[other]
 
 
 def span_basis(matrices, rbasis: RBasis, tol: float = DEFAULT_TOL) -> MatrixAlgebra:
@@ -256,7 +264,7 @@ class MasaReport:
 def masa_check(M: MatrixAlgebra, D: MatrixAlgebra) -> MasaReport:
     """D is maximal abelian in M iff its relative commutant is itself,
     decided at M's tol.  A MASA holds the unit, so an empty D is none."""
-    if not _all_within(M.basis, np.asarray(D.basis), M.tol):
+    if not M.holds(D):
         raise DomainError("D is not contained in M")
     comm = relative_commutant(M, D)
     center = relative_commutant(M, M)
@@ -510,7 +518,7 @@ def recover_extension(M: MatrixAlgebra, D: MatrixAlgebra, S: FiniteInverseMonoid
     n = M.rbasis.atom_count
     if n > RECOVER_GUARD:
         raise SizeGuardError(n, RECOVER_GUARD, "atom count for recovery")
-    if not _all_within(M.basis, np.asarray(D.basis), M.tol):
+    if not M.holds(D):
         raise DomainError("D is not contained in M")
 
     points = _accepted_points(M)
@@ -581,7 +589,9 @@ def cartan_report(ext: Extension, j: Section | None = None, tol: float = DEFAULT
     rbasis = rs.rbasis
     M, D = rs.algebra, rs.diagonal
 
-    masa = masa_check(M, D)
+    # D outside M (a tol below rounding) is no MASA and leaves no pair to recover from
+    inside = M.holds(D)
+    masa = masa_check(M, D) if inside else MasaReport(M.dimension, D.dimension, None, None, False)
     exp_rep = expectation_properties(rs)
 
     # von Neumann check: the span must equal its double commutant
@@ -594,7 +604,7 @@ def cartan_report(ext: Extension, j: Section | None = None, tol: float = DEFAULT
     spans = M.dimension > 0 and D.dimension > 0
     regularity = spans and all(_normalizes(L, D) for L in rs.blocks(ext.elements))
 
-    S_prime, iso = recover_extension(M, D, ext.S)
+    S_prime, iso = recover_extension(M, D, ext.S) if inside else ((), None)
 
     return CartanReport(
         dim_M=M.dimension,

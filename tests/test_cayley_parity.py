@@ -1,14 +1,15 @@
 """The id-indexed cocycle loops against element-level reference versions.
 
 ``ref_validate_cocycle``, ``ref_cohomologous``, ``ref_closure_witness``,
-``ref_multiply``, ``ref_dagger``, ``ref_mul``, ``ref_order_preserving_section`` and
-``ref_validate_section`` are the compose-based implementations that the
-Cayley-table versions replaced, kept here as oracles (the section
-references call ``ref_multiply``/``ref_dagger`` where the originals called
-the extension's methods).  Reports must be equal, including the order of
-``violations``, and witnesses must be equal dicts.  The last tests pin the
-point decisions: passing inputs never enter the id-level loops, and each
-failing point condition enters them and gets the reference's report.
+``ref_multiply``, ``ref_dagger``, ``ref_mul``, ``ref_order_preserving_section``,
+``ref_validate_section`` and ``ref_extensions_equivalent`` are the
+compose-based implementations that the id-level versions replaced, kept
+here as oracles (the section references call ``ref_multiply``/``ref_dagger``
+where the originals called the extension's methods).  Reports must be
+equal, including the order of ``violations``, and witnesses must be equal
+dicts.  The last tests pin the point decisions: passing inputs never enter
+the id-level loops, and each failing point condition enters them and gets
+the reference's report.
 """
 
 import functools
@@ -40,10 +41,12 @@ from cartanlab.semigroup_core import (
     PhasedElement,
     bits,
     compose,
+    conjugate,
     dagger,
     meet,
     natural_leq,
     partial_identity,
+    relabelings,
     singleton,
     with_zero_phases,
 )
@@ -457,6 +460,53 @@ def test_cohomologous_parity_trivial_and_rook2_tables(monoids, i2, named2):
         bad = CocycleTable(2, entries)
         assert cohomologous(i2, 2, zero, bad) is None
         assert ref_cohomologous(i2, 2, zero, bad) is None
+
+
+def ref_extensions_equivalent(ext1, ext2):
+    """The search that ``extensions_equivalent`` replaced: per relabeling,
+    the first table transported onto S2 and a coboundary solved from the
+    second table to it; the first relabeling with one gives the witness."""
+    S1, S2, k = ext1.S, ext2.S, ext1.k
+    c1, c2 = ref_table(ext1), ref_table(ext2)
+    for perm, theta in relabelings(S1, S2):
+        inv = [perm.index(i) for i in range(S1.atom_count)]
+        moved = {}
+        for (s, t), arr in c1.entries.items():
+            dom1, dom2 = compose(s, t).domain, compose(theta[s], theta[t]).domain
+            moved[(theta[s], theta[t])] = tuple(arr[_rank(dom1, inv[y])] for y in bits(dom2))
+        beta = ref_cohomologous(S2, k, c2, CocycleTable(k, moved))
+        if beta is None:
+            continue
+        alpha = {}
+        for v in ext1.elements:
+            s2 = theta[v.bij]
+            alpha[v] = PhasedElement(
+                s2, tuple((v.phase_at(inv[y]) + beta[s2][_rank(s2.domain, y)]) % k for y in bits(s2.domain))
+            )
+        return perm, theta, alpha
+    return None
+
+
+def test_equivalence_witness_parity(monoids):
+    """On the ladder's pairs (twisted against twisted, against its relabeled
+    twin and against the trivial twist, and rook2 x rook2 against eqrel
+    0,1|2,3) the witnesses' difference gives the search's verdict,
+    permutation and alpha; against a tampered table both find none."""
+    rng = random.Random(23)
+    pairs = []
+    for name, k, perm in (("rook2", 3, (1, 0)), ("rook3", 3, (2, 0, 1)), ("eqrel 0,1|2,3", 2, (2, 0, 3, 1))):
+        S = monoids[name]
+        twin = FiniteInverseMonoid(S.atom_count, [conjugate(s, perm) for s in S])
+        a, b = Extension(S, k, random_coboundary(S, k, rng)), Extension(twin, k, random_coboundary(twin, k, rng))
+        pairs += [(a, b), (b, a), (a, Extension(S, k)), (Extension(S, k), a), (a, a)]
+        pairs.append((a, Extension(S, k, tampered(a.cocycle, S, rng))))
+    pairs.append((Extension(monoids["product rook2 rook2"], 1), Extension(monoids["eqrel 0,1|2,3"], 1)))
+    verdicts = []
+    for ext1, ext2 in pairs:
+        want = ref_extensions_equivalent(ext1, ext2)
+        assert extensions_equivalent(ext1, ext2, guard=len(ext1.S)) == want
+        verdicts.append(want is not None)
+    assert verdicts == ([True] * 5 + [False]) * 3 + [True]
 
 
 def test_cayley_table_matches_compose(monoids):

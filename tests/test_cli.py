@@ -238,32 +238,29 @@ def _rook2_edited(tmp_path, name, edit=None):
 
 
 @pytest.mark.parametrize(
-    "argv, env",
+    "argv",
     [
-        (["validate", "{rook2}"], {"CARTANLAB_GUARD": "abc"}),
-        (["gen", "rook", "x"], {}),
-        (["gen", "eqrel", "0,a"], {}),
-        (["gen", "product", "{rook2}"], {}),
-        (["gen", "product", "{missing}", "{rook2}"], {}),
-        (["validate", "{rook2}", "--out", "{missing}/r.txt"], {}),
-        (["gen", "rook", "2", "--out", "{missing}/r.json"], {}),
-        (["oracle", "{rook2}", "--tol", "nan"], {}),
-        (["oracle", "{rook2}", "--tol", "inf"], {}),
-        (["oracle", "{rook2}", "--tol", "-1"], {}),
-        (["validate", "{k_true}"], {}),
-        (["validate", "{map_true}"], {}),
-        (["validate", "{rook2}", "--guard", "-1"], {}),
-        (["validate", "{rook2}"], {"CARTANLAB_GUARD": "0"}),
-        (["gen", "rook", "2", "3"], {}),
-        (["gen", "eqrel", "0,1", "2"], {}),
-        (["gen", "eqrel", "0,1,2,3,4,5"], {}),
-        (["validate", "{ref_list}"], {}),
-        (["validate", "{not_utf8}"], {}),
-        (["gen", "product", "{not_utf8}", "{rook2}"], {}),
-        (["validate", "{deep}"], {}),
+        ["gen", "rook", "x"],
+        ["gen", "eqrel", "0,a"],
+        ["gen", "product", "{rook2}"],
+        ["gen", "product", "{missing}", "{rook2}"],
+        ["validate", "{rook2}", "--out", "{missing}/r.txt"],
+        ["gen", "rook", "2", "--out", "{missing}/r.json"],
+        ["oracle", "{rook2}", "--tol", "nan"],
+        ["oracle", "{rook2}", "--tol", "inf"],
+        ["oracle", "{rook2}", "--tol", "-1"],
+        ["validate", "{k_true}"],
+        ["validate", "{map_true}"],
+        ["validate", "{rook2}", "--guard", "-1"],
+        ["gen", "rook", "2", "3"],
+        ["gen", "eqrel", "0,1", "2"],
+        ["gen", "eqrel", "0,1,2,3,4,5"],
+        ["validate", "{ref_list}"],
+        ["validate", "{not_utf8}"],
+        ["gen", "product", "{not_utf8}", "{rook2}"],
+        ["validate", "{deep}"],
     ],
     ids=[
-        "guard-env-not-int",
         "rook-size-not-int",
         "eqrel-atom-not-int",
         "product-one-document",
@@ -276,7 +273,6 @@ def _rook2_edited(tmp_path, name, edit=None):
         "k-boolean",
         "map-value-boolean",
         "guard-negative",
-        "guard-env-zero",
         "rook-extra-parameter",
         "eqrel-extra-parameter",
         "eqrel-block-over-guard",
@@ -286,7 +282,7 @@ def _rook2_edited(tmp_path, name, edit=None):
         "json-nested-too-deeply",
     ],
 )
-def test_malformed_invocations_exit_two_without_traceback(tmp_path, argv, env):
+def test_malformed_invocations_exit_two_without_traceback(tmp_path, argv):
     paths = {
         "rook2": _rook2_edited(tmp_path, "rook2.json"),
         "missing": str(tmp_path / "missing"),
@@ -303,8 +299,7 @@ def test_malformed_invocations_exit_two_without_traceback(tmp_path, argv, env):
     (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
     argv = [a.format(**paths) for a in argv]
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    run_env = {k: v for k, v in os.environ.items() if k != "CARTANLAB_GUARD"}
-    run_env.update(env, PYTHONPATH=str(src))
+    run_env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
         [sys.executable, "-m", "cartanlab", *argv],
         cwd=tmp_path, env=run_env, capture_output=True, text=True, timeout=120,
@@ -331,8 +326,7 @@ def test_large_tol_ends_in_a_verdict_without_traceback(tmp_path, command, shape,
     document is well formed, so ``spectral`` ends in its verdict, with the
     round trip that failed as the witness."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    env = {k: v for k, v in os.environ.items() if k != "CARTANLAB_GUARD"}
-    env.update(PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(src))
     for argv in (["gen", *shape, "--out", "doc.json"], [command, "doc.json", "--tol", tol]):
         proc = subprocess.run(
             [sys.executable, "-m", "cartanlab", *argv],
@@ -357,9 +351,8 @@ def test_oracle_on_empty_spans_passes_no_check(tmp_path, capsys):
     assert [line for line in lines if line.endswith("pass")] == []
 
 
-def test_spectral_guard_error_counts_minimal_elements(tmp_path, capsys, monkeypatch):
+def test_spectral_guard_error_counts_minimal_elements(tmp_path, capsys):
     """rook3 has 9 minimal elements, so its 2^9 spectral sets need --guard 9."""
-    monkeypatch.delenv("CARTANLAB_GUARD", raising=False)
     target = tmp_path / "rook3.json"
     target.write_text(emit(generate("rook", 3)))
     for command in ("spectral", "msd", "mtr"):
@@ -373,9 +366,8 @@ def test_spectral_guard_error_counts_minimal_elements(tmp_path, capsys, monkeypa
     assert main(["spectral", str(target), "--guard", "9"]) == 0
 
 
-def test_equiv_guard_error_names_the_flag(tmp_path, capsys, monkeypatch):
+def test_equiv_guard_error_names_the_flag(tmp_path, capsys):
     """rook3 has 34 elements, so its equivalence search needs --guard 34."""
-    monkeypatch.delenv("CARTANLAB_GUARD", raising=False)
     target = tmp_path / "rook3.json"
     target.write_text(emit(generate("rook", 3)))
     assert main(["equiv", str(target), str(target), "--guard", "5"]) == 2
@@ -385,8 +377,17 @@ def test_equiv_guard_error_names_the_flag(tmp_path, capsys, monkeypatch):
     assert main(["equiv", str(target), str(target), "--guard", "34"]) == 0
 
 
+def test_guard_comes_from_the_flag_alone(tmp_path, capsys, monkeypatch):
+    """No environment variable sets a guard: with one that once lowered
+    every guard to 25, equiv of rook3 (34 elements) keeps its default 40."""
+    monkeypatch.setenv("CARTANLAB_GUARD", "25")
+    target = tmp_path / "rook3.json"
+    target.write_text(emit(generate("rook", 3)))
+    assert main(["equiv", str(target), str(target)]) == 0
+    assert capsys.readouterr().out.startswith("equivalent: YES")
+
+
 def test_gen_rook_guard_error_names_the_flag(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("CARTANLAB_GUARD", raising=False)
     monkeypatch.chdir(tmp_path)
     for argv, guard in ((["gen", "rook", "6"], 5), (["gen", "rook", "4", "--guard", "3"], 3)):
         assert main(argv) == 2
@@ -397,21 +398,16 @@ def test_gen_rook_guard_error_names_the_flag(tmp_path, capsys, monkeypatch):
     assert main(["gen", "rook", "4", "--guard", "4", "--out", "rook4.json"]) == 0
 
 
-def test_nonpositive_guard_and_extra_gen_parameters_name_the_fault(tmp_path, capsys, monkeypatch):
+def test_nonpositive_guard_and_extra_gen_parameters_name_the_fault(tmp_path, capsys):
     """Rejected before the command runs, so validate (which reads no guard)
     and spectral (whose guard check would fire later) report the same fault."""
     target = tmp_path / "rook2.json"
     target.write_text(bundled_rook2_text())
-    monkeypatch.delenv("CARTANLAB_GUARD", raising=False)
     for argv in (["validate", str(target), "--guard", "0"], ["spectral", str(target), "--guard", "-1"]):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"--guard must be a positive integer, got {argv[-1]}" in captured.err
-    monkeypatch.setenv("CARTANLAB_GUARD", "-2")
-    assert main(["spectral", str(target)]) == 2
-    assert "CARTANLAB_GUARD must be a positive integer, got -2" in capsys.readouterr().err
-    monkeypatch.delenv("CARTANLAB_GUARD")
     assert main(["gen", "rook", "2", "3"]) == 2
     assert "gen rook needs exactly one parameter, got 2" in capsys.readouterr().err
     assert main(["gen", "rook", "2"]) == 0
@@ -426,8 +422,7 @@ def test_closed_stdout_ends_quietly_after_writing_the_report(tmp_path, command):
     target = tmp_path / "rook2.json"
     target.write_text(bundled_rook2_text())
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    env = {k: v for k, v in os.environ.items() if k != "CARTANLAB_GUARD"}
-    env.update(PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(src))
     argv = [sys.executable, "-m", "cartanlab", command, str(target), "--out"]
     normal = subprocess.run([*argv, "normal.txt"], cwd=tmp_path, env=env, capture_output=True, timeout=120)
     assert normal.returncode == 0 and normal.stdout, normal.stderr
@@ -454,3 +449,54 @@ def test_oracle_prints_each_key_once(tmp_path, capsys):
     keys = [line.split(":")[0] for line in lines]
     assert len(keys) == len(set(keys)) == 18
     assert lines[:2] == ["dim_M: 4 (expected 4)", "dim_D: 2 (expected 2)"]
+
+
+@pytest.mark.parametrize("tol", ["1e-17", "1e-300"])
+@pytest.mark.parametrize("command", ["oracle", "msd", "mtr"])
+def test_tol_below_rounding_ends_in_a_verdict(tmp_path, capsys, command, tol):
+    """Below the rounding of the matrices D falls outside M and psi's spans
+    leave the diagonal's: a FAIL verdict with exit 1, nothing on stderr."""
+    target = tmp_path / "rook2.json"
+    target.write_text(emit(generate("rook", 2)))
+    assert main([command, str(target), "--tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    if command == "oracle":
+        assert "masa: FAIL" in lines and lines[-1] == "cartan_pair: FAIL"
+        assert "recovery_isomorphism: None" in lines
+    else:
+        members = [line for line in lines if line.startswith("member ")]
+        assert members and all(line.endswith("FAIL") for line in members)
+        assert "  witness: span of a spectral set is not diagonal-invariant" in lines
+
+
+@pytest.mark.parametrize("command", ["msd", "mtr"])
+def test_members_over_empty_spans_pass_no_check(tmp_path, capsys, command):
+    """At --tol 10 every span of rook2 is empty: no member and no flag reads pass."""
+    target = tmp_path / "rook2.json"
+    target.write_text(emit(generate("rook", 2)))
+    assert main([command, str(target), "--tol", "10"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "  dim_algebra: 0" in lines
+    assert [line for line in lines if line.endswith("pass")] == []
+
+
+def test_equiv_of_two_tables_that_are_not_cocycles_is_no(capsys):
+    doc = str(FIXTURES.parent / "golden" / "docs" / "rook3_k3_tampered.json")
+    assert main(["equiv", doc, doc]) == 1
+    assert capsys.readouterr().out == "equivalent: NO (NotEquivalent)\n"
+
+
+def test_validate_classifies_once(tmp_path, capsys, monkeypatch):
+    """classify and check_axioms read one report, kept on the monoid."""
+    import cartanlab.semigroup_core as core
+
+    built = []
+    real = core.ClassificationReport
+    monkeypatch.setattr(core, "ClassificationReport", lambda *args, **kw: built.append(1) or real(*args, **kw))
+    target = tmp_path / "rook3.json"
+    target.write_text(emit(generate("rook", 3)))
+    assert main(["validate", str(target)]) == 0
+    assert "validate: pass" in capsys.readouterr().out
+    assert len(built) == 1

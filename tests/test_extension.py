@@ -349,6 +349,73 @@ def test_extensions_not_equivalent_size(i2, i3):
     assert extensions_equivalent(Extension(i2, 1), Extension(i2, 2)) is None
 
 
+@pytest.mark.parametrize("S, k", [(rook_monoid(2), 3), (rook_monoid(3), 2)], ids=["rook2_k3", "rook3_k2"])
+def test_alpha_is_an_equivalence_when_the_relabeling_moves_block_minima(S, k, monkeypatch):
+    """With the relabelings taken last first, perm sends atom 0, the block's
+    minimum, to the last atom, so b1 o theta^-1 - b2 is not gauged at the
+    block minima as a witness solved on the transported table would be;
+    alpha must still respect the product, the dagger and the quotient, and
+    fix the phased identities through the relabeling."""
+    real = extension_module.relabelings
+    monkeypatch.setattr(extension_module, "relabelings", lambda S1, S2: reversed(list(real(S1, S2))))
+    ext1, ext2 = Extension(S, k, random_coboundary(S, k, 61)), Extension(S, k, random_coboundary(S, k, 67))
+    perm, theta, alpha = extensions_equivalent(ext1, ext2)
+    assert perm[0] == S.atom_count - 1
+    G1 = ext1.elements
+    assert len(set(alpha.values())) == len(G1) and set(alpha.values()) == set(ext2.elements)
+    for v in G1:
+        s2 = theta[v.bij]
+        assert alpha[v].bij == s2
+        assert alpha[ext1.dagger(v)] == ext2.dagger(alpha[v])
+        if v.is_phased_identity():
+            moved = tuple(v.phase_at(perm.index(y)) for y in range(S.atom_count) if s2.domain >> y & 1)
+            assert alpha[v] == PhasedElement(s2, moved)
+        for w in G1:
+            assert alpha[ext1.multiply(v, w)] == ext2.multiply(alpha[v], alpha[w])
+
+
+def _tampered(table):
+    """The table with the first phase of one entry bumped: an entry of two
+    non-idempotents over at least two atoms, which the identity at (s, t, e)
+    for e the identity on one of them ties to another entry."""
+    entries = dict(table.entries)
+    key = min(
+        (key for key, arr in entries.items() if len(arr) >= 2 and not (key[0].is_idempotent() or key[1].is_idempotent())),
+        key=lambda key: (key[0].domain, key[0].image, key[1].domain, key[1].image),
+    )
+    entries[key] = ((entries[key][0] + 1) % table.k,) + entries[key][1:]
+    return CocycleTable(table.k, entries)
+
+
+def test_tables_that_are_not_coboundaries_are_equivalent_to_none(i3):
+    bad = _tampered(random_coboundary(i3, 3, 71))
+    assert not validate_cocycle(i3, 3, bad).passed
+    ext = Extension(i3, 3, bad)
+    assert ext.coboundary is None
+    assert extensions_equivalent(ext, ext) is None
+    assert extensions_equivalent(ext, Extension(i3, 3, bad)) is None
+    assert extensions_equivalent(Extension(i3, 3, random_coboundary(i3, 3, 71)), ext) is None
+
+
+def test_equivalence_solves_each_witness_once(i3, monkeypatch):
+    """At most two coboundary solves per call and one phase-row build per
+    table, though rook3 has six relabelings; a second call solves nothing."""
+    calls = {"_coboundary_witness": [], "_phase_rows": []}
+    for name, seen in calls.items():
+        real = getattr(extension_module, name)
+        monkeypatch.setattr(extension_module, name, lambda *args, real=real, seen=seen: seen.append(args) or real(*args))
+    assert len(list(extension_module.relabelings(i3, i3))) == 6
+    c1, c2 = random_coboundary(i3, 3, 73), random_coboundary(i3, 3, 79)
+    ext1, ext2 = Extension(i3, 3, c1), Extension(i3, 3, c2)
+    assert extensions_equivalent(ext1, ext2) is not None
+    assert len(calls["_coboundary_witness"]) == 2
+    assert [sum(args[1] is c for args in calls["_phase_rows"]) for c in (c1, c2)] == [1, 1]
+    assert extensions_equivalent(ext2, ext1) is not None
+    assert len(calls["_coboundary_witness"]) == 2
+    assert extensions_equivalent(Extension(i3, 3), Extension(i3, 3)) is not None
+    assert len(calls["_coboundary_witness"]) == 2
+
+
 SIGMA_LADDER = {
     "rook2": lambda: (rook_monoid(2), 2, False),
     "rook3": lambda: (rook_monoid(3), 2, False),

@@ -32,7 +32,6 @@ from cartanlab.spectral_bimodule import (
     psi,
     spectral_closure,
     theta,
-    verify_members,
     verify_subdiagonal,
 )
 from cartanlab.vn_oracle import contains_matrix, subspace_basis
@@ -197,10 +196,10 @@ def test_verify_subdiagonal_rook2(i2):
     assert full_rep.dim_algebra == full_rep.dim_selfadjoint_part == 4
 
 
-def test_verify_members_builds_one_index(monkeypatch):
-    """An msd command lists its members and then verifies them: the same
-    reports, in member order, as one verify_subdiagonal call per member,
-    from one trace index for the whole command."""
+def test_msd_members_are_verified_from_one_index(monkeypatch):
+    """An msd command lists its members and then verifies each: the same
+    reports as on a fresh index, from one trace index for the whole
+    command."""
     S = eqrel_monoid([(0, 1), (2,), (3,)])
     rs = RepSpace(Extension(S, 1))
     expected = [verify_subdiagonal(rs, A) for A in msd(S)]
@@ -214,7 +213,7 @@ def test_verify_members_builds_one_index(monkeypatch):
 
     monkeypatch.setattr(spectral_module._TraceIndex, "__init__", counted)
     members = msd(S)
-    assert verify_members(rs, members) == expected
+    assert [verify_subdiagonal(rs, A) for A in members] == expected
     assert len(members) == 3 and len(builds) == 1
 
 
