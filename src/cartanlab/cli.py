@@ -41,6 +41,10 @@ spectral_bimodule = _lazy_import("cartanlab.spectral_bimodule")
 
 __all__ = ["ExtensionDocument", "parse", "emit", "generate", "main", "build_extension"]
 
+# A map's graph is a bitmask of atoms² bits and the cocycle check keeps a
+# table of atoms³ phases: 600 atoms would need gigabytes before any check.
+MAX_ATOMS = 64
+
 
 class ExtensionDocument:
     """In-memory form of a serialized extension: S, k, and a cocycle.
@@ -94,6 +98,8 @@ def parse(text: str) -> ExtensionDocument:
         raise FormatError(f"invalid JSON: {exc.msg}", f"line {exc.lineno}") from None
     except RecursionError:
         raise FormatError("invalid JSON: nested too deeply") from None
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise FormatError(f"invalid JSON: {str(exc).partition(';')[0]}") from None
     if not isinstance(raw, dict):
         raise FormatError("document must be a JSON object", "line 1")
 
@@ -104,6 +110,8 @@ def parse(text: str) -> ExtensionDocument:
     k = raw["k"]
     if type(atoms) is not int or atoms < 1:  # a JSON true is a bool, an int subclass
         raise FormatError("'atoms' must be a positive integer", _line_of(text, '"atoms"'))
+    if atoms > MAX_ATOMS:
+        raise FormatError(f"'atoms' must be at most {MAX_ATOMS}, got {atoms}", _line_of(text, '"atoms"'))
     if type(k) is not int or k < 1:
         raise FormatError("'k' must be a positive integer", _line_of(text, '"k"'))
     if not isinstance(raw["elements"], list) or not raw["elements"]:
@@ -235,10 +243,11 @@ def build_extension(doc: ExtensionDocument, k_override: int | None = None):
         return S, Extension(S, k), names
     # |dom(st)| = |dom(s) & range(t)|: no product is formed, so a document
     # that is not closed still reaches the closure check.
+    range_of = {t: t.range_mask for t in S}
     entries = {}
     for s_name, t_name, phase in doc.cocycle:
         s, t = by_name[s_name], by_name[t_name]
-        width = (s.domain & t.range_mask).bit_count()
+        width = (s.domain & range_of[t]).bit_count()
         if len(phase) != width:
             raise FormatError(
                 f"cocycle entry ({s_name},{t_name}) has {len(phase)} phases, "
@@ -247,9 +256,8 @@ def build_extension(doc: ExtensionDocument, k_override: int | None = None):
         if any(not 0 <= p < k for p in phase):
             raise FormatError(f"cocycle entry ({s_name},{t_name}) has exponents outside 0..k-1")
         entries[(s, t)] = tuple(phase)
-    ranges = [t.range_mask for t in S]
     for s in S:
-        for t, rng in zip(S, ranges):
+        for t, rng in range_of.items():
             if s.domain & rng and (s, t) not in entries:
                 inv = {v: n for n, v in names.items()}
                 raise FormatError(
@@ -421,14 +429,14 @@ def _cmd_msd(doc, args, triangular=False):
     for A in members:
         try:
             rep = spectral_bimodule.verify_subdiagonal(rs, A, guard=args.guard)
-            ok, detail = rep.passed, rep.to_lines()
+            ok, detail, report = rep.passed, rep.to_lines(), vars(rep)
         except InvariantViolation as exc:  # a tol below rounding splits a span from the diagonal's
-            ok, detail = False, [f"witness: {exc}"]
+            ok, detail, report = False, [f"witness: {exc}"], {"witness": str(exc)}
         all_ok &= ok
         labels = sorted(inv.get(s, repr(s)) for s in A)
         lines.append(f"member ({len(A)} elements): {'pass' if ok else 'FAIL'}")
         lines += ["  " + ln for ln in detail]
-        payload_members.append({"elements": labels, "passed": ok})
+        payload_members.append({"elements": labels, "passed": ok, **report})
     payload = {"count": len(members), "members": payload_members, "passed": all_ok}
     return (0 if all_ok else 1), lines, payload
 
@@ -563,7 +571,15 @@ def run():
     A reader that closes stdout early (``| head -1``) ends the command
     quietly with exit code 1: stdout is flushed while a broken pipe can
     still be caught, then pointed at devnull so the flush at exit finds
-    nothing to write."""
+    nothing to write.
+
+    The process ends with every object frozen (``gc.freeze``), so the
+    interpreter's shutdown neither runs its final collection nor frees the
+    objects in reference cycles, numpy's types, ufuncs and functions among
+    them: about 20 ms of a numeric command that print and check nothing.
+    atexit handlers, the stdio flush and the closing of files still run.
+    ``main`` freezes nothing, so an in-process caller's heap is untouched."""
+    import gc
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         os.environ.setdefault(var, "1")
     try:
@@ -571,7 +587,9 @@ def run():
         sys.stdout.flush()
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
+        code = 1
+    finally:
+        gc.freeze()
     sys.exit(code)
 
 

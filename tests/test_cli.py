@@ -500,3 +500,33 @@ def test_validate_classifies_once(tmp_path, capsys, monkeypatch):
     assert main(["validate", str(target)]) == 0
     assert "validate: pass" in capsys.readouterr().out
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("command", ["msd", "mtr"])
+def test_json_members_carry_their_report(tmp_path, capsys, command):
+    """Each JSON member holds the member's report: at the default tol its
+    dimensions, flags and deviation, the dimensions those of the text
+    report; below rounding the witness that the text report prints."""
+    target = tmp_path / "rook2.json"
+    target.write_text(emit(generate("rook", 2)))
+    out = tmp_path / "r.json"
+    assert main([command, str(target), "--format", "json", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    members = json.loads(out.read_text())["members"]
+    flags = ("multiplicative", "dense", "expectation_unital", "expectation_bimodular", "maximal")
+    assert members and all(m["passed"] and all(m[f] for f in flags) for m in members)
+    assert all(isinstance(m["max_deviation"], float) and "witness" not in m for m in members)
+    dims = [(m["dim_algebra"], m["dim_selfadjoint_part"]) for m in members]
+    text_dims = [
+        (int(a.split(": ")[1]), int(b.split(": ")[1]))
+        for a, b in zip(lines, lines[1:])
+        if a.startswith("  dim_algebra: ") and b.startswith("  dim_selfadjoint_part: ")
+    ]
+    assert dims == text_dims
+    assert main([command, str(target), "--tol", "1e-17", "--format", "json", "--out", str(out)]) == 1
+    capsys.readouterr()
+    members = json.loads(out.read_text())["members"]
+    assert members and all(
+        m == {"elements": m["elements"], "passed": False, "witness": "span of a spectral set is not diagonal-invariant"}
+        for m in members
+    )

@@ -188,6 +188,44 @@ print(os.environ["OPENBLAS_NUM_THREADS"], os.environ["OMP_NUM_THREADS"])
     assert lines[0] == "None" and lines[-1] == "1 3"
 
 
+def test_gc_is_frozen_only_at_the_process_entry():
+    """``gc`` is imported, and ``gc.freeze`` called, in ``cli.run`` alone, so
+    no in-process caller of the package ever has its heap frozen."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owner = {}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    owner.setdefault(node, func.name)  # ast.walk visits outer functions first
+        for node in ast.walk(tree):
+            imports_gc = isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names)
+            imports_gc |= isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "gc"
+            freezes = isinstance(node, ast.Attribute) and node.attr == "freeze" and getattr(node.value, "id", None) == "gc"
+            if imports_gc or freezes:
+                found.append((path.name, owner.get(node), "freeze" if freezes else "import"))
+    assert sorted(found) == [("cli.py", "run", "freeze"), ("cli.py", "run", "import")]
+
+
+def test_only_the_command_line_entry_freezes_the_heap(tmp_path):
+    """``python -m cartanlab`` ends with the heap frozen, so shutdown skips
+    its final collection; ``cli.main`` called in-process freezes nothing."""
+    code = """
+import gc, runpy, sys
+import cartanlab.cli
+assert cartanlab.cli.main(["gen", "rook", "2", "--out", "in_process.json"]) == 0
+print(gc.get_freeze_count())
+sys.argv = ["cartanlab", "gen", "rook", "2", "--out", "entry.json"]
+try:
+    runpy.run_module("cartanlab", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(exc.code, gc.get_freeze_count() > 0)
+"""
+    lines = _python_lines(code, cwd=tmp_path)
+    assert lines == ["wrote in_process.json", "0", "wrote entry.json", "0 True"]
+
+
 def _numeric_imports(tree) -> list[int]:
     """Lines of module-level statements that import a numeric module."""
 
