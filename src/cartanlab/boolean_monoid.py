@@ -148,6 +148,22 @@ class AxiomReport:
             f"cartan: {self.cartan}",
         ]
 
+    def failures(self) -> dict:
+        """Each failed axiom, by the name the text report prints, with the
+        witness and note that follow its FAIL there."""
+        items = {
+            "boolean_a": self.boolean_a,
+            "boolean_b": self.boolean_b,
+            "boolean_c": self.boolean_c,
+            "locally_complete": self.locally_complete,
+            "complete_d": self.complete_d,
+        }
+        return {
+            name: {"witness": None if item.witness is None else str(item.witness), "note": item.note}
+            for name, item in items.items()
+            if not item
+        }
+
 
 def _boolean_algebra_item(S: FiniteInverseMonoid, atoms: list) -> CheckItem:
     """E(S) must be the full power set over its lattice atoms ``atoms``."""

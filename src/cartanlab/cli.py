@@ -1,5 +1,5 @@
-"""Command-line interface: document parsing, built-in generators, command
-dispatch, and report/matrix emission.
+"""Command-line interface: document parsing, command dispatch, and
+report emission.
 
 Documents are JSON with keys "atoms", "k", "elements" (named partial maps)
 and an optional sparse "cocycle" entry list (absent means trivial).  Output
@@ -18,28 +18,27 @@ import os
 import sys
 
 from ._lazy import _lazy_import
-from .errors import SPECTRAL_GUARD, CartanLabError, ClosureError, FormatError, InvariantViolation, SizeGuardError
-from .extension import (
-    EQUIV_GUARD,
-    CocycleTable,
-    Extension,
-    extensions_equivalent,
-    order_preserving_section,
-    validate_cocycle,
-    validate_section,
-)
+from ._twist import CocycleTable, Extension
+from .errors import SPECTRAL_GUARD, CartanLabError, ClosureError, FormatError
 from .semigroup_core import FiniteInverseMonoid, PartialBijection, bits, classify, mask_of
 
-# Executed on the first attribute access: the exact commands run without
-# the numeric half, boolean_monoid is executed by validate alone, and
-# generators by gen and the numeric modules that import it.
+# Executed on the first attribute access, each by the commands that use it:
+# validate executes boolean_monoid and the cocycle check, section the
+# section layer, equiv equivalence, gen generators, and the numeric
+# commands their handlers, which bind the numeric half the same way.
 boolean_monoid = _lazy_import("cartanlab.boolean_monoid")
 generators = _lazy_import("cartanlab.generators")
-kernel_rep = _lazy_import("cartanlab.kernel_rep")
-vn_oracle = _lazy_import("cartanlab.vn_oracle")
-spectral_bimodule = _lazy_import("cartanlab.spectral_bimodule")
+_cocycle = _lazy_import("cartanlab._cocycle")
+_section = _lazy_import("cartanlab._section")
+_equiv = _lazy_import("cartanlab._equiv")
+_numeric_cli = _lazy_import("cartanlab._numeric_cli")
+# Registered only, for code that wraps the package from outside and reads
+# every submodule from sys.modules: no command executes the public
+# extension module, and the numeric modules are the handlers' to execute.
+for _name in ("extension", "kernel_rep", "vn_oracle", "spectral_bimodule"):
+    _lazy_import(f"cartanlab.{_name}")
 
-__all__ = ["ExtensionDocument", "parse", "emit", "generate", "main", "build_extension"]
+__all__ = ["ExtensionDocument", "parse", "emit", "main", "build_extension"]
 
 # A map's graph is a bitmask of atoms² bits and the cocycle check keeps a
 # table of atoms³ phases: 600 atoms would need gigabytes before any check.
@@ -62,13 +61,6 @@ class ExtensionDocument:
 
     def __eq__(self, other):
         return isinstance(other, ExtensionDocument) and vars(self) == vars(other)
-
-
-def _int_param(text, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise FormatError(f"{what} '{text}' is not an integer") from None
 
 
 def _line_of(text: str, token: str, start: int = 0) -> str | None:
@@ -137,12 +129,14 @@ def parse(text: str) -> ExtensionDocument:
         for src_s, dst in entry["map"].items():
             try:
                 src = int(src_s)
-            except (TypeError, ValueError):
-                raise FormatError(f"map key '{src_s}' is not an atom index", where) from None
+            except ValueError:
+                src = None
+            # int() also reads " 0", "+1", "01", "1_0" and non-ASCII digits; the
+            # canonical keys of one JSON object name distinct atoms
+            if src is None or str(src) != src_s:
+                raise FormatError(f"map key '{src_s}' is not an atom index", where)
             if type(dst) is not int:
                 raise FormatError(f"map value '{dst}' is not an atom index", where)
-            if src in mapping:
-                raise FormatError(f"duplicate map key {src}", where)
             mapping[src] = dst
         bij = _bijection_of(atoms, mapping, where)
         names[name] = bij
@@ -266,65 +260,23 @@ def build_extension(doc: ExtensionDocument, k_override: int | None = None):
     return S, Extension(S, k, CocycleTable(k, entries)), names
 
 
-def generate(kind: str, params, guard: int | None = None) -> ExtensionDocument:
-    """Built-in documents: rook(n), eqrel(blocks), product(doc, doc).  The
-    guard defaults to ``generators.ROOK_GUARD``."""
-    if guard is None:
-        guard = generators.ROOK_GUARD
-    if kind == "rook":
-        n = _int_param(params, "rook size")
-        S = generators.rook_monoid(n, guard)
-        meta = {"kind": f"rook({n})"}
-    elif kind == "eqrel":
-        blocks = [tuple(_int_param(a, "block atom") for a in blk.split(",")) for blk in str(params).split("|")]
-        largest = max(len(b) for b in blocks)
-        if largest > guard:
-            raise SizeGuardError(largest, guard, "eqrel largest block")
-        S = generators.eqrel_monoid(blocks)
-        meta = {"kind": f"eqrel({params})"}
-    elif kind == "product":
-        doc_a, doc_b = params
-        if doc_a.k != doc_b.k:
-            raise FormatError("product factors must share the same k")
-        if doc_a.cocycle is not None or doc_b.cocycle is not None:
-            raise FormatError("product factors must carry trivial cocycles")
-        A, _, _ = build_extension(doc_a)
-        B, _, _ = build_extension(doc_b)
-        S = generators.product_monoid(A, B)
-        meta = {"kind": "product"}
-        doc = _document_of(S, doc_a.k, meta)
-        return doc
-    else:
-        raise FormatError(f"unknown generator kind '{kind}'")
-    return _document_of(S, 1, meta)
-
-
-def _document_of(S: FiniteInverseMonoid, k: int, metadata: dict) -> ExtensionDocument:
-    elements = []
-    for i, s in enumerate(S.elements):
-        mapping = {y: x for x, y in s.pairs()}
-        elements.append((f"s{i:03d}", mapping))
-    return _canonicalize(ExtensionDocument(S.atom_count, k, elements, None, metadata))
-
-
 # ---------------------------------------------------------------------------
-# command implementations (each returns (exit_code, text_lines, payload))
+# command implementations (each returns (exit_code, text_lines, payload));
+# the numeric ones are in _numeric_cli
 
 
-def _cmd_validate(doc, args):
+def _cmd_validate(S, ext, names, args):
     lines = []
-    payload = {}
-    S, ext, names = build_extension(doc, args.k)
     try:
         rep = classify(S)
     except ClosureError as exc:
-        return 1, [f"closure: FAIL ({exc})"], {"closure": "fail"}
+        return 1, [f"closure: FAIL ({exc})"], {"closure": "fail", "closure_error": str(exc)}
     if S.added:
         lines.append(f"materialized_constants: {len(S.added)} (0/1 added to the element list)")
     lines += rep.to_lines()
     ax = boolean_monoid.check_axioms(S)
     lines += ax.to_lines()
-    crep = validate_cocycle(S, ext.k, ext.cocycle)
+    crep = _cocycle.validate_cocycle(S, ext.k, ext.cocycle)
     lines += crep.to_lines()
     ok = rep.inverse_monoid and ax.passed and ax.cartan and crep.passed
     payload = {
@@ -332,21 +284,24 @@ def _cmd_validate(doc, args):
         "fundamental": rep.fundamental,
         "clifford": rep.clifford,
         "axioms_passed": ax.passed,
+        "axiom_failures": ax.failures(),
         "cartan": ax.cartan,
         "cocycle_passed": crep.passed,
+        "cocycle_violation_count": len(crep.violations),
+        "cocycle_violations": crep.shown(),
         "materialized": len(S.added),
     }
     lines.append(f"validate: {'pass' if ok else 'FAIL'}")
     return (0 if ok else 1), lines, payload
 
 
-def _cmd_section(doc, args):
-    S, ext, names = build_extension(doc, args.k)
-    j = order_preserving_section(ext)
-    rep = validate_section(ext, j)
+def _cmd_section(S, ext, names, args):
+    j = _section.order_preserving_section(ext)
+    rep = _section.validate_section(ext, j)
     inv = {v: n for n, v in names.items()}
     lines = rep.to_lines()
-    payload = {"passed": rep.passed, "section": {}}
+    witnesses = {key: str(w) for key, w in rep.witnesses.items()}
+    payload = {"passed": rep.passed, "section": {}, "witnesses": witnesses}
     for s in S:
         v = j[s]
         label = inv.get(s, repr(s))
@@ -355,97 +310,11 @@ def _cmd_section(doc, args):
     return (0 if rep.passed else 1), lines, payload
 
 
-def _cmd_represent(doc, args):
-    S, ext, names = build_extension(doc, args.k)
-    rs = kernel_rep.RepSpace(ext, tol=args.tol)
-    inv = {v: n for n, v in names.items()}
-    chunks = []
-    for s in S:
-        label = inv.get(s, repr(s))
-        chunks.append(f"# section {label}")
-        chunks.append(kernel_rep.dump_matrix(rs.rbasis, ext.k, rs.monomial(rs.j[s])).rstrip("\n"))
-    text = "\n".join(chunks) + "\n"
-    payload = {"dim": len(rs.rbasis), "k": ext.k, "dump": text}
-    return 0, [text.rstrip("\n")], payload
-
-
-def _cmd_oracle(doc, args):
-    S, ext, names = build_extension(doc, args.k)
-    rep = vn_oracle.cartan_report(ext, tol=args.tol)
-    lines = rep.to_lines()
-    payload = {
-        "passed": rep.passed,
-        "dim_M": rep.dim_M,
-        "dim_D": rep.dim_D,
-        "dim_R": rep.dim_R,
-        "masa": rep.masa.is_masa,
-        "center_dimension": rep.masa.center_dimension,
-        "recovered_size": rep.recovered_size,
-        "recovery_isomorphism": list(rep.recovery_iso) if rep.recovery_iso else None,
-    }
-    return (0 if rep.passed else 1), lines, payload
-
-
-def _cmd_spectral(doc, args):
-    S, ext, names = build_extension(doc, args.k)
-    idx = spectral_bimodule._trace_index(S)
-    count = idx.full + 1
-    step = 1 if count <= 64 else count // 64
-    positions = range(0, count, step)
-    sample = [idx.members(idx.mask_at(pos, args.guard)) for pos in positions]
-    rs = kernel_rep.RepSpace(ext, tol=args.tol)
-    psi, theta = spectral_bimodule.psi, spectral_bimodule.theta
-    witness = None
-    for pos, A in zip(positions, sample):
-        try:
-            if theta(rs, psi(rs, A)) != A:
-                witness = f"spectral set {pos}: theta(psi(A)) != A"
-        except InvariantViolation as exc:  # a tol past the matrices' norms splits the two readings
-            witness = f"spectral set {pos}: {exc}"
-        if witness:
-            break
-    ok = witness is None
-    lines = [
-        f"spectral_sets: {count}",
-        f"round_trip_checked: {len(sample)}",
-        f"round_trip: {'pass' if ok else 'FAIL'}",
-    ]
-    payload = {"count": count, "round_trip": ok, "checked": len(sample)}
-    if witness:
-        lines.append(f"  witness: {witness}")
-        payload["witness"] = witness
-    return (0 if ok else 1), lines, payload
-
-
-def _cmd_msd(doc, args, triangular=False):
-    S, ext, names = build_extension(doc, args.k)
-    rs = kernel_rep.RepSpace(ext, tol=args.tol)
-    search = spectral_bimodule.mtr if triangular else spectral_bimodule.msd
-    members = search(S, guard=args.guard)
-    inv = {v: n for n, v in names.items()}
-    lines = [f"{'mtr' if triangular else 'msd'}_count: {len(members)}"]
-    all_ok = True
-    payload_members = []
-    for A in members:
-        try:
-            rep = spectral_bimodule.verify_subdiagonal(rs, A, guard=args.guard)
-            ok, detail, report = rep.passed, rep.to_lines(), vars(rep)
-        except InvariantViolation as exc:  # a tol below rounding splits a span from the diagonal's
-            ok, detail, report = False, [f"witness: {exc}"], {"witness": str(exc)}
-        all_ok &= ok
-        labels = sorted(inv.get(s, repr(s)) for s in A)
-        lines.append(f"member ({len(A)} elements): {'pass' if ok else 'FAIL'}")
-        lines += ["  " + ln for ln in detail]
-        payload_members.append({"elements": labels, "passed": ok, **report})
-    payload = {"count": len(members), "members": payload_members, "passed": all_ok}
-    return (0 if all_ok else 1), lines, payload
-
-
 def _cmd_equiv(doc_a, doc_b, args):
     _, ext_a, _ = build_extension(doc_a, args.k)
     _, ext_b, _ = build_extension(doc_b, args.k)
-    guard = args.guard if args.guard_explicit else EQUIV_GUARD
-    witness = extensions_equivalent(ext_a, ext_b, guard=guard)
+    guard = args.guard if args.guard_explicit else _equiv.EQUIV_GUARD
+    witness = _equiv.extensions_equivalent(ext_a, ext_b, guard=guard)
     if witness is None:
         return 1, ["equivalent: NO (NotEquivalent)"], {"equivalent": False}
     perm, theta_map, alpha = witness
@@ -454,23 +323,7 @@ def _cmd_equiv(doc_a, doc_b, args):
         f"atom_permutation: {list(perm)}",
         f"element_pairs: {len(alpha)}",
     ]
-    return 0, lines, {"equivalent": True, "atom_permutation": list(perm)}
-
-
-def _cmd_gen(args):
-    if args.kind == "product":
-        if len(args.params) != 2:
-            raise FormatError("gen product needs two documents")
-        doc = generate("product", (_load(args.params[0]), _load(args.params[1])))
-    else:
-        if len(args.params) != 1:
-            raise FormatError(f"gen {args.kind} needs exactly one parameter, got {len(args.params)}")
-        doc = generate(args.kind, args.params[0], guard=args.guard if args.guard_explicit else None)
-    text = emit(doc)
-    if args.out:
-        _write(args.out, text)
-        return 0, [f"wrote {args.out}"], {"written": args.out}
-    return 0, [text.rstrip("\n")], {"document": json.loads(text)}
+    return 0, lines, {"equivalent": True, "atom_permutation": list(perm), "element_pairs": len(alpha)}
 
 
 def _load(path: str) -> ExtensionDocument:
@@ -526,24 +379,15 @@ def main(argv=None) -> int:
             raise FormatError(f"--guard must be a positive integer, got {args.guard}")
 
         if args.command == "gen":
-            code, lines, payload = _cmd_gen(args)
+            code, lines, payload = generators._cmd_gen(args)
         elif args.command == "equiv":
             code, lines, payload = _cmd_equiv(_load(args.document), _load(args.other), args)
         else:
-            doc = _load(args.document)
-            handler = {
-                "validate": _cmd_validate,
-                "section": _cmd_section,
-                "represent": _cmd_represent,
-                "oracle": _cmd_oracle,
-                "spectral": _cmd_spectral,
-            }.get(args.command)
-            if handler is not None:
-                code, lines, payload = handler(doc, args)
-            elif args.command == "msd":
-                code, lines, payload = _cmd_msd(doc, args, triangular=False)
-            else:
-                code, lines, payload = _cmd_msd(doc, args, triangular=True)
+            S, ext, names = build_extension(_load(args.document), args.k)
+            handler = {"validate": _cmd_validate, "section": _cmd_section}.get(args.command)
+            if handler is None:
+                handler = getattr(_numeric_cli, f"_cmd_{args.command}")
+            code, lines, payload = handler(S, ext, names, args)
 
         # the report file first, so a reader that closes stdout early cannot lose it
         if args.out and args.command != "gen":  # gen already wrote the document there

@@ -1,13 +1,15 @@
-"""Built-in monoid constructors: rook monoids, block monoids, products."""
+"""Built-in monoid constructors: rook monoids, block monoids, products,
+and the documents ``cartanlab gen`` writes of them."""
 
 from __future__ import annotations
 
 import itertools
+import json
 
-from .errors import DomainError, SizeGuardError
+from .errors import DomainError, FormatError, SizeGuardError
 from .semigroup_core import FiniteInverseMonoid, PartialBijection, mask_of
 
-__all__ = ["rook_monoid", "eqrel_monoid", "product_monoid", "ROOK_GUARD"]
+__all__ = ["rook_monoid", "eqrel_monoid", "product_monoid", "generate", "ROOK_GUARD"]
 
 ROOK_GUARD = 5
 
@@ -64,3 +66,77 @@ def product_monoid(A: FiniteInverseMonoid, B: FiniteInverseMonoid) -> FiniteInve
             image = a.image + tuple(x + shift for x in b.image)
             elements.add(PartialBijection(n, dom, image))
     return FiniteInverseMonoid(n, elements)
+
+
+# The documents of ``cartanlab gen``.  They take cli's document type and I/O
+# at call time: the numeric half imports the constructors above without the
+# command line.
+
+
+def _int_param(text, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise FormatError(f"{what} '{text}' is not an integer") from None
+
+
+def generate(kind: str, params, guard: int | None = None):
+    """Built-in documents: rook(n), eqrel(blocks), product(doc, doc), each a
+    ``cli.ExtensionDocument``.  The guard defaults to ``ROOK_GUARD``."""
+    from .cli import build_extension
+
+    if guard is None:
+        guard = ROOK_GUARD
+    if kind == "rook":
+        n = _int_param(params, "rook size")
+        S = rook_monoid(n, guard)
+        meta = {"kind": f"rook({n})"}
+    elif kind == "eqrel":
+        blocks = [tuple(_int_param(a, "block atom") for a in blk.split(",")) for blk in str(params).split("|")]
+        largest = max(len(b) for b in blocks)
+        if largest > guard:
+            raise SizeGuardError(largest, guard, "eqrel largest block")
+        S = eqrel_monoid(blocks)
+        meta = {"kind": f"eqrel({params})"}
+    elif kind == "product":
+        doc_a, doc_b = params
+        if doc_a.k != doc_b.k:
+            raise FormatError("product factors must share the same k")
+        if doc_a.cocycle is not None or doc_b.cocycle is not None:
+            raise FormatError("product factors must carry trivial cocycles")
+        A, _, _ = build_extension(doc_a)
+        B, _, _ = build_extension(doc_b)
+        S = product_monoid(A, B)
+        return _document_of(S, doc_a.k, {"kind": "product"})
+    else:
+        raise FormatError(f"unknown generator kind '{kind}'")
+    return _document_of(S, 1, meta)
+
+
+def _document_of(S: FiniteInverseMonoid, k: int, metadata: dict):
+    from .cli import ExtensionDocument, _canonicalize
+
+    elements = []
+    for i, s in enumerate(S.elements):
+        mapping = {y: x for x, y in s.pairs()}
+        elements.append((f"s{i:03d}", mapping))
+    return _canonicalize(ExtensionDocument(S.atom_count, k, elements, None, metadata))
+
+
+def _cmd_gen(args):
+    """``cartanlab gen``: (exit code, text lines, JSON payload)."""
+    from .cli import _load, _write, emit
+
+    if args.kind == "product":
+        if len(args.params) != 2:
+            raise FormatError("gen product needs two documents")
+        doc = generate("product", (_load(args.params[0]), _load(args.params[1])))
+    else:
+        if len(args.params) != 1:
+            raise FormatError(f"gen {args.kind} needs exactly one parameter, got {len(args.params)}")
+        doc = generate(args.kind, args.params[0], guard=args.guard if args.guard_explicit else None)
+    text = emit(doc)
+    if args.out:
+        _write(args.out, text)
+        return 0, [f"wrote {args.out}"], {"written": args.out}
+    return 0, [text.rstrip("\n")], {"document": json.loads(text)}

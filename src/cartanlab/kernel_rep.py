@@ -29,8 +29,9 @@ from functools import cached_property
 from itertools import chain
 
 from ._lazy import np
+from ._section import Section, _sigma, order_preserving_section, sigma
+from ._twist import Extension
 from .errors import DomainError, InvariantViolation
-from .extension import Extension, Section, _sigma, sigma
 from .semigroup_core import (
     FiniteInverseMonoid,
     PartialBijection,
@@ -168,7 +169,7 @@ def _lambda_columns(ext: Extension, j: Section, rbasis: RBasis, i: int, a: list[
     reads a, and that product adds a(x) at y.
 
     Needs the one-point maps of the relation to be elements of S (downward
-    closure; DomainError otherwise).  sigma is ``extension._sigma`` on
+    closure; DomainError otherwise).  sigma is ``_section._sigma`` on
     element ids, which raises InvariantViolation, naming v, when it is not
     a phased identity.
     """
@@ -252,8 +253,6 @@ class RepSpace:
     """
 
     def __init__(self, ext: Extension, j: Section | None = None, tol: float = DEFAULT_TOL):
-        from .extension import order_preserving_section
-
         self.ext = ext
         self.j = j if j is not None else order_preserving_section(ext)
         self.rbasis = RBasis.from_monoid(ext.S)

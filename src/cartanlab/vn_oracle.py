@@ -37,8 +37,9 @@ from itertools import chain
 from random import Random
 
 from ._lazy import np
+from ._section import Section, delta
+from ._twist import Extension
 from .errors import DomainError, InvariantViolation, SizeGuardError
-from .extension import Extension, Section, delta
 from .kernel_rep import DEFAULT_TOL, RBasis, RepSpace, expectation
 from .generators import _partial_injections
 from .semigroup_core import FiniteInverseMonoid, PartialBijection, relabelings, singleton

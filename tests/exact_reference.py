@@ -7,13 +7,16 @@ and the inverse of a partial bijection, each written on elements as the
 textbook states it.  ``element_sigma`` and ``element_delta`` are sigma and
 Delta formed from ``compose``/``meet`` and the extension's element-level
 product and inverse: the references for the id-level ``extension.sigma``
-and ``extension.delta``.
+and ``extension.delta``.  ``patch_extension`` patches a name in every part
+of the extension API that binds it.
 """
 
 from __future__ import annotations
 
+from cartanlab import _cocycle, _equiv, _section, _twist
+from cartanlab._twist import _dense, _phase_rows
 from cartanlab.errors import ClosureError, DomainError, InvariantViolation
-from cartanlab.extension import CocycleTable, Extension, Section, _dense, _phase_rows
+from cartanlab.extension import CocycleTable, Extension, Section
 from cartanlab.semigroup_core import (
     FiniteInverseMonoid,
     PartialBijection,
@@ -28,6 +31,23 @@ from cartanlab.semigroup_core import (
     partial_identity,
     with_zero_phases,
 )
+
+# The private modules behind ``cartanlab.extension``, one per part.
+EXTENSION_PARTS = (_twist, _cocycle, _section, _equiv)
+
+
+def patch_extension(monkeypatch, name: str, make):
+    """Bind ``name`` to ``make(real)`` in every part of the extension API
+    that binds it, the module that defines it and those that import it, so
+    the patch reaches every caller there; returns the real object."""
+    holders = [module for module in EXTENSION_PARTS if name in vars(module)]
+    if not holders:
+        raise AttributeError(f"no part of the extension API binds {name}")
+    real = getattr(holders[0], name)
+    patched = make(real)
+    for module in holders:
+        monkeypatch.setattr(module, name, patched)
+    return real
 
 
 def inverse_apply(s: PartialBijection, atom: int) -> int:

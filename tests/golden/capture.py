@@ -22,8 +22,9 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
-from cartanlab.cli import ExtensionDocument, build_extension, emit, generate, main
+from cartanlab.cli import ExtensionDocument, build_extension, emit, main
 from cartanlab.extension import point_coboundary_table
+from cartanlab.generators import generate
 from cartanlab.semigroup_core import conjugate
 
 HERE = pathlib.Path(__file__).resolve().parent

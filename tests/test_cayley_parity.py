@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-import cartanlab.extension as extension_module
+from cartanlab._twist import _rank
 from cartanlab.errors import ClosureError, DomainError, FormatError, InvariantViolation
 from cartanlab.extension import (
     CocycleReport,
@@ -25,7 +25,6 @@ from cartanlab.extension import (
     Extension,
     Section,
     SectionReport,
-    _rank,
     cohomologous,
     extensions_equivalent,
     order_preserving_section,
@@ -51,7 +50,7 @@ from cartanlab.semigroup_core import (
     with_zero_phases,
 )
 
-from exact_reference import g_meet, g_natural_leq, inverse_apply, trivial_cocycle
+from exact_reference import g_meet, g_natural_leq, inverse_apply, patch_extension, trivial_cocycle
 
 
 def ref_mul(S):
@@ -668,7 +667,8 @@ def test_zero_table_section_skips_search_and_keeps_closure_error(monkeypatch):
     def no_search(*args):
         raise AssertionError("cohomologous called on an all-zero table")
 
-    monkeypatch.setattr(extension_module, "cohomologous", no_search)
+    for name in ("cohomologous", "_coboundary_witness"):
+        patch_extension(monkeypatch, name, lambda real: no_search)
     assert order_preserving_section(ext) == expected
     assert all(not any(v.phases) for _, v in expected.items())
 
@@ -686,25 +686,29 @@ def test_zero_table_section_skips_search_and_keeps_closure_error(monkeypatch):
 
 
 def _forbid(monkeypatch, *names):
-    """Make the module functions ``names`` raise when called."""
+    """Make the module functions ``names`` raise when called, in every part
+    of the extension API that binds them."""
 
     def refuse(*args):
         raise AssertionError(f"one of {names} was called")
 
     for name in names:
-        monkeypatch.setattr(extension_module, name, refuse)
+        patch_extension(monkeypatch, name, lambda real: refuse)
 
 
 def _spy(monkeypatch, name):
-    """Record each call of the module function ``name`` and run it."""
+    """Record each call of the module function ``name``, from every part of
+    the extension API that binds it, and run it."""
     calls = []
-    real = getattr(extension_module, name)
 
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
+    def make(real):
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
 
-    monkeypatch.setattr(extension_module, name, spy)
+        return spy
+
+    patch_extension(monkeypatch, name, make)
     return calls
 
 
@@ -815,7 +819,7 @@ def test_one_phase_row_build_per_table(monoids, monkeypatch):
 
     bad = tampered(c, S, random.Random(8))
     a, b = Extension(S, 2, c), Extension(S, 2, bad)
-    assert len(list(extension_module.relabelings(S, S))) == 2
+    assert len(list(relabelings(S, S))) == 2
     assert extensions_equivalent(a, b) is None
     assert sum(args[1] is bad for args in calls) == 1
     assert sum(args[1] is c for args in calls) == 2

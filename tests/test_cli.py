@@ -11,12 +11,12 @@ from cartanlab.cli import (
     ExtensionDocument,
     build_extension,
     emit,
-    generate,
     main,
     parse,
 )
 from cartanlab.errors import FormatError, SizeGuardError
-from cartanlab.semigroup_core import PartialBijection, singleton
+from cartanlab.generators import generate
+from cartanlab.semigroup_core import PartialBijection, PhasedElement, singleton
 
 from exact_reference import trivial_cocycle
 
@@ -530,3 +530,94 @@ def test_json_members_carry_their_report(tmp_path, capsys, command):
         m == {"elements": m["elements"], "passed": False, "witness": "span of a spectral set is not diagonal-invariant"}
         for m in members
     )
+
+
+@pytest.mark.parametrize("key", [" 0", "0 ", "+1", "01", "-0", "1_0", "\u0660", "x", ""])
+def test_map_keys_must_be_canonical_atom_indices(key):
+    """``int`` reads all of these keys; only the decimal form it prints back
+    names an atom (so "1_0" is not read as atom 10)."""
+    raw = {"atoms": 2, "k": 1, "elements": [{"name": "a", "map": {key: 1}}]}
+    with pytest.raises(FormatError, match="is not an atom index"):
+        parse(json.dumps(raw))
+
+
+def test_negative_map_key_is_out_of_range():
+    raw = {"atoms": 2, "k": 1, "elements": [{"name": "a", "map": {"-1": 1}}]}
+    with pytest.raises(FormatError, match="atom out of range"):
+        parse(json.dumps(raw))
+
+
+def _json_report(tmp_path, capsys, argv):
+    """(exit code, the --format json report, the text lines) of one run."""
+    out = tmp_path / "report.json"
+    code = main([*argv, "--format", "json", "--out", str(out)])
+    return code, json.loads(out.read_text()), capsys.readouterr().out.splitlines()
+
+
+def test_validate_json_carries_the_violations_and_axiom_witnesses(tmp_path, capsys):
+    """rook3 with the trivial k=2 table and one phase of (swap01, swap01)
+    bumped: 47 identity violations, of which the text lists 10."""
+    base = generate("rook", "3")
+    S, _, names = build_extension(base)
+    inv = {v: n for n, v in names.items()}
+    swap = PartialBijection(3, 0b111, (1, 0, 2))
+    entries = dict(trivial_cocycle(S, 2).entries)
+    entries[(swap, swap)] = (1, 0, 0)
+    cocycle = [(inv[s], inv[t], list(phase)) for (s, t), phase in entries.items()]
+    target = tmp_path / "tampered.json"
+    target.write_text(emit(ExtensionDocument(3, 2, base.elements, cocycle, {})))
+    code, payload, lines = _json_report(tmp_path, capsys, ["validate", str(target)])
+    assert code == 1 and not payload["cocycle_passed"]
+    shown = [line.removeprefix("  violated: ") for line in lines if line.startswith("  violated: ")]
+    assert payload["cocycle_violations"] == shown and len(shown) == 10
+    assert payload["cocycle_violation_count"] == 47
+    assert payload["axiom_failures"] == {}
+
+    code, payload, lines = _json_report(tmp_path, capsys, ["validate", str(FIXTURES / "missing_swap.json")])
+    assert code == 1 and payload["cocycle_violation_count"] == 0 and payload["cocycle_violations"] == []
+    failed = {line.split(": ")[0]: line.split(": ", 1)[1] for line in lines if ": FAIL " in line}
+    assert sorted(payload["axiom_failures"]) == sorted(failed) == ["boolean_c", "complete_d"]
+    for name, item in payload["axiom_failures"].items():
+        note = f" ({item['note']})" if item["note"] else ""
+        assert failed[name] == f"FAIL witness={item['witness']}{note}"
+
+
+def test_section_json_carries_the_witnesses(tmp_path, capsys, monkeypatch):
+    """A section with one lift's phase bumped fails; the JSON report carries
+    the witnesses the text prints, and a passing one carries none."""
+    from cartanlab import _section
+
+    target = tmp_path / "rook2.json"
+    target.write_text(bundled_rook2_text())
+    code, payload, _ = _json_report(tmp_path, capsys, ["section", str(target), "--k", "2"])
+    assert code == 0 and payload["witnesses"] == {}
+
+    real = _section.order_preserving_section
+
+    def bumped(ext):
+        values = dict(real(ext).values)
+        swap = PartialBijection(2, 0b11, (1, 0))
+        values[swap] = PhasedElement(swap, tuple((p + 1) % ext.k for p in values[swap].phases))
+        return _section.Section(values)
+
+    monkeypatch.setattr(_section, "order_preserving_section", bumped)
+    code, payload, lines = _json_report(tmp_path, capsys, ["section", str(target), "--k", "2"])
+    shown = dict(line.strip().split(" witness: ") for line in lines if " witness: " in line)
+    assert code == 1 and shown and payload["witnesses"] == shown
+
+
+def test_equiv_json_carries_the_element_pairs(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    a.write_text(emit(generate("rook", "2")))
+    code, payload, lines = _json_report(tmp_path, capsys, ["equiv", str(a), str(a), "--k", "3"])
+    assert code == 0 and f"element_pairs: {payload['element_pairs']}" in lines
+    assert payload["element_pairs"] == 1 + 4 * 3 + 2 * 9
+
+
+def test_validate_json_carries_the_closure_failure(tmp_path, capsys):
+    raw = {"atoms": 3, "k": 1, "elements": [{"name": "a", "map": {"0": 1}}, {"name": "b", "map": {"1": 2}}]}
+    target = tmp_path / "open.json"
+    target.write_text(json.dumps(raw))
+    code, payload, lines = _json_report(tmp_path, capsys, ["validate", str(target)])
+    assert code == 1 and lines == [f"closure: FAIL ({payload['closure_error']})"]
+    assert payload["closure"] == "fail"

@@ -12,8 +12,9 @@ from importlib import resources
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cartanlab.cli import ExtensionDocument, build_extension, emit, generate, main
+from cartanlab.cli import ExtensionDocument, build_extension, emit, main
 from cartanlab.extension import point_coboundary_table
+from cartanlab.generators import generate
 
 # Replacement values: every JSON type, with the integers a field would reject.
 POOL = (

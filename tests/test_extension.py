@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cartanlab.extension as extension_module
-
+from cartanlab import _equiv
 from cartanlab.errors import DomainError, FormatError
 from cartanlab.extension import (
     CocycleTable,
@@ -39,6 +38,7 @@ from exact_reference import (
     element_sigma,
     g_meet,
     g_natural_leq,
+    patch_extension,
     trivial_cocycle,
 )
 
@@ -356,8 +356,7 @@ def test_alpha_is_an_equivalence_when_the_relabeling_moves_block_minima(S, k, mo
     block minima as a witness solved on the transported table would be;
     alpha must still respect the product, the dagger and the quotient, and
     fix the phased identities through the relabeling."""
-    real = extension_module.relabelings
-    monkeypatch.setattr(extension_module, "relabelings", lambda S1, S2: reversed(list(real(S1, S2))))
+    patch_extension(monkeypatch, "relabelings", lambda real: lambda S1, S2: reversed(list(real(S1, S2))))
     ext1, ext2 = Extension(S, k, random_coboundary(S, k, 61)), Extension(S, k, random_coboundary(S, k, 67))
     perm, theta, alpha = extensions_equivalent(ext1, ext2)
     assert perm[0] == S.atom_count - 1
@@ -402,9 +401,8 @@ def test_equivalence_solves_each_witness_once(i3, monkeypatch):
     table, though rook3 has six relabelings; a second call solves nothing."""
     calls = {"_coboundary_witness": [], "_phase_rows": []}
     for name, seen in calls.items():
-        real = getattr(extension_module, name)
-        monkeypatch.setattr(extension_module, name, lambda *args, real=real, seen=seen: seen.append(args) or real(*args))
-    assert len(list(extension_module.relabelings(i3, i3))) == 6
+        patch_extension(monkeypatch, name, lambda real, seen=seen: lambda *args: seen.append(args) or real(*args))
+    assert len(list(_equiv.relabelings(i3, i3))) == 6
     c1, c2 = random_coboundary(i3, 3, 73), random_coboundary(i3, 3, 79)
     ext1, ext2 = Extension(i3, 3, c1), Extension(i3, 3, c2)
     assert extensions_equivalent(ext1, ext2) is not None
@@ -439,7 +437,7 @@ def test_id_level_sigma_alpha_delta_match_element_level_reference(name, monkeypa
     def forbidden(*args):
         raise AssertionError("compose called")
 
-    monkeypatch.setattr(extension_module, "compose", forbidden)
+    patch_extension(monkeypatch, "compose", lambda real: forbidden)
     for v in ext.elements:
         assert delta(ext, j, v) == ref_delta[v], v
         for s in S:

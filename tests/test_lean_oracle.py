@@ -26,7 +26,7 @@ import random
 import numpy as np
 import pytest
 
-from cartanlab import cli, kernel_rep, spectral_bimodule, vn_oracle
+from cartanlab import cli, generators, kernel_rep, spectral_bimodule, vn_oracle
 from cartanlab.errors import ClosureError, DomainError, InvariantViolation, SizeGuardError
 from cartanlab.extension import (
     Extension,
@@ -599,7 +599,7 @@ def test_set_that_is_not_closed_keeps_its_errors(tmp_path, capsys):
             search(S)
         assert exc.value.witness == witness
     path = tmp_path / "not_closed.json"
-    path.write_text(cli.emit(cli._document_of(S, 1, {})))
+    path.write_text(cli.emit(generators._document_of(S, 1, {})))
     assert cli.main(["msd", str(path)]) == 2
 
 
@@ -934,7 +934,7 @@ def test_spectral_command_samples_the_enumerated_sets(name, tmp_path, monkeypatc
     enumeration order, the sets the full list would have given."""
     S = {"rook2": rook_monoid(2), "rook3": rook_monoid(3), "eqrel_01_23": eqrel_monoid([(0, 1), (2, 3)])}[name]
     path = tmp_path / "doc.json"
-    path.write_text(cli.emit(cli._document_of(S, 1, {})))
+    path.write_text(cli.emit(generators._document_of(S, 1, {})))
     sets = enumerate_spectral_sets(S)
     ref = sets if len(sets) <= 64 else sets[:: len(sets) // 64]
     sampled = []

@@ -16,9 +16,10 @@ from pathlib import Path
 
 import pytest
 
+from cartanlab._twist import _one_point_maps
 from cartanlab.cli import build_extension, parse
 from cartanlab.errors import ClosureError, DomainError
-from cartanlab.extension import Extension, _one_point_maps, order_preserving_section
+from cartanlab.extension import Extension, order_preserving_section
 from cartanlab.generators import eqrel_monoid, product_monoid, rook_monoid
 from cartanlab.kernel_rep import RepSpace, lambda_matrix
 from cartanlab.semigroup_core import (

@@ -60,8 +60,12 @@ def _python(code: str, *args: str, cwd=None) -> str:
 
 
 NUMERIC = ("kernel_rep", "vn_oracle", "spectral_bimodule")
-# The exact modules that only some commands use, then the numeric half.
-PROBED = ("boolean_monoid", "generators", *NUMERIC)
+# The private parts of the extension API that only some commands use, and
+# the numeric commands' handlers, each executed by the commands that use it.
+PER_COMMAND = ("_cocycle", "_section", "_equiv", "_numeric_cli")
+# The exact modules that only some commands use, the public extension module,
+# which no command executes, the per-command parts, then the numeric half.
+PROBED = ("boolean_monoid", "generators", "extension", *PER_COMMAND, *NUMERIC)
 # numpy's random-number stack, and a module it pulls in.
 RANDOM_STACK = ("numpy.random", "secrets")
 
@@ -111,21 +115,25 @@ def test_oracle_loads_numpy(tmp_path):
     "argv, executed",
     [
         (["gen", "rook", "2", "--out", "gen.json"], "generators"),
-        (["validate", ROOK2], "boolean_monoid"),
-        (["section", ROOK2], "-"),
-        (["equiv", ROOK2, ROOK2], "-"),
-        (["oracle", ROOK2], "generators kernel_rep vn_oracle"),
-        (["represent", ROOK2], "kernel_rep"),
-        (["spectral", ROOK2], "generators kernel_rep vn_oracle spectral_bimodule"),
-        (["msd", ROOK2], "generators kernel_rep vn_oracle spectral_bimodule"),
+        (["validate", ROOK2], "boolean_monoid _cocycle"),
+        (["section", ROOK2], "_section"),
+        (["equiv", ROOK2, ROOK2], "_equiv"),
+        (["oracle", ROOK2], "generators _section _numeric_cli kernel_rep vn_oracle"),
+        (["represent", ROOK2], "_section _numeric_cli kernel_rep"),
+        (["spectral", ROOK2], "generators _section _numeric_cli kernel_rep vn_oracle spectral_bimodule"),
+        (["msd", ROOK2], "generators _section _numeric_cli kernel_rep vn_oracle spectral_bimodule"),
+        (["mtr", ROOK2], "generators _section _numeric_cli kernel_rep vn_oracle spectral_bimodule"),
     ],
-    ids=["gen", "validate", "section", "equiv", "oracle", "represent", "spectral", "msd"],
+    ids=["gen", "validate", "section", "equiv", "oracle", "represent", "spectral", "msd", "mtr"],
 )
 def test_commands_execute_only_the_modules_they_use(tmp_path, argv, executed):
     """The exact commands run without executing the numeric modules, and only
-    validate executes boolean_monoid; cli holds these modules as lazy module
-    objects, executed on first use.  The oracle's sample draws load no
-    ``numpy.random``."""
+    validate executes boolean_monoid; of the extension API's parts, validate
+    executes only the cocycle check, section only the section layer and
+    equiv only equivalence, gen none, the numeric commands only the section
+    layer, and no command the public ``extension`` module.  cli holds these
+    modules as lazy module objects, executed on first use.  The oracle's
+    sample draws load no ``numpy.random``."""
     lines = _python_lines(RUN_CLI, *argv, cwd=tmp_path)
     assert lines[-2] == executed and lines[-1].startswith("0 ")
 
@@ -226,8 +234,9 @@ except SystemExit as exc:
     assert lines == ["wrote in_process.json", "0", "wrote entry.json", "0 True"]
 
 
-def _numeric_imports(tree) -> list[int]:
-    """Lines of module-level statements that import a numeric module."""
+def _module_level_imports(tree, stems) -> list[int]:
+    """Lines of module-level statements that import one of the package's
+    modules ``stems``."""
 
     def names(node):
         if isinstance(node, ast.Import):
@@ -237,15 +246,21 @@ def _numeric_imports(tree) -> list[int]:
             return [base.rstrip(".")] + [f"{base.rstrip('.')}.{alias.name}" for alias in node.names]
         return []
 
-    targets = {f"cartanlab.{n}" for n in NUMERIC}
+    targets = {f"cartanlab.{n}" for n in stems}
     return [node.lineno for node in tree.body if targets & set(names(node))]
+
+
+def _numeric_imports(tree) -> list[int]:
+    """Lines of module-level statements that import a numeric module."""
+    return _module_level_imports(tree, NUMERIC)
 
 
 def test_exact_half_imports_no_numeric_module_at_module_level():
     """The package, the command line and the exact half reach the numeric
     modules only through lazy bindings."""
     found = []
-    for stem in ("__init__", "cli", "semigroup_core", "boolean_monoid", "extension", "generators"):
+    stems = ("__init__", "cli", "_numeric_cli", "semigroup_core", "boolean_monoid", "extension", "generators")
+    for stem in stems + ("_twist", "_cocycle", "_section", "_equiv"):
         path = SRC / f"{stem}.py"
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{line}" for line in _numeric_imports(tree)]
@@ -263,6 +278,40 @@ def test_numeric_import_scan_sees_every_form():
         "    from .vn_oracle import span_basis\n"
     )
     assert _numeric_imports(tree) == [2, 3, 4]
+
+
+def _per_command_imports(path: Path) -> list[str]:
+    """Module-level imports of the public ``extension`` module anywhere, and
+    of a per-command module in the core of the extension API or in cli."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    stems = ("extension", *PER_COMMAND) if path.stem in ("_twist", "cli") else ("extension",)
+    return [f"{path.name}:{line}" for line in _module_level_imports(tree, stems)]
+
+
+def test_core_and_cli_import_no_per_command_module_at_module_level():
+    """Each command executes only its own part of the extension API: the
+    core and cli bind the per-command parts lazily, and no module imports
+    the public ``extension`` module, which re-exports every part."""
+    assert [site for path in sorted(SRC.glob("*.py")) for site in _per_command_imports(path)] == []
+
+
+def test_per_command_import_scan_sees_every_form(tmp_path):
+    source = (
+        "import os\n"
+        "from ._section import Section\n"
+        "from . import _equiv\n"
+        "import cartanlab._cocycle\n"
+        "from .extension import sigma\n"
+        "from ._twist import Extension\n"
+        "_numeric_cli = _lazy_import('cartanlab._numeric_cli')\n"
+        "def f():\n"
+        "    from ._cocycle import validate_cocycle\n"
+    )
+    for stem in ("cli", "_twist", "kernel_rep"):
+        (tmp_path / f"{stem}.py").write_text(source)
+    assert _per_command_imports(tmp_path / "cli.py") == ["cli.py:2", "cli.py:3", "cli.py:4", "cli.py:5"]
+    assert _per_command_imports(tmp_path / "_twist.py") == ["_twist.py:2", "_twist.py:3", "_twist.py:4", "_twist.py:5"]
+    assert _per_command_imports(tmp_path / "kernel_rep.py") == ["kernel_rep.py:5"]
 
 
 # Every name ``cartanlab`` exported when it imported all of its modules.
@@ -570,10 +619,11 @@ def _is_singleton_call(node) -> bool:
 
 
 def test_one_point_maps_are_looked_up_by_graph():
-    """``extension`` and ``kernel_rep`` find the one-point map of a point
+    """The extension API and ``kernel_rep`` find the one-point map of a point
     through ``S.id_of_graph``; neither builds it with ``singleton``."""
     sites = call_sites(SRC, _is_singleton_call)
-    assert [site for site in sites if site.startswith(("extension.py:", "kernel_rep.py:"))] == []
+    modules = ("extension", "_twist", "_cocycle", "_section", "_equiv", "kernel_rep")
+    assert [site for site in sites if site.startswith(tuple(f"{m}.py:" for m in modules))] == []
 
 
 def _reads_graph(node) -> bool:
@@ -756,7 +806,7 @@ def twisted_product_sites(path) -> list[str]:
 
 
 def test_kernel_rep_reads_sigma_from_extension():
-    """The lambda columns take sigma from ``extension._sigma``; ``kernel_rep``
+    """The lambda columns take sigma from ``_section._sigma``; ``kernel_rep``
     forms no twisted product or inverse of its own."""
     assert twisted_product_sites(SRC / "kernel_rep.py") == []
 

@@ -11,7 +11,7 @@ import random
 import numpy as np
 import pytest
 
-from cartanlab.cli import build_extension, generate
+from cartanlab.cli import build_extension
 from cartanlab.extension import (
     Extension,
     cohomologous,
@@ -20,7 +20,7 @@ from cartanlab.extension import (
     validate_cocycle,
     validate_section,
 )
-from cartanlab.generators import eqrel_monoid, product_monoid, rook_monoid
+from cartanlab.generators import eqrel_monoid, generate, product_monoid, rook_monoid
 from cartanlab.kernel_rep import RepSpace
 from cartanlab.semigroup_core import bits
 
