@@ -19,21 +19,21 @@ from importlib import import_module as _import_module
 __version__ = "0.1.0"
 
 _LAZY = {
-    "boolean_monoid": "AxiomReport check_axioms chop",
+    "boolean_monoid": "AxiomReport check_axioms",
     "errors": "CartanLabError ClosureError DomainError FormatError InvariantViolation "
     "OrthogonalityError SizeGuardError StructuralError",
+    "exact_library": "chop meet meet_complement orthogonal_join",
     "extension": "CocycleTable Extension Section cohomologous delta extensions_equivalent "
     "lausch_alpha order_preserving_section point_coboundary_table point_cocycle_table sigma "
     "validate_cocycle validate_section",
     "generators": "eqrel_monoid product_monoid rook_monoid",
     "semigroup_core": "FiniteInverseMonoid GroupoidRelation PartialBijection PhasedElement "
-    "classify compose dagger groupoid_relation identity_map meet meet_complement natural_leq "
-    "orthogonal_join partial_identity singleton zero_map",
-    "kernel_rep": "RBasis RepSpace abstract_gram_check dump_matrix expectation kernel "
-    "kernel_psd_check lambda_matrix",
-    "spectral_bimodule": "aoi_correspondence enumerate_spectral_sets full_submonoids "
-    "intermediate_algebra_check is_spectral_set join_span msd mtr psi spectral_closure theta "
-    "verify_subdiagonal",
+    "classify compose dagger groupoid_relation identity_map natural_leq partial_identity "
+    "singleton zero_map",
+    "kernel_rep": "RBasis RepSpace dump_matrix expectation lambda_matrix",
+    "numeric_library": "abstract_gram_check aoi_correspondence full_submonoids "
+    "intermediate_algebra_check join_span kernel kernel_psd_check",
+    "spectral_bimodule": "enumerate_spectral_sets msd mtr psi spectral_closure theta verify_subdiagonal",
     "vn_oracle": "MatrixAlgebra cartan_report expectation_properties masa_check recover_extension "
     "span_basis",
 }

@@ -1,6 +1,6 @@
 """The cocycle check of the extension API, which ``validate`` runs: support,
 normalization and the cocycle identity of a table, decided on the points
-of R, plus the tables induced by point cocycles and point coboundaries.
+of R.
 
 The public path to these names is ``cartanlab.extension``.
 """
@@ -9,38 +9,9 @@ from __future__ import annotations
 
 from ._twist import CocycleTable, _phase_rows
 from .errors import FormatError
-from .semigroup_core import FiniteInverseMonoid, bits
+from .semigroup_core import FiniteInverseMonoid
 
-__all__ = ["CocycleReport", "point_coboundary_table", "point_cocycle_table", "validate_cocycle"]
-
-
-def point_coboundary_table(S: FiniteInverseMonoid, k: int, b_points: dict) -> CocycleTable:
-    """Coboundary cocycle from a function on atom pairs.
-
-    ``b_points[(x, y)]`` is a phase exponent for each off-diagonal related
-    pair; diagonal values are zero.  This induces the restriction-compatible
-    b(s)(y) = b_points[(s(y), y)], and the table is its coboundary: the
-    point cocycle c(x, z, y) = b(x, z) + b(z, y) - b(x, y).
-    """
-    b = lambda x, y: b_points.get((x, y), 0)
-    return point_cocycle_table(S, k, lambda x, z, y: b(x, z) + b(z, y) - b(x, y))
-
-
-def point_cocycle_table(S: FiniteInverseMonoid, k: int, c_points) -> CocycleTable:
-    """Table induced by a normalized 2-cocycle on composable atom triples:
-    c(s,t)(y) = c_points(s(t(y)), t(y), y)."""
-    els, mul, img = S.elements, S.mul, S.images
-    entries = {}
-    for i, s in enumerate(els):
-        for j, t in enumerate(els):
-            st = mul[i][j]
-            if not els[st].domain:
-                continue
-            sty, ty = img[st], img[j]
-            entries[(s, t)] = tuple(
-                c_points(sty[y], ty[y], y) % k for y in bits(els[st].domain)
-            )
-    return CocycleTable(k, entries)
+__all__ = ["CocycleReport", "validate_cocycle"]
 
 
 class CocycleReport:
@@ -80,11 +51,12 @@ def validate_cocycle(S: FiniteInverseMonoid, k: int, c: CocycleTable | None) -> 
     One pass over the pairs of element ids (products from the Cayley table
     S.mul) checks support and normalization, and checks that the table is
     local: every phase c(s,t)(y) equals cp[s(t(y)), t(y), y], the first
-    value seen for that point triple.  For a local table the four terms of
-    the identity at (s, t, u) and y are cp[x,z,y], cp[w,x,y], cp[w,x,z] and
-    cp[w,z,y] on the chain w <- x <- z <- y of R with z = u(y), x = t(z),
-    w = s(x), and every chain of R arises from some triple.  So the identity
-    holds on all triples iff
+    value seen for that point triple, kept in a dict of the composable
+    point triples (sum b^3 over the blocks of R, not n^3).  For a local
+    table the four terms of the identity at (s, t, u) and y are cp[x,z,y],
+    cp[w,x,y], cp[w,x,z] and cp[w,z,y] on the chain w <- x <- z <- y of R
+    with z = u(y), x = t(z), w = s(x), and every chain of R arises from
+    some triple.  So the identity holds on all triples iff
         cp[x,z,y] + cp[w,x,y] - cp[w,x,z] - cp[w,z,y] = 0  (mod k)
     on every chain: sum b^4 checks over the blocks of R.  A table that
     fails support, normalization, locality or a chain gets the id-level
@@ -104,7 +76,7 @@ def validate_cocycle(S: FiniteInverseMonoid, k: int, c: CocycleTable | None) -> 
     idem = set(S.idempotent_ids)
     atoms = S.domain_atoms
     support, normalization = [], []
-    cp = [None] * n**3  # cp[(x*n + z)*n + y]: the phase on the points z <- y, x <- z
+    cp = {}  # cp[(x*n + z)*n + y]: the phase on the composable points z <- y, x <- z
     local = True
     for i, s in enumerate(els):
         for j, t in enumerate(els):
@@ -122,10 +94,7 @@ def validate_cocycle(S: FiniteInverseMonoid, k: int, c: CocycleTable | None) -> 
                 normalization.append(("normalization", s, t))
             x_of, z_of = img[st], img[j]
             for y, p in zip(ys, arr):
-                key = (x_of[y] * n + z_of[y]) * n + y
-                if cp[key] is None:
-                    cp[key] = p
-                elif cp[key] != p:
+                if cp.setdefault((x_of[y] * n + z_of[y]) * n + y, p) != p:
                     local = False
 
     violations = support + normalization
@@ -135,9 +104,10 @@ def validate_cocycle(S: FiniteInverseMonoid, k: int, c: CocycleTable | None) -> 
     return CocycleReport(not support, not normalization, not identity, violations + identity)
 
 
-def _point_identity_holds(n: int, k: int, cp: list, img: list) -> bool:
+def _point_identity_holds(n: int, k: int, cp: dict, img: list) -> bool:
     """The cocycle identity of the point cocycle ``cp`` on every chain
-    w <- x <- z <- y of R; ``img`` holds the dense image rows of S."""
+    w <- x <- z <- y of R; ``img`` holds the dense image rows of S.  In a
+    closed S every triple of a chain is composable, so ``cp`` holds it."""
     succ = [sorted({row[y] for row in img} - {-1}) for y in range(n)]  # x with (x, y) in R
     for y in range(n):
         for z in succ[y]:

@@ -1,45 +1,18 @@
-"""Equivalence in the extension API, which ``equiv`` runs: cohomology of two
-tables and equivalence of two extensions, each from coboundary witnesses.
+"""Equivalence in the extension API, which ``equiv`` runs: equivalence of
+two extensions, from their coboundary witnesses.
 
 The public path to these names is ``cartanlab.extension``.
 """
 
 from __future__ import annotations
 
-from ._twist import CocycleTable, Extension, _coboundary_witness, _one_point_maps, _phase_rows
+from ._twist import Extension
 from .errors import SizeGuardError
-from .semigroup_core import FiniteInverseMonoid, PhasedElement, bits, relabelings
+from .semigroup_core import PhasedElement, bits, relabelings
 
-__all__ = ["EQUIV_GUARD", "cohomologous", "extensions_equivalent"]
+__all__ = ["EQUIV_GUARD", "extensions_equivalent"]
 
 EQUIV_GUARD = 40
-
-
-def cohomologous(S: FiniteInverseMonoid, k: int, c1: CocycleTable | None, c2: CocycleTable | None):
-    """Find b with c2(s,t) = c1(s,t) + b(s) o t + b(t) - b(st) (mod k);
-    a table given as None is the zero table.
-
-    Normalization forces any witness to be restriction compatible, hence
-    determined by its values on one-point maps: a function b on related atom
-    pairs vanishing on the diagonal.  The difference table is likewise
-    forced to be graph-local, so b can be solved in closed form by gauge
-    fixing against a root atom of each block: b(x, z) := d(x, z, r), where
-    d(x, z, y) is the difference entry on the singleton pair z<-y, x<-z.
-    Any other witness differs from this one by a gauge term that does not
-    change the coboundary, so the construction is complete: if verification
-    of the candidate fails, no witness exists.
-
-    The check of the candidate runs over element ids, reading products
-    from the Cayley table S.mul and phases from both tables' dense rows.
-    When both tables are None the witness is zero and no pair is read.
-
-    Returns b as a dict s -> phase tuple, or None if not cohomologous.
-    """
-    singles = _one_point_maps(S)
-    if c1 is None and c2 is None:
-        return {s: (0,) * s.domain.bit_count() for s in S}
-    b = _coboundary_witness(S, k, singles, _phase_rows(S, c1), _phase_rows(S, c2))
-    return None if b is None else {s: tuple(b[i][y] for y in S.domain_atoms[i]) for i, s in enumerate(S)}
 
 
 def extensions_equivalent(ext1: Extension, ext2: Extension, guard: int = EQUIV_GUARD):

@@ -1,11 +1,12 @@
 """The section layer of the extension API, which ``section`` and the
-numeric half read: order-preserving sections and their check, the section
-cocycle alpha, the phase correction sigma and the diagonal part Delta.
+numeric half read: order-preserving sections and their check, the phase
+correction sigma on element ids and the diagonal part Delta.
 
-sigma, alpha and Delta are formed on element ids from the section's dense
-phase rows (``_sigma``), the form in which ``kernel_rep`` builds the
-columns of every lambda.  The public path to these names is
-``cartanlab.extension``.
+sigma is formed on element ids from the section's dense phase rows
+(``_sigma``), the form in which ``kernel_rep`` builds the columns of every
+lambda; its element-level forms, ``sigma`` and the section cocycle
+``lausch_alpha``, are in ``exact_library``.  The public path to these
+names is ``cartanlab.extension``.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ __all__ = [
     "Section",
     "SectionReport",
     "delta",
-    "lausch_alpha",
     "order_preserving_section",
-    "sigma",
     "validate_section",
 ]
 
@@ -280,18 +279,6 @@ def _sigma(ext: Extension, rows: list, i: int, a: list[int], t: int) -> tuple[in
         v, s = ext._phased(i, a), ext.S.elements[t]
         raise InvariantViolation(f"sigma{(v, s)} = {ext._phased(sig, phase)} is not a phased identity")
     return sig, phase
-
-
-def lausch_alpha(ext: Extension, j: Section, s: PartialBijection, t: PartialBijection) -> PhasedElement:
-    """alpha(s,t) = j(st)^dag j(s) j(t) = sigma(j(s), t); the section
-    cocycle, valued in P."""
-    rows, i = j.dense_rows(ext.S), ext._id(s)
-    return ext._phased(*_sigma(ext, rows, i, rows[i], ext._id(t)))
-
-
-def sigma(ext: Extension, j: Section, v: PhasedElement, s: PartialBijection) -> PhasedElement:
-    """sigma(v,s) = j(q(v)s)^dag v j(s); the phase correction, valued in P."""
-    return ext._phased(*_sigma(ext, j.dense_rows(ext.S), *ext._id_row(v), ext._id(s)))
 
 
 def delta(ext: Extension, j: Section, v: PhasedElement) -> PhasedElement:

@@ -137,7 +137,7 @@ class Extension:
         singles = _one_point_maps(self.S)
         if self.cocycle is None:
             return [[0] * self.S.atom_count] * len(self.S)
-        return _coboundary_witness(self.S, self.k, singles, _phase_rows(self.S, None), self._rows)
+        return _coboundary_witness(self.S, self.k, singles, self._rows)
 
     def _product(self, i: int, a: list[int], j: int, b: list[int]) -> tuple[int, list[int]]:
         """(e_i, a)(e_j, b) = (e_i e_j, p), p(y) = a(e_j(y)) + b(y) + c(e_i, e_j)(y)."""
@@ -191,35 +191,37 @@ def _one_point_maps(S: FiniteInverseMonoid) -> dict:
     return singles
 
 
-def _coboundary_witness(S: FiniteInverseMonoid, k: int, singles: dict, rows1: list, rows2: list):
-    """``cohomologous`` on the tables' dense phase rows, given the one-point
-    maps of S; the witness as dense phase rows by element id, or None.
+def _coboundary_witness(S: FiniteInverseMonoid, k: int, singles: dict, rows: list):
+    """The coboundary witness b of one table, c = delta b, from its dense
+    phase rows, given the one-point maps of S: dense phase rows by element
+    id, or None when the table is not a coboundary.
 
-    b is solved in closed form by gauge fixing against a root atom of each
-    block (see ``cohomologous``), then checked on every pair of ids."""
+    Normalization forces any witness to be restriction compatible, hence
+    determined by its values on one-point maps: a function b on related atom
+    pairs vanishing on the diagonal.  A coboundary is graph-local, so b is
+    solved in closed form by gauge fixing against a root atom r of each
+    block: b(x, z) := c(x, z, r), the entry on the singleton pair z<-r,
+    x<-z at r.  Any other witness differs from this one by a gauge term that
+    does not change the coboundary, so the construction is complete: if
+    the check of the candidate on every pair of ids fails, no witness
+    exists."""
     pts = list(singles)
-
-    def diff(x, z, y):
-        # difference entry on the composable singleton pair, at atom y
-        a, b = singles[(x, z)], singles[(z, y)]
-        return (rows2[a][b][y] - rows1[a][b][y]) % k
-
     root = {}
     for x, y in pts:
         root.setdefault(y, min(z for (w, z) in pts if w == y))
     b_pts = {}
     for x, z in pts:
         r = root[z]
-        b_pts[(x, z)] = diff(x, z, r)
+        b_pts[(x, z)] = rows[singles[(x, z)]][singles[(z, r)]][r] % k
 
     els, mul, img, atoms = S.elements, S.mul, S.images, S.domain_atoms
     bd = [_dense(S.atom_count, s.domain, (b_pts[p] for p in s.pairs())) for s in els]
     for i in range(len(els)):
-        r1, r2, b_s = rows1[i], rows2[i], bd[i]
+        row, b_s = rows[i], bd[i]
         for j, st in enumerate(mul[i]):
-            c1_st, c2_st, b_t, b_st, t_img = r1[j], r2[j], bd[j], bd[st], img[j]
+            c_st, b_t, b_st, t_img = row[j], bd[j], bd[st], img[j]
             for y in atoms[st]:
-                if (c2_st[y] - c1_st[y] - b_s[t_img[y]] - b_t[y] + b_st[y]) % k:
+                if (c_st[y] - b_s[t_img[y]] - b_t[y] + b_st[y]) % k:
                     return None
     if any(b_pts[(x, y)] for x, y in pts if x == y):
         return None

@@ -1,8 +1,8 @@
-"""Boolean/complete/Cartan axiom verification, Stone duality at finite scale
-(the rebase onto the lattice atoms of E(S)) and the chop partition
-refinement.  The atom relation
+"""Boolean/complete/Cartan axiom verification.  The atom relation
 (``groupoid_relation``) is defined in ``semigroup_core``, which the numeric
-half imports without this module, and is re-exported here.
+half imports without this module, and is re-exported here.  Stone duality
+at finite scale (the rebase onto the lattice atoms of E(S)) and the chop
+partition refinement, which no command runs, are in ``exact_library``.
 
 The character space of a finite Boolean algebra is its set of lattice atoms,
 so every topological condition degenerates to combinatorics here: the
@@ -16,19 +16,12 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import DomainError
 from .semigroup_core import (
     FiniteInverseMonoid,
     GroupoidRelation,
     PartialBijection,
-    bits,
     classify,
     groupoid_relation,
-    mask_of,
-    meet,
-    meet_complement,
-    natural_leq,
-    orthogonal_join,
     partial_identity,
 )
 
@@ -36,10 +29,8 @@ __all__ = [
     "AxiomReport",
     "GroupoidRelation",
     "check_axioms",
-    "chop",
     "groupoid_relation",
     "idempotent_atoms",
-    "rebase_to_idempotent_atoms",
 ]
 
 
@@ -48,52 +39,6 @@ def idempotent_atoms(S: FiniteInverseMonoid) -> list[PartialBijection]:
     idempotents f <= e iff dom f lies inside dom e."""
     idem = [e for e in S.idempotents() if e.domain]
     return [e for e in idem if not any(f.domain != e.domain and not f.domain & ~e.domain for f in idem)]
-
-
-def rebase_to_idempotent_atoms(S: FiniteInverseMonoid):
-    """Re-label S onto the lattice atoms of E(S).
-
-    When E(S) is a proper Boolean subalgebra of the power set of the raw
-    atoms, the canonical fundamental realization lives on the blocks: each
-    minimal idempotent becomes one new atom and every element acts on blocks
-    by conjugation.  Returns (S', block_supports) where block_supports[i] is
-    the raw-atom bitmask of new atom i.  Requires E(S) to be Boolean.
-    """
-    blocks = idempotent_atoms(S)
-    supports = [e.domain for e in blocks]
-    union = 0
-    for m in supports:
-        if union & m:
-            raise DomainError("idempotent atoms do not partition the unit")
-        union |= m
-    if union != (1 << S.atom_count) - 1:
-        raise DomainError("idempotent atoms do not cover the unit")
-    m = len(blocks)
-    block_of = {}
-    for i, sup in enumerate(supports):
-        for a in bits(sup):
-            block_of[a] = i
-
-    def relabel(s: PartialBijection) -> PartialBijection:
-        dom = 0
-        image_by_src = {}
-        for i, e in enumerate(blocks):
-            r = s.restrict(e.domain)
-            if r.is_zero():
-                continue
-            if r.domain != e.domain:
-                raise DomainError("element domain is not a union of blocks")
-            tgt = {block_of[x] for x in r.image}
-            if len(tgt) != 1:
-                raise DomainError("element does not map blocks to blocks")
-            j = tgt.pop()
-            if supports[j] != mask_of(r.image):
-                raise DomainError("element maps a block onto a partial block")
-            dom |= 1 << i
-            image_by_src[i] = j
-        return PartialBijection(m, dom, tuple(image_by_src[i] for i in sorted(image_by_src)))
-
-    return FiniteInverseMonoid(m, {relabel(s) for s in S}), supports
 
 
 class CheckItem:
@@ -263,38 +208,3 @@ def check_axioms(S: FiniteInverseMonoid) -> AxiomReport:
         fundamental=report_cls.fundamental,
         cartan=cartan,
     )
-
-
-def chop(inputs) -> list[PartialBijection]:
-    """Refine nonzero elements into a pairwise meet-orthogonal family.
-
-    Induction on the list: each existing piece b is split into b ^ s_N and
-    b minus (b ^ s_N), then whatever part of s_N is not already covered is
-    appended.  The complement is taken against the *meet* (agreement set),
-    not the domain of s_N; removing the whole domain would drop the points
-    where b and s_N disagree and break the covering property (d).
-
-    The output A satisfies: 0 not in A; pairwise meet-orthogonal; every
-    a in A has a ^ s_n in {a, 0} with a below some s_n; and every
-    s_n is the orthogonal join of its pieces.
-    """
-    todo = list(inputs)
-    if not todo:
-        raise DomainError("chop needs a nonempty input list")
-    if any(s.is_zero() for s in todo):
-        raise DomainError("chop inputs must be nonzero")
-
-    family = [todo[0]]
-    for s_n in todo[1:]:
-        pieces = []
-        for b in family:
-            for candidate in (meet(b, s_n), meet_complement(b, s_n)):
-                if not candidate.is_zero() and candidate not in pieces:
-                    pieces.append(candidate)
-        covered = [x for x in pieces if natural_leq(x, s_n)]
-        t = orthogonal_join(covered) if covered else None
-        r = meet_complement(s_n, t) if t is not None else s_n
-        if not r.is_zero() and r not in pieces:
-            pieces.append(r)
-        family = pieces
-    return family

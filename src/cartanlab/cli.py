@@ -1,5 +1,6 @@
 """Command-line interface: document parsing, command dispatch, and
-report emission.
+report output.  The document writer ``emit``, which only ``gen`` runs, is
+in ``generators``.
 
 Documents are JSON with keys "atoms", "k", "elements" (named partial maps)
 and an optional sparse "cocycle" entry list (absent means trivial).  Output
@@ -34,14 +35,27 @@ _equiv = _lazy_import("cartanlab._equiv")
 _numeric_cli = _lazy_import("cartanlab._numeric_cli")
 # Registered only, for code that wraps the package from outside and reads
 # every submodule from sys.modules: no command executes the public
-# extension module, and the numeric modules are the handlers' to execute.
-for _name in ("extension", "kernel_rep", "vn_oracle", "spectral_bimodule"):
+# extension module or the two library modules, and the numeric modules are
+# the handlers' to execute.
+for _name in ("extension", "exact_library", "numeric_library", "kernel_rep", "vn_oracle", "spectral_bimodule"):
     _lazy_import(f"cartanlab.{_name}")
 
-__all__ = ["ExtensionDocument", "parse", "emit", "main", "build_extension"]
+__all__ = ["ExtensionDocument", "parse", "main", "build_extension"]
 
-# A map's graph is a bitmask of atoms² bits and the cocycle check keeps a
-# table of atoms³ phases: 600 atoms would need gigabytes before any check.
+
+def __getattr__(name):
+    # ``cli.emit`` for callers that import it from here: only gen runs it,
+    # so it lives in generators
+    if name == "emit":
+        return generators.emit
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# A map's graph is a bitmask of atoms² bits, and each product row of the
+# Cayley table (FiniteInverseMonoid.product_row) spreads a row's atoms²
+# graph bits into masks that wide, about atoms⁴/16 bytes: rook2 padded to
+# 300 atoms peaked at 518 MB (tracemalloc) in section and validate alike,
+# all of it in building S.mul.
 MAX_ATOMS = 64
 
 
@@ -187,26 +201,6 @@ def _canonicalize(doc: ExtensionDocument) -> ExtensionDocument:
     if doc.cocycle is not None:
         cocycle = sorted(doc.cocycle, key=lambda e: (order[e[0]], order[e[1]]))
     return ExtensionDocument(doc.atoms, doc.k, elements, cocycle, doc.metadata)
-
-
-def emit(doc: ExtensionDocument) -> str:
-    """Canonical byte-stable serialization."""
-    doc = _canonicalize(doc)
-    payload = {
-        "atoms": doc.atoms,
-        "k": doc.k,
-        "elements": [
-            {"name": name, "map": {str(src): dst for src, dst in sorted(mapping.items())}}
-            for name, mapping in doc.elements
-        ],
-    }
-    if doc.cocycle is not None:
-        payload["cocycle"] = [
-            {"s": s, "t": t, "phase": list(phase)} for s, t, phase in doc.cocycle
-        ]
-    if doc.metadata:
-        payload["metadata"] = doc.metadata
-    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
 
 
 def build_extension(doc: ExtensionDocument, k_override: int | None = None):

@@ -1,5 +1,6 @@
 """Built-in monoid constructors: rook monoids, block monoids, products,
-and the documents ``cartanlab gen`` writes of them."""
+and the documents ``cartanlab gen`` writes of them, with their canonical
+serialization ``emit``."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import json
 from .errors import DomainError, FormatError, SizeGuardError
 from .semigroup_core import FiniteInverseMonoid, PartialBijection, mask_of
 
-__all__ = ["rook_monoid", "eqrel_monoid", "product_monoid", "generate", "ROOK_GUARD"]
+__all__ = ["rook_monoid", "eqrel_monoid", "product_monoid", "generate", "emit", "ROOK_GUARD"]
 
 ROOK_GUARD = 5
 
@@ -123,9 +124,31 @@ def _document_of(S: FiniteInverseMonoid, k: int, metadata: dict):
     return _canonicalize(ExtensionDocument(S.atom_count, k, elements, None, metadata))
 
 
+def emit(doc) -> str:
+    """Canonical byte-stable serialization of a ``cli.ExtensionDocument``."""
+    from .cli import _canonicalize
+
+    doc = _canonicalize(doc)
+    payload = {
+        "atoms": doc.atoms,
+        "k": doc.k,
+        "elements": [
+            {"name": name, "map": {str(src): dst for src, dst in sorted(mapping.items())}}
+            for name, mapping in doc.elements
+        ],
+    }
+    if doc.cocycle is not None:
+        payload["cocycle"] = [
+            {"s": s, "t": t, "phase": list(phase)} for s, t, phase in doc.cocycle
+        ]
+    if doc.metadata:
+        payload["metadata"] = doc.metadata
+    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
+
+
 def _cmd_gen(args):
     """``cartanlab gen``: (exit code, text lines, JSON payload)."""
-    from .cli import _load, _write, emit
+    from .cli import _load, _write
 
     if args.kind == "product":
         if len(args.params) != 2:

@@ -1,12 +1,13 @@
-"""The projection-valued kernel, its positivity certificate, and the concrete
-matrix representation on the function space of the atom relation.
+"""The concrete matrix representation on the function space of the atom
+relation.
 
-The kernel K(t,s) = j(s^dag t ^ 1) takes idempotent values and is handled
-exactly (bitmasks).  Floats enter only here and downstream: matrices are
-complex double, phases become exact roots of unity, and every numeric rank
-or eigenvalue decision is made at the tol of the ``RepSpace`` or the check
-that makes it (``DEFAULT_TOL``, 1e-9, unless the caller, like the command
-line's ``--tol``, gives another).
+Floats enter only here and downstream: matrices are complex double, phases
+become exact roots of unity, and every numeric rank or eigenvalue decision
+is made at the tol of the ``RepSpace`` or the check that makes it
+(``DEFAULT_TOL``, 1e-9, unless the caller, like the command line's
+``--tol``, gives another).  The projection-valued kernel K(t,s) = j(s^dag t
+^ 1), its positivity certificate and the Gram check of the module picture,
+which no command runs, are in ``numeric_library``.
 
 Each lambda is monomial: a column holds at most one entry, a k-th root of
 unity.  Its columns are built on element ids, with the id-level product on
@@ -29,29 +30,17 @@ from functools import cached_property
 from itertools import chain
 
 from ._lazy import np
-from ._section import Section, _sigma, order_preserving_section, sigma
+from ._section import Section, _sigma, order_preserving_section
 from ._twist import Extension
-from .errors import DomainError, InvariantViolation
-from .semigroup_core import (
-    FiniteInverseMonoid,
-    PartialBijection,
-    PhasedElement,
-    compose,
-    dagger,
-    groupoid_relation,
-    identity_map,
-    meet,
-)
+from .errors import DomainError
+from .semigroup_core import FiniteInverseMonoid, PartialBijection, PhasedElement, groupoid_relation
 
 __all__ = [
     "DEFAULT_TOL",
     "RBasis",
     "RepSpace",
-    "kernel",
-    "kernel_psd_check",
     "lambda_matrix",
     "expectation",
-    "abstract_gram_check",
     "dump_matrix",
 ]
 
@@ -82,71 +71,6 @@ class RBasis:
 
     def diagonal_indices(self):
         return [self.index[(x, x)] for x in range(self.atom_count) if (x, x) in self.index]
-
-
-def kernel(j: Section, t: PartialBijection, s: PartialBijection) -> PartialBijection:
-    """K(t,s): the idempotent part of j(s^dag t ^ 1).
-
-    Equals the source idempotent of j(s ^ t), which is checked.
-    """
-    fix = meet(compose(dagger(s), t), identity_map(s.n))
-    lifted = j[fix]
-    m = j[meet(s, t)]
-    source = compose(dagger(m.bij), m.bij)
-    if lifted.bij != source:
-        raise InvariantViolation("kernel disagrees with the source idempotent of j(s^t)")
-    return lifted.bij
-
-
-def kernel_psd_check(j: Section, s_list, atom_count: int | None = None, tol: float = DEFAULT_TOL):
-    """Positivity certificate for the kernel on a finite element list.
-
-    Per atom character rho, T(rho)[i, j] = rho(K(s_j, s_i)) must decompose
-    as a sum of rank-one blocks over the classes of the agreement relation
-    R_rho, which is checked together with symmetry/transitivity of R_rho on
-    its support and a nonnegative minimum eigenvalue.  Any failure raises
-    InvariantViolation: positivity is a theorem, not an input property.
-    """
-    s_list = list(s_list)
-    if atom_count is None:
-        atom_count = next(iter(j.values.values())).bij.n
-    n = len(s_list)
-    results = []
-    for atom in range(atom_count):
-        T = np.zeros((n, n))
-        for a in range(n):
-            for b in range(n):
-                K_ab = kernel(j, s_list[b], s_list[a])  # rho(K(s_b, s_a)) at `atom`
-                T[a, b] = 1.0 if (K_ab.domain >> atom) & 1 else 0.0
-        rel = {(a, b) for a in range(n) for b in range(n) if T[a, b] == 1.0}
-        for a, b in rel:
-            if (b, a) not in rel:
-                raise InvariantViolation(f"R_rho not symmetric at atom {atom}: {(a, b)}")
-        for a, b in rel:
-            for b2, c in rel:
-                if b2 == b and (a, c) not in rel:
-                    raise InvariantViolation(f"R_rho not transitive at atom {atom}")
-        support = sorted({a for a, _ in rel})
-        classes = []
-        seen = set()
-        for a in support:
-            if a in seen:
-                continue
-            cls = sorted(b for b in support if (a, b) in rel)
-            classes.append(cls)
-            seen.update(cls)
-        rebuilt = np.zeros_like(T)
-        for cls in classes:
-            zeta = np.zeros(n)
-            zeta[cls] = 1.0
-            rebuilt += np.outer(zeta, zeta)
-        if not np.array_equal(rebuilt, T):
-            raise InvariantViolation(f"rank-one class decomposition failed at atom {atom}")
-        min_eig = float(np.linalg.eigvalsh(T).min()) if n else 0.0
-        if min_eig < -tol:
-            raise InvariantViolation(f"kernel matrix not PSD at atom {atom}: {min_eig}")
-        results.append({"atom": atom, "classes": classes, "min_eig": min_eig})
-    return results
 
 
 def _roots(k: int) -> list[complex]:
@@ -307,60 +231,6 @@ class RepSpace:
 
     def expectation(self, T: np.ndarray) -> np.ndarray:
         return expectation(self.rbasis, T)
-
-
-def abstract_gram_check(ext: Extension, j: Section, tol: float = DEFAULT_TOL):
-    """Consistency oracle for the module picture behind the matrix picture.
-
-    Builds the scalar Gram matrix of the |S| x |X| vectors (column s tensor
-    atom basis vector) with entries delta_xy [x in K(s,t)], the transport U
-    sending column (s, y) to the point mass at (s(y), y), and checks:
-    U preserves inner products, the Gram rank equals |R|, and U intertwines
-    the abstract action lam(v): k_s -> k_{q(v)s} sigma(v,s) with the
-    concrete matrices.  Returns a dict of the measured quantities.
-    """
-    S = ext.S
-    rs = RepSpace(ext, j, tol)
-    rbasis = rs.rbasis
-    n = S.atom_count
-    cols = [(s, y) for s in S.elements for y in range(n)]
-    m = len(cols)
-
-    gram = np.zeros((m, m))
-    for a, (s, x) in enumerate(cols):
-        for b, (t, y) in enumerate(cols):
-            if x != y:
-                continue
-            K_st = kernel(j, s, t)
-            gram[a, b] = 1.0 if (K_st.domain >> x) & 1 else 0.0
-
-    U = np.zeros((len(rbasis), m))
-    for a, (s, y) in enumerate(cols):
-        if (s.domain >> y) & 1:
-            U[rbasis.index[(s.apply(y), y)], a] = 1.0
-
-    if not np.allclose(U.T @ U, gram, atol=tol):
-        raise InvariantViolation("transport does not preserve the Gram structure")
-    rank = int(np.linalg.matrix_rank(gram, tol=tol))
-    if rank != len(rbasis):
-        raise InvariantViolation(f"Gram rank {rank} != |R| = {len(rbasis)}")
-
-    roots = _roots(ext.k)
-    col_index = {c: i for i, c in enumerate(cols)}
-    max_dev = 0.0
-    for v in ext.elements:
-        lam = rs.lam(v)
-        for a, (s, y) in enumerate(cols):
-            lhs = lam @ U[:, a]
-            sig = sigma(ext, j, v, s)
-            rhs = np.zeros(len(rbasis), dtype=complex)
-            if (sig.bij.domain >> y) & 1:
-                b = col_index[(compose(v.bij, s), y)]
-                rhs = roots[sig.phase_at(y)] * U[:, b]
-            max_dev = max(max_dev, float(np.abs(lhs - rhs).max()))
-    if max_dev > tol:
-        raise InvariantViolation(f"intertwining deviation {max_dev}")
-    return {"rank": rank, "dim_R": len(rbasis), "intertwining_deviation": max_dev}
 
 
 def dump_matrix(rbasis: RBasis, k: int, lam) -> str:

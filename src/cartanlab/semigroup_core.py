@@ -3,8 +3,10 @@
 Elements are partial injective maps on the atom set {0, ..., n-1}.  The
 natural partial order is restriction, the meet of two elements is their
 restriction to the agreement set, and orthogonal families (disjoint domains
-and disjoint ranges) have a join given by the union map.  Everything here is
-exact integer/bitset arithmetic; no floats.
+and disjoint ranges) have a join given by the union map; on graph bitmasks
+these are a subset test, AND and OR, which is how the commands decide them.
+The element-level meet and join operations are in ``exact_library``.
+Everything here is exact integer/bitset arithmetic; no floats.
 
 A FiniteInverseMonoid numbers its elements by their position in
 ``elements`` (the element id) and builds, on first use, the id-level views
@@ -20,7 +22,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .errors import ClosureError, DomainError, InvariantViolation, OrthogonalityError, StructuralError
+from .errors import ClosureError, DomainError, InvariantViolation, StructuralError
 
 __all__ = [
     "PartialBijection",
@@ -37,10 +39,6 @@ __all__ = [
     "conjugate",
     "relabelings",
     "natural_leq",
-    "meet",
-    "orthogonal_join",
-    "meet_complement",
-    "are_orthogonal",
     "classify",
     "groupoid_relation",
     "bits",
@@ -219,55 +217,6 @@ def natural_leq(s: PartialBijection, t: PartialBijection) -> bool:
     if s.domain & ~t.domain:
         return False
     return all(t.apply(y) == x for x, y in s.pairs())
-
-
-def _agreement_mask(s: PartialBijection, t: PartialBijection) -> int:
-    mask = 0
-    for x, y in s.pairs():
-        if (t.domain >> y) & 1 and t.apply(y) == x:
-            mask |= 1 << y
-    return mask
-
-
-def meet(s: PartialBijection, t: PartialBijection) -> PartialBijection:
-    """Greatest lower bound: restriction to the agreement set of s and t.
-
-    With f the partial identity on the agreement set (the fixed-point
-    idempotent s^dag t ^ 1) this is s.f = t.f, and (s^t)^dag (s^t) = f.
-    """
-    _check_same_atoms(s, t)
-    return s.restrict(_agreement_mask(s, t))
-
-
-def are_orthogonal(s: PartialBijection, t: PartialBijection) -> bool:
-    """Disjoint domains and disjoint ranges; equivalent to s^dag t = t s^dag = 0."""
-    _check_same_atoms(s, t)
-    return not (s.domain & t.domain) and not (s.range_mask & t.range_mask)
-
-
-def orthogonal_join(family) -> PartialBijection:
-    """Union map of a pairwise orthogonal family; least upper bound."""
-    members = list(family)
-    if not members:
-        raise DomainError("orthogonal_join needs a nonempty family")
-    for a, b in itertools.combinations(members, 2):
-        if not are_orthogonal(a, b):
-            raise OrthogonalityError(a, b)
-    n = members[0].n
-    pairs = sorted((y, x) for m in members for x, y in m.pairs())
-    dom = mask_of(y for y, _ in pairs)
-    return PartialBijection(n, dom, tuple(x for _, x in pairs))
-
-
-def meet_complement(s: PartialBijection, t: PartialBijection) -> PartialBijection:
-    """s with the agreement set of s and t removed.
-
-    This always satisfies (s minus t) v (s ^ t) = s with the two parts
-    orthogonal; removing all of dom(t) instead would drop the points where
-    s and t disagree.
-    """
-    _check_same_atoms(s, t)
-    return s.restrict(s.domain & ~_agreement_mask(s, t))
 
 
 def _canonical_key(s: PartialBijection):

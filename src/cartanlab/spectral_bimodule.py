@@ -1,6 +1,8 @@
-"""Spectral sets, the join-span lattice, the correspondence with diagonal
-bimodules of the generated algebra, intermediate algebras, and the
-classification of maximal subdiagonal/triangular subalgebras.
+"""Spectral sets, the correspondence with diagonal bimodules of the
+generated algebra, and the classification of maximal
+subdiagonal/triangular subalgebras.  The join span, the full submonoids and
+their correspondence with intermediate algebras, which no command runs,
+are in ``numeric_library``, on the trace index kept here.
 
 A spectral set is modeled as a frozenset of monoid elements containing the
 zero map, downward closed, and closed under orthogonal joins.  In the finite
@@ -10,11 +12,10 @@ relation R).  Every public call reads one trace index, kept for the most
 recent monoid: the minimal elements, each element's trace (the bitmask of
 minimals below it) and the dagger permutation on minimals.  The spectral
 sets are then exactly A(X) = {s : trace(s) inside X} for the masks X, so
-closure, join span, enumeration and the msd/mtr conditions are bitmask
-arithmetic.  Whether A(X) is a monoid is decided on X alone, from the
-products of the minimal elements (no Cayley table); msd, mtr,
-full_submonoids and the maximality scan filter one list of monoid masks and
-build A(X) only for masks they keep.
+closure, enumeration and the msd/mtr conditions are bitmask arithmetic.
+Whether A(X) is a monoid is decided on X alone, from the products of the
+minimal elements (no Cayley table); msd, mtr and the maximality scan filter
+one list of monoid masks and build A(X) only for masks they keep.
 
 The numeric conditions are linear or bilinear in the matrices they test:
 diagonal invariance of psi(A), multiplicativity of the expectation E onto
@@ -24,9 +25,8 @@ spanning set only, the orthonormal bases of the diagonal D of the
 or projection per condition (``vn_oracle._residual_norms`` and
 ``_hs_projections``) instead of one projection per pair of matrices.  theta
 tests all |S| lambdas in one stacked residual (theta_gn, its normalizer
-reading, reads its elements from one stacked pattern solve), and the
-intermediate-algebra check and the AOI correspondence test D's basis for
-containment in one.  psi and N are computed once per mask and space.
+reading, reads its elements from one stacked pattern solve).  psi and N
+are computed once per mask and space.
 psi returns a ``vn_oracle.MatrixAlgebra`` built at the space's tol, and
 every numeric check here decides at that one tol, read from the
 ``RepSpace`` or from the span.
@@ -45,19 +45,10 @@ from functools import cached_property, lru_cache
 from ._lazy import np
 from .errors import SPECTRAL_GUARD, DomainError, InvariantViolation, SizeGuardError
 from .kernel_rep import RepSpace
-from .semigroup_core import (
-    FiniteInverseMonoid,
-    are_orthogonal,
-    bits,
-    dagger,
-    mask_of,
-    natural_leq,
-    orthogonal_join,
-)
+from .semigroup_core import FiniteInverseMonoid, bits, dagger, mask_of
 from .vn_oracle import (
     MatrixAlgebra,
     _accepted_points,
-    _algebra_checks,
     _all_within,
     _hs_projection,
     _hs_projections,
@@ -69,38 +60,17 @@ from .vn_oracle import (
 
 __all__ = [
     "SPECTRAL_GUARD",
-    "is_spectral_set",
     "spectral_closure",
-    "join_span",
     "enumerate_spectral_sets",
     "psi",
     "theta",
     "theta_gn",
-    "full_submonoids",
-    "aoi_correspondence",
-    "intermediate_algebra_check",
     "msd",
     "mtr",
     "verify_subdiagonal",
 ]
 
 CLOSURE_NOTE = "finite dimension: linear subspaces are closed in every relevant topology"
-
-
-def is_spectral_set(S: FiniteInverseMonoid, A) -> bool:
-    """Contains 0, downward closed, closed under orthogonal joins."""
-    A = frozenset(A)
-    if S.zero not in A:
-        return False
-    for s in A:
-        for t in S:
-            if natural_leq(t, s) and t not in A:
-                return False
-    for s, t in itertools.combinations(A, 2):
-        if are_orthogonal(s, t):
-            if orthogonal_join([s, t]) not in A:
-                return False
-    return True
 
 
 class _TraceIndex:
@@ -239,12 +209,6 @@ def spectral_closure(S: FiniteInverseMonoid, gen) -> frozenset:
     return idx.members(idx.trace_of(gen))
 
 
-def join_span(S: FiniteInverseMonoid, A1, A2) -> frozenset:
-    """Smallest spectral set containing both operands: A(X1 | X2)."""
-    idx = _trace_index(S)
-    return idx.members(idx.trace_of(A1) | idx.trace_of(A2))
-
-
 def enumerate_spectral_sets(S: FiniteInverseMonoid, guard: int = SPECTRAL_GUARD) -> list[frozenset]:
     """All spectral sets, one A(X) per subset X of the minimal nonzero
     elements, by |X| and then in itertools.combinations order of the
@@ -306,78 +270,6 @@ def theta_gn(rs: RepSpace, B: MatrixAlgebra) -> frozenset:
     candidates = [s for s in S if s.domain and not s.graph & ~accepted]
     nullity, _ = _pattern_solves(B, candidates)
     return frozenset([S.zero, *(s for s, k in zip(candidates, nullity) if k == s.domain.bit_count())])
-
-
-def full_submonoids(S: FiniteInverseMonoid, guard: int = SPECTRAL_GUARD) -> list[frozenset]:
-    """Spectral sets that are dagger-closed submonoids containing all
-    idempotents (full Cartan inverse submonoids): X^dag is X."""
-    idx = _trace_index(S)
-    return [idx.members(X) for X in idx.monoid_masks(guard) if idx.dagger_of(X) == X]
-
-
-class AoiReport:
-    closure_note = CLOSURE_NOTE
-
-    def __init__(self, submonoid_count: int, algebra_dims: list, bijective: bool):
-        self.submonoid_count = submonoid_count
-        self.algebra_dims = algebra_dims
-        self.bijective = bijective
-
-    def __eq__(self, other):
-        return isinstance(other, AoiReport) and vars(self) == vars(other)
-
-    def to_lines(self):
-        return [
-            f"full_submonoids: {self.submonoid_count}",
-            f"intermediate_algebra_dims: {self.algebra_dims}",
-            f"bijective: {'pass' if self.bijective else 'FAIL'}",
-            f"note: {self.closure_note}",
-        ]
-
-
-def intermediate_algebra_check(rs: RepSpace, T) -> MatrixAlgebra:
-    """Check that the span of one full submonoid is an intermediate algebra:
-    unital, self-adjoint, product closed, containing the diagonal."""
-    B = psi(rs, T)
-    checks = _algebra_checks(B.basis, len(rs.rbasis), rs.tol)
-    for ok, what in zip(checks, ("unital", "self-adjoint", "product closed")):
-        if not ok:
-            raise InvariantViolation(f"intermediate span is not {what}")
-    if not _holds_diagonal(rs, B):
-        raise InvariantViolation("intermediate span does not contain the diagonal")
-    return B
-
-
-def _holds_diagonal(rs: RepSpace, B: MatrixAlgebra) -> bool:
-    """Whether B contains the diagonal: one stacked residual of the
-    orthonormal basis of D, which spans every phased identity's lambda."""
-    return _all_within(B.basis, np.asarray(rs.diagonal.basis), rs.tol)
-
-
-def aoi_correspondence(rs: RepSpace, guard: int = SPECTRAL_GUARD) -> AoiReport:
-    """Full submonoids against the algebra side, both directions.
-
-    Forward: each full submonoid spans an intermediate algebra.  Backward:
-    every spectral set whose span is a unital self-adjoint product-closed
-    algebra containing the diagonal arises this way, and theta returns the
-    submonoid it came from.
-    """
-    S = rs.ext.S
-    monoids = full_submonoids(S, guard)
-    algebras = []
-    for T in monoids:
-        B = intermediate_algebra_check(rs, T)
-        if theta(rs, B) != T:
-            raise InvariantViolation("theta does not invert psi on a full submonoid")
-        algebras.append(B)
-
-    algebra_like = 0
-    for A in enumerate_spectral_sets(S, guard):
-        B = psi(rs, A)
-        if all(_algebra_checks(B.basis, len(rs.rbasis), rs.tol)) and _holds_diagonal(rs, B):
-            algebra_like += 1
-    bijective = algebra_like == len(monoids)
-    return AoiReport(len(monoids), sorted(b.dimension for b in algebras), bijective)
 
 
 def msd(S: FiniteInverseMonoid, guard: int = SPECTRAL_GUARD) -> list[frozenset]:

@@ -40,7 +40,7 @@ from ._lazy import np
 from ._section import Section, delta
 from ._twist import Extension
 from .errors import DomainError, InvariantViolation, SizeGuardError
-from .kernel_rep import DEFAULT_TOL, RBasis, RepSpace, expectation
+from .kernel_rep import DEFAULT_TOL, RBasis, RepSpace
 from .generators import _partial_injections
 from .semigroup_core import FiniteInverseMonoid, PartialBijection, relabelings, singleton
 
@@ -53,17 +53,12 @@ __all__ = [
     "expectation_properties",
     "recover_extension",
     "cartan_report",
-    "hs_inner",
     "subspace_basis",
     "contains_matrix",
     "RECOVER_GUARD",
 ]
 
 RECOVER_GUARD = 40
-
-
-def hs_inner(A: np.ndarray, B: np.ndarray) -> complex:
-    return complex(np.vdot(A, B))
 
 
 def subspace_basis(matrices, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
@@ -397,20 +392,6 @@ def _pattern_indices(rbasis: RBasis, g: PartialBijection) -> list[int]:
     return rbasis.patterns[g]
 
 
-def _pattern_intersection(M: MatrixAlgebra, positions):
-    """Basis of the elements of span(M) supported exactly within positions,
-    at M's tol: the one-system form of ``_pattern_solves``."""
-    if not M.basis:
-        return []
-    dim = len(M.rbasis)
-    mask = np.zeros((dim, dim), dtype=bool)
-    for r, c in positions:
-        mask[r, c] = True
-    outside = ~mask
-    rows = np.stack([b[outside].ravel() for b in M.basis], axis=1)
-    return _null_combinations(rows, M.basis, M.tol)
-
-
 # Systems per SVD call in ``_pattern_solves``: at rook5 (d^2 = 625) and 25
 # basis matrices a block of 64 systems is at most 16 MB.
 _SOLVE_BLOCK = 64
@@ -420,7 +401,7 @@ def _pattern_solves(M: MatrixAlgebra, maps, vectors: bool = False):
     """For each partial bijection g in maps, the dimension of the elements of
     span(M) supported within the transport pattern of g: the nullity of
     the system of the orthonormal basis Q of M restricted to the positions
-    outside the pattern, the system of ``_pattern_intersection``.
+    outside the pattern.
 
     Positions where every matrix of Q vanishes give zero rows, which change
     no singular value, so each system keeps only its rows on the support
@@ -470,25 +451,13 @@ def _unimodular(vals, tol: float) -> bool:
     return bool(mods.min() > tol and mods.max() - mods.min() <= 1e-6 * mods.max())
 
 
-def _point_accepted(M: MatrixAlgebra, x: int, y: int) -> bool:
-    """Whether the one-point map y -> x is implemented by a normalizer in M.
-
-    Its pattern is a single column group, so acceptance means: the elements
-    of span(M) supported on the group form a one-dimensional space spanned
-    by a vector with constant nonzero modulus across the whole group (the
-    unimodular rephasing of the 0/1 transport matrix).  The one-point form
-    of ``_accepted_points``.
-    """
-    rbasis = M.rbasis
-    positions = _pattern_positions(rbasis, singleton(rbasis.atom_count, y, x))
-    inter = _pattern_intersection(M, positions)
-    return len(inter) == 1 and _unimodular([inter[0][r, c] for r, c in positions], M.tol)
-
-
 def _accepted_points(M: MatrixAlgebra) -> set:
     """The relation points (x, y) whose one-point map y -> x is implemented
-    by a normalizer in M (``_point_accepted``), from one stacked pattern
-    solve with null vectors over every point."""
+    by a normalizer in M, from one stacked pattern solve with null vectors
+    over every point.  A point is accepted when the elements of span(M)
+    supported on its pattern, a single column group, form a one-dimensional
+    space spanned by a vector with constant nonzero modulus across the whole
+    group (the unimodular rephasing of the 0/1 transport matrix)."""
     rbasis = M.rbasis
     maps = [singleton(rbasis.atom_count, y, x) for x, y in rbasis.pairs]
     _, null = _pattern_solves(M, maps, vectors=True)

@@ -7,33 +7,37 @@ and the inverse of a partial bijection, each written on elements as the
 textbook states it.  ``element_sigma`` and ``element_delta`` are sigma and
 Delta formed from ``compose``/``meet`` and the extension's element-level
 product and inverse: the references for the id-level ``extension.sigma``
-and ``extension.delta``.  ``patch_extension`` patches a name in every part
-of the extension API that binds it.
+and ``extension.delta``.  ``is_spectral_set`` is the definition of a
+spectral set that the bitmask spectral sets A(X) are checked against.
+``patch_extension`` patches a name in every part of the extension API that
+binds it.
 """
 
 from __future__ import annotations
 
-from cartanlab import _cocycle, _equiv, _section, _twist
+import itertools
+
+from cartanlab import _cocycle, _equiv, _section, _twist, exact_library
 from cartanlab._twist import _dense, _phase_rows
 from cartanlab.errors import ClosureError, DomainError, InvariantViolation
+from cartanlab.exact_library import _agreement_mask, are_orthogonal, meet, orthogonal_join
 from cartanlab.extension import CocycleTable, Extension, Section
 from cartanlab.semigroup_core import (
     FiniteInverseMonoid,
     PartialBijection,
     PhasedElement,
-    _agreement_mask,
     _check_same_atoms,
     bits,
     compose,
     dagger,
-    meet,
     natural_leq,
     partial_identity,
     with_zero_phases,
 )
 
-# The private modules behind ``cartanlab.extension``, one per part.
-EXTENSION_PARTS = (_twist, _cocycle, _section, _equiv)
+# The modules behind ``cartanlab.extension``: the private one per part, and
+# the exact library, which holds the parts no command runs.
+EXTENSION_PARTS = (_twist, _cocycle, _section, _equiv, exact_library)
 
 
 def patch_extension(monkeypatch, name: str, make):
@@ -228,3 +232,19 @@ def element_delta(ext: Extension, j: Section, v: PhasedElement) -> PhasedElement
     out = ext.multiply(v, j[fix])
     _check_in_P(out, "Delta", (v,))
     return out
+
+
+def is_spectral_set(S: FiniteInverseMonoid, A) -> bool:
+    """Contains 0, downward closed, closed under orthogonal joins."""
+    A = frozenset(A)
+    if S.zero not in A:
+        return False
+    for s in A:
+        for t in S:
+            if natural_leq(t, s) and t not in A:
+                return False
+    for s, t in itertools.combinations(A, 2):
+        if are_orthogonal(s, t):
+            if orthogonal_join([s, t]) not in A:
+                return False
+    return True

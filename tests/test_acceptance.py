@@ -14,8 +14,9 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from cartanlab.boolean_monoid import check_axioms, chop
-from cartanlab.cli import build_extension, emit, main, parse
+from cartanlab.boolean_monoid import check_axioms
+from cartanlab.cli import build_extension, main, parse
+from cartanlab.exact_library import chop, meet, orthogonal_join
 from cartanlab.extension import (
     CocycleTable,
     Extension,
@@ -26,29 +27,20 @@ from cartanlab.extension import (
     validate_cocycle,
     validate_section,
 )
-from cartanlab.generators import eqrel_monoid, rook_monoid
-from cartanlab.kernel_rep import (
-    RepSpace,
+from cartanlab.generators import emit, eqrel_monoid, rook_monoid
+from cartanlab.kernel_rep import RepSpace
+from cartanlab.numeric_library import (
     abstract_gram_check,
+    aoi_correspondence,
+    full_submonoids,
+    join_span,
     kernel,
     kernel_psd_check,
 )
-from cartanlab.semigroup_core import (
-    PhasedElement,
-    compose,
-    dagger,
-    identity_map,
-    meet,
-    natural_leq,
-    orthogonal_join,
-)
+from cartanlab.semigroup_core import PhasedElement, compose, dagger, identity_map, natural_leq
 from cartanlab.spectral_bimodule import (
     _subspace_intersection,
-    aoi_correspondence,
     enumerate_spectral_sets,
-    full_submonoids,
-    is_spectral_set,
-    join_span,
     msd,
     mtr,
     psi,
@@ -57,7 +49,6 @@ from cartanlab.spectral_bimodule import (
 )
 from cartanlab.vn_oracle import (
     MatrixAlgebra,
-    _pattern_intersection,
     _pattern_positions,
     cartan_report,
     contains_matrix,
@@ -66,7 +57,8 @@ from cartanlab.vn_oracle import (
     subspace_basis,
 )
 
-from exact_reference import coboundary_table, leech_idempotent, trivial_cocycle
+from exact_reference import coboundary_table, is_spectral_set, leech_idempotent, trivial_cocycle
+from numeric_reference import _pattern_intersection
 
 TOL = 1e-9
 EXACT = 1e-12

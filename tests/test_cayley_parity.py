@@ -19,6 +19,7 @@ import pytest
 
 from cartanlab._twist import _rank
 from cartanlab.errors import ClosureError, DomainError, FormatError, InvariantViolation
+from cartanlab.exact_library import meet
 from cartanlab.extension import (
     CocycleReport,
     CocycleTable,
@@ -42,7 +43,6 @@ from cartanlab.semigroup_core import (
     compose,
     conjugate,
     dagger,
-    meet,
     natural_leq,
     partial_identity,
     relabelings,

@@ -7,15 +7,9 @@ from importlib import resources
 
 import pytest
 
-from cartanlab.cli import (
-    ExtensionDocument,
-    build_extension,
-    emit,
-    main,
-    parse,
-)
+from cartanlab.cli import ExtensionDocument, build_extension, main, parse
 from cartanlab.errors import FormatError, SizeGuardError
-from cartanlab.generators import generate
+from cartanlab.generators import emit, generate
 from cartanlab.semigroup_core import PartialBijection, PhasedElement, singleton
 
 from exact_reference import trivial_cocycle

@@ -12,9 +12,9 @@ from importlib import resources
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cartanlab.cli import ExtensionDocument, build_extension, emit, main
+from cartanlab.cli import ExtensionDocument, build_extension, main
 from cartanlab.extension import point_coboundary_table
-from cartanlab.generators import generate
+from cartanlab.generators import emit, generate
 
 # Replacement values: every JSON type, with the integers a field would reject.
 POOL = (

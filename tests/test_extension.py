@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from cartanlab import _equiv
 from cartanlab.errors import DomainError, FormatError
+from cartanlab.exact_library import meet
 from cartanlab.extension import (
     CocycleTable,
     Extension,
@@ -24,10 +26,11 @@ from cartanlab.extension import (
 )
 from cartanlab.generators import eqrel_monoid, product_monoid, rook_monoid
 from cartanlab.semigroup_core import (
+    FiniteInverseMonoid,
+    PartialBijection,
     PhasedElement,
     compose,
     dagger,
-    meet,
     natural_leq,
     with_zero_phases,
 )
@@ -396,6 +399,21 @@ def test_tables_that_are_not_coboundaries_are_equivalent_to_none(i3):
     assert extensions_equivalent(Extension(i3, 3, random_coboundary(i3, 3, 71)), ext) is None
 
 
+def test_tables_that_are_not_cocycles_are_cohomologous_to_none(i3):
+    """cohomologous takes b2 - b1 from the two tables' coboundary witnesses:
+    two tables that are not cocycles are cohomologous to no table, even when
+    they differ by a coboundary, as equivalence reads them."""
+    bad = _tampered(random_coboundary(i3, 3, 71))
+    b = cohomologous(i3, 3, None, random_coboundary(i3, 3, 83))
+    assert b is not None and any(any(v) for v in b.values())
+    shifted = coboundary_table(i3, 3, bad, b)  # bad + delta b
+    assert shifted.entries != bad.entries and not validate_cocycle(i3, 3, shifted).passed
+    assert cohomologous(i3, 3, bad, shifted) is None
+    assert cohomologous(i3, 3, bad, bad) is None
+    assert cohomologous(i3, 3, None, bad) is None and cohomologous(i3, 3, bad, None) is None
+    assert extensions_equivalent(Extension(i3, 3, bad), Extension(i3, 3, shifted)) is None
+
+
 def test_equivalence_solves_each_witness_once(i3, monkeypatch):
     """At most two coboundary solves per call and one phase-row build per
     table, though rook3 has six relabelings; a second call solves nothing."""
@@ -476,3 +494,21 @@ def test_point_coboundaries_are_trivial_and_equivalent(case):
     assert witness is not None
     assert coboundary_table(S, k, None, witness).entries == table.entries
     assert extensions_equivalent(Extension(S, k), Extension(S, k, table), guard=len(S)) is not None
+
+
+def test_cocycle_check_keeps_only_the_composable_point_triples(i2):
+    """On rook2 padded to 64 atoms, R has 66 points and a few dozen
+    composable triples: validate_cocycle's peak stays below the 2 MB that a
+    dense list of 64³ phase slots alone takes."""
+    n = 64
+    S = FiniteInverseMonoid(n, [PartialBijection(n, s.domain, s.image) for s in i2])
+    table = point_coboundary_table(S, 3, {(0, 1): 1, (1, 0): 2})
+    assert S.mul and S.images and S.domain_atoms  # the monoid's views, built before the measurement
+    tracemalloc.start()
+    try:
+        report = validate_cocycle(S, 3, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < n**3 * 8

@@ -14,19 +14,17 @@ import pytest
 
 from cartanlab.boolean_monoid import check_axioms
 from cartanlab.errors import DomainError
+from cartanlab.exact_library import are_orthogonal, meet, orthogonal_join
 from cartanlab.generators import eqrel_monoid, product_monoid, rook_monoid
 from cartanlab.semigroup_core import (
     FiniteInverseMonoid,
     PartialBijection,
-    are_orthogonal,
     bits,
     compose,
     dagger,
     identity_map,
     mask_of,
-    meet,
     natural_leq,
-    orthogonal_join,
     partial_identity,
     singleton,
     zero_map,

@@ -4,17 +4,11 @@ import random
 import numpy as np
 import pytest
 
+from cartanlab.exact_library import meet
 from cartanlab.extension import Extension, order_preserving_section, point_coboundary_table
-from cartanlab.kernel_rep import (
-    RBasis,
-    RepSpace,
-    abstract_gram_check,
-    dump_matrix,
-    kernel,
-    kernel_psd_check,
-    lambda_matrix,
-)
-from cartanlab.semigroup_core import compose, dagger, meet, partial_identity
+from cartanlab.kernel_rep import RBasis, RepSpace, dump_matrix, lambda_matrix
+from cartanlab.numeric_library import abstract_gram_check, kernel, kernel_psd_check
+from cartanlab.semigroup_core import compose, dagger, partial_identity
 
 TOL = 1e-9
 

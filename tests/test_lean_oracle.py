@@ -36,6 +36,12 @@ from cartanlab.extension import (
 )
 from cartanlab.generators import eqrel_monoid, product_monoid, rook_monoid
 from cartanlab.kernel_rep import RBasis, RepSpace, _roots, dump_matrix, lambda_matrix
+from cartanlab.numeric_library import (
+    AoiReport,
+    _holds_diagonal,
+    aoi_correspondence,
+    full_submonoids,
+)
 from cartanlab.semigroup_core import (
     FiniteInverseMonoid,
     PartialBijection,
@@ -48,14 +54,10 @@ from cartanlab.semigroup_core import (
 )
 from cartanlab.spectral_bimodule import (
     SPECTRAL_GUARD,
-    AoiReport,
     SubdiagonalReport,
-    _subspace_intersection,
-    _holds_diagonal,
     _TraceIndex,
-    aoi_correspondence,
+    _subspace_intersection,
     enumerate_spectral_sets,
-    full_submonoids,
     msd,
     mtr,
     psi,
@@ -70,13 +72,10 @@ from cartanlab.vn_oracle import (
     _hs_projection,
     _normalizes,
     _nullspace_dimension,
-    _pattern_intersection,
     _pattern_positions,
-    _point_accepted,
     _residual_norms,
     cartan_report,
     contains_matrix,
-    hs_inner,
     masa_check,
     recover_extension,
     span_basis,
@@ -84,6 +83,7 @@ from cartanlab.vn_oracle import (
 )
 
 from exact_reference import coboundary_table, element_sigma, trivial_cocycle
+from numeric_reference import _pattern_intersection, _point_accepted, hs_inner
 
 TOL = 1e-9
 
@@ -599,7 +599,7 @@ def test_set_that_is_not_closed_keeps_its_errors(tmp_path, capsys):
             search(S)
         assert exc.value.witness == witness
     path = tmp_path / "not_closed.json"
-    path.write_text(cli.emit(generators._document_of(S, 1, {})))
+    path.write_text(generators.emit(generators._document_of(S, 1, {})))
     assert cli.main(["msd", str(path)]) == 2
 
 
@@ -934,7 +934,7 @@ def test_spectral_command_samples_the_enumerated_sets(name, tmp_path, monkeypatc
     enumeration order, the sets the full list would have given."""
     S = {"rook2": rook_monoid(2), "rook3": rook_monoid(3), "eqrel_01_23": eqrel_monoid([(0, 1), (2, 3)])}[name]
     path = tmp_path / "doc.json"
-    path.write_text(cli.emit(generators._document_of(S, 1, {})))
+    path.write_text(generators.emit(generators._document_of(S, 1, {})))
     sets = enumerate_spectral_sets(S)
     ref = sets if len(sets) <= 64 else sets[:: len(sets) // 64]
     sampled = []

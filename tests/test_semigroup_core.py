@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cartanlab.errors import ClosureError, OrthogonalityError, StructuralError
+from cartanlab.exact_library import meet, meet_complement, orthogonal_join
 from cartanlab.extension import Extension
 from cartanlab.generators import eqrel_monoid, rook_monoid
 from cartanlab.semigroup_core import (
@@ -15,10 +16,7 @@ from cartanlab.semigroup_core import (
     compose,
     dagger,
     identity_map,
-    meet,
-    meet_complement,
     natural_leq,
-    orthogonal_join,
     partial_identity,
     singleton,
     zero_map,

@@ -43,7 +43,7 @@ def test_numpy_is_imported_only_through_the_lazy_helper():
         found += [f"{path.name}:{node.lineno}" for node in tree.body if _imports_numpy(node)]
     assert found == []
     lazy = [path.stem for path in SRC.glob("*.py") if "from ._lazy import np" in path.read_text(encoding="utf-8")]
-    assert sorted(lazy) == ["kernel_rep", "spectral_bimodule", "vn_oracle"]
+    assert sorted(lazy) == ["kernel_rep", "numeric_library", "spectral_bimodule", "vn_oracle"]
 
 
 def _python_lines(code: str, *args: str, cwd=None) -> list[str]:
@@ -63,9 +63,12 @@ NUMERIC = ("kernel_rep", "vn_oracle", "spectral_bimodule")
 # The private parts of the extension API that only some commands use, and
 # the numeric commands' handlers, each executed by the commands that use it.
 PER_COMMAND = ("_cocycle", "_section", "_equiv", "_numeric_cli")
-# The exact modules that only some commands use, the public extension module,
-# which no command executes, the per-command parts, then the numeric half.
-PROBED = ("boolean_monoid", "generators", "extension", *PER_COMMAND, *NUMERIC)
+# The library modules, which no command executes.
+LIBRARIES = ("exact_library", "numeric_library")
+# The exact modules that only some commands use, the public extension module
+# and the libraries, which no command executes, the per-command parts, then
+# the numeric half.
+PROBED = ("boolean_monoid", "generators", "extension", *LIBRARIES, *PER_COMMAND, *NUMERIC)
 # numpy's random-number stack, and a module it pulls in.
 RANDOM_STACK = ("numpy.random", "secrets")
 
@@ -131,9 +134,9 @@ def test_commands_execute_only_the_modules_they_use(tmp_path, argv, executed):
     validate executes boolean_monoid; of the extension API's parts, validate
     executes only the cocycle check, section only the section layer and
     equiv only equivalence, gen none, the numeric commands only the section
-    layer, and no command the public ``extension`` module.  cli holds these
-    modules as lazy module objects, executed on first use.  The oracle's
-    sample draws load no ``numpy.random``."""
+    layer, and no command the public ``extension`` module or a library
+    module.  cli holds these modules as lazy module objects, executed on
+    first use.  The oracle's sample draws load no ``numpy.random``."""
     lines = _python_lines(RUN_CLI, *argv, cwd=tmp_path)
     assert lines[-2] == executed and lines[-1].startswith("0 ")
 
@@ -260,7 +263,7 @@ def test_exact_half_imports_no_numeric_module_at_module_level():
     modules only through lazy bindings."""
     found = []
     stems = ("__init__", "cli", "_numeric_cli", "semigroup_core", "boolean_monoid", "extension", "generators")
-    for stem in stems + ("_twist", "_cocycle", "_section", "_equiv"):
+    for stem in stems + ("_twist", "_cocycle", "_section", "_equiv", "exact_library"):
         path = SRC / f"{stem}.py"
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{line}" for line in _numeric_imports(tree)]
@@ -316,18 +319,19 @@ def test_per_command_import_scan_sees_every_form(tmp_path):
 
 # Every name ``cartanlab`` exported when it imported all of its modules.
 EXPORTS = {
-    "boolean_monoid": "AxiomReport GroupoidRelation check_axioms chop groupoid_relation",
+    "boolean_monoid": "AxiomReport GroupoidRelation check_axioms groupoid_relation",
     "errors": "CartanLabError ClosureError DomainError FormatError InvariantViolation OrthogonalityError "
     "SizeGuardError StructuralError",
+    "exact_library": "chop meet meet_complement orthogonal_join",
     "extension": "CocycleTable Extension Section cohomologous delta extensions_equivalent lausch_alpha "
     "order_preserving_section point_coboundary_table point_cocycle_table sigma validate_cocycle validate_section",
     "generators": "eqrel_monoid product_monoid rook_monoid",
-    "kernel_rep": "RBasis RepSpace abstract_gram_check dump_matrix expectation kernel kernel_psd_check "
-    "lambda_matrix",
+    "kernel_rep": "RBasis RepSpace dump_matrix expectation lambda_matrix",
+    "numeric_library": "abstract_gram_check aoi_correspondence full_submonoids intermediate_algebra_check "
+    "join_span kernel kernel_psd_check",
     "semigroup_core": "FiniteInverseMonoid PartialBijection PhasedElement classify compose dagger identity_map "
-    "meet meet_complement natural_leq orthogonal_join partial_identity singleton zero_map",
-    "spectral_bimodule": "aoi_correspondence enumerate_spectral_sets full_submonoids "
-    "intermediate_algebra_check is_spectral_set join_span msd mtr psi spectral_closure theta verify_subdiagonal",
+    "natural_leq partial_identity singleton zero_map",
+    "spectral_bimodule": "enumerate_spectral_sets msd mtr psi spectral_closure theta verify_subdiagonal",
     "vn_oracle": "MatrixAlgebra cartan_report expectation_properties masa_check recover_extension span_basis",
 }
 
@@ -352,7 +356,7 @@ for module, names in exports.items():
 print(json.dumps([loaded, bad]))
 """
     loaded, bad = json.loads(_python(code, json.dumps(EXPORTS)))
-    assert bad == [] and sum(len(names.split()) for names in EXPORTS.values()) == 69
+    assert bad == [] and sum(len(names.split()) for names in EXPORTS.values()) == 68
     assert loaded == []
 
 
@@ -622,7 +626,7 @@ def test_one_point_maps_are_looked_up_by_graph():
     """The extension API and ``kernel_rep`` find the one-point map of a point
     through ``S.id_of_graph``; neither builds it with ``singleton``."""
     sites = call_sites(SRC, _is_singleton_call)
-    modules = ("extension", "_twist", "_cocycle", "_section", "_equiv", "kernel_rep")
+    modules = ("extension", "_twist", "_cocycle", "_section", "_equiv", "exact_library", "kernel_rep")
     assert [site for site in sites if site.startswith(tuple(f"{m}.py:" for m in modules))] == []
 
 
@@ -723,7 +727,8 @@ def tol_beside_owner(path: Path) -> list[str]:
 def test_checks_on_a_space_or_span_read_its_tol():
     """A check on a ``RepSpace`` or a span decides at the tol that object
     was built at: no such function takes its own ``tol`` as well."""
-    assert [site for name in NUMERIC[1:] for site in tol_beside_owner(SRC / f"{name}.py")] == []
+    modules = (*NUMERIC[1:], "numeric_library")
+    assert [site for name in modules for site in tol_beside_owner(SRC / f"{name}.py")] == []
 
 
 def test_tol_scan_sees_every_form(tmp_path):
@@ -746,49 +751,6 @@ def test_tol_scan_sees_every_form(tmp_path):
         "    return M.tol\n"
     )
     assert tol_beside_owner(path) == ["t.py:4", "t.py:6", "t.py:8", "t.py:10"]
-
-
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
-
-# Names the package serves that no module or demo uses, each with the reason
-# it stays.
-UNCALLED_EXPORTS = {
-    "compose": "counted by the benchmark's tracer (perfbench/tracer.py COUNTED)",
-    "natural_leq": "counted by the benchmark's tracer (perfbench/tracer.py COUNTED)",
-    "lambda_matrix": "spanned by the benchmark's tracer (perfbench/tracer.py SPANNED)",
-    "enumerate_spectral_sets": "spanned by the benchmark's tracer (perfbench/tracer.py SPANNED)",
-    "spectral_closure": "spanned by the benchmark's tracer (perfbench/tracer.py SPANNED)",
-    "is_spectral_set": "the definition of a spectral set that the spectral tests check A(X) against",
-}
-
-
-def referenced_names(paths) -> set:
-    """Every name read as a bare name or an attribute in the given files."""
-    found = set()
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
-            if isinstance(node, ast.Name):
-                found.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                found.add(node.attr)
-    return found
-
-
-def test_every_lazy_export_has_a_caller():
-    """Each name in the package's ``_LAZY`` is used by another module of the
-    package or by a demo, or is listed above with the reason it stays."""
-    paths = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
-    used = referenced_names(paths + sorted(DEMOS.glob("*.py")))
-    exported = set(cartanlab._MODULE_OF)
-    assert len(exported) == 69 and len(list(DEMOS.glob("*.py"))) == 5
-    assert sorted(set(UNCALLED_EXPORTS) - exported) == []
-    assert sorted(exported - used - set(UNCALLED_EXPORTS)) == []
-
-
-def test_caller_scan_sees_names_and_attributes(tmp_path):
-    path = tmp_path / "t.py"
-    path.write_text("from x import unused\nimport m\ndef f():\n    return m.attr(name)\n")
-    assert referenced_names([path]) == {"m", "attr", "name"}
 
 
 def twisted_product_sites(path) -> list[str]:

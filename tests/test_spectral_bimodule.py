@@ -7,26 +7,17 @@ import pytest
 
 import cartanlab.spectral_bimodule as spectral_module
 from cartanlab.errors import DomainError, SizeGuardError
+from cartanlab.exact_library import are_orthogonal, orthogonal_join
 from cartanlab.extension import Extension
 from cartanlab.generators import eqrel_monoid, rook_monoid
 from cartanlab.kernel_rep import RepSpace
-from cartanlab.semigroup_core import (
-    FiniteInverseMonoid,
-    are_orthogonal,
-    dagger,
-    orthogonal_join,
-    partial_identity,
-    singleton,
-)
+from cartanlab.numeric_library import aoi_correspondence, full_submonoids, join_span
+from cartanlab.semigroup_core import FiniteInverseMonoid, dagger, partial_identity, singleton
 from cartanlab.spectral_bimodule import (
     SubdiagonalReport,
     _TraceIndex,
     _subspace_intersection,
-    aoi_correspondence,
     enumerate_spectral_sets,
-    full_submonoids,
-    is_spectral_set,
-    join_span,
     msd,
     mtr,
     psi,
@@ -35,6 +26,8 @@ from cartanlab.spectral_bimodule import (
     verify_subdiagonal,
 )
 from cartanlab.vn_oracle import contains_matrix, subspace_basis
+
+from exact_reference import is_spectral_set
 
 TOL = 1e-9
 
