@@ -1,13 +1,14 @@
 """The cocycle check of the extension API, which ``validate`` runs: support,
 normalization and the cocycle identity of a table, decided on the points
-of R.
+of R by the table's point pass and its closed-form coboundary solve
+(``_twist._point_pass``), with the id-level loop that lists the witnesses.
 
 The public path to these names is ``cartanlab.extension``.
 """
 
 from __future__ import annotations
 
-from ._twist import CocycleTable, _phase_rows
+from ._twist import CocycleTable, _phase_rows, _point_pass
 from .errors import FormatError
 from .semigroup_core import FiniteInverseMonoid
 
@@ -47,20 +48,13 @@ def validate_cocycle(S: FiniteInverseMonoid, k: int, c: CocycleTable | None) -> 
     The identity, pointwise on dom(stu):
         c(t,u)(y) + c(s,tu)(y) = c(s,t)(u(y)) + c(st,u)(y)  (mod k)
 
-    The verdict is decided on the points of R, the union of the graphs.
-    One pass over the pairs of element ids (products from the Cayley table
-    S.mul) checks support and normalization, and checks that the table is
-    local: every phase c(s,t)(y) equals cp[s(t(y)), t(y), y], the first
-    value seen for that point triple, kept in a dict of the composable
-    point triples (sum b^3 over the blocks of R, not n^3).  For a local
-    table the four terms of the identity at (s, t, u) and y are cp[x,z,y],
-    cp[w,x,y], cp[w,x,z] and cp[w,z,y] on the chain w <- x <- z <- y of R
-    with z = u(y), x = t(z), w = s(x), and every chain of R arises from
-    some triple.  So the identity holds on all triples iff
-        cp[x,z,y] + cp[w,x,y] - cp[w,x,z] - cp[w,z,y] = 0  (mod k)
-    on every chain: sum b^4 checks over the blocks of R.  A table that
-    fails support, normalization, locality or a chain gets the id-level
-    loop over all triples, which lists the identity violations.
+    The verdict is decided by the table's point pass
+    (``_twist._point_pass``), which needs no one-point maps: a table passes
+    when it is supported, normalized and local, and its point cocycle is
+    delta b for the closed-form b.  The identity at (s, t, u) and y reads
+    cp on the chain w <- x <- z <- y of R (z = u(y), x = t(z), w = s(x)),
+    and holds on every chain iff cp = delta b.  Any other table gets the
+    id-level loop over all triples, which lists the identity violations.
 
     Violations are listed in (s, t) or (s, t, u) element order: support,
     then normalization, then identity.  A missing entry raises FormatError;
@@ -72,52 +66,11 @@ def validate_cocycle(S: FiniteInverseMonoid, k: int, c: CocycleTable | None) -> 
         return CocycleReport(True, True, True)
     if c.k != k:
         raise FormatError(f"cocycle table has k={c.k}, expected {k}")
-    n, els, mul, img, entries = S.atom_count, S.elements, S.mul, S.images, c.entries
-    idem = set(S.idempotent_ids)
-    atoms = S.domain_atoms
-    support, normalization = [], []
-    cp = {}  # cp[(x*n + z)*n + y]: the phase on the composable points z <- y, x <- z
-    local = True
-    for i, s in enumerate(els):
-        for j, t in enumerate(els):
-            st = mul[i][j]
-            ys, arr = atoms[st], entries.get((s, t))
-            if not ys:
-                if arr:
-                    support.append(("support", s, t))
-                continue
-            if arr is None:
-                raise FormatError(f"missing cocycle entry for ({s}, {t})")
-            if len(arr) != len(ys) or any(not 0 <= p < k for p in arr):
-                support.append(("support", s, t))
-            if (i in idem or j in idem) and any(arr):
-                normalization.append(("normalization", s, t))
-            x_of, z_of = img[st], img[j]
-            for y, p in zip(ys, arr):
-                if cp.setdefault((x_of[y] * n + z_of[y]) * n + y, p) != p:
-                    local = False
-
-    violations = support + normalization
-    if local and not violations and _point_identity_holds(n, k, cp, img):
+    support, normalization, b = _point_pass(S, k, c)
+    if b is not None:
         return CocycleReport(True, True, True)
     identity = _identity_violations(S, k, c)
-    return CocycleReport(not support, not normalization, not identity, violations + identity)
-
-
-def _point_identity_holds(n: int, k: int, cp: dict, img: list) -> bool:
-    """The cocycle identity of the point cocycle ``cp`` on every chain
-    w <- x <- z <- y of R; ``img`` holds the dense image rows of S.  In a
-    closed S every triple of a chain is composable, so ``cp`` holds it."""
-    succ = [sorted({row[y] for row in img} - {-1}) for y in range(n)]  # x with (x, y) in R
-    for y in range(n):
-        for z in succ[y]:
-            for x in succ[z]:
-                c_xzy = cp[(x * n + z) * n + y]
-                for w in succ[x]:
-                    wx = (w * n + x) * n
-                    if (c_xzy + cp[wx + y] - cp[wx + z] - cp[(w * n + z) * n + y]) % k:
-                        return False
-    return True
+    return CocycleReport(not support, not normalization, not identity, support + normalization + identity)
 
 
 def _identity_violations(S: FiniteInverseMonoid, k: int, c: CocycleTable) -> list:

@@ -7,7 +7,7 @@ The public path to these names is ``cartanlab.extension``.
 from __future__ import annotations
 
 from ._twist import Extension
-from .errors import SizeGuardError
+from .errors import ClosureError, SizeGuardError
 from .semigroup_core import PhasedElement, bits, relabelings
 
 __all__ = ["EQUIV_GUARD", "extensions_equivalent"]
@@ -26,7 +26,9 @@ def extensions_equivalent(ext1: Extension, ext2: Extension, guard: int = EQUIV_G
     (``Extension.coboundary``), delta commutes with the relabeling, so
     alpha(s, a) = (theta(s), a o perm^-1 + b1 o theta^-1 - b2); no table is
     transported.  A table that is not a coboundary is not a cocycle, and
-    its extension is equivalent to none.
+    its extension is equivalent to none.  A monoid that is not closed raises
+    ClosureError with its first witness, S1's before S2's, after the size
+    guard and before the search.
     """
     if ext1.k != ext2.k:
         return None
@@ -35,6 +37,10 @@ def extensions_equivalent(ext1: Extension, ext2: Extension, guard: int = EQUIV_G
         return None
     if len(S1) > guard:
         raise SizeGuardError(len(S1), guard, "monoid size for equivalence search (--guard)")
+    for S in (S1, S2):
+        witness = S.closure_witness()
+        if witness is not None:
+            raise ClosureError(witness)
     found = next(relabelings(S1, S2), None)
     if found is None:
         return None

@@ -2,6 +2,9 @@
 numeric half read: order-preserving sections and their check, the phase
 correction sigma on element ids and the diagonal part Delta.
 
+The section is j(s) = (s, -b(s)) for the coboundary witness b: homomorphic,
+so order-preserving, and the one the paper's gluing construction returns.
+
 sigma is formed on element ids from the section's dense phase rows
 (``_sigma``), the form in which ``kernel_rep`` builds the columns of every
 lambda; its element-level forms, ``sigma`` and the section cocycle
@@ -55,87 +58,34 @@ class Section:
 
 
 def order_preserving_section(ext: Extension) -> Section:
-    """Construct a deterministic order-preserving section.
+    """j(s) = (s, -b(s)) for the extension's coboundary witness b (c =
+    delta b, ``Extension.coboundary``).
 
-    Steps: lift idempotents with zero phases; build the maximal pairwise
-    meet-orthogonal set B containing 1 greedily in canonical order; lift B;
-    extend below B by j(se) = j(s) j(e); lift each remaining t by perturbing
-    the zero lift with the phased identity glued from h_s = w^dag j(t ^ s).
-    On a finite atom set the glued supports exhaust dom(t) exactly (density
-    is totality here), which is checked (InvariantViolation otherwise).
-
-    Lifts on B are -b for the extension's coboundary witness b, which makes
-    the returned section a homomorphism and hence compatible with the
-    inverse operation.  On a downward-closed monoid every valid table is a
-    coboundary, so a missing witness means the table is not a cocycle and
-    raises DomainError.  Only when the monoid lacks one-point maps (no
-    witness can be computed) are zero-phase lifts, which need not be
-    homomorphic, the fallback.  For the trivial twist (no table) the witness
-    is zero and the section is the zero-phase lift of every element; an
-    explicit table of zeros gets the same zero witness from the search.
-
-    Lifts are built as dense phase rows on element ids with the extension's
-    id-level product.
+    In the finite case R is a pair groupoid on each block, so every
+    normalized cocycle is a coboundary (Feldman-Moore), and then j(s)j(t) =
+    (st, -b(s) o t - b(t) + delta b(s, t)) = j(st): j is a homomorphic
+    section, so it preserves order, products with idempotents and meets.
+    On a monoid with its one-point maps it is the section the paper's
+    construction glues (lifts of a maximal meet-orthogonal set B by -b,
+    lifts below B, glued lifts for the rest).  When S lacks a one-point map
+    the lifts are zero, order-preserving for any normalized table; so are
+    the trivial twist's.  A table that is not a coboundary raises
+    DomainError; a monoid that is not closed, ClosureError, its first
+    missing product before its first missing inverse.
     """
     S, k, n = ext.S, ext.k, ext.S.atom_count
-    els, index = S.elements, S.index
+    S.mul, S.inv  # a monoid that is not closed raises ClosureError here
     try:
         witness = ext.coboundary
     except DomainError:  # no one-point maps: the zero lifts
-        witness = [[0] * n] * len(els)
+        witness = [[0] * n] * len(S)
     if witness is None:
         raise DomainError(
             "cocycle table is not a coboundary, so it is not a valid cocycle; "
             "run 'cartanlab validate' on the document"
         )
-
-    zero_row = [0] * n  # read-only, shared
-    idem = S.idempotent_ids
-    j: dict[int, list[int]] = {e: zero_row for e in idem}  # id -> dense phase row
-
-    # Meets by graph bitmasks: the meet of s and t has graph(s) & graph(t),
-    # so s is meet-orthogonal to all of B iff its graph misses their union.
-    B, B_graphs = [S.one], S.one.graph
-    for s in S:
-        if s.domain and not s.graph & B_graphs:
-            B.append(s)
-            B_graphs |= s.graph
-
-    for s in B:
-        i = index[s]
-        lift = [-p % k for p in witness[i]]
-        for e in idem:
-            if not els[e].domain & ~s.domain:  # e <= s^dag s
-                se, val = ext._product(i, lift, e, j[e])
-                if se in j and j[se] != val:
-                    raise DomainError(f"inconsistent section assignment at {els[se]}")
-                j[se] = val
-
-    for t_id, t in enumerate(els):
-        if t_id in j:
-            continue
-        td, w_dag = ext._dagger(t_id, zero_row)
-        h, covered = [0] * n, 0
-        for s in B:
-            meet_graph = t.graph & s.graph
-            if not meet_graph:
-                continue
-            m = S.id_of_graph.get(meet_graph)
-            if m is None:
-                raise DomainError(f"the meet of {t} and {s} is not an element of the monoid")
-            hs, h_s = ext._product(td, w_dag, m, j[m])
-            dom = els[hs].domain
-            if covered & dom:
-                y = next(bits(covered & dom))
-                raise InvariantViolation(f"glued supports overlap at atom {y} for {t}")
-            covered |= dom
-            for y in bits(dom):
-                h[y] = h_s[y]
-        if covered != t.domain:
-            raise InvariantViolation(f"glued supports do not cover dom({t})")
-        _, j[t_id] = ext._product(t_id, zero_row, S.mul[td][t_id], h)
-
-    return Section({s: ext._phased(i, j[i]) for i, s in enumerate(els)}, [j[i] for i in range(len(els))])
+    rows = [[-p % k for p in row] for row in witness]
+    return Section({s: ext._phased(i, rows[i]) for i, s in enumerate(S.elements)}, rows)
 
 
 class SectionReport:
@@ -177,10 +127,10 @@ def validate_section(ext: Extension, j: Section) -> SectionReport:
     S is closed and holds every idempotent of the atom set, so every meet
     is in S; every lift's phase at y is in 0..k-1 and depends only on the
     point (s(y), y); the phase at every diagonal point is zero, so
-    idempotent lifts are zero; and the table's rows c(e, .) and c(., e) are
-    zero for every idempotent e.  Then a restriction, a meet and a product
-    esf read the same point phases as the lifts they come from, and (a),
-    (b) and (c) hold.
+    idempotent lifts are zero; and the table's point pass finds it
+    normalized, c(e, .) and c(., e) zero for every idempotent e.  Then a
+    restriction, a meet and a product esf read the same point phases as
+    the lifts they come from, and (a), (b) and (c) hold.
 
     Otherwise all three are walks over element ids on the lifts' dense
     phase rows, which find the witnesses.  s <= t iff graph(s) lies inside
@@ -217,10 +167,7 @@ def _lifts_on_points(ext: Extension, rows: list) -> bool:
                 return False
     if any(phase[y * n + y] for y in range(n)):
         return False
-    if ext.cocycle is None:
-        return True
-    c = ext._rows
-    return not any(any(c[e][i]) or any(c[i][e]) for e in idem for i in range(len(els)))
+    return ext.cocycle is None or not ext._points[1]
 
 
 def _section_loops(ext: Extension, rows: list) -> SectionReport:

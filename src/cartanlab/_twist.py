@@ -1,6 +1,9 @@
 """The core of the extension API, which every document command reads:
 cocycle tables, their dense phase rows, and the extension with its twisted
-product and coboundary witness.
+product and coboundary witness.  Each extension reads its table once on
+the points of R (``_point_pass``), where support, normalization, the
+cocycle identity and the coboundary witness b (c = delta b, in closed
+form) are all decided.
 
 Phases are exponents of a fixed primitive k-th root of unity and all phase
 arithmetic is exact integer arithmetic mod k.  The public path to these
@@ -129,15 +132,25 @@ class Extension:
         return _phase_rows(self.S, self.cocycle)
 
     @cached_property
+    def _points(self) -> tuple[list, list, dict | None]:
+        """The table's point pass (``_point_pass``), made once."""
+        return _point_pass(self.S, self.k, self.cocycle)
+
+    @cached_property
     def coboundary(self) -> list[list[int]] | None:
         """b with c = delta b, c(s,t)(y) = b(s)(t(y)) + b(t)(y) - b(st)(y) mod k,
-        as dense phase rows by element id, solved once: zero for the trivial
-        twist, None for a table that is not a coboundary (so not a cocycle),
-        and DomainError, on every read, when S lacks a one-point map."""
-        singles = _one_point_maps(self.S)
+        as dense phase rows by element id, solved once from the point pass:
+        zero for the trivial twist, None for a table that is not a
+        coboundary (so not a cocycle), and DomainError, on every read, when
+        S lacks a one-point map."""
+        S, n = self.S, self.S.atom_count
+        _one_point_maps(S)
         if self.cocycle is None:
-            return [[0] * self.S.atom_count] * len(self.S)
-        return _coboundary_witness(self.S, self.k, singles, self._rows)
+            return [[0] * n] * len(S)
+        b = self._points[2]
+        if b is None:
+            return None
+        return [_dense(n, s.domain, (b[x * n + y] for x, y in s.pairs())) for s in S.elements]
 
     def _product(self, i: int, a: list[int], j: int, b: list[int]) -> tuple[int, list[int]]:
         """(e_i, a)(e_j, b) = (e_i e_j, p), p(y) = a(e_j(y)) + b(y) + c(e_i, e_j)(y)."""
@@ -181,48 +194,71 @@ class Extension:
 
 def _one_point_maps(S: FiniteInverseMonoid) -> dict:
     """Point (x, y) of R -> id of the one-point map y -> x, in point order;
-    DomainError if one is missing from S."""
+    DomainError naming the first one missing from S."""
     n, singles = S.atom_count, {}
     for x, y in S.points:
         m = S.id_of_graph.get(1 << (x * n + y))
         if m is None:
-            raise DomainError("cohomologous needs a downward-closed monoid (singletons present)")
+            raise DomainError(
+                f"the coboundary needs a downward-closed monoid, but the one-point map "
+                f"<{y}>{x} on {n}> (point {(x, y)} of R) is not an element"
+            )
         singles[(x, y)] = m
     return singles
 
 
-def _coboundary_witness(S: FiniteInverseMonoid, k: int, singles: dict, rows: list):
-    """The coboundary witness b of one table, c = delta b, from its dense
-    phase rows, given the one-point maps of S: dense phase rows by element
-    id, or None when the table is not a coboundary.
+def _point_pass(S: FiniteInverseMonoid, k: int, c: CocycleTable) -> tuple[list, list, dict | None]:
+    """One pass over the table, each entry read once: (support,
+    normalization, b).
 
-    Normalization forces any witness to be restriction compatible, hence
-    determined by its values on one-point maps: a function b on related atom
-    pairs vanishing on the diagonal.  A coboundary is graph-local, so b is
-    solved in closed form by gauge fixing against a root atom r of each
-    block: b(x, z) := c(x, z, r), the entry on the singleton pair z<-r,
-    x<-z at r.  Any other witness differs from this one by a gauge term that
-    does not change the coboundary, so the construction is complete: if
-    the check of the candidate on every pair of ids fails, no witness
-    exists."""
-    pts = list(singles)
-    root = {}
-    for x, y in pts:
-        root.setdefault(y, min(z for (w, z) in pts if w == y))
-    b_pts = {}
-    for x, z in pts:
-        r = root[z]
-        b_pts[(x, z)] = rows[singles[(x, z)]][singles[(z, r)]][r] % k
+    ``support`` and ``normalization`` list their violations, ("support", s,
+    t) or ("normalization", s, t), in element order; a missing entry at a
+    nonempty product raises FormatError.  The table is local when every
+    phase c(s,t)(y) equals cp[x, z, y], the first value seen on the
+    composable points x <- z <- y (z = t(y), x = s(z)), kept in a dict of
+    those triples: sum b^3 over the blocks of R, all the chains of length
+    two in R when S is closed.  A supported, normalized, local table gets
+    the closed-form solve b(x, z) = cp[x, z, r], r the least atom of the
+    block, keyed x*n + z: b when cp = delta b on every composable triple,
+        cp[x, z, y] = b(x, z) + b(z, y) - b(x, y)  (mod k),
+    else None.  On the chain x <- z <- y <- r this is the cocycle identity,
+    so the solve fails only for a table that is not a cocycle, and needs no
+    one-point maps.  b vanishes on the diagonal: cp[x, x, r] = c(1, t)(r).
+    """
+    n, els, mul, img, entries = S.atom_count, S.elements, S.mul, S.images, c.entries
+    idem = set(S.idempotent_ids)
+    atoms = S.domain_atoms
+    support, normalization = [], []
+    cp = {}  # cp[(x*n + z)*n + y]: the phase on the composable points z <- y, x <- z
+    local = True
+    for i, s in enumerate(els):
+        for j, t in enumerate(els):
+            st = mul[i][j]
+            ys, arr = atoms[st], entries.get((s, t))
+            if not ys:
+                if arr:
+                    support.append(("support", s, t))
+                continue
+            if arr is None:
+                raise FormatError(f"missing cocycle entry for ({s}, {t})")
+            if len(arr) != len(ys) or min(arr) < 0 or max(arr) >= k:
+                support.append(("support", s, t))
+            if (i in idem or j in idem) and any(arr):
+                normalization.append(("normalization", s, t))
+            x_of, z_of = img[st], img[j]
+            for y, p in zip(ys, arr):
+                if cp.setdefault((x_of[y] * n + z_of[y]) * n + y, p) != p:
+                    local = False
+    if support or normalization or not local:
+        return support, normalization, None
 
-    els, mul, img, atoms = S.elements, S.mul, S.images, S.domain_atoms
-    bd = [_dense(S.atom_count, s.domain, (b_pts[p] for p in s.pairs())) for s in els]
-    for i in range(len(els)):
-        row, b_s = rows[i], bd[i]
-        for j, st in enumerate(mul[i]):
-            c_st, b_t, b_st, t_img = row[j], bd[j], bd[st], img[j]
-            for y in atoms[st]:
-                if (c_st[y] - b_s[t_img[y]] - b_t[y] + b_st[y]) % k:
-                    return None
-    if any(b_pts[(x, y)] for x, y in pts if x == y):
-        return None
-    return bd
+    root = {}  # the least atom related to x: the least atom of its block
+    for x, y in S.points:
+        root.setdefault(x, y)
+    b = {x * n + z: cp[(x * n + z) * n + root[z]] for x, z in S.points}
+    for key, p in cp.items():
+        xz, y = divmod(key, n)
+        x, z = divmod(xz, n)
+        if (p - b[xz] - b[z * n + y] + b[x * n + y]) % k:
+            return support, normalization, None
+    return support, normalization, b

@@ -325,9 +325,13 @@ class FiniteInverseMonoid:
 
     def product_row(self, i: int, js) -> list[int]:
         # graph bit x*n + y of e_j becomes bit e_i(x)*n + y of e_i e_j, or
-        # none off dom(e_i); no PartialBijection is built but the witness
+        # none off dom(e_i); every graph bit is a point of R, so only those
+        # are spread.  No PartialBijection is built but the witness
         n, image_of, ids, graph_bits = self.atom_count, self.images[i], self.id_of_graph, self._graph_bits
-        moved = [1 << (image_of[x] * n + y) if image_of[x] >= 0 else 0 for x in range(n) for y in range(n)]
+        moved = [0] * (n * n)
+        for x, y in self.points:
+            if image_of[x] >= 0:
+                moved[x * n + y] = 1 << (image_of[x] * n + y)
         row = []
         for j in js:
             graph = 0

@@ -11,6 +11,10 @@ the relation's off-diagonal points (``point_coboundary_table``); the twin
 of a twisted document is its conjugate by an atom permutation, twisted by
 another seeded function; the tampered copy has one entry at a pair of
 non-idempotents with two or more phases bumped by 1.
+
+The failure paths: a document that holds all nine one-point maps on three
+atoms and the map 0 -> 1, 1 -> 2 but not its inverse, so it is not closed;
+a malformed document, whose "atoms" is true; and two size guards.
 """
 
 from __future__ import annotations
@@ -73,6 +77,11 @@ def _tampered(doc: ExtensionDocument, seed: int) -> ExtensionDocument:
     return ExtensionDocument(doc.atoms, doc.k, doc.elements, cocycle, dict(doc.metadata, tampered=[s, t, at]))
 
 
+def _not_closed() -> ExtensionDocument:
+    points = [(f"p{y}{x}", {y: x}) for y in range(3) for x in range(3)]
+    return ExtensionDocument(3, 2, points + [("shift", {0: 1, 1: 2})])
+
+
 def documents() -> dict:
     rook2, rook3 = generate("rook", "2"), generate("rook", "3")
     eq22 = generate("eqrel", "0,1|2,3")
@@ -89,6 +98,8 @@ def documents() -> dict:
         "rook3_k3_tampered": _tampered(twisted, 1),
         "eqrel_01_23_k2_twisted": eq22_twisted,
         "eqrel_01_23_k2_twin": _twisted(_relabeled(ExtensionDocument(4, 2, eq22.elements), (2, 0, 3, 1)), 2, 4),
+        "not_closed": _not_closed(),
+        "atoms_true": ExtensionDocument(True, 2, rook2.elements),
     }
 
 
@@ -128,6 +139,15 @@ def commands() -> list:
         ("eqrel_01_23_k2_twin", "eqrel_01_23_k2_twisted", ["--guard", "49"]),
     ]:
         runs.append((f"equiv-{a}-{b}{'-k3' if '--k' in extra else ''}", ["equiv", a, b, *extra]))
+    runs += [
+        ("validate-not_closed", ["validate", "not_closed"]),
+        ("section-not_closed", ["section", "not_closed"]),
+        ("equiv-not_closed-not_closed", ["equiv", "not_closed", "not_closed"]),
+        ("equiv-not_closed-not_closed-k2", ["equiv", "not_closed", "not_closed", "--k", "2"]),
+        ("validate-atoms_true", ["validate", "atoms_true"]),
+        ("spectral-rook3-guard8", ["spectral", "rook3", "--guard", "8"]),
+        ("equiv-rook3-rook3-guard10", ["equiv", "rook3", "rook3", "--guard", "10"]),
+    ]
     return runs
 
 

@@ -18,6 +18,7 @@ import random
 import pytest
 
 from cartanlab._twist import _rank
+from cartanlab.cli import main
 from cartanlab.errors import ClosureError, DomainError, FormatError, InvariantViolation
 from cartanlab.exact_library import meet
 from cartanlab.extension import (
@@ -131,7 +132,10 @@ def ref_cohomologous(S, k, c1, c2):
     for x, y in pts:
         m = singleton(S.atom_count, y, x)
         if m not in S:
-            raise DomainError("cohomologous needs a downward-closed monoid (singletons present)")
+            raise DomainError(
+                f"the coboundary needs a downward-closed monoid, but the one-point map {m} "
+                f"(point {(x, y)} of R) is not an element"
+            )
         singles[(x, y)] = m
 
     def diff(x, z, y):
@@ -586,6 +590,46 @@ def test_section_parity(monoids):
         assert rep.passed, label
 
 
+def inflated(S, m):
+    """S acting on blocks of m atoms: atom a becomes the block a*m .. a*m + m - 1,
+    and each map y -> x moves the block of y onto the block of x in order.
+    For m > 1 the monoid holds no one-point map."""
+    n = S.atom_count * m
+    maps = []
+    for s in S:
+        pairs = sorted((y * m + i, x * m + i) for x, y in s.pairs() for i in range(m))
+        maps.append(PartialBijection(n, sum(1 << y for y, _ in pairs), tuple(x for _, x in pairs)))
+    return FiniteInverseMonoid(n, maps)
+
+
+def test_section_is_minus_the_witness_and_the_glued_section(monoids):
+    """The section read off the coboundary witness, j(s) = (s, -b(s)), is
+    the one the paper's gluing construction returns: on the section cases,
+    and on random point coboundaries over rook2, rook3 and eqrel 0,1|2, as
+    they are and inflated by blocks of 2 and 3 (no one-point maps: the zero
+    lifts).  The check of each gives the reference's report."""
+    cases = [(label, ext, 1) for label, ext in section_cases(monoids)]
+    rng = random.Random(1409)
+    for name in ("rook2", "rook3", "eqrel 0,1|2"):
+        for m in (1, 2, 3):
+            S = inflated(monoids[name], m)
+            for _ in range(2 if m == 1 else 5):
+                k = rng.choice((2, 3, 4))
+                cases.append((f"{name} inflated by {m}, k={k}", Extension(S, k, random_coboundary(S, k, rng)), m))
+    assert sum(m > 1 for *_, m in cases) == 30
+    for label, ext, m in cases:
+        j = order_preserving_section(ext)
+        assert j == ref_order_preserving_section(ext), label
+        if m > 1:
+            with pytest.raises(DomainError, match="downward-closed"):
+                ext.coboundary
+        b = ext.coboundary if m == 1 else [[0] * ext.S.atom_count] * len(ext.S)
+        lifts = {s: PhasedElement(s, tuple(-b[i][y] % ext.k for y in bits(s.domain))) for i, s in enumerate(ext.S)}
+        assert j.values == lifts, label
+        rep = validate_section(ext, j)
+        assert rep == ref_validate_section(ext, j) and rep.passed, label
+
+
 def test_section_parity_bumped_lifts(monoids):
     """Bumping the first phase of one non-idempotent lift breaks all three
     conditions, with the reference's witnesses."""
@@ -627,10 +671,11 @@ def test_section_parity_unit_and_wrong_bijection(monoids):
             check(ext, Section(values))
 
 
-def test_section_check_needs_meets_in_the_monoid():
+def test_section_check_needs_meets_in_the_monoid(tmp_path, capsys):
     """{0, 1, (0 1)} on three atoms is closed but lacks the meet of (0 1)
-    and 1 (the identity on atom 2): building or checking a section raises
-    DomainError, where the references fail with a KeyError."""
+    and 1 (the identity on atom 2): checking a section raises DomainError,
+    where the references fail with a KeyError, and the section command
+    exits 2 naming the missing meet."""
     swap = PartialBijection(3, 0b111, (1, 0, 2))
     S = FiniteInverseMonoid(3, [swap])
     ext = Extension(S, 2)
@@ -639,10 +684,13 @@ def test_section_check_needs_meets_in_the_monoid():
         validate_section(ext, j)
     with pytest.raises(KeyError):
         ref_validate_section(ext, j)
-    with pytest.raises(DomainError, match="meet"):
-        order_preserving_section(ext)
     with pytest.raises(KeyError):
         ref_order_preserving_section(ext)
+    doc = tmp_path / "swap.json"
+    doc.write_text('{"atoms": 3, "k": 2, "elements": [{"name": "swap", "map": {"0": 1, "1": 0, "2": 2}}]}')
+    assert main(["section", str(doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("input error: the meet of ") and "is not an element" in err
 
 
 @pytest.mark.parametrize("name", ["rook2", "rook3"])
@@ -667,7 +715,7 @@ def test_zero_table_section_skips_search_and_keeps_closure_error(monkeypatch):
     def no_search(*args):
         raise AssertionError("cohomologous called on an all-zero table")
 
-    for name in ("cohomologous", "_coboundary_witness"):
+    for name in ("cohomologous", "_point_pass"):
         patch_extension(monkeypatch, name, lambda real: no_search)
     assert order_preserving_section(ext) == expected
     assert all(not any(v.phases) for _, v in expected.items())
@@ -799,7 +847,7 @@ def test_cohomologous_of_two_trivial_twists_reads_no_pair(monoids, monkeypatch):
     ladder = list(monoids.values()) + [rook_monoid(4), eqrel_monoid([(0, 1, 2), (3,), (4,)])]
     expected = {(i, k): ref_cohomologous(S, k, _zero_table(S, k), _zero_table(S, k)) for i, S in enumerate(ladder) for k in (1, 2, 3)}
     three = FiniteInverseMonoid(3, [PartialBijection(3, 0b111, (1, 0, 2))])
-    _forbid(monkeypatch, "_coboundary_witness", "_phase_rows")
+    _forbid(monkeypatch, "_point_pass", "_phase_rows")
     for (i, k), want in expected.items():
         assert cohomologous(ladder[i], k, None, None) == want
         assert cohomologous(ladder[i], k, None, None) == want
@@ -808,18 +856,20 @@ def test_cohomologous_of_two_trivial_twists_reads_no_pair(monoids, monkeypatch):
 
 
 def test_one_phase_row_build_per_table(monoids, monkeypatch):
-    """section and equiv build each table's dense rows once; equiv reads the
-    target's for every relabeling it tries."""
+    """section and equiv build no dense phase rows of a table; they make one
+    point pass per table, and equiv none per relabeling it tries."""
     S = monoids["rook2"]
     c = random_coboundary(S, 2, random.Random(8))
     calls = _spy(monkeypatch, "_phase_rows")
+    passes = _spy(monkeypatch, "_point_pass")
     ext = Extension(S, 2, c)
     validate_section(ext, order_preserving_section(ext))
-    assert sum(args[1] is c for args in calls) == 1
+    assert sum(args[2] is c for args in passes) == 1
 
     bad = tampered(c, S, random.Random(8))
     a, b = Extension(S, 2, c), Extension(S, 2, bad)
     assert len(list(relabelings(S, S))) == 2
     assert extensions_equivalent(a, b) is None
-    assert sum(args[1] is bad for args in calls) == 1
-    assert sum(args[1] is c for args in calls) == 2
+    assert sum(args[2] is bad for args in passes) == 1
+    assert sum(args[2] is c for args in passes) == 2
+    assert calls == []

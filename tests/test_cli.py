@@ -8,7 +8,8 @@ from importlib import resources
 import pytest
 
 from cartanlab.cli import ExtensionDocument, build_extension, main, parse
-from cartanlab.errors import FormatError, SizeGuardError
+from cartanlab.errors import ClosureError, FormatError, SizeGuardError
+from cartanlab.extension import Extension, extensions_equivalent
 from cartanlab.generators import emit, generate
 from cartanlab.semigroup_core import PartialBijection, PhasedElement, singleton
 
@@ -615,3 +616,43 @@ def test_validate_json_carries_the_closure_failure(tmp_path, capsys):
     code, payload, lines = _json_report(tmp_path, capsys, ["validate", str(target)])
     assert code == 1 and lines == [f"closure: FAIL ({payload['closure_error']})"]
     assert payload["closure"] == "fail"
+
+
+def _write_doc(tmp_path, name, atoms, maps):
+    doc = ExtensionDocument(atoms, 2, [(f"m{i}", m) for i, m in enumerate(maps)])
+    path = tmp_path / f"{name}.json"
+    path.write_text(emit(doc))
+    return str(path)
+
+
+def test_equiv_refuses_a_document_that_is_not_closed(tmp_path, capsys):
+    """All nine one-point maps on three atoms and 0 -> 1, 1 -> 2, but not its
+    inverse: equiv exits 2 with the input error section prints, with or
+    without --k, and the API raises the monoid's closure witness."""
+    maps = [{y: x} for y in range(3) for x in range(3)] + [{0: 1, 1: 2}]
+    doc = _write_doc(tmp_path, "not_closed", 3, maps)
+    assert main(["section", doc]) == 2
+    out, section_err = capsys.readouterr()
+    assert out == "" and "'dagger'" in section_err
+    for extra in ([], ["--k", "2"]):
+        assert main(["equiv", doc, doc, *extra]) == 2
+        assert capsys.readouterr() == ("", section_err)
+
+    S = build_extension(parse(pathlib.Path(doc).read_text()))[0]
+    assert S.closure_witness() is not None
+    with pytest.raises(ClosureError) as exc:
+        extensions_equivalent(Extension(S, 2), Extension(S, 2))
+    assert exc.value.witness == S.closure_witness()
+
+
+def test_missing_one_point_map_is_named(tmp_path, capsys):
+    """rook2 acting on the blocks {0, 1} and {2, 3} holds no one-point map:
+    equiv exits 2 naming the first point of R whose map is missing."""
+    blocks = [{}, {0: 0, 1: 1}, {2: 2, 3: 3}, {0: 2, 1: 3}, {2: 0, 3: 1}, {0: 2, 1: 3, 2: 0, 3: 1}]
+    doc = _write_doc(tmp_path, "blocks", 4, blocks)
+    assert main(["equiv", doc, doc]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "input error: the coboundary needs a downward-closed monoid, but the one-point map "
+        "<0>0 on 4> (point (0, 0) of R) is not an element\n"
+    )

@@ -31,10 +31,6 @@ UNEXECUTED = {
     "__init__:__getattr__": "entry point: serves the package's exports, which the commands import directly",
     "cli:run": "entry point: the `cartanlab` script and `python -m cartanlab`, which call `main`",
     "_lazy:_Missing.__getattr__": f"{FAILURE}: a numeric command where numpy is not installed",
-    "cli:_line_of": f"{FAILURE}: the line of a malformed document's error",
-    "errors:ClosureError.__init__": f"{FAILURE}: a document that is not closed",
-    "errors:FormatError.__init__": f"{FAILURE}: a malformed document",
-    "errors:SizeGuardError.__init__": f"{FAILURE}: a size guard",
     "errors:OrthogonalityError.__init__": f"{FAILURE}: raised by exact_library.orthogonal_join",
     "_section:_section_loops": f"{FAILURE}: a section that fails the point test, whose witnesses it lists",
     "semigroup_core:PartialBijection.__setattr__": f"{FAILURE}: assignment to an immutable element",
