@@ -8,7 +8,7 @@ The public path to these names is ``cartanlab.extension``.
 
 from __future__ import annotations
 
-from ._twist import CocycleTable, _phase_rows, _point_pass
+from ._twist import CocycleTable, _dense, _point_pass
 from .errors import FormatError
 from .semigroup_core import FiniteInverseMonoid
 
@@ -66,7 +66,7 @@ def validate_cocycle(S: FiniteInverseMonoid, k: int, c: CocycleTable | None) -> 
         return CocycleReport(True, True, True)
     if c.k != k:
         raise FormatError(f"cocycle table has k={c.k}, expected {k}")
-    support, normalization, b = _point_pass(S, k, c)
+    support, normalization, _, b = _point_pass(S, k, c)
     if b is not None:
         return CocycleReport(True, True, True)
     identity = _identity_violations(S, k, c)
@@ -75,9 +75,24 @@ def validate_cocycle(S: FiniteInverseMonoid, k: int, c: CocycleTable | None) -> 
 
 def _identity_violations(S: FiniteInverseMonoid, k: int, c: CocycleTable) -> list:
     """The id-level identity loop: every triple (s, t, u) whose identity
-    fails at some atom, in element order, reading the table's dense rows."""
-    els, mul, img = S.elements, S.mul, S.images
-    rows, atoms = _phase_rows(S, c), S.domain_atoms
+    fails at some atom, in element order.
+
+    The loop reads a table that need not be local, so it keeps its own
+    dense view: rows[i][j][y] = c(e_i, e_j) at atom y, zero at an empty
+    product and off dom(e_i e_j), all-zero entries sharing one row.  An
+    entry with fewer phases than dom(e_i e_j) has atoms raises FormatError.
+    """
+    n, els, mul, img = S.atom_count, S.elements, S.mul, S.images
+    zero, rows = [0] * n, []
+    for s, mrow in zip(els, mul):
+        row = []
+        for t, st in zip(els, mrow):
+            dom, arr = els[st].domain, c.entries.get((s, t), ())
+            if len(arr) < dom.bit_count():
+                raise FormatError(f"cocycle entry for ({s}, {t}) has too few phases")
+            row.append(_dense(n, dom, arr) if dom and any(arr) else zero)
+        rows.append(row)
+    atoms = S.domain_atoms
     violations = []
     for i, s in enumerate(els):
         row_s = rows[i]

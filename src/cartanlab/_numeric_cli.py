@@ -9,7 +9,7 @@ executes ``kernel_rep`` alone.
 from __future__ import annotations
 
 from ._lazy import _lazy_import
-from .errors import InvariantViolation
+from .errors import SPECTRAL_GUARD, InvariantViolation
 
 kernel_rep = _lazy_import("cartanlab.kernel_rep")
 vn_oracle = _lazy_import("cartanlab.vn_oracle")
@@ -50,7 +50,8 @@ def _cmd_spectral(S, ext, names, args):
     count = idx.full + 1
     step = 1 if count <= 64 else count // 64
     positions = range(0, count, step)
-    sample = [idx.members(idx.mask_at(pos, args.guard)) for pos in positions]
+    guard = SPECTRAL_GUARD if args.guard is None else args.guard
+    sample = [idx.members(idx.mask_at(pos, guard)) for pos in positions]
     rs = kernel_rep.RepSpace(ext, tol=args.tol)
     psi, theta = spectral_bimodule.psi, spectral_bimodule.theta
     witness = None
@@ -80,14 +81,15 @@ def _cmd_msd(S, ext, names, args):
     triangular = args.command == "mtr"
     rs = kernel_rep.RepSpace(ext, tol=args.tol)
     search = spectral_bimodule.mtr if triangular else spectral_bimodule.msd
-    members = search(S, guard=args.guard)
+    guard = SPECTRAL_GUARD if args.guard is None else args.guard
+    members = search(S, guard=guard)
     inv = {v: n for n, v in names.items()}
     lines = [f"{'mtr' if triangular else 'msd'}_count: {len(members)}"]
     all_ok = True
     payload_members = []
     for A in members:
         try:
-            rep = spectral_bimodule.verify_subdiagonal(rs, A, guard=args.guard)
+            rep = spectral_bimodule.verify_subdiagonal(rs, A, guard=guard)
             ok, detail, report = rep.passed, rep.to_lines(), vars(rep)
         except InvariantViolation as exc:  # a tol below rounding splits a span from the diagonal's
             ok, detail, report = False, [f"witness: {exc}"], {"witness": str(exc)}

@@ -64,21 +64,18 @@ def order_preserving_section(ext: Extension) -> Section:
     In the finite case R is a pair groupoid on each block, so every
     normalized cocycle is a coboundary (Feldman-Moore), and then j(s)j(t) =
     (st, -b(s) o t - b(t) + delta b(s, t)) = j(st): j is a homomorphic
-    section, so it preserves order, products with idempotents and meets.
-    On a monoid with its one-point maps it is the section the paper's
+    section, so it preserves order, products with idempotents and meets,
+    on every closed monoid, with or without its one-point maps.  On a
+    monoid with its one-point maps it is the section the paper's
     construction glues (lifts of a maximal meet-orthogonal set B by -b,
-    lifts below B, glued lifts for the rest).  When S lacks a one-point map
-    the lifts are zero, order-preserving for any normalized table; so are
-    the trivial twist's.  A table that is not a coboundary raises
-    DomainError; a monoid that is not closed, ClosureError, its first
-    missing product before its first missing inverse.
+    lifts below B, glued lifts for the rest).  The trivial twist's lifts
+    are zero.  A table that is not a coboundary raises DomainError; a
+    monoid that is not closed, ClosureError, its first missing product
+    before its first missing inverse.
     """
-    S, k, n = ext.S, ext.k, ext.S.atom_count
+    S, k = ext.S, ext.k
     S.mul, S.inv  # a monoid that is not closed raises ClosureError here
-    try:
-        witness = ext.coboundary
-    except DomainError:  # no one-point maps: the zero lifts
-        witness = [[0] * n] * len(S)
+    witness = ext.coboundary
     if witness is None:
         raise DomainError(
             "cocycle table is not a coboundary, so it is not a valid cocycle; "
@@ -167,7 +164,7 @@ def _lifts_on_points(ext: Extension, rows: list) -> bool:
                 return False
     if any(phase[y * n + y] for y in range(n)):
         return False
-    return ext.cocycle is None or not ext._points[1]
+    return not ext._points[1]
 
 
 def _section_loops(ext: Extension, rows: list) -> SectionReport:

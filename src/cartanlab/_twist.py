@@ -1,9 +1,9 @@
 """The core of the extension API, which every document command reads:
-cocycle tables, their dense phase rows, and the extension with its twisted
-product and coboundary witness.  Each extension reads its table once on
-the points of R (``_point_pass``), where support, normalization, the
-cocycle identity and the coboundary witness b (c = delta b, in closed
-form) are all decided.
+cocycle tables and the extension with its twisted product and coboundary
+witness.  Each extension reads its table once on the points of R
+(``_point_pass``), where support, normalization, the point cocycle cp,
+the cocycle identity and the coboundary witness b (c = delta b, in closed
+form) are all decided; cp is the only twist the product reads.
 
 Phases are exponents of a fixed primitive k-th root of unity and all phase
 arithmetic is exact integer arithmetic mod k.  The public path to these
@@ -61,51 +61,24 @@ def _dense(n: int, mask: int, values) -> list[int]:
     return out
 
 
-def _phase_rows(S: FiniteInverseMonoid, c: CocycleTable | None) -> list[list[list[int]]]:
-    """rows[i][j][y] = c(e_i, e_j) at atom y, dense over atoms.
-
-    Entries with an empty product are zero; a missing entry, or one with
-    fewer phases than dom(e_i e_j) has atoms, raises FormatError.  All-zero
-    entries (by normalization every entry with an idempotent factor) share
-    one read-only zero row.  The trivial twist, c None, is one shared row of
-    zero rows for every id: O(|S|), and no product is formed.
-    """
-    n = S.atom_count
-    zero = [0] * n
-    if c is None:
-        return [[zero] * len(S)] * len(S)
-    els, mul = S.elements, S.mul
-    rows = []
-    for s, mrow in zip(els, mul):
-        row = []
-        for t, st in zip(els, mrow):
-            dom = els[st].domain
-            if not dom:
-                row.append(zero)
-                continue
-            arr = c.entries.get((s, t))
-            if arr is None:
-                raise FormatError(f"missing cocycle entry for ({s}, {t})")
-            if len(arr) < dom.bit_count():
-                raise FormatError(f"cocycle entry for ({s}, {t}) has too few phases")
-            row.append(_dense(n, dom, arr) if any(arr) else zero)
-        rows.append(row)
-    return rows
-
-
 class Extension:
     """An extension of S by mu_k-phased partial identities, presented by a
     normalized cocycle table.  Elements are Lausch pairs (bijection, phases)
     with the twisted product.
 
-    The product and inverse are computed on element ids: a phased element
-    is an id of S plus a phase row dense over atoms (zero off the domain),
-    products come from the Cayley table S.mul and cocycle phases from the
-    table's rows, both built on first use.  ``multiply`` and ``dagger`` are
-    the element-level forms of ``_product`` and ``_dagger``.
+    The twist is stored once, as the table's point cocycle cp[x, z, y] on
+    the composable points x <- z <- y of R (Feldman-Moore's 2-cocycle on
+    R), read off the table by its point pass; c(s, t)(y) = cp[s(t(y)),
+    t(y), y].  The product and inverse are computed on element ids: a
+    phased element is an id of S plus a phase row dense over atoms (zero
+    off the domain), products come from the Cayley table S.mul and cocycle
+    phases from cp.  ``multiply`` and ``dagger`` are the element-level forms
+    of ``_product`` and ``_dagger``.  A table that is not supported, or not
+    local (a phase that is not a function of its point triple), defines no
+    product: the four raise DomainError.
 
-    ``cocycle`` None is the trivial twist: no table is built, and every
-    phase row is one shared zero row.
+    ``cocycle`` None is the trivial twist: no table is read, and cp is
+    empty.
     """
 
     def __init__(self, S: FiniteInverseMonoid, k: int, cocycle: CocycleTable | None = None):
@@ -128,46 +101,61 @@ class Extension:
         return [v for v in self.elements if v.is_phased_identity()]
 
     @cached_property
-    def _rows(self) -> list[list[list[int]]]:
-        return _phase_rows(self.S, self.cocycle)
+    def _points(self) -> tuple[list, list, dict | None, dict | None]:
+        """The table's point pass (``_point_pass``), made once; the trivial
+        twist's, with an empty cp and b, needs none."""
+        if self.cocycle is None:
+            return [], [], {}, {}
+        return _point_pass(self.S, self.k, self.cocycle)
 
     @cached_property
-    def _points(self) -> tuple[list, list, dict | None]:
-        """The table's point pass (``_point_pass``), made once."""
-        return _point_pass(self.S, self.k, self.cocycle)
+    def _cp(self) -> dict:
+        """The point cocycle the product reads; DomainError for a table that
+        is not supported and local."""
+        cp = self._points[2]
+        if cp is None:
+            raise DomainError(
+                "cocycle table is not supported and local, so it defines no product; "
+                "run 'cartanlab validate' on the document"
+            )
+        return cp
 
     @cached_property
     def coboundary(self) -> list[list[int]] | None:
         """b with c = delta b, c(s,t)(y) = b(s)(t(y)) + b(t)(y) - b(st)(y) mod k,
         as dense phase rows by element id, solved once from the point pass:
-        zero for the trivial twist, None for a table that is not a
-        coboundary (so not a cocycle), and DomainError, on every read, when
-        S lacks a one-point map."""
+        zero for the trivial twist, and None for a table that is not a
+        coboundary (so not a cocycle)."""
         S, n = self.S, self.S.atom_count
-        _one_point_maps(S)
         if self.cocycle is None:
             return [[0] * n] * len(S)
-        b = self._points[2]
+        b = self._points[3]
         if b is None:
             return None
         return [_dense(n, s.domain, (b[x * n + y] for x, y in s.pairs())) for s in S.elements]
 
     def _product(self, i: int, a: list[int], j: int, b: list[int]) -> tuple[int, list[int]]:
-        """(e_i, a)(e_j, b) = (e_i e_j, p), p(y) = a(e_j(y)) + b(y) + c(e_i, e_j)(y)."""
-        st = self.S.mul[i][j]
-        c, tj, k = self._rows[i][j], self.S.images[j], self.k
-        p = [0] * self.S.atom_count
-        for y in self.S.domain_atoms[st]:
-            p[y] = (a[tj[y]] + b[y] + c[y]) % k
+        """(e_i, a)(e_j, b) = (e_i e_j, p), p(y) = a(z) + b(y) + cp[e_i(z), z, y]
+        with z = e_j(y)."""
+        S, cp, k = self.S, self._cp, self.k
+        n, st, tj = S.atom_count, S.mul[i][j], S.images[j]
+        x_of = S.images[st]
+        p = [0] * n
+        for y in S.domain_atoms[st]:
+            z = tj[y]
+            p[y] = (a[z] + b[y] + cp.get((x_of[y] * n + z) * n + y, 0)) % k
         return st, p
 
     def _dagger(self, i: int, a: list[int]) -> tuple[int, list[int]]:
-        """(e_i, a)^dag = (e_i^dag, p), p(z) = -a(e_i^dag(z)) - c(e_i, e_i^dag)(z)."""
-        sd = self.S.inv[i]
-        c, back, k = self._rows[i][sd], self.S.images[sd], self.k
-        p = [0] * self.S.atom_count
-        for z in self.S.domain_atoms[sd]:
-            p[z] = (-a[back[z]] - c[z]) % k
+        """(e_i, a)^dag = (e_i^dag, p), p(z) = -a(y) - cp[z, y, z] with
+        y = e_i^dag(z): c(e_i, e_i^dag)(z) read on the chain z <- y <- z."""
+        S, cp, k = self.S, self._cp, self.k
+        n, sd = S.atom_count, S.inv[i]
+        back = S.images[sd]
+        p = [0] * n
+        for z in S.domain_atoms[sd]:
+            y = back[z]
+            p[z] = (-a[y] - cp.get((z * n + y) * n + z, 0)) % k
         return sd, p
 
     def _id(self, s: PartialBijection) -> int:
@@ -192,33 +180,19 @@ class Extension:
         return f"Extension(|S|={len(self.S)}, k={self.k})"
 
 
-def _one_point_maps(S: FiniteInverseMonoid) -> dict:
-    """Point (x, y) of R -> id of the one-point map y -> x, in point order;
-    DomainError naming the first one missing from S."""
-    n, singles = S.atom_count, {}
-    for x, y in S.points:
-        m = S.id_of_graph.get(1 << (x * n + y))
-        if m is None:
-            raise DomainError(
-                f"the coboundary needs a downward-closed monoid, but the one-point map "
-                f"<{y}>{x} on {n}> (point {(x, y)} of R) is not an element"
-            )
-        singles[(x, y)] = m
-    return singles
-
-
-def _point_pass(S: FiniteInverseMonoid, k: int, c: CocycleTable) -> tuple[list, list, dict | None]:
+def _point_pass(S: FiniteInverseMonoid, k: int, c: CocycleTable) -> tuple[list, list, dict | None, dict | None]:
     """One pass over the table, each entry read once: (support,
-    normalization, b).
+    normalization, cp, b).
 
     ``support`` and ``normalization`` list their violations, ("support", s,
     t) or ("normalization", s, t), in element order; a missing entry at a
     nonempty product raises FormatError.  The table is local when every
     phase c(s,t)(y) equals cp[x, z, y], the first value seen on the
     composable points x <- z <- y (z = t(y), x = s(z)), kept in a dict of
-    those triples: sum b^3 over the blocks of R, all the chains of length
-    two in R when S is closed.  A supported, normalized, local table gets
-    the closed-form solve b(x, z) = cp[x, z, r], r the least atom of the
+    those triples keyed (x*n + z)*n + y: sum b^3 over the blocks of R, all
+    the chains of length two in R when S is closed.  cp is that dict for a
+    supported, local table, else None.  A normalized one also gets the
+    closed-form solve b(x, z) = cp[x, z, r], r the least atom of the
     block, keyed x*n + z: b when cp = delta b on every composable triple,
         cp[x, z, y] = b(x, z) + b(z, y) - b(x, y)  (mod k),
     else None.  On the chain x <- z <- y <- r this is the cocycle identity,
@@ -229,7 +203,7 @@ def _point_pass(S: FiniteInverseMonoid, k: int, c: CocycleTable) -> tuple[list, 
     idem = set(S.idempotent_ids)
     atoms = S.domain_atoms
     support, normalization = [], []
-    cp = {}  # cp[(x*n + z)*n + y]: the phase on the composable points z <- y, x <- z
+    cp = {}
     local = True
     for i, s in enumerate(els):
         for j, t in enumerate(els):
@@ -249,8 +223,10 @@ def _point_pass(S: FiniteInverseMonoid, k: int, c: CocycleTable) -> tuple[list, 
             for y, p in zip(ys, arr):
                 if cp.setdefault((x_of[y] * n + z_of[y]) * n + y, p) != p:
                     local = False
-    if support or normalization or not local:
-        return support, normalization, None
+    if support or not local:
+        return support, normalization, None, None
+    if normalization:
+        return support, normalization, cp, None
 
     root = {}  # the least atom related to x: the least atom of its block
     for x, y in S.points:
@@ -260,5 +236,5 @@ def _point_pass(S: FiniteInverseMonoid, k: int, c: CocycleTable) -> tuple[list, 
         xz, y = divmod(key, n)
         x, z = divmod(xz, n)
         if (p - b[xz] - b[z * n + y] + b[x * n + y]) % k:
-            return support, normalization, None
-    return support, normalization, b
+            return support, normalization, cp, None
+    return support, normalization, cp, b

@@ -20,7 +20,7 @@ import sys
 
 from ._lazy import _lazy_import
 from ._twist import CocycleTable, Extension
-from .errors import SPECTRAL_GUARD, CartanLabError, ClosureError, FormatError
+from .errors import CartanLabError, ClosureError, FormatError
 from .semigroup_core import FiniteInverseMonoid, PartialBijection, bits, classify, mask_of
 
 # Executed on the first attribute access, each by the commands that use it:
@@ -41,14 +41,6 @@ for _name in ("extension", "exact_library", "numeric_library", "kernel_rep", "vn
     _lazy_import(f"cartanlab.{_name}")
 
 __all__ = ["ExtensionDocument", "parse", "main", "build_extension"]
-
-
-def __getattr__(name):
-    # ``cli.emit`` for callers that import it from here: only gen runs it,
-    # so it lives in generators
-    if name == "emit":
-        return generators.emit
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # A map's graph is a bitmask of atoms² bits.  Each product row of the
@@ -309,7 +301,7 @@ def _cmd_section(S, ext, names, args):
 def _cmd_equiv(doc_a, doc_b, args):
     _, ext_a, _ = build_extension(doc_a, args.k)
     _, ext_b, _ = build_extension(doc_b, args.k)
-    guard = args.guard if args.guard_explicit else _equiv.EQUIV_GUARD
+    guard = _equiv.EQUIV_GUARD if args.guard is None else args.guard
     witness = _equiv.extensions_equivalent(ext_a, ext_b, guard=guard)
     if witness is None:
         return 1, ["equivalent: NO (NotEquivalent)"], {"equivalent": False}
@@ -368,10 +360,7 @@ def main(argv=None) -> int:
     try:
         if not (math.isfinite(args.tol) and args.tol > 0):
             raise FormatError(f"--tol must be a finite positive number, got {args.tol}")
-        args.guard_explicit = args.guard is not None
-        if args.guard is None:
-            args.guard = SPECTRAL_GUARD
-        elif args.guard <= 0:
+        if args.guard is not None and args.guard <= 0:
             raise FormatError(f"--guard must be a positive integer, got {args.guard}")
 
         if args.command == "gen":

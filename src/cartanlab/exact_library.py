@@ -233,7 +233,8 @@ def cohomologous(S: FiniteInverseMonoid, k: int, c1: CocycleTable | None, c2: Co
     None, even when the two tables differ by a coboundary.  Normalization
     forces any witness to be restriction compatible, so b(x, z) = c2[x, z,
     r] - c1[x, z, r] on the points of R, with r the root atom of their
-    block.  DomainError when S lacks a one-point map.
+    block; the solve reads only the point cocycles, so S need not hold its
+    one-point maps.
 
     Returns b as a dict s -> phase tuple, or None if not cohomologous.
     """

@@ -7,8 +7,9 @@ This is the public path to the extension API.  The code lives in four
 private modules, one per part, so that a command compiles only the part
 it runs, and in the exact library, which no command runs:
 
-- ``_twist``, the core every document command reads: ``CocycleTable``,
-  the dense phase rows and ``Extension`` with its coboundary witness;
+- ``_twist``, the core every document command reads: ``CocycleTable``
+  and ``Extension``, which stores the twist once, as the table's point
+  cocycle, and reads its product and coboundary witness from it;
 - ``_cocycle``, the cocycle check ``validate`` runs;
 - ``_section``, the section layer ``section`` and the numeric half read:
   ``Section``, its check, and Delta;

@@ -157,7 +157,7 @@ def _cmd_gen(args):
     else:
         if len(args.params) != 1:
             raise FormatError(f"gen {args.kind} needs exactly one parameter, got {len(args.params)}")
-        doc = generate(args.kind, args.params[0], guard=args.guard if args.guard_explicit else None)
+        doc = generate(args.kind, args.params[0], guard=args.guard)
     text = emit(doc)
     if args.out:
         _write(args.out, text)

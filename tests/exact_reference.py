@@ -4,7 +4,9 @@ The Munn quotient, the character action beta (Lawson, *Inverse Semigroups*,
 1998), the zero cocycle table, the coboundary of a function on S, the
 extension's order and meets on phased elements, the fixed-point idempotent
 and the inverse of a partial bijection, each written on elements as the
-textbook states it.  ``element_sigma`` and ``element_delta`` are sigma and
+textbook states it.  ``phase_rows`` is a table's per-pair phase rows,
+dense over atoms, as the twisted product read them before it read the
+point cocycle.  ``element_sigma`` and ``element_delta`` are sigma and
 Delta formed from ``compose``/``meet`` and the extension's element-level
 product and inverse: the references for the id-level ``extension.sigma``
 and ``extension.delta``.  ``is_spectral_set`` is the definition of a
@@ -18,8 +20,8 @@ from __future__ import annotations
 import itertools
 
 from cartanlab import _cocycle, _equiv, _section, _twist, exact_library
-from cartanlab._twist import _dense, _phase_rows
-from cartanlab.errors import ClosureError, DomainError, InvariantViolation
+from cartanlab._twist import _dense
+from cartanlab.errors import ClosureError, DomainError, FormatError, InvariantViolation
 from cartanlab.exact_library import _agreement_mask, are_orthogonal, meet, orthogonal_join
 from cartanlab.extension import CocycleTable, Extension, Section
 from cartanlab.semigroup_core import (
@@ -171,6 +173,29 @@ def trivial_cocycle(S: FiniteInverseMonoid, k: int) -> CocycleTable:
     return CocycleTable(k, entries)
 
 
+def phase_rows(S: FiniteInverseMonoid, c: CocycleTable | None) -> list[list[list[int]]]:
+    """rows[i][j][y] = c(e_i, e_j) at atom y, dense over atoms; zero at an
+    empty product, and everywhere for c None.  A missing entry, or one with
+    fewer phases than dom(e_i e_j) has atoms, raises FormatError."""
+    n, els = S.atom_count, S.elements
+    rows = []
+    for s, mrow in zip(els, S.mul):
+        row = []
+        for t, st in zip(els, mrow):
+            dom = els[st].domain
+            if c is None or not dom:
+                row.append([0] * n)
+                continue
+            arr = c.entries.get((s, t))
+            if arr is None:
+                raise FormatError(f"missing cocycle entry for ({s}, {t})")
+            if len(arr) < dom.bit_count():
+                raise FormatError(f"cocycle entry for ({s}, {t}) has too few phases")
+            row.append(_dense(n, dom, arr))
+        rows.append(row)
+    return rows
+
+
 def coboundary_table(S: FiniteInverseMonoid, k: int, base: CocycleTable | None, b: dict) -> CocycleTable:
     """Perturb ``base`` (None: the zero table) by the coboundary of
     b : S -> phase arrays.
@@ -179,7 +204,7 @@ def coboundary_table(S: FiniteInverseMonoid, k: int, base: CocycleTable | None, 
     arrays.  The new entry is base(s,t) + b(s) o t + b(t) - b(st).
     """
     n, els, mul, img = S.atom_count, S.elements, S.mul, S.images
-    rows = _phase_rows(S, base)
+    rows = phase_rows(S, base)
     bd = [_dense(n, s.domain, b[s]) for s in els]
     entries = {}
     for i, s in enumerate(els):

@@ -12,6 +12,12 @@ of a twisted document is its conjugate by an atom permutation, twisted by
 another seeded function; the tampered copy has one entry at a pair of
 non-idempotents with two or more phases bumped by 1.
 
+The blocks documents are rook2 acting on the blocks {0, 1} and {2, 3}
+(atom a becomes the block 2a, 2a + 1), a closed monoid without its
+one-point maps, once untwisted and once twisted by a point coboundary mod
+2: the coboundary, the section and equivalence need no one-point map, and
+the oracle's lambda matrices do.
+
 The failure paths: a document that holds all nine one-point maps on three
 atoms and the map 0 -> 1, 1 -> 2 but not its inverse, so it is not closed;
 a malformed document, whose "atoms" is true; and two size guards.
@@ -26,9 +32,9 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
-from cartanlab.cli import ExtensionDocument, build_extension, emit, main
+from cartanlab.cli import ExtensionDocument, build_extension, main
 from cartanlab.extension import point_coboundary_table
-from cartanlab.generators import generate
+from cartanlab.generators import emit, generate
 from cartanlab.semigroup_core import conjugate
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -77,6 +83,13 @@ def _tampered(doc: ExtensionDocument, seed: int) -> ExtensionDocument:
     return ExtensionDocument(doc.atoms, doc.k, doc.elements, cocycle, dict(doc.metadata, tampered=[s, t, at]))
 
 
+def _blocks(doc: ExtensionDocument, m: int) -> ExtensionDocument:
+    elements = [
+        (name, {y * m + i: x * m + i for y, x in mapping.items() for i in range(m)}) for name, mapping in doc.elements
+    ]
+    return ExtensionDocument(doc.atoms * m, doc.k, elements, None, dict(doc.metadata, blocks=m))
+
+
 def _not_closed() -> ExtensionDocument:
     points = [(f"p{y}{x}", {y: x}) for y in range(3) for x in range(3)]
     return ExtensionDocument(3, 2, points + [("shift", {0: 1, 1: 2})])
@@ -87,6 +100,7 @@ def documents() -> dict:
     eq22 = generate("eqrel", "0,1|2,3")
     twisted = _twisted(rook3, 3, 1)
     eq22_twisted = _twisted(ExtensionDocument(4, 2, eq22.elements, None, eq22.metadata), 2, 3)
+    blocks = _blocks(rook2, 2)
     return {
         "rook2": rook2,
         "rook3": rook3,
@@ -98,9 +112,15 @@ def documents() -> dict:
         "rook3_k3_tampered": _tampered(twisted, 1),
         "eqrel_01_23_k2_twisted": eq22_twisted,
         "eqrel_01_23_k2_twin": _twisted(_relabeled(ExtensionDocument(4, 2, eq22.elements), (2, 0, 3, 1)), 2, 4),
+        "blocks": blocks,
+        "blocks_k2_twisted": _twisted(blocks, 2, 5),
         "not_closed": _not_closed(),
         "atoms_true": ExtensionDocument(True, 2, rook2.elements),
     }
+
+
+def _k_suffix(extra: list) -> str:
+    return f"-k{extra[extra.index('--k') + 1]}" if "--k" in extra else ""
 
 
 def commands() -> list:
@@ -119,7 +139,7 @@ def commands() -> list:
         ("rook3_k3_tampered", []),
     ]:
         for cmd in COMMANDS:
-            runs.append((f"{cmd}-{doc}{'-k3' if extra else ''}", [cmd, doc, *extra]))
+            runs.append((f"{cmd}-{doc}{_k_suffix(extra)}", [cmd, doc, *extra]))
     for a, b, extra in [
         ("rook2", "rook2", []),
         ("rook3", "rook3", []),
@@ -137,8 +157,14 @@ def commands() -> list:
         ("rook3_k3_tampered", "rook3_k3_twin", []),
         ("eqrel_01_23_k2_twisted", "eqrel_01_23_k2_twin", ["--guard", "49"]),
         ("eqrel_01_23_k2_twin", "eqrel_01_23_k2_twisted", ["--guard", "49"]),
+        ("blocks", "blocks", []),
+        ("blocks_k2_twisted", "blocks_k2_twisted", []),
+        ("blocks", "blocks_k2_twisted", ["--k", "2"]),
     ]:
-        runs.append((f"equiv-{a}-{b}{'-k3' if '--k' in extra else ''}", ["equiv", a, b, *extra]))
+        runs.append((f"equiv-{a}-{b}{_k_suffix(extra)}", ["equiv", a, b, *extra]))
+    for doc in ("blocks", "blocks_k2_twisted"):
+        for cmd in ("validate", "section", "oracle"):
+            runs.append((f"{cmd}-{doc}", [cmd, doc]))
     runs += [
         ("validate-not_closed", ["validate", "not_closed"]),
         ("section-not_closed", ["section", "not_closed"]),

@@ -646,13 +646,14 @@ def test_equiv_refuses_a_document_that_is_not_closed(tmp_path, capsys):
 
 
 def test_missing_one_point_map_is_named(tmp_path, capsys):
-    """rook2 acting on the blocks {0, 1} and {2, 3} holds no one-point map:
-    equiv exits 2 naming the first point of R whose map is missing."""
+    """rook2 acting on the blocks {0, 1} and {2, 3} holds no one-point map.
+    The coboundary needs none, so equiv answers; the oracle's lambda
+    matrices do, and it exits 2 naming what is missing."""
     blocks = [{}, {0: 0, 1: 1}, {2: 2, 3: 3}, {0: 2, 1: 3}, {2: 0, 3: 1}, {0: 2, 1: 3, 2: 0, 3: 1}]
     doc = _write_doc(tmp_path, "blocks", 4, blocks)
-    assert main(["equiv", doc, doc]) == 2
+    assert main(["equiv", doc, doc]) == 0
     out, err = capsys.readouterr()
-    assert out == "" and err == (
-        "input error: the coboundary needs a downward-closed monoid, but the one-point map "
-        "<0>0 on 4> (point (0, 0) of R) is not an element\n"
-    )
+    assert out.splitlines()[0] == "equivalent: YES" and err == ""
+    assert main(["oracle", doc]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "input error: relation pair has no one-point map in S\n"

@@ -6,9 +6,8 @@ they replaced.
 the graph lookup, the composition and the per-id lists that the cocycle
 loops, the section, the lambda matrices and the trace index read.  The
 references kept here are the earlier bodies: the Cayley table on
-(domain, image) keys, the per-module lists, ``_related_points``, the
-one-point maps through ``singleton`` and the trace index's own composition
-on graph points.
+(domain, image) keys, the per-module lists, ``_related_points`` and the
+trace index's own composition on graph points.
 """
 
 import itertools
@@ -17,9 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from cartanlab._twist import _one_point_maps
 from cartanlab.cli import build_extension, parse
-from cartanlab.errors import ClosureError, DomainError
+from cartanlab.errors import ClosureError
 from cartanlab.extension import Extension, order_preserving_section
 from cartanlab.generators import eqrel_monoid, product_monoid, rook_monoid
 from cartanlab.kernel_rep import RepSpace, lambda_matrix
@@ -86,20 +84,6 @@ def reference_mul(S):
     return out
 
 
-def reference_one_point_maps(S):
-    """The earlier ``_one_point_maps``: one ``singleton`` per point."""
-    singles = {}
-    for x, y in sorted({(x, y) for s in S for x, y in s.pairs()}):
-        m = singleton(S.atom_count, y, x)
-        if m not in S:
-            raise DomainError(
-                f"the coboundary needs a downward-closed monoid, but the one-point map {m} "
-                f"(point {(x, y)} of R) is not an element"
-            )
-        singles[(x, y)] = S.index[m]
-    return singles
-
-
 def reference_products(idx):
     """The earlier ``_TraceIndex.products``: its own composition on graph
     points and a graph -> trace dict."""
@@ -116,14 +100,11 @@ def reference_products(idx):
 
 
 def _outcome(build):
-    """(result, None), or (None, the ClosureError witness or the DomainError
-    message)."""
+    """(result, None), or (None, the ClosureError witness)."""
     try:
         return build(), None
     except ClosureError as exc:
         return None, exc.witness
-    except DomainError as exc:
-        return None, str(exc)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -137,7 +118,6 @@ def test_views_match_their_old_derivations(name):
     assert S.id_of_graph == {s.graph: S.index[s] for s in els} and len(S.id_of_graph) == len(S)
     for x, y in itertools.product(range(n), repeat=2):
         assert S.id_of_graph.get(1 << (x * n + y)) == S.index.get(singleton(n, y, x))
-    assert _outcome(lambda: _one_point_maps(S)) == _outcome(lambda: reference_one_point_maps(S))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -215,14 +195,12 @@ def _count_bijections(monkeypatch):
     return built
 
 
-def test_lambda_matrices_and_one_point_maps_build_no_bijection(monkeypatch):
+def test_lambda_matrices_build_no_bijection(monkeypatch):
     S = rook_monoid(3)
     ext = Extension(S, 3)
     rs = RepSpace(ext, order_preserving_section(ext))
     expected = [lambda_matrix(ext, rs.j, v, rs.rbasis) for v in ext.elements[::7]]
-    singles = _one_point_maps(S)
     built = _count_bijections(monkeypatch)
     got = [lambda_matrix(ext, rs.j, v, rs.rbasis) for v in ext.elements[::7]]
-    assert _one_point_maps(S) == singles and len(singles) == 9
     assert built == []
     assert all((a == b).all() for a, b in zip(got, expected)) and len(got) == len(expected) > 10

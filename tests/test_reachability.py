@@ -32,7 +32,6 @@ UNEXECUTED = {
     "cli:run": "entry point: the `cartanlab` script and `python -m cartanlab`, which call `main`",
     "_lazy:_Missing.__getattr__": f"{FAILURE}: a numeric command where numpy is not installed",
     "errors:OrthogonalityError.__init__": f"{FAILURE}: raised by exact_library.orthogonal_join",
-    "_section:_section_loops": f"{FAILURE}: a section that fails the point test, whose witnesses it lists",
     "semigroup_core:PartialBijection.__setattr__": f"{FAILURE}: assignment to an immutable element",
     "semigroup_core:partial_identity": f"{FAILURE}: the witness of a missing idempotent in axiom (a)",
     "semigroup_core:PhasedElement.__repr__": f"{FAILURE}: the text of a witness that names a phased element",

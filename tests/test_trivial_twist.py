@@ -1,7 +1,7 @@
 """The trivial twist without a table against the materialized zero table.
 
 ``Extension(S, k)`` holds no cocycle table (``ext.cocycle is None``) and
-reads one shared zero row for every pair of ids.  On the generator ladder
+its product reads an empty point cocycle.  On the generator ladder
 and k in {1, 2, 3} it must agree with ``Extension(S, k, trivial_cocycle(S,
 k))`` in every exact procedure and in the lambda matrices.
 """
@@ -24,7 +24,7 @@ from cartanlab.generators import eqrel_monoid, generate, product_monoid, rook_mo
 from cartanlab.kernel_rep import RepSpace
 from cartanlab.semigroup_core import bits
 
-from exact_reference import trivial_cocycle
+from exact_reference import patch_extension, trivial_cocycle
 
 LADDER = {
     "rook2": lambda: rook_monoid(2),
@@ -115,12 +115,16 @@ def test_lambda_matrices_agree_on_rook3(ladder, k):
     assert all(np.array_equal(a, b) for a, b in zip(lams, rs_table.stack(rs_table.ext.elements)))
 
 
-def test_generated_document_holds_one_shared_zero_row():
-    """``gen rook 4`` has no cocycle, so its extension has no table and its
-    phase rows are one row object, shared by every id."""
+def test_generated_document_reads_an_empty_point_cocycle(monkeypatch):
+    """``gen rook 4`` has no cocycle, so its extension has no table: it runs
+    no point pass, and its product reads an empty point cocycle."""
     S, ext, _ = build_extension(generate("rook", "4"))
     assert ext.cocycle is None
-    rows = ext._rows
-    assert len(rows) == len(S) == 209
-    assert len({id(row) for row in rows}) == 1
-    assert len({id(entry) for entry in rows[0]}) == 1 and not any(rows[0][0])
+
+    def refuse(*args):
+        raise AssertionError("point pass of the trivial twist")
+
+    patch_extension(monkeypatch, "_point_pass", lambda real: refuse)
+    assert ext._cp == {} and len(S) == 209
+    for v in ext.elements[::97]:
+        assert ext.multiply(v, ext.dagger(v)).phases == (0,) * v.bij.range_mask.bit_count()
