@@ -16,7 +16,7 @@ The blocks documents are rook2 acting on the blocks {0, 1} and {2, 3}
 (atom a becomes the block 2a, 2a + 1), a closed monoid without its
 one-point maps, once untwisted and once twisted by a point coboundary mod
 2: the coboundary, the section and equivalence need no one-point map, and
-the oracle's lambda matrices do.
+the lambda matrices and spectral sets of the numeric commands do.
 
 The failure paths: a document that holds all nine one-point maps on three
 atoms and the map 0 -> 1, 1 -> 2 but not its inverse, so it is not closed;
@@ -162,12 +162,10 @@ def commands() -> list:
         ("blocks", "blocks_k2_twisted", ["--k", "2"]),
     ]:
         runs.append((f"equiv-{a}-{b}{_k_suffix(extra)}", ["equiv", a, b, *extra]))
-    for doc in ("blocks", "blocks_k2_twisted"):
-        for cmd in ("validate", "section", "oracle"):
+    for doc in ("blocks", "blocks_k2_twisted", "not_closed"):
+        for cmd in COMMANDS:
             runs.append((f"{cmd}-{doc}", [cmd, doc]))
     runs += [
-        ("validate-not_closed", ["validate", "not_closed"]),
-        ("section-not_closed", ["section", "not_closed"]),
         ("equiv-not_closed-not_closed", ["equiv", "not_closed", "not_closed"]),
         ("equiv-not_closed-not_closed-k2", ["equiv", "not_closed", "not_closed", "--k", "2"]),
         ("validate-atoms_true", ["validate", "atoms_true"]),
