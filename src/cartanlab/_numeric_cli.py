@@ -46,21 +46,24 @@ def _cmd_oracle(S, ext, names, args):
 
 
 def _cmd_spectral(S, ext, names, args):
-    idx = spectral_bimodule._trace_index(S)
-    count = idx.full + 1
-    step = 1 if count <= 64 else count // 64
-    positions = range(0, count, step)
+    """Round-trips every mask when there are at most 64, in ``masks`` order,
+    and otherwise 64 distinct masks drawn with seed 0, in increasing order."""
+    from random import Random  # here, so that represent does not load random
+
     guard = SPECTRAL_GUARD if args.guard is None else args.guard
-    sample = [idx.members(idx.mask_at(pos, guard)) for pos in positions]
+    idx = spectral_bimodule._trace_index(S)
+    count = 1 << idx._guarded_count(guard)
+    sample = list(idx.masks(guard)) if count <= 64 else sorted(Random(0).sample(range(count), 64))
     rs = kernel_rep.RepSpace(ext, tol=args.tol)
     psi, theta = spectral_bimodule.psi, spectral_bimodule.theta
     witness = None
-    for pos, A in zip(positions, sample):
+    for X in sample:
+        A = idx.members(X)
         try:
             if theta(rs, psi(rs, A)) != A:
-                witness = f"spectral set {pos}: theta(psi(A)) != A"
+                witness = f"spectral set of mask {X:#x}: theta(psi(A)) != A"
         except InvariantViolation as exc:  # a tol past the matrices' norms splits the two readings
-            witness = f"spectral set {pos}: {exc}"
+            witness = f"spectral set of mask {X:#x}: {exc}"
         if witness:
             break
     ok = witness is None
@@ -79,10 +82,10 @@ def _cmd_spectral(S, ext, names, args):
 def _cmd_msd(S, ext, names, args):
     """``msd``, and ``mtr`` (the maximal triangular members) under that name."""
     triangular = args.command == "mtr"
-    rs = kernel_rep.RepSpace(ext, tol=args.tol)
     search = spectral_bimodule.mtr if triangular else spectral_bimodule.msd
     guard = SPECTRAL_GUARD if args.guard is None else args.guard
     members = search(S, guard=guard)
+    rs = kernel_rep.RepSpace(ext, tol=args.tol)
     inv = {v: n for n, v in names.items()}
     lines = [f"{'mtr' if triangular else 'msd'}_count: {len(members)}"]
     all_ok = True

@@ -32,7 +32,6 @@ from itertools import chain
 from ._lazy import np
 from ._section import Section, _sigma, order_preserving_section
 from ._twist import Extension
-from .errors import DomainError
 from .semigroup_core import FiniteInverseMonoid, PartialBijection, PhasedElement, groupoid_relation
 
 __all__ = [
@@ -92,22 +91,19 @@ def _lambda_columns(ext: Extension, j: Section, rbasis: RBasis, i: int, a: list[
     at y, which is base + a(x) mod k: nothing after the product v j(y->x)
     reads a, and that product adds a(x) at y.
 
-    Needs the one-point maps of the relation to be elements of S (downward
-    closure; DomainError otherwise).  sigma is ``_section._sigma`` on
-    element ids, which raises InvariantViolation, naming v, when it is not
-    a phased identity.
+    Reads the one-point maps of R from ``S.point_maps``, which raises
+    DomainError when one is not an element of S.  sigma is
+    ``_section._sigma`` on element ids, which raises InvariantViolation,
+    naming v, when it is not a phased identity.
     """
-    S, n, k = ext.S, rbasis.atom_count, ext.k
-    rows = j.dense_rows(S)
+    S, k = ext.S, ext.k
+    rows, point_maps = j.dense_rows(S), S.point_maps
     dom, img = S.elements[i].domain, S.images[i]
     targets, cols, base, xs = [], [], [], []
     for col, (x, y) in enumerate(rbasis.pairs):
         if not (dom >> x) & 1:
             continue
-        t = S.id_of_graph.get(1 << (x * n + y))  # the one-point map y -> x
-        if t is None:
-            raise DomainError("relation pair has no one-point map in S")
-        _, phase = _sigma(ext, rows, i, a, t)
+        _, phase = _sigma(ext, rows, i, a, point_maps[x, y])
         targets.append(rbasis.index[(img[x], y)])
         cols.append(col)
         base.append((phase[y] - a[x]) % k)

@@ -233,15 +233,16 @@ class FiniteInverseMonoid:
     closure_witness()/classify() to check it.
 
     Views by element id, each built on first use and kept: ``id_of_graph``
-    (graph bitmask -> id, so the one-point map y -> x is
-    ``id_of_graph.get(1 << (x*n + y))``); ``product_row(i, js)``, the ids of
+    (graph bitmask -> id); ``point_maps[x, y]``, the id of the one-point map
+    y -> x for each point (x, y) of R; ``product_row(i, js)``, the ids of
     e_i e_j for j in js, composed on e_i's image row and looked up by graph;
     ``mul``, the Cayley table of product rows; ``inv[i]``, the id of
     dagger(e_i); ``images[i][y]`` = e_i(y), -1 off dom(e_i);
     ``domain_atoms[i]``, the atoms of dom(e_i) in increasing order;
     ``idempotent_ids``; and ``points``, the sorted points (x, y) of R.
     ``product_row`` (so ``mul``) raises ClosureError with the first missing
-    product (s, t, st) in element order, ``inv`` with (s, "dagger", s^dag).
+    product (s, t, st) in element order, ``inv`` with (s, "dagger", s^dag),
+    and ``point_maps`` DomainError at the first point without its map.
     """
 
     def __init__(self, atom_count: int, elements):
@@ -303,6 +304,17 @@ class FiniteInverseMonoid:
     @cached_property
     def points(self) -> list[tuple[int, int]]:
         return sorted({p for s in self.elements for p in s.pairs()})
+
+    @cached_property
+    def point_maps(self) -> dict[tuple[int, int], int]:
+        n, ids = self.atom_count, self.id_of_graph
+        out = {}
+        for x, y in self.points:
+            t = ids.get(1 << (x * n + y))
+            if t is None:
+                raise DomainError("relation pair has no one-point map in S")
+            out[x, y] = t
+        return out
 
     @cached_property
     def inv(self) -> list[int]:

@@ -6,11 +6,11 @@ are in ``numeric_library``, on the trace index kept here.
 
 A spectral set is modeled as a frozenset of monoid elements containing the
 zero map, downward closed, and closed under orthogonal joins.  In the finite
-case it is fixed by the minimal nonzero elements it contains (for the
-canonical realizations these are the one-point maps, i.e. the points of the
-relation R).  Every public call reads one trace index, kept for the most
-recent monoid: the minimal elements, each element's trace (the bitmask of
-minimals below it) and the dagger permutation on minimals.  The spectral
+case it is fixed by the minimal nonzero elements it contains, the one-point
+maps of the points of the relation R, which S must hold (``S.point_maps``).
+Every public call reads one trace index, kept for the most recent monoid:
+the minimal elements, each element's trace (its graph points, as a bitmask
+over the minimals) and the dagger permutation on minimals.  The spectral
 sets are then exactly A(X) = {s : trace(s) inside X} for the masks X, so
 closure, enumeration and the msd/mtr conditions are bitmask arithmetic.
 Whether A(X) is a monoid is decided on X alone, from the products of the
@@ -39,13 +39,12 @@ note explicitly.
 from __future__ import annotations
 
 import itertools
-import math
 from functools import cached_property, lru_cache
 
 from ._lazy import np
 from .errors import SPECTRAL_GUARD, DomainError, InvariantViolation, SizeGuardError
 from .kernel_rep import RepSpace
-from .semigroup_core import FiniteInverseMonoid, bits, dagger, mask_of
+from .semigroup_core import FiniteInverseMonoid, bits, mask_of
 from .vn_oracle import (
     MatrixAlgebra,
     _accepted_points,
@@ -74,45 +73,38 @@ CLOSURE_NOTE = "finite dimension: linear subspaces are closed in every relevant 
 
 
 class _TraceIndex:
-    """Spectral sets of S as bitmasks over its minimal nonzero elements.
+    """Spectral sets of S as bitmasks over its minimal nonzero elements: the
+    one-point maps of R (``S.point_maps``, DomainError when S lacks one), in
+    element order.
 
-    ``trace[s]`` has bit i set iff ``minimals[i] <= s``, read from graph
-    bitmasks, and ``dag[i]`` is the position of the dagger of
-    ``minimals[i]``.  Construction checks that every element is the join of
-    the minimals below it and that S is closed under binary orthogonal
-    joins.  Then X -> A(X) = {s : trace[s] inside X} is a bijection from
-    masks onto spectral sets that turns union, intersection, inclusion and
-    dagger of masks into join span, intersection, inclusion and dagger of
-    sets, and A(X) is a monoid iff X is closed under ``products``.  An index
-    keeps the monoid masks and each mask's parts.
+    ``trace[s]`` has bit i set iff ``minimals[i]`` is the map of a graph
+    point of s, and ``dag[i]`` is the position of the dagger of
+    ``minimals[i]``, read from ``S.inv`` (ClosureError when S is not closed
+    under dagger).  Construction checks that S is closed under binary
+    orthogonal joins, naming the first pair whose join is missing.  Then
+    X -> A(X) = {s : trace[s] inside X} is a bijection from masks onto
+    spectral sets that turns union, intersection, inclusion and dagger of
+    masks into join span, intersection, inclusion and dagger of sets, and
+    A(X) is a monoid iff X is closed under ``products``.  An index keeps the
+    monoid masks and each mask's parts.
     """
 
     def __init__(self, S: FiniteInverseMonoid):
         self.S = S
-        nonzero = [s for s in S if not s.is_zero()]
-        # taken by graph size, s is minimal iff no minimal found so far lies below it
-        found = set()
-        for g in sorted((s.graph for s in nonzero), key=int.bit_count):
-            if all(f & ~g for f in found):
-                found.add(g)
-        self.minimals = [s for s in nonzero if s.graph in found]
-        graphs = [m.graph for m in self.minimals]
-        self.trace = {s: mask_of(i for i, g in enumerate(graphs) if not g & ~s.graph) for s in S}
-        pos = {m: i for i, m in enumerate(self.minimals)}
-        self.idempotent = mask_of(i for i, m in enumerate(self.minimals) if m.is_idempotent())
-        self.full = (1 << len(self.minimals)) - 1
-        self.dag = [pos.get(dagger(m)) for m in self.minimals]
-        if None in self.dag:
-            raise DomainError("the monoid is not closed under dagger")
-        for s in nonzero:
-            covered = (a for i in bits(self.trace[s]) for a in bits(self.minimals[i].domain))
-            if mask_of(covered) != s.domain:
-                raise DomainError(f"{s} is not the join of the minimal elements below it")
+        inv, point_maps = S.inv, S.point_maps
+        ids = sorted(point_maps.values())
+        at = {t: i for i, t in enumerate(ids)}
+        pos = {p: at[t] for p, t in point_maps.items()}
+        self.minimals = [S.elements[t] for t in ids]
+        self.trace = {s: mask_of(pos[p] for p in s.pairs()) for s in S}
+        self.idempotent = mask_of(pos[x, x] for x in range(S.atom_count))
+        self.full = (1 << len(ids)) - 1
+        self.dag = [at[inv[t]] for t in ids]
         traces = set(self.trace.values())
-        shapes = [(self.trace[s], s.domain, s.range_mask) for s in nonzero]
-        for (xs, ds, rs), (xt, dt, rt) in itertools.combinations(shapes, 2):
+        shapes = [(s, self.trace[s], s.domain, s.range_mask) for s in S if not s.is_zero()]
+        for (s, xs, ds, rs), (t, xt, dt, rt) in itertools.combinations(shapes, 2):
             if not (ds & dt or rs & rt) and xs | xt not in traces:
-                raise DomainError("the monoid is not closed under orthogonal joins")
+                raise DomainError(f"the monoid is not closed under orthogonal joins; witness: {(s, t)}")
         self._monoid_masks: list[int] | None = None
         self.parts: dict = {}  # filled by _selfadjoint_part
 
@@ -145,26 +137,6 @@ class _TraceIndex:
             for combo in itertools.combinations(range(m), r):
                 yield mask_of(combo)
 
-    def mask_at(self, pos: int, guard: int) -> int:
-        """The mask at position pos of ``masks`` order, without walking the
-        masks before it: skip the smaller sizes, then pick each member of the
-        combination by counting the combinations that start below it."""
-        m = self._guarded_count(guard)
-        for r in range(m + 1):
-            if pos < math.comb(m, r):
-                break
-            pos -= math.comb(m, r)
-        mask, i = 0, 0
-        while r:
-            starting_here = math.comb(m - i - 1, r - 1)  # combinations whose next member is i
-            if pos < starting_here:
-                mask |= 1 << i
-                r -= 1
-            else:
-                pos -= starting_here
-            i += 1
-        return mask
-
     @cached_property
     def products(self) -> list[tuple[int, int]]:
         """(bits of m_i and m_j, trace of m_i m_j), in element order, for each
@@ -182,8 +154,9 @@ class _TraceIndex:
 
     def is_monoid(self, X: int) -> bool:
         """Whether A(X) holds the idempotents and is closed under products: as
-        every element is the join of the minimals below it, whether X holds
-        the idempotent minimals and the products of any two of its minimals."""
+        every element is the join of the one-point maps of its graph points,
+        whether X holds the idempotent minimals and the products of any two
+        of its minimals."""
         return X & self.idempotent == self.idempotent and not any(p & ~X for f, p in self.products if not f & ~X)
 
     def monoid_masks(self, guard: int) -> list[int]:

@@ -37,7 +37,7 @@ from itertools import chain
 from random import Random
 
 from ._lazy import np
-from ._section import Section, delta
+from ._section import delta
 from ._twist import Extension
 from .errors import DomainError, InvariantViolation, SizeGuardError
 from .kernel_rep import DEFAULT_TOL, RBasis, RepSpace
@@ -552,10 +552,10 @@ class CartanReport:
         return lines
 
 
-def cartan_report(ext: Extension, j: Section | None = None, tol: float = DEFAULT_TOL) -> CartanReport:
+def cartan_report(ext: Extension, tol: float = DEFAULT_TOL) -> CartanReport:
     """Run the whole oracle battery for one extension on the Cartan pair
-    (M, D) of its ``RepSpace``."""
-    rs = RepSpace(ext, j, tol)
+    (M, D) of its ``RepSpace``, on the order-preserving section."""
+    rs = RepSpace(ext, tol=tol)
     rbasis = rs.rbasis
     M, D = rs.algebra, rs.diagonal
 

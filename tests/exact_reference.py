@@ -10,7 +10,9 @@ point cocycle.  ``element_sigma`` and ``element_delta`` are sigma and
 Delta formed from ``compose``/``meet`` and the extension's element-level
 product and inverse: the references for the id-level ``extension.sigma``
 and ``extension.delta``.  ``is_spectral_set`` is the definition of a
-spectral set that the bitmask spectral sets A(X) are checked against.
+spectral set that the bitmask spectral sets A(X) are checked against, and
+``is_spectral_monoid`` the Cayley-table form of the monoid test on masks.
+``inflated`` is a monoid acting on blocks of atoms, without one-point maps.
 ``patch_extension`` patches a name in every part of the extension API that
 binds it.
 """
@@ -273,3 +275,26 @@ def is_spectral_set(S: FiniteInverseMonoid, A) -> bool:
             if orthogonal_join([s, t]) not in A:
                 return False
     return True
+
+
+def is_spectral_monoid(idx, X: int, A) -> bool:
+    """The Cayley form of ``_TraceIndex.is_monoid``: A = A(X) contains every
+    idempotent (X holds the idempotent minimals) and is closed under
+    products, read from the Cayley table of S."""
+    if X & idx.idempotent != idx.idempotent:
+        return False
+    mul = idx.S.mul
+    ids = {idx.S.index[s] for s in A}
+    return all(ids.issuperset([mul[i][j] for j in ids]) for i in ids)
+
+
+def inflated(S: FiniteInverseMonoid, m: int) -> FiniteInverseMonoid:
+    """S acting on blocks of m atoms: atom a becomes the block a*m .. a*m + m - 1,
+    and each map y -> x moves the block of y onto the block of x in order.
+    For m > 1 the monoid holds no one-point map."""
+    n = S.atom_count * m
+    maps = []
+    for s in S:
+        pairs = sorted((y * m + i, x * m + i) for x, y in s.pairs() for i in range(m))
+        maps.append(PartialBijection(n, sum(1 << y for y, _ in pairs), tuple(x for _, x in pairs)))
+    return FiniteInverseMonoid(n, maps)

@@ -54,7 +54,7 @@ from cartanlab.semigroup_core import (
     with_zero_phases,
 )
 
-from exact_reference import g_meet, g_natural_leq, inverse_apply, patch_extension, trivial_cocycle
+from exact_reference import g_meet, g_natural_leq, inflated, inverse_apply, patch_extension, trivial_cocycle
 
 
 def ref_mul(S):
@@ -591,18 +591,6 @@ def test_section_parity(monoids):
         rep = validate_section(ext, j)
         assert rep == ref_validate_section(ext, j), label
         assert rep.passed, label
-
-
-def inflated(S, m):
-    """S acting on blocks of m atoms: atom a becomes the block a*m .. a*m + m - 1,
-    and each map y -> x moves the block of y onto the block of x in order.
-    For m > 1 the monoid holds no one-point map."""
-    n = S.atom_count * m
-    maps = []
-    for s in S:
-        pairs = sorted((y * m + i, x * m + i) for x, y in s.pairs() for i in range(m))
-        maps.append(PartialBijection(n, sum(1 << y for y, _ in pairs), tuple(x for _, x in pairs)))
-    return FiniteInverseMonoid(n, maps)
 
 
 def test_section_is_minus_the_witness_and_the_glued_section(monoids):

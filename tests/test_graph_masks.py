@@ -1,26 +1,37 @@
 """Graph bitmasks against the element-level operations they replaced.
 
 ``check_axioms`` reads axioms (b) and (c) from graph bitmasks, and
-``_TraceIndex`` its ``below`` table from graph subset tests.  The
-references kept here are the earlier bodies: the ``meet`` and
-``orthogonal_join`` loops over ``itertools.combinations`` and the table of
-|S|^2 ``natural_leq`` calls.
+``_TraceIndex`` each trace from the graph points of an element, over the
+one-point maps.  The references kept here are the earlier bodies: the
+``meet`` and ``orthogonal_join`` loops over ``itertools.combinations`` and
+the table of |S|^2 ``natural_leq`` calls, which finds the minimal elements
+of any monoid.
 """
 
 import itertools
 import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cartanlab.boolean_monoid import check_axioms
-from cartanlab.errors import DomainError
+from cartanlab.cli import main
+from cartanlab.errors import ClosureError, DomainError
 from cartanlab.exact_library import are_orthogonal, meet, orthogonal_join
-from cartanlab.generators import eqrel_monoid, product_monoid, rook_monoid
+from cartanlab.extension import Extension
+from cartanlab.generators import _document_of, emit, eqrel_monoid, product_monoid, rook_monoid
+from cartanlab.kernel_rep import RepSpace
 from cartanlab.semigroup_core import (
     FiniteInverseMonoid,
     PartialBijection,
     bits,
     compose,
+    conjugate,
     dagger,
     identity_map,
     mask_of,
@@ -30,6 +41,8 @@ from cartanlab.semigroup_core import (
     zero_map,
 )
 from cartanlab.spectral_bimodule import _TraceIndex
+
+from exact_reference import inflated, is_spectral_monoid
 
 LADDER = {
     "rook1": rook_monoid(1),
@@ -147,17 +160,30 @@ TRACE_CASES = dict(
     one_way=FiniteInverseMonoid(2, [singleton(2, 0, 1)]),
 )
 
+# what the index raises on the cases the reference refuses: non_atomistic
+# lacks the one-point map of (1, 1), and one_way the dagger of 0 -> 1
+TRACE_ERRORS = {
+    "non_atomistic": (DomainError, "relation pair has no one-point map in S"),
+    "one_way": (ClosureError, "element set is not closed; witness: (<0>1 on 2>, 'dagger', <1>0 on 2>)"),
+    "three_atoms": (
+        DomainError,
+        "the monoid is not closed under orthogonal joins; witness: (<0>0 on 3>, <1>1 on 3>)",
+    ),
+}
+
 
 @pytest.mark.parametrize("name", sorted(TRACE_CASES))
 def test_trace_index_matches_natural_leq_reference(name):
+    """Where the reference builds an index, the one-point maps give the same
+    one; where it refuses, the index refuses too."""
     S = TRACE_CASES[name]
-    try:
-        ref = ReferenceTraceIndex(S)
-    except DomainError as exc:
-        with pytest.raises(DomainError) as got:
+    if name in TRACE_ERRORS:
+        with pytest.raises(DomainError):
+            ReferenceTraceIndex(S)
+        with pytest.raises(TRACE_ERRORS[name][0]):
             _TraceIndex(S)
-        assert str(got.value) == str(exc)
         return
+    ref = ReferenceTraceIndex(S)
     idx = _TraceIndex(S)
     assert idx.minimals == ref.minimals
     assert idx.trace == ref.trace
@@ -165,10 +191,73 @@ def test_trace_index_matches_natural_leq_reference(name):
 
 
 def test_trace_cases_reach_each_error():
+    """The reference reaches each of its three errors, and the index names
+    what is missing: the one-point map, the dagger, or the join of the first
+    orthogonal pair, the pair axiom (c) names."""
     for name, message in (
         ("non_atomistic", "is not the join"),
         ("one_way", "not closed under dagger"),
         ("three_atoms", "not closed under orthogonal joins"),
     ):
         with pytest.raises(DomainError, match=message):
+            ReferenceTraceIndex(TRACE_CASES[name])
+        exc, text = TRACE_ERRORS[name]
+        with pytest.raises(exc) as got:
             _TraceIndex(TRACE_CASES[name])
+        assert str(got.value) == text
+    assert str(check_axioms(TRACE_CASES["three_atoms"]).boolean_c.witness) in TRACE_ERRORS["three_atoms"][1]
+
+
+@st.composite
+def point_monoids(draw):
+    """An eqrel monoid on at most 4 atoms in blocks of at most 3, or the
+    product of two such on at most 4 atoms in all, its atoms relabeled by a
+    drawn permutation."""
+
+    def eqrel(n):
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(draw(st.integers(1, min(3, n - sum(sizes)))))
+        cuts = list(itertools.accumulate(sizes, initial=0))
+        return eqrel_monoid([tuple(range(a, b)) for a, b in zip(cuts, cuts[1:])])
+
+    n = draw(st.integers(1, 4))
+    split = draw(st.integers(0, n - 1))
+    S = product_monoid(eqrel(split), eqrel(n - split)) if split else eqrel(n)
+    perm = draw(st.permutations(range(n)))
+    return FiniteInverseMonoid(n, [conjugate(s, perm) for s in S])
+
+
+NO_POINT_MAP = "relation pair has no one-point map in S"
+
+
+@settings(max_examples=20, deadline=None)
+@given(point_monoids())
+def test_point_index_matches_reference_and_its_rule(S):
+    """On eqrel monoids, their products and relabelings, the index over the
+    one-point maps is the reference's, its monoid test on masks is the
+    Cayley table's on every mask, and the monoid inflated by blocks of 2,
+    which holds no one-point map, is refused with one message by the index,
+    the lambdas of a RepSpace and every numeric command."""
+    ref = ReferenceTraceIndex(S)
+    idx = _TraceIndex(S)
+    assert (idx.minimals, idx.trace, idx.dag) == (ref.minimals, ref.trace, ref.dag)
+    for X in idx.masks(len(idx.minimals)):
+        assert idx.is_monoid(X) == is_spectral_monoid(idx, X, idx.members(X))
+
+    T = inflated(S, 2)
+    with pytest.raises(DomainError) as got:
+        _TraceIndex(T)
+    assert str(got.value) == NO_POINT_MAP
+    ext = Extension(T, 1)
+    with pytest.raises(DomainError) as got:
+        RepSpace(ext).stack(ext.elements)
+    assert str(got.value) == NO_POINT_MAP
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "blocks.json"
+        path.write_text(emit(_document_of(T, 1, {})))
+        for command in ("represent", "oracle", "spectral", "msd", "mtr"):
+            out, err = StringIO(), StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([command, str(path)])
+            assert (code, out.getvalue(), err.getvalue()) == (2, "", f"input error: {NO_POINT_MAP}\n"), command

@@ -82,7 +82,7 @@ from cartanlab.vn_oracle import (
     subspace_basis,
 )
 
-from exact_reference import coboundary_table, element_sigma, trivial_cocycle
+from exact_reference import coboundary_table, element_sigma, is_spectral_monoid, trivial_cocycle
 from numeric_reference import _pattern_intersection, _point_accepted, hs_inner
 
 TOL = 1e-9
@@ -155,23 +155,12 @@ def reference_theta_gn(rs, B, tol):
     return frozenset(s for s in rs.ext.S if s.is_zero() or implemented(s))
 
 
-def _is_spectral_monoid(idx, X, A):
-    """The Cayley form of ``_TraceIndex.is_monoid``: A = A(X) contains every
-    idempotent (X holds the idempotent minimals) and is closed under
-    products, read from the Cayley table of S."""
-    if X & idx.idempotent != idx.idempotent:
-        return False
-    mul = idx.S.mul
-    ids = {idx.S.index[s] for s in A}
-    return all(ids.issuperset([mul[i][j] for j in ids]) for i in ids)
-
-
 def brute_force_filter(S, keep):
     idx = _TraceIndex(S)
     return [
         A
         for X, A in zip(idx.masks(SPECTRAL_GUARD), enumerate_spectral_sets(S))
-        if keep(idx, X) and _is_spectral_monoid(idx, X, A)
+        if keep(idx, X) and is_spectral_monoid(idx, X, A)
     ]
 
 
@@ -345,7 +334,7 @@ def reference_verify_subdiagonal(rs, A, tol):
         if trace2 == trace or trace2 & trace != trace:
             continue
         A2 = idx.members(trace2)
-        if not _is_spectral_monoid(idx, trace2, A2):
+        if not is_spectral_monoid(idx, trace2, A2):
             continue
         alg2, adj2, N2 = reference_selfadjoint_part(rs, A2, tol)
         if len(N2) != n_dim:
@@ -494,10 +483,13 @@ def test_projection_and_membership_match_loop_reference(i3):
 
 
 def _spectral_sample(S):
-    """The sets the spectral command round-trips: 64 evenly spaced masks."""
+    """The sets the spectral command round-trips: every set when there are
+    at most 64, else those of 64 masks drawn with seed 0, in increasing order."""
     idx = _TraceIndex(S)
     count = idx.full + 1
-    return [idx.members(idx.mask_at(pos, SPECTRAL_GUARD)) for pos in range(0, count, count // 64)]
+    if count <= 64:
+        return enumerate_spectral_sets(S)
+    return [idx.members(X) for X in sorted(random.Random(0).sample(range(count), 64))]
 
 
 def test_theta_gn_matches_per_element_reference(i2, i3):
@@ -555,9 +547,13 @@ def test_mask_monoid_test_matches_cayley_reference(name):
     """Over every mask, the products of the minimals decide what the Cayley
     table decides; in a closed S each product is 0 or minimal."""
     S = MONOID_TEST_CASES[name]
+    if name == "swap_on_three":  # no one-point map of 0 <-> 1: no index
+        with pytest.raises(DomainError, match="relation pair has no one-point map in S"):
+            _TraceIndex(S)
+        return
     idx = _TraceIndex(S)
     got = [idx.is_monoid(X) for X in idx.masks(SPECTRAL_GUARD)]
-    assert got == [_is_spectral_monoid(idx, X, idx.members(X)) for X in idx.masks(SPECTRAL_GUARD)]
+    assert got == [is_spectral_monoid(idx, X, idx.members(X)) for X in idx.masks(SPECTRAL_GUARD)]
     assert any(got) and not all(got)
     assert all(product.bit_count() == 1 for _, product in idx.products)
 
@@ -567,7 +563,7 @@ def test_rook4_monoid_masks_match_cayley_reference():
     ref = [
         X
         for X in idx.masks(SPECTRAL_GUARD)
-        if X & idx.idempotent == idx.idempotent and _is_spectral_monoid(idx, X, idx.members(X))
+        if X & idx.idempotent == idx.idempotent and is_spectral_monoid(idx, X, idx.members(X))
     ]
     assert len(ref) == 355
     assert idx.monoid_masks(SPECTRAL_GUARD) == ref
@@ -930,13 +926,15 @@ def test_point_coboundary_table_matches_coboundary_path(S, k):
 
 @pytest.mark.parametrize("name", ["rook2", "rook3", "eqrel_01_23"])
 def test_spectral_command_samples_the_enumerated_sets(name, tmp_path, monkeypatch, capsys):
-    """The command counts the masks and round-trips every step-th set in
-    enumeration order, the sets the full list would have given."""
+    """The command counts the masks and round-trips every set when there are
+    at most 64, in enumeration order, and otherwise the sets of 64 distinct
+    masks drawn with seed 0, in increasing order: sets the full list holds."""
     S = {"rook2": rook_monoid(2), "rook3": rook_monoid(3), "eqrel_01_23": eqrel_monoid([(0, 1), (2, 3)])}[name]
     path = tmp_path / "doc.json"
     path.write_text(generators.emit(generators._document_of(S, 1, {})))
     sets = enumerate_spectral_sets(S)
-    ref = sets if len(sets) <= 64 else sets[:: len(sets) // 64]
+    ref = _spectral_sample(S)
+    assert len(ref) == min(len(sets), 64) and len(set(ref)) == len(ref) and set(ref) <= set(sets)
     sampled = []
     real_psi = spectral_bimodule.psi
     monkeypatch.setattr(spectral_bimodule, "psi", lambda rs, A: sampled.append(A) or real_psi(rs, A))
@@ -1259,7 +1257,7 @@ def test_regularity_matches_pair_reference(i3):
     assert _normalizes(lams, rs.diagonal) and not _normalizes(lams, D_bad)
 
 
-# -- spectral sampling by unranking --------------------------------------------
+# -- spectral sampling by drawn masks -----------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -1267,15 +1265,17 @@ def test_regularity_matches_pair_reference(i3):
     [rook_monoid(3), eqrel_monoid([(0, 1), (2, 3)]), rook_monoid(4)],
     ids=["rook3", "eqrel_01_23", "rook4"],
 )
-def test_unranked_sample_equals_enumerated_sample(S):
+def test_drawn_sample_holds_the_sets_of_the_drawn_masks(S):
+    """Every integer below 2^|minimals| is a mask of the enumeration, so a
+    drawn integer is itself a mask: the sample is A(X) for each drawn X, and
+    A(X) holds exactly the minimals in X."""
     idx = _TraceIndex(S)
     count = idx.full + 1
-    step = 1 if count <= 64 else count // 64
-    sample = [idx.mask_at(pos, SPECTRAL_GUARD) for pos in range(0, count, step)]
-    assert sample == list(itertools.islice(idx.masks(SPECTRAL_GUARD), 0, None, step))
-    assert idx.mask_at(count - 1, SPECTRAL_GUARD) == idx.full
+    assert sorted(idx.masks(SPECTRAL_GUARD)) == list(range(count))
+    drawn = sorted(random.Random(0).sample(range(count), 64))
+    assert [idx.trace_of(A) for A in _spectral_sample(S)] == drawn
     with pytest.raises(SizeGuardError):
-        idx.mask_at(0, len(idx.minimals) - 1)
+        list(idx.masks(len(idx.minimals) - 1))
 
 
 # -- stacked pattern solves and CGS2 ---------------------------------------------

@@ -623,11 +623,23 @@ def _is_singleton_call(node) -> bool:
 
 
 def test_one_point_maps_are_looked_up_by_graph():
-    """The extension API and ``kernel_rep`` find the one-point map of a point
-    through ``S.id_of_graph``; neither builds it with ``singleton``."""
+    """The extension API, ``kernel_rep`` and ``spectral_bimodule`` find the
+    one-point map of a point through ``S.point_maps``; none builds it with
+    ``singleton``."""
     sites = call_sites(SRC, _is_singleton_call)
-    modules = ("extension", "_twist", "_cocycle", "_section", "_equiv", "exact_library", "kernel_rep")
+    modules = (
+        "extension", "_twist", "_cocycle", "_section", "_equiv", "exact_library", "kernel_rep", "spectral_bimodule"
+    )
     assert [site for site in sites if site.startswith(tuple(f"{m}.py:" for m in modules))] == []
+
+
+def test_one_point_map_rule_has_one_home():
+    """Only ``FiniteInverseMonoid.point_maps`` refuses a monoid that lacks
+    the one-point map of a point of R; every reader raises its error."""
+    message = "relation pair has no one-point map in S"
+    assert [path.name for path in sorted(SRC.rglob("*.py")) if message in path.read_text(encoding="utf-8")] == [
+        "semigroup_core.py"
+    ]
 
 
 def _reads_graph(node) -> bool:

@@ -302,8 +302,8 @@ def test_eqrel_counts(blocks):
 
 
 def test_non_atomistic_monoid_is_rejected():
-    """{0, id{0}, 1} on two atoms: 1 is not the join of the minimal elements
-    below it, so masks over minimals cannot describe its spectral sets."""
+    """{0, id{0}, 1} on two atoms lacks the one-point map id{1}, so masks
+    over the one-point maps cannot describe its spectral sets."""
     S = FiniteInverseMonoid(2, [partial_identity(2, 0b01)])
     assert len(S) == 3
     for call in (enumerate_spectral_sets, msd, mtr, full_submonoids):
