@@ -20,7 +20,13 @@ the lambda matrices and spectral sets of the numeric commands do.
 
 The failure paths: a document that holds all nine one-point maps on three
 atoms and the map 0 -> 1, 1 -> 2 but not its inverse, so it is not closed;
-a malformed document, whose "atoms" is true; and two size guards.
+one that holds only the maps 0 -> 1 and 1 -> 2, which miss both an inverse
+and a product; a malformed document, whose "atoms" is true; and two size
+guards.  Three closed monoids each fail an axiom: the transposition (0 1)
+on three atoms misses the meet of itself and 1, so it fails (b), is not
+fundamental and has no section check; rook2 without its transposition
+misses the join of 0 -> 1 and 1 -> 0, so it fails (c) and (d) and has no
+spectral sets; and the three one-point idempotents on three atoms fail (a).
 """
 
 from __future__ import annotations
@@ -95,6 +101,10 @@ def _not_closed() -> ExtensionDocument:
     return ExtensionDocument(3, 2, points + [("shift", {0: 1, 1: 2})])
 
 
+def _not_closed_twice() -> ExtensionDocument:
+    return ExtensionDocument(3, 2, [("a", {0: 1}), ("b", {1: 2})])
+
+
 def documents() -> dict:
     rook2, rook3 = generate("rook", "2"), generate("rook", "3")
     eq22 = generate("eqrel", "0,1|2,3")
@@ -115,6 +125,10 @@ def documents() -> dict:
         "blocks": blocks,
         "blocks_k2_twisted": _twisted(blocks, 2, 5),
         "not_closed": _not_closed(),
+        "not_closed_twice": _not_closed_twice(),
+        "swap_on_three": ExtensionDocument(3, 2, [("swap", {0: 1, 1: 0, 2: 2})]),
+        "rook2_without_swap": ExtensionDocument(2, 2, [(n, m) for n, m in rook2.elements if m != {0: 1, 1: 0}]),
+        "three_atoms": ExtensionDocument(3, 2, [(f"e{a}", {a: a}) for a in range(3)]),
         "atoms_true": ExtensionDocument(True, 2, rook2.elements),
     }
 
@@ -162,10 +176,16 @@ def commands() -> list:
         ("blocks", "blocks_k2_twisted", ["--k", "2"]),
     ]:
         runs.append((f"equiv-{a}-{b}{_k_suffix(extra)}", ["equiv", a, b, *extra]))
-    for doc in ("blocks", "blocks_k2_twisted", "not_closed"):
+    for doc in ("blocks", "blocks_k2_twisted", "not_closed", "not_closed_twice"):
         for cmd in COMMANDS:
             runs.append((f"{cmd}-{doc}", [cmd, doc]))
     runs += [
+        ("equiv-not_closed_twice-not_closed_twice", ["equiv", "not_closed_twice", "not_closed_twice"]),
+        ("validate-swap_on_three", ["validate", "swap_on_three"]),
+        ("section-swap_on_three", ["section", "swap_on_three"]),
+        ("validate-rook2_without_swap", ["validate", "rook2_without_swap"]),
+        ("spectral-rook2_without_swap", ["spectral", "rook2_without_swap"]),
+        ("validate-three_atoms", ["validate", "three_atoms"]),
         ("equiv-not_closed-not_closed", ["equiv", "not_closed", "not_closed"]),
         ("equiv-not_closed-not_closed-k2", ["equiv", "not_closed", "not_closed", "--k", "2"]),
         ("validate-atoms_true", ["validate", "atoms_true"]),

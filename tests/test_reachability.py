@@ -33,11 +33,8 @@ UNEXECUTED = {
     "_lazy:_Missing.__getattr__": f"{FAILURE}: a numeric command where numpy is not installed",
     "errors:OrthogonalityError.__init__": f"{FAILURE}: raised by exact_library.orthogonal_join",
     "semigroup_core:PartialBijection.__setattr__": f"{FAILURE}: assignment to an immutable element",
-    "semigroup_core:partial_identity": f"{FAILURE}: the witness of a missing idempotent in axiom (a)",
     "semigroup_core:PhasedElement.__repr__": f"{FAILURE}: the text of a witness that names a phased element",
-    "semigroup_core:compose": f"{TRACED}; on a failure path, the witness of a missing product",
     "semigroup_core:natural_leq": TRACED,
-    "semigroup_core:_check_same_atoms": f"read by compose and natural_leq, {TRACED}",
     "_twist:CocycleTable.entry_at": TRACED,
     "_twist:CocycleTable.entry": f"read by CocycleTable.entry_at, {TRACED}",
     "_twist:_rank": f"read by CocycleTable.entry_at, {TRACED}",
