@@ -7,7 +7,7 @@ The public path to these names is ``cartanlab.extension``.
 from __future__ import annotations
 
 from ._twist import Extension
-from .errors import ClosureError, SizeGuardError
+from .errors import SizeGuardError
 from .semigroup_core import PhasedElement, bits, relabelings
 
 __all__ = ["EQUIV_GUARD", "extensions_equivalent"]
@@ -37,10 +37,8 @@ def extensions_equivalent(ext1: Extension, ext2: Extension, guard: int = EQUIV_G
         return None
     if len(S1) > guard:
         raise SizeGuardError(len(S1), guard, "monoid size for equivalence search (--guard)")
-    for S in (S1, S2):
-        witness = S.closure_witness()
-        if witness is not None:
-            raise ClosureError(witness)
+    S1.check_closed()
+    S2.check_closed()
     found = next(relabelings(S1, S2), None)
     if found is None:
         return None

@@ -69,12 +69,12 @@ def order_preserving_section(ext: Extension) -> Section:
     monoid with its one-point maps it is the section the paper's
     construction glues (lifts of a maximal meet-orthogonal set B by -b,
     lifts below B, glued lifts for the rest).  The trivial twist's lifts
-    are zero.  A table that is not a coboundary raises DomainError; a
-    monoid that is not closed, ClosureError, its first missing product
-    before its first missing inverse.
+    are zero.  A monoid that is not closed raises ClosureError, with
+    ``S.check_closed``'s witness; a table that is not a coboundary,
+    DomainError.
     """
     S, k = ext.S, ext.k
-    S.mul, S.inv  # a monoid that is not closed raises ClosureError here
+    S.check_closed()
     witness = ext.coboundary
     if witness is None:
         raise DomainError(
@@ -120,14 +120,16 @@ def validate_section(ext: Extension, j: Section) -> SectionReport:
     (c) j(s ^ t) = j(s) ^ j(t) and j(1) = 1.
     They must agree for any section; disagreement indicates a bug.
 
-    The pass verdict is decided on the points of R when all of these hold:
-    S is closed and holds every idempotent of the atom set, so every meet
-    is in S; every lift's phase at y is in 0..k-1 and depends only on the
-    point (s(y), y); the phase at every diagonal point is zero, so
-    idempotent lifts are zero; and the table's point pass finds it
-    normalized, c(e, .) and c(., e) zero for every idempotent e.  Then a
-    restriction, a meet and a product esf read the same point phases as
-    the lifts they come from, and (a), (b) and (c) hold.
+    S must be closed (``S.check_closed`` raises ClosureError) and hold
+    every meet: a pair {u, 1} whose meet is missing (``S.missing_meet``)
+    raises DomainError before any condition is checked.  The pass verdict
+    is then decided on the points of R when all of these hold: every
+    lift's phase at y is in 0..k-1 and depends only on the point
+    (s(y), y); the phase at every diagonal point is zero, so idempotent
+    lifts are zero; and the table's point pass finds it normalized,
+    c(e, .) and c(., e) zero for every idempotent e.  Then a restriction,
+    a meet and a product esf read the same point phases as the lifts they
+    come from, and (a), (b) and (c) hold.
 
     Otherwise all three are walks over element ids on the lifts' dense
     phase rows, which find the witnesses.  s <= t iff graph(s) lies inside
@@ -136,10 +138,14 @@ def validate_section(ext: Extension, j: Section) -> SectionReport:
     the rows of s and t on dom(s) when s <= t, and (c) holds at (s, t) iff
     the rows of s, t and s ^ t agree on A(s,t) = dom(s ^ t).
     (b) uses the id-level twisted product.  Witnesses are the first failing
-    pair or triple in element order.  A meet missing from S raises
-    DomainError.
+    pair or triple in element order.
     """
-    rows = j.dense_rows(ext.S)
+    S = ext.S
+    rows = j.dense_rows(S)
+    S.check_closed()
+    if S.missing_meet is not None:
+        s, t = S.missing_meet
+        raise DomainError(f"the meet of {s} and {t} is not an element of the monoid")
     if _lifts_on_points(ext, rows):
         return SectionReport(True, True, True, True)
     return _section_loops(ext, rows)
@@ -149,11 +155,8 @@ def _lifts_on_points(ext: Extension, rows: list) -> bool:
     """The point conditions under which ``validate_section`` passes without
     its loops."""
     S, k, n = ext.S, ext.k, ext.S.atom_count
-    els, idem = S.elements, S.idempotent_ids
-    if len(idem) != 1 << n or S.closure_witness() is not None:
-        return False
     phase = [None] * (n * n)  # phase[x*n + y]: the lifts' phase at the point y -> x
-    for s, row, image in zip(els, rows, S.images):
+    for s, row, image in zip(S.elements, rows, S.images):
         for y in bits(s.domain):
             key, p = image[y] * n + y, row[y]
             if phase[key] is None:
@@ -171,7 +174,6 @@ def _section_loops(ext: Extension, rows: list) -> SectionReport:
     """Conditions (a), (b) and (c) as walks over element ids, with the
     first witness of each."""
     S = ext.S
-    S.mul  # a product missing from S raises ClosureError before a meet is looked up
     els, idem, atoms = S.elements, S.idempotent_ids, S.domain_atoms
     unit_ok = not any(rows[S.index[S.one]])
 
@@ -187,9 +189,7 @@ def _section_loops(ext: Extension, rows: list) -> SectionReport:
                 if any(r_s[y] != r_t[y] for y in atoms[i]):
                     cond_a, wit_a = False, (s, t)
             if cond_c:
-                m = S.id_of_graph.get(g_s & t.graph)  # s ^ t, defined on A(s,t)
-                if m is None:
-                    raise DomainError(f"the meet of {s} and {t} is not an element of the monoid")
+                m = S.id_of_graph[g_s & t.graph]  # s ^ t, defined on A(s,t)
                 r_m = rows[m]
                 if any(r_s[y] != r_t[y] or r_m[y] != r_s[y] for y in atoms[m]):
                     cond_c, wit_c = False, (s, t)

@@ -9,7 +9,9 @@ so every topological condition degenerates to combinatorics here: the
 hyperstonean requirement is vacuous for a finite discrete space and is
 reported as such rather than checked.  Finiteness also makes (d), joins of
 orthogonal families, equivalent to (c), joins of orthogonal pairs, so (d) is
-reported from (c).
+reported from (c).  Whether S holds every meet and every orthogonal join
+is decided on the monoid (``FiniteInverseMonoid.missing_meet`` and
+``missing_join``), which the spectral trace index reads too.
 """
 
 from __future__ import annotations
@@ -138,38 +140,6 @@ def _boolean_algebra_item(S: FiniteInverseMonoid, atoms: list) -> CheckItem:
     return CheckItem(True)
 
 
-def _first_missing(els, i: int, graphs, in_S):
-    """(els[i], els[j]) for the first j > i whose graph, graphs[j - i - 1],
-    is not in in_S; None when every one is."""
-    if all(map(in_S.__contains__, graphs)):
-        return None
-    j = next(j for j, g in enumerate(graphs) if g not in in_S)
-    return els[i], els[i + 1 + j]
-
-
-def _meet_and_join_witnesses(S: FiniteInverseMonoid):
-    """The first pair, in itertools.combinations order of the elements, whose
-    meet is not in S (axiom (b)), and the first orthogonal pair of nonzero
-    elements whose join is not in S (axiom (c)); None where there is none.
-    Both are read from graph bitmasks: the meet of s and t has the graph
-    graph(s) & graph(t), the join of an orthogonal pair graph(s) | graph(t),
-    and an element of S is fixed by its graph."""
-    els, in_S = S.elements, S.id_of_graph
-    shapes = [(s.graph, s.domain, s.range_mask) for s in els]
-    b_witness = c_witness = None
-    for i, (gs, ds, rs) in enumerate(shapes):
-        rest = shapes[i + 1 :]
-        if b_witness is None:
-            b_witness = _first_missing(els, i, [gs & gt for gt, _, _ in rest], in_S)
-        if c_witness is None and ds:
-            # a pair that is not orthogonal, or holds 0, stands as s, which is in S
-            joins = [gs | gt if dt and not (ds & dt or rs & rt) else gs for gt, dt, rt in rest]
-            c_witness = _first_missing(els, i, joins, in_S)
-        if b_witness is not None and c_witness is not None:
-            break
-    return b_witness, c_witness
-
-
 def check_axioms(S: FiniteInverseMonoid) -> AxiomReport:
     """Verify the Boolean inverse monoid axioms (a)-(d) plus the Cartan ones.
 
@@ -178,8 +148,11 @@ def check_axioms(S: FiniteInverseMonoid) -> AxiomReport:
     (d) orthogonal families have joins in S.  For finite S, (d) holds iff
     (c) does (joins of pairs give every finite join, by induction), so (d)
     carries (c)'s verdict and witness; no family is enumerated.  (b) and (c)
-    compare graph bitmasks (``_meet_and_join_witnesses``), so no meet or
-    join is built.
+    read the monoid's graph views: (b) fails with ``S.missing_meet``, the
+    pair {u, 1} of the first u whose meet with 1 is missing (S is closed, so
+    every meet s ^ t = s (s^dag t ^ 1) is in S iff each u ^ 1 is), and (c)
+    with ``S.missing_join``, the first orthogonal pair whose join is
+    missing.  No meet or join is built.
     Failures are report entries carrying witnesses, never exceptions.
     """
     report_cls = classify(S)
@@ -187,9 +160,8 @@ def check_axioms(S: FiniteInverseMonoid) -> AxiomReport:
     atoms = idempotent_atoms(S)
     a = _boolean_algebra_item(S, atoms)
 
-    b_witness, c_witness = _meet_and_join_witnesses(S)
-    b = CheckItem(b_witness is None, witness=b_witness)
-    c = CheckItem(c_witness is None, witness=c_witness)
+    b = CheckItem(S.missing_meet is None, witness=S.missing_meet)
+    c = CheckItem(S.missing_join is None, witness=S.missing_join)
 
     # finite Boolean algebras are complete, so local completeness rides on (a)
     locally = CheckItem(a.passed, note="E(S) finite" if a.passed else "E(S) not Boolean")

@@ -229,8 +229,8 @@ class FiniteInverseMonoid:
     The element list is deduplicated and canonically sorted (domain bitmask,
     then image tuple); an element's id is its position in ``elements``.
     0 and 1 are always materialized; ``added`` records any that were
-    missing from the input.  Closure is *not* enforced at construction: use
-    closure_witness()/classify() to check it.
+    missing from the input.  Closure is *not* enforced at construction:
+    ``check_closed`` raises its first witness and ``closure_witness`` returns it.
 
     Views by element id, each built on first use and kept: ``id_of_graph``
     (graph bitmask -> id); ``point_maps[x, y]``, the id of the one-point map
@@ -243,6 +243,8 @@ class FiniteInverseMonoid:
     ``product_row`` (so ``mul``) raises ClosureError with the first missing
     product (s, t, st) in element order, ``inv`` with (s, "dagger", s^dag),
     and ``point_maps`` DomainError at the first point without its map.
+    ``missing_meet`` and ``missing_join`` name a pair whose meet, or
+    orthogonal pair whose join, is not in S, or are None.
     """
 
     def __init__(self, atom_count: int, elements):
@@ -364,9 +366,7 @@ class FiniteInverseMonoid:
     @cached_property
     def classification(self) -> ClassificationReport:
         """``classify``'s report, kept; a ClosureError is raised on every read."""
-        witness = self.closure_witness()
-        if witness is not None:
-            raise ClosureError(witness)
+        self.check_closed()
         mul, inv = self.mul, self.inv
 
         actions = {}
@@ -385,14 +385,40 @@ class FiniteInverseMonoid:
             clifford=clifford,
         )
 
+    def check_closed(self):
+        """Raise ClosureError unless S is closed under dagger and compose,
+        with the first missing inverse (s, "dagger", s^dag) in element
+        order, or else the first missing product (s, t, st)."""
+        self.inv
+        self.mul
+
     def closure_witness(self):
-        """None if closed under dagger and compose, else the first witness:
-        (s, "dagger", s^dag) or (s, t, st)."""
+        """None if closed under dagger and compose, else ``check_closed``'s
+        witness."""
         try:
-            self.inv
-            self.mul
+            self.check_closed()
         except ClosureError as exc:
             return exc.witness
+        return None
+
+    @cached_property
+    def missing_meet(self):
+        """The pair {u, 1}, in element order, for the first u whose meet
+        with 1, of graph graph(u) & graph(1), is not in S; else None.  As
+        s ^ t = s (s^dag t ^ 1) (Leech), a closed S holds every binary meet
+        iff this is None."""
+        one = self.one
+        return next((tuple(sorted((u, one))) for u in self if u.graph & one.graph not in self.id_of_graph), None)
+
+    @cached_property
+    def missing_join(self):
+        """The first orthogonal pair (s, t) of nonzero elements, in
+        itertools.combinations order, whose join, of graph graph(s) |
+        graph(t), is not in S; else None."""
+        shapes = [(s, s.graph, s.domain, s.range_mask) for s in self.elements[1:]]  # all but the zero map
+        for (s, gs, ds, rs), (t, gt, dt, rt) in itertools.combinations(shapes, 2):
+            if not (ds & dt or rs & rt) and gs | gt not in self.id_of_graph:
+                return s, t
         return None
 
     def __repr__(self):

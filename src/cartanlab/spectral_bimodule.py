@@ -80,8 +80,8 @@ class _TraceIndex:
     ``trace[s]`` has bit i set iff ``minimals[i]`` is the map of a graph
     point of s, and ``dag[i]`` is the position of the dagger of
     ``minimals[i]``, read from ``S.inv`` (ClosureError when S is not closed
-    under dagger).  Construction checks that S is closed under binary
-    orthogonal joins, naming the first pair whose join is missing.  Then
+    under dagger).  Construction refuses S when ``S.missing_join`` names an
+    orthogonal pair whose join is missing, as axiom (c) does.  Then
     X -> A(X) = {s : trace[s] inside X} is a bijection from masks onto
     spectral sets that turns union, intersection, inclusion and dagger of
     masks into join span, intersection, inclusion and dagger of sets, and
@@ -100,11 +100,8 @@ class _TraceIndex:
         self.idempotent = mask_of(pos[x, x] for x in range(S.atom_count))
         self.full = (1 << len(ids)) - 1
         self.dag = [at[inv[t]] for t in ids]
-        traces = set(self.trace.values())
-        shapes = [(s, self.trace[s], s.domain, s.range_mask) for s in S if not s.is_zero()]
-        for (s, xs, ds, rs), (t, xt, dt, rt) in itertools.combinations(shapes, 2):
-            if not (ds & dt or rs & rt) and xs | xt not in traces:
-                raise DomainError(f"the monoid is not closed under orthogonal joins; witness: {(s, t)}")
+        if S.missing_join is not None:
+            raise DomainError(f"the monoid is not closed under orthogonal joins; witness: {S.missing_join}")
         self._monoid_masks: list[int] | None = None
         self.parts: dict = {}  # filled by _selfadjoint_part
 

@@ -841,7 +841,9 @@ def test_cocycle_fallbacks_match_reference(monoids, monkeypatch):
 
 def test_section_fallbacks_match_reference(monoids, monkeypatch):
     """Each failing point condition sends validate_section to its loops,
-    and the report equals the reference's, witnesses included."""
+    and the report equals the reference's, witnesses included.  A monoid
+    without the idempotents of the atom set but with every meet is decided
+    on the points; one without a meet raises before any loop."""
     S = monoids["rook3"]
     ext = Extension(S, 3, random_coboundary(S, 3, random.Random(5)))
     values = dict(order_preserving_section(ext).values)
@@ -857,7 +859,7 @@ def test_section_fallbacks_match_reference(monoids, monkeypatch):
     unnormalized = point_cocycle_table(R2, 3, lambda x, z, y: int(x == z == y == 0))
 
     swap = PartialBijection(2, 0b11, (1, 0))
-    T = FiniteInverseMonoid(2, [swap])  # {0, 1, (0 1)}: the idempotents on one atom are missing
+    T = FiniteInverseMonoid(2, [swap])  # {0, 1, (0 1)}: no idempotent on one atom, but every meet
     ext_T = Extension(T, 2)
 
     cases = [
@@ -872,12 +874,16 @@ def test_section_fallbacks_match_reference(monoids, monkeypatch):
         rep = validate_section(x, j)
         assert rep == ref_validate_section(x, j), label
         assert rep.passed == passed, label
-    assert len(calls) == len(cases)
+    failing = sum(not passed for *_, passed in cases)
+    assert len(calls) == failing == 4
 
+    # {0, 1, (0 1)} on 3 atoms: (0 1) ^ 1, the identity on atom 2, is missing
     three = FiniteInverseMonoid(3, [PartialBijection(3, 0b111, (1, 0, 2))])
-    with pytest.raises(DomainError, match="meet"):
+    assert three.missing_meet == (three.one, three.elements[-1])
+    with pytest.raises(DomainError) as got:
         validate_section(Extension(three, 2), Section({s: with_zero_phases(s) for s in three}))
-    assert len(calls) == len(cases) + 1
+    assert str(got.value) == "the meet of <0>0,1>1,2>2 on 3> and <0>1,1>0,2>2 on 3> is not an element of the monoid"
+    assert len(calls) == failing
 
     # a table that is not local defines no product: c(e0, t10) at the point
     # 0 <- 1 is 1, c(1, t10) there is 0
@@ -890,7 +896,7 @@ def test_section_fallbacks_match_reference(monoids, monkeypatch):
     for use in uses:
         with pytest.raises(DomainError, match="not supported and local"):
             use()
-    assert len(calls) == len(cases) + 2
+    assert len(calls) == failing + 1
 
 
 def test_cohomologous_of_two_trivial_twists_reads_no_pair(monoids, monkeypatch):

@@ -1,11 +1,12 @@
 """Graph bitmasks against the element-level operations they replaced.
 
-``check_axioms`` reads axioms (b) and (c) from graph bitmasks, and
-``_TraceIndex`` each trace from the graph points of an element, over the
-one-point maps.  The references kept here are the earlier bodies: the
-``meet`` and ``orthogonal_join`` loops over ``itertools.combinations`` and
-the table of |S|^2 ``natural_leq`` calls, which finds the minimal elements
-of any monoid.
+``check_axioms`` reads axioms (b) and (c) from the monoid's graph views
+``missing_meet`` and ``missing_join``, and ``_TraceIndex`` each trace from
+the graph points of an element, over the one-point maps.  The references
+kept here are the earlier bodies: the ``meet`` and ``orthogonal_join``
+loops over ``itertools.combinations``, which decide (b) and name (c)'s
+witness, the fixed-point rule, which names (b)'s, and the table of |S|^2
+``natural_leq`` calls, which finds the minimal elements of any monoid.
 """
 
 import itertools
@@ -16,14 +17,14 @@ from io import StringIO
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cartanlab.boolean_monoid import check_axioms
 from cartanlab.cli import main
 from cartanlab.errors import ClosureError, DomainError
 from cartanlab.exact_library import are_orthogonal, meet, orthogonal_join
-from cartanlab.extension import Extension
+from cartanlab.extension import Extension, order_preserving_section, point_coboundary_table, validate_section
 from cartanlab.generators import _document_of, emit, eqrel_monoid, product_monoid, rook_monoid
 from cartanlab.kernel_rep import RepSpace
 from cartanlab.semigroup_core import (
@@ -42,7 +43,8 @@ from cartanlab.semigroup_core import (
 )
 from cartanlab.spectral_bimodule import _TraceIndex
 
-from exact_reference import inflated, is_spectral_monoid
+from exact_reference import inflated, is_spectral_monoid, leech_idempotent
+from test_cayley_parity import ref_validate_section
 
 LADDER = {
     "rook1": rook_monoid(1),
@@ -67,6 +69,15 @@ def reference_meet_and_join_witnesses(S):
     return b, c
 
 
+def fixed_point_meet_witness(S):
+    """The pair {u, 1}, in element order, for the first u such that S lacks
+    the fixed-point idempotent 1^dag u ^ 1, which is u ^ 1."""
+    for u in S:
+        if leech_idempotent(S.one, u) not in S:
+            return tuple(sorted((u, S.one), key=S.index.__getitem__))
+    return None
+
+
 def closed_submonoid(S, gens):
     """The closure of gens under compose and dagger (with 0 and 1)."""
     out = {zero_map(S.atom_count), identity_map(S.atom_count), *gens}
@@ -86,6 +97,7 @@ AXIOM_CASES = dict(
     three_atoms=FiniteInverseMonoid(3, _three_atoms()),
     swap_on_three=FiniteInverseMonoid(3, [PartialBijection(3, 0b111, (1, 0, 2))]),
     rook2_without_swap=FiniteInverseMonoid(2, [s for s in rook_monoid(2) if s != PartialBijection(2, 0b11, (1, 0))]),
+    swap_on_three_of_four=closed_submonoid(rook_monoid(4), [PartialBijection(4, 0b0111, (1, 0, 2))]),
 )
 AXIOM_CASES.update(
     {
@@ -99,10 +111,12 @@ AXIOM_CASES.update(
 
 @pytest.mark.parametrize("name", sorted(AXIOM_CASES))
 def test_axioms_b_and_c_match_meet_and_join_reference(name):
+    """(b) passes iff the pair scan finds every meet, and names the
+    fixed-point rule's pair; (c) and (d) name the pair scan's first pair."""
     S = AXIOM_CASES[name]
     b, c = reference_meet_and_join_witnesses(S)
     rep = check_axioms(S)
-    assert (rep.boolean_b.passed, rep.boolean_b.witness) == (b is None, b)
+    assert (rep.boolean_b.passed, rep.boolean_b.witness) == (b is None, fixed_point_meet_witness(S))
     assert (rep.boolean_c.passed, rep.boolean_c.witness) == (c is None, c)
     assert (rep.complete_d.passed, rep.complete_d.witness) == (c is None, c)
 
@@ -114,8 +128,70 @@ def test_axiom_cases_fail_where_they_should():
     assert reps["swap_on_three"].boolean_b.witness == (identity_map(3), PartialBijection(3, 0b111, (1, 0, 2)))
     assert reps["rook2_without_swap"].boolean_b
     assert reps["rook2_without_swap"].boolean_c.witness == (singleton(2, 0, 1), singleton(2, 1, 0))
+    # the first pair whose meet is missing is not always a pair {u, 1}: here
+    # the old witness was the restriction of 1 to {0, 1, 2} and u
+    S = AXIOM_CASES["swap_on_three_of_four"]
+    u = PartialBijection(4, 0b0111, (1, 0, 2))
+    assert [str(s) for s in S] == ["<0 on 4>", "<0>0,1>1,2>2 on 4>", "<0>1,1>0,2>2 on 4>", "<0>0,1>1,2>2,3>3 on 4>"]
+    assert reference_meet_and_join_witnesses(S)[0] == (partial_identity(4, 0b0111), u)
+    assert check_axioms(S).boolean_b.witness == S.missing_meet == (u, identity_map(4))
     failing = [name for name in AXIOM_CASES if name.startswith("rook3_random") and not check_axioms(AXIOM_CASES[name]).passed]
     assert failing
+
+
+ROOKS = {3: rook_monoid(3), 4: rook_monoid(4)}
+
+
+@st.composite
+def twisted_submonoids(draw):
+    """The closed submonoid of rook3 or rook4 generated by a drawn element
+    that is not idempotent, often a unit (a unit with fixed points leaves
+    its meet with 1 out of S unless another generator brings it), and at
+    most one more, as it is or inflated by blocks of 2, twisted by a random
+    point coboundary mod 2 or 3."""
+    R = ROOKS[draw(st.sampled_from(sorted(ROOKS)))]
+    moving = [s for s in R if not s.is_idempotent()]
+    units = [s for s in moving if s.domain == R.one.domain]
+    first = draw(st.sampled_from(units) | st.sampled_from(moving))
+    S = closed_submonoid(R, [first, *draw(st.lists(st.sampled_from(R.elements), max_size=1))])
+    if draw(st.booleans()):
+        S = inflated(S, 2)
+    k = draw(st.integers(2, 3))
+    pts = [p for p in S.points if p[0] != p[1]]
+    phases = draw(st.lists(st.integers(0, k - 1), min_size=len(pts), max_size=len(pts)))
+    return Extension(S, k, point_coboundary_table(S, k, dict(zip(pts, phases))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(twisted_submonoids())
+@example(Extension(AXIOM_CASES["swap_on_three_of_four"], 2))
+@example(Extension(inflated(AXIOM_CASES["swap_on_three_of_four"], 2), 3))
+@example(Extension(closed_submonoid(ROOKS[4], [PartialBijection(4, 0b1111, (1, 2, 0, 3))]), 2))  # c and c^2 miss c ^ 1
+def test_meet_and_join_views_match_the_pair_scans(ext):
+    """On closed submonoids of rook3 and rook4, inflated or not: the meet
+    view is None iff the pair scan finds every meet, and otherwise names the
+    fixed-point rule's first pair, whose meet is missing; the join view is
+    the pair scan's first pair; and the section check of j = -b gives the
+    reference's report, or, with a meet missing, raises where the reference
+    fails to look the meet up in the section."""
+    S = ext.S
+    b, c = reference_meet_and_join_witnesses(S)
+    assert (S.missing_meet is None) == (b is None)
+    assert S.missing_meet == fixed_point_meet_witness(S)
+    if b is not None:
+        s, t = S.missing_meet
+        assert meet(s, t) not in S
+    assert S.missing_join == c
+    j = order_preserving_section(ext)
+    if b is None:
+        assert validate_section(ext, j) == ref_validate_section(ext, j)
+    else:
+        with pytest.raises(DomainError) as got:
+            validate_section(ext, j)
+        assert str(got.value) == f"the meet of {s} and {t} is not an element of the monoid"
+        with pytest.raises(KeyError) as missing:
+            ref_validate_section(ext, j)
+        assert missing.value.args[0] == meet(*b)
 
 
 @pytest.mark.parametrize("name", sorted(LADDER))

@@ -34,7 +34,9 @@ UNEXECUTED = {
     "errors:OrthogonalityError.__init__": f"{FAILURE}: raised by exact_library.orthogonal_join",
     "semigroup_core:PartialBijection.__setattr__": f"{FAILURE}: assignment to an immutable element",
     "semigroup_core:PhasedElement.__repr__": f"{FAILURE}: the text of a witness that names a phased element",
+    "semigroup_core:compose": f"{TRACED}; on a failure path, the witness of a missing product",
     "semigroup_core:natural_leq": TRACED,
+    "semigroup_core:_check_same_atoms": f"read by compose and natural_leq, {TRACED}",
     "_twist:CocycleTable.entry_at": TRACED,
     "_twist:CocycleTable.entry": f"read by CocycleTable.entry_at, {TRACED}",
     "_twist:_rank": f"read by CocycleTable.entry_at, {TRACED}",
@@ -51,6 +53,10 @@ UNEXECUTED = {
     "semigroup_core:PhasedElement.is_zero": "method: read by the tests",
     "semigroup_core:GroupoidRelation.__len__": "method: |R|, read by demo 01",
     "_section:Section.__eq__": "method: equality of sections, read by the tests",
+    "_section:_section_loops": (
+        "the witnesses of validate_section, for callers of it with a section that no command builds: "
+        "`section` checks j = -b, which passes on the points, and a missing meet raises first"
+    ),
     "_section:Section.items": "method: the lifts, read by the tests",
     "_cocycle:CocycleReport.__eq__": "method: equality of reports, read by the tests",
     "_section:SectionReport.__eq__": "method: equality of reports, read by the tests",

@@ -583,8 +583,8 @@ def test_pattern_solve_scan_sees_loops_and_comprehensions(tmp_path):
     assert calls_in_loops(tmp_path, _is_one_pattern_solve) == ["p.py:2", "p.py:4"]
 
 
-# The Cayley table of a monoid and the closure check that builds it.
-CAYLEY_READS = ("mul", "closure_witness")
+# The Cayley table of a monoid and the closure checks that build it.
+CAYLEY_READS = ("mul", "check_closed", "closure_witness")
 
 
 def attribute_reads(path: Path, names) -> list[str]:
@@ -640,6 +640,30 @@ def test_one_point_map_rule_has_one_home():
     assert [path.name for path in sorted(SRC.rglob("*.py")) if message in path.read_text(encoding="utf-8")] == [
         "semigroup_core.py"
     ]
+
+
+def _closure_sites(path) -> list:
+    """``line: what`` for each ``ClosureError(...)`` call and each statement
+    that only reads ``.mul`` or ``.inv`` (alone or in a tuple), so forces
+    the closure check for its side effect, in the module at path."""
+    sites = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "ClosureError":
+            sites.append(f"{node.lineno}: ClosureError(")
+        if isinstance(node, ast.Expr):
+            values = node.value.elts if isinstance(node.value, ast.Tuple) else [node.value]
+            if any(isinstance(v, ast.Attribute) and v.attr in ("mul", "inv") for v in values):
+                sites.append(f"{node.lineno}: bare .mul/.inv")
+    return sites
+
+
+def test_closure_is_decided_in_one_home():
+    """Only ``semigroup_core`` raises ClosureError or forces ``mul`` and
+    ``inv`` for their closure check; every other module calls
+    ``check_closed`` or reads the tables for their values."""
+    found = {path.name: _closure_sites(path) for path in sorted(SRC.rglob("*.py"))}
+    assert {name: sites for name, sites in found.items() if sites and name != "semigroup_core.py"} == {}
+    assert found["semigroup_core.py"]  # the check sees the sites it allows
 
 
 def _reads_graph(node) -> bool:
